@@ -243,6 +243,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     rows = []
     for suite in suites:

@@ -2,12 +2,15 @@
 
 States are plain complex numpy arrays of shape (2^N, 2^N), qubit 1 being the
 most significant tensor factor. Everything here is the brute-force reference
-that the closed-form layers are checked against.
+that the closed-form layers are checked against. No operator is densified on
+the way: Pauli sums are evaluated by gathers on their bit masks, and
+single-qubit maps act on the target qubit's 2x2 blocks of the state.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,6 +24,8 @@ HERMITICITY_TOL = 1e-12
 # Accumulated floating error over repeated channel applications.
 EIGENVALUE_FLOOR = -1e-10
 IMAG_TOL = 1e-10
+# Entries of rho gathered at once by a Pauli-sum expectation (16 MiB of complex128).
+_GATHER_ELEMENTS = 1 << 20
 
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -40,22 +45,37 @@ def n_qubits_of(rho: np.ndarray) -> int:
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValidationError unless rho is Hermitian, unit trace, and PSD."""
+    """Raise ValidationError unless rho is Hermitian, unit trace, and PSD.
+
+    Positivity means a smallest eigenvalue of at least EIGENVALUE_FLOOR. A
+    Cholesky factorisation of rho - EIGENVALUE_FLOOR * I succeeds exactly when
+    that holds, up to rounding of order 1e-13; only when it fails does the
+    full spectrum decide, and name the offending eigenvalue.
+    """
     n_qubits_of(rho)
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValidationError("density matrix is not Hermitian")
     trace = np.trace(rho)
     if abs(trace - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError(f"density matrix trace {trace} is not 1")
-    lowest = float(np.linalg.eigvalsh(rho)[0])
-    if lowest < EIGENVALUE_FLOOR:
-        raise ValidationError(f"density matrix has negative eigenvalue {lowest}")
+    shifted = np.array(rho, dtype=complex)
+    diagonal = np.arange(shifted.shape[0])
+    shifted[diagonal, diagonal] -= EIGENVALUE_FLOOR
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lowest = float(np.linalg.eigvalsh(rho)[0])
+        if lowest < EIGENVALUE_FLOOR:
+            raise ValidationError(f"density matrix has negative eigenvalue {lowest}") from None
 
 
-def _embed_single(op: np.ndarray, n: int, target: int) -> np.ndarray:
+def _target_blocks(rho: np.ndarray, n: int, target: int) -> np.ndarray:
+    """rho as (a, 2, b, a, 2, b): axes 1 and 4 are the target qubit's row and
+    column bit."""
     if not 0 <= target < n:
         raise ValueError(f"target qubit {target} outside 0..{n - 1}")
-    return np.kron(np.kron(np.eye(1 << target), op), np.eye(1 << (n - 1 - target)))
+    a, b = 1 << target, 1 << (n - 1 - target)
+    return rho.reshape(a, 2, b, a, 2, b)
 
 
 def _check_sharpness(sharpness: float) -> float:
@@ -101,9 +121,6 @@ class MeasurementEffect:
             return hi * plus + lo * minus
         return lo * plus + hi * minus
 
-    def embedded_sqrt(self, n: int) -> np.ndarray:
-        return _embed_single(self.sqrt_operator(), n, self.target_qubit)
-
 
 def observer_effects(sharpness: float, target: int) -> list[MeasurementEffect]:
     """The four effects a sequential observer applies with equal setting weight:
@@ -124,30 +141,41 @@ def luders_update(rho: np.ndarray, sharpness: float, target: int | None = None) 
     sharpness lambda and a sharp two-outcome z measurement; each branch updates
     the state with the square roots of its effects. Default target is the last
     qubit. Trace is preserved.
+
+    The four maps K rho K^dagger add up to the 4x4 superoperator sum_K K (x) conj(K),
+    which acts on the (row bit, column bit) pair of the target qubit.
     """
     rho = np.asarray(rho, dtype=complex)
     n = n_qubits_of(rho)
     validate_density_matrix(rho)
     t = n - 1 if target is None else target
-    out = np.zeros_like(rho)
+    blocks = _target_blocks(rho, n, t)
+    superop = np.zeros((4, 4), dtype=complex)
     for effect in observer_effects(sharpness, t):
-        full = effect.embedded_sqrt(n)
-        out += full @ rho @ full.conj().T
-    return out / 2.0
+        root = effect.sqrt_operator()
+        superop += np.kron(root, root.conj())
+    out = np.tensordot(superop.reshape(2, 2, 2, 2), blocks, axes=([2, 3], [1, 4]))
+    # (row bit, column bit, a, b, a', b') -> (a, row bit, b, a', column bit, b')
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape) / 2.0
 
 
 def channel_closed_form(rho: np.ndarray, sharpness: float, target: int | None = None) -> np.ndarray:
-    """Equivalent three-term mixture form of the update; kept as a cross-check."""
+    """Equivalent three-term mixture form of the update; kept as a cross-check.
+
+    In Pauli-transfer form on the target qubit's 2x2 blocks of rho, Z rho Z
+    negates the off-diagonal blocks and X rho X swaps blocks 00<->11 and 01<->10.
+    """
     lam = _check_sharpness(sharpness)
     rho = np.asarray(rho, dtype=complex)
     n = n_qubits_of(rho)
-    t = n - 1 if target is None else target
+    blocks = _target_blocks(rho, n, n - 1 if target is None else target)
     s = np.sqrt(1.0 - lam * lam)
-    x_full = _embed_single(_SX, n, t)
-    z_full = _embed_single(_SZ, n, t)
-    return (
-        (2.0 + s) * rho + z_full @ rho @ z_full + (1.0 - s) * (x_full @ rho @ x_full)
-    ) / 4.0
+    z_rho_z = blocks.copy()
+    z_rho_z[:, 0, :, :, 1, :] *= -1.0
+    z_rho_z[:, 1, :, :, 0, :] *= -1.0
+    x_rho_x = blocks[:, ::-1, :, :, ::-1, :]
+    out = ((2.0 + s) * blocks + z_rho_z + (1.0 - s) * x_rho_x) / 4.0
+    return out.reshape(rho.shape)
 
 
 def apply_channel_k_times(
@@ -158,6 +186,33 @@ def apply_channel_k_times(
     for lam in sharpnesses:
         rho = luders_update(rho, lam, target)
     return rho
+
+
+def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr) -> complex:
+    """Tr[rho * expr] without building expr's matrix.
+
+    The only nonzero entries of a term P with masks (f, z) and phase c are
+    <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
+    c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z): one gather per term, done
+    for blocks of terms at a time.
+    """
+    if not expr.terms:
+        return 0j
+    dim = rho.shape[0]
+    rows = np.arange(dim, dtype=np.int64)
+    flips, signs, phases = zip(*(term.bit_masks() for term in expr.terms))
+    flips = np.array(flips, dtype=np.int64)
+    signs = np.array(signs, dtype=np.int64)
+    phases = np.array(phases, dtype=complex)
+    per_term = np.empty(len(expr.terms), dtype=complex)
+    step = max(1, _GATHER_ELEMENTS // dim)
+    for start in range(0, len(per_term), step):
+        stop = start + step
+        gathered = rho[rows, rows ^ flips[start:stop, None]]
+        parity = np.bitwise_count(rows & signs[start:stop, None]) & 1
+        per_term[start:stop] = np.where(parity, -gathered, gathered).sum(axis=1)
+    per_term *= phases
+    return complex(math.fsum(per_term.real.tolist()), math.fsum(per_term.imag.tolist()))
 
 
 def expectation(rho: np.ndarray, obs) -> float:
@@ -171,14 +226,14 @@ def expectation(rho: np.ndarray, obs) -> float:
             raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
         if not obs.is_hermitian():
             raise ValidationError("observable has non-real Pauli coefficients")
-        dense = obs.to_matrix()
+        value = _pauli_sum_trace(rho, obs)
     else:
         dense = np.asarray(obs, dtype=complex)
         if dense.shape != rho.shape:
             raise DimensionError(f"observable shape {dense.shape} vs state {rho.shape}")
         if np.max(np.abs(dense - dense.conj().T)) > HERMITICITY_TOL:
             raise ValidationError("observable is not Hermitian")
-    value = complex(np.einsum("ij,ji->", rho, dense))
+        value = complex(np.einsum("ij,ji->", rho, dense))
     if abs(value.imag) >= IMAG_TOL:
         raise ValidationError(f"expectation has imaginary residue {value.imag}")
     return value.real
@@ -253,14 +308,21 @@ def save_density_matrix(path, rho: np.ndarray) -> None:
 
 
 def load_density_matrix(path) -> np.ndarray:
+    """Read a file written by save_density_matrix; the state must be valid.
+
+    The qubit-count header is checked against DENSE_QUBIT_LIMIT before any
+    array is built.
+    """
     with open(path) as fh:
         payload = json.load(fh)
+    header = payload["n_qubits"]
+    if type(header) is not int or header < 0:
+        raise ValidationError(f"qubit-count header {header!r} is not a count")
+    if header > DENSE_QUBIT_LIMIT:
+        raise CapacityError(f"{header} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
     rho = np.array(payload["real"], dtype=complex) + 1j * np.array(payload["imag"])
     n = n_qubits_of(rho)
-    if n != payload["n_qubits"]:
-        raise ValidationError(
-            f"header says {payload['n_qubits']} qubits but entries give {n}"
-        )
-    if n > DENSE_QUBIT_LIMIT:
-        raise CapacityError(f"{n} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
+    if n != header:
+        raise ValidationError(f"header says {header} qubits but entries give {n}")
+    validate_density_matrix(rho)
     return rho

@@ -32,6 +32,11 @@ for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
     _SINGLE_PRODUCT[(_a, _b)] = (_c, 1)
     _SINGLE_PRODUCT[(_b, _a)] = (_c, 3)
 
+# Letter -> bit of the flip (X, Y) and sign (Z, Y) masks; qubit 1 is the
+# most significant bit.
+_FLIP_BITS = str.maketrans("IXYZ", "0110")
+_SIGN_BITS = str.maketrans("IXYZ", "0011")
+
 _SINGLE_MATRIX = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -86,25 +91,25 @@ class PauliString:
         mats = [_SINGLE_MATRIX[c] for c in self.letters]
         return self.coeff * functools.reduce(np.kron, mats)
 
+    def bit_masks(self) -> tuple[int, int, complex]:
+        """(flip mask, sign mask, phase) with P|j> = phase·(-1)^popcount(j & sign)|j ^ flip>.
+
+        X and Y set the flip bit of their qubit, Z and Y the sign bit; the
+        phase is the coefficient times i per Y letter.
+        """
+        flip_mask = int(self.letters.translate(_FLIP_BITS), 2)
+        sign_mask = int(self.letters.translate(_SIGN_BITS), 2)
+        return flip_mask, sign_mask, self.coeff * _PHASES[self.letters.count("Y") % 4]
+
     def statevector_action(self, psi: np.ndarray) -> np.ndarray:
         """Apply the operator to a statevector without building its matrix."""
         n = self.n_qubits
         if psi.shape != (1 << n,):
             raise DimensionError(f"statevector length {psi.shape} does not match {n} qubits")
-        flip_mask = 0
-        sign_mask = 0
-        n_y = 0
-        for j, letter in enumerate(self.letters):
-            bit = 1 << (n - 1 - j)
-            if letter in "XY":
-                flip_mask |= bit
-            if letter in "ZY":
-                sign_mask |= bit
-            if letter == "Y":
-                n_y += 1
+        flip_mask, sign_mask, phase = self.bit_masks()
         src = np.arange(1 << n, dtype=np.int64) ^ flip_mask
         signs = 1.0 - 2.0 * (np.bitwise_count(src & sign_mask) & 1)
-        return (self.coeff * _PHASES[n_y % 4]) * signs * psi[src]
+        return phase * signs * psi[src]
 
     def __str__(self) -> str:
         return f"{_format_coeff(self.coeff)}·{self.letters}"

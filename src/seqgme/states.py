@@ -61,8 +61,11 @@ def cluster_statevector(n: int) -> np.ndarray:
 
 
 def make_ghz(n: int) -> np.ndarray:
-    psi = ghz_statevector(n)
-    return np.outer(psi, psi.conj())
+    """GHZ density matrix with its four corner entries exactly 1/2."""
+    _check_size(n)
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[np.ix_([0, -1], [0, -1])] = 0.5
+    return rho
 
 
 def make_generalized_ghz(n: int, alpha: float) -> np.ndarray:

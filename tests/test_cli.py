@@ -157,6 +157,13 @@ def test_main_verify_biseparable_reduced_samples(capsys):
     assert "true" in capsys.readouterr().out
 
 
+def test_main_verify_rejects_sample_count_below_one(capsys):
+    for samples in ("0", "-3"):
+        assert main(["verify", "biseparable", "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert "--samples must be at least 1" in err
+
+
 def test_parser_has_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

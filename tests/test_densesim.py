@@ -1,9 +1,14 @@
 """Dense simulator: channel forms, decay of correlators, sampling, spectra."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgme.densesim import (
+    EIGENVALUE_FLOOR,
     MeasurementEffect,
     all_bipartitions,
     apply_channel_k_times,
@@ -18,8 +23,8 @@ from seqgme.densesim import (
     save_density_matrix,
     validate_density_matrix,
 )
-from seqgme.errors import DimensionError, ValidationError
-from seqgme.pauli import PauliString
+from seqgme.errors import CapacityError, DimensionError, ValidationError
+from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -256,3 +261,121 @@ def test_density_matrix_io_round_trip(tmp_path):
     path = tmp_path / "state.json"
     save_density_matrix(path, rho)
     np.testing.assert_allclose(load_density_matrix(path), rho, atol=1e-15)
+
+
+def test_load_density_matrix_rejects_non_positive_state(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n_qubits": 1, "real": [[2, 0], [0, -1]], "imag": [[0, 0], [0, 0]]}))
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        load_density_matrix(path)
+
+
+def test_load_density_matrix_checks_header_before_entries(tmp_path):
+    path = tmp_path / "state.json"
+    # The entries are inconsistent with the header; the capacity check comes first.
+    path.write_text(
+        json.dumps({"n_qubits": DENSE_QUBIT_LIMIT + 1, "real": [[1]], "imag": [[0]]})
+    )
+    with pytest.raises(CapacityError):
+        load_density_matrix(path)
+    path.write_text(json.dumps({"n_qubits": "1", "real": [[1]], "imag": [[0]]}))
+    with pytest.raises(ValidationError, match="not a count"):
+        load_density_matrix(path)
+
+
+# Property tests of the matrix-free engine against dense, kron-embedded oracles.
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def pauli_sums(draw):
+    """A Hermitian Pauli sum on 1..6 qubits with at least one Y letter."""
+    n = draw(st.integers(1, 6))
+    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = draw(st.lists(st.tuples(letters, coeffs), min_size=1, max_size=12))
+    y_qubit = draw(st.integers(0, n - 1))
+    first = terms[0][0]
+    terms[0] = (first[:y_qubit] + "Y" + first[y_qubit + 1 :], terms[0][1])
+    return OperatorExpr.from_terms(n, [PauliString(w, c) for w, c in terms])
+
+
+@PROPERTY_SETTINGS
+@given(expr=pauli_sums(), seed=st.integers(0, 2**32 - 1))
+def test_expectation_of_pauli_sum_matches_dense_trace(expr, seed):
+    rho = random_density(np.random.default_rng(seed), expr.n_qubits)
+    dense = complex(np.einsum("ij,ji->", rho, expr.to_matrix())).real
+    assert abs(expectation(rho, expr) - dense) <= 1e-12
+
+
+def kraus_oracle(rho, lam, target):
+    n = int(np.log2(rho.shape[0]))
+    out = np.zeros_like(rho)
+    for effect in observer_effects(lam, target):
+        root = embed(effect.sqrt_operator(), n, target)
+        out += root @ rho @ root.conj().T
+    return out / 2
+
+
+def three_term_oracle(rho, lam, target):
+    n = int(np.log2(rho.shape[0]))
+    s = np.sqrt(1 - lam * lam)
+    x = embed(SX, n, target)
+    z = embed(SZ, n, target)
+    return ((2 + s) * rho + z @ rho @ z + (1 - s) * (x @ rho @ x)) / 4
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(1, 5),
+    lam=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_forms_match_embedded_oracles_on_every_target(n, lam, seed):
+    rho = random_density(np.random.default_rng(seed), n)
+    for target in range(n):
+        np.testing.assert_allclose(
+            luders_update(rho, lam, target), kraus_oracle(rho, lam, target), atol=1e-13
+        )
+        np.testing.assert_allclose(
+            channel_closed_form(rho, lam, target),
+            three_term_oracle(rho, lam, target),
+            atol=1e-13,
+        )
+    np.testing.assert_allclose(luders_update(rho, lam), kraus_oracle(rho, lam, n - 1), atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_channel_rejects_out_of_range_target(n):
+    rho = np.eye(1 << n, dtype=complex) / (1 << n)
+    for target in (-1, n):
+        with pytest.raises(ValueError, match="target qubit"):
+            luders_update(rho, 0.5, target)
+        with pytest.raises(ValueError, match="target qubit"):
+            channel_closed_form(rho, 0.5, target)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(1, 6),
+    offset=st.sampled_from([-2e-10, -5e-11, 5e-11, 2e-10]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psd_gate_decides_like_eigvalsh(n, offset, seed):
+    # Plant the smallest eigenvalue just below or above the floor.
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    lowest = EIGENVALUE_FLOOR + offset
+    rest = rng.uniform(0.1, 1.0, size=dim - 1)
+    spectrum = np.concatenate([[lowest], rest * (1 - lowest) / rest.sum()])
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary, _ = np.linalg.qr(g)
+    rho = (unitary * spectrum) @ unitary.conj().T
+    rho = (rho + rho.conj().T) / 2
+    eigvalsh_passes = np.linalg.eigvalsh(rho)[0] >= EIGENVALUE_FLOOR
+    assert eigvalsh_passes == (offset > 0)
+    if eigvalsh_passes:
+        validate_density_matrix(rho)
+    else:
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            validate_density_matrix(rho)

@@ -31,6 +31,15 @@ def test_ghz3_density_entries():
     np.testing.assert_allclose(rho, expected, atol=1e-15)
 
 
+def test_ghz_corners_are_exactly_one_half():
+    for n in (3, 6, 10):
+        rho = make_ghz(n)
+        corners = np.ix_([0, -1], [0, -1])
+        assert np.all(rho[corners] == 0.5)
+        rho[corners] = 0.0
+        assert not np.any(rho)
+
+
 def test_ghz_stabilizer_expectations():
     for n in (3, 5):
         rho = make_ghz(n)
