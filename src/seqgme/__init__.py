@@ -44,7 +44,6 @@ from .pauli import (
     commutes,
     expand_projector_product,
     pauli_multiply,
-    to_dense,
 )
 from .planner import (
     PlanResult,
@@ -125,7 +124,6 @@ __all__ = [
     "scaled_schedule",
     "stabilizer_expectation",
     "stabilizer_generators",
-    "to_dense",
     "z_factor",
     "z_loss",
 ]

@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out")
     sweep.set_defaults(func=_cmd_sweep)
 
-    plan = sub.add_parser("plan", help="smallest lambda_1 reaching n detections")
+    plan = sub.add_parser("plan", help="about the largest lambda_1 still reaching n detections")
     plan.add_argument("--n", type=int, required=True)
     plan.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     plan.add_argument("--format", choices=("csv", "json"), default="csv")

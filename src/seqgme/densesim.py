@@ -53,10 +53,11 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     full spectrum decide, and name the offending eigenvalue.
     """
     n_qubits_of(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    # Written as not (err <= tol) so that NaN and Inf entries fail too.
+    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
         raise ValidationError("density matrix is not Hermitian")
     trace = np.trace(rho)
-    if abs(trace - 1.0) > DENSITY_TRACE_TOL:
+    if not abs(trace - 1.0) <= DENSITY_TRACE_TOL:
         raise ValidationError(f"density matrix trace {trace} is not 1")
     shifted = np.array(rho, dtype=complex)
     diagonal = np.arange(shifted.shape[0])

@@ -1,15 +1,19 @@
 """Exact algebra for N-qubit Pauli strings and weighted sums of them.
 
 Strings are words over {I, X, Y, Z}; qubit 1 is the leftmost letter and the
-most significant tensor factor. Products track their phase exactly as an
-integer power of i, so stabilizer expansions never accumulate phase noise.
+most significant tensor factor. Each string also carries the integer masks of
+its X part and Z part, in the tableau style of Aaronson and Gottesman
+(arXiv:quant-ph/0406196): the letter Y = i·X·Z sets both bits of its qubit.
+Products are an xor of the masks plus a popcount phase tracked as an exact
+power of i, so stabilizer expansions never accumulate phase noise.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -22,20 +26,12 @@ DENSE_QUBIT_LIMIT = 10
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
-# (left, right) -> (product letter, power of i)
-_SINGLE_PRODUCT: dict[tuple[str, str], tuple[str, int]] = {}
-for _p in PAULI_LETTERS:
-    _SINGLE_PRODUCT[("I", _p)] = (_p, 0)
-    _SINGLE_PRODUCT[(_p, "I")] = (_p, 0)
-    _SINGLE_PRODUCT[(_p, _p)] = ("I", 0)
-for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-    _SINGLE_PRODUCT[(_a, _b)] = (_c, 1)
-    _SINGLE_PRODUCT[(_b, _a)] = (_c, 3)
-
-# Letter -> bit of the flip (X, Y) and sign (Z, Y) masks; qubit 1 is the
-# most significant bit.
-_FLIP_BITS = str.maketrans("IXYZ", "0110")
-_SIGN_BITS = str.maketrans("IXYZ", "0011")
+# Letter -> bit of the X mask (X, Y) and of the Z mask (Z, Y), read once at
+# construction; qubit 1 is the most significant bit.
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+# Hex digit x + 2z of one qubit -> its letter (see _letters_of).
+_DIGIT_LETTERS = str.maketrans("0123", "IXZY")
 
 _SINGLE_MATRIX = {
     "I": np.eye(2, dtype=complex),
@@ -45,20 +41,63 @@ _SINGLE_MATRIX = {
 }
 
 
-@dataclass(frozen=True)
+def _letters_of(n_qubits: int, x_mask: int, z_mask: int) -> str:
+    """The letters with these masks.
+
+    Reading a mask's binary digits as hexadecimal moves qubit k's bit to bit
+    4k, so each hex digit of spread(x) | spread(z) << 1 is one qubit's x + 2z.
+    """
+    digits = int(format(x_mask, "b"), 16) | int(format(z_mask, "b"), 16) << 1
+    return format(digits, f"0{n_qubits}x").translate(_DIGIT_LETTERS)
+
+
+def _mask_product(ax: int, az: int, bx: int, bz: int) -> tuple[int, int, int]:
+    """Masks and power of i of the letters-form product (a·b) / (coeff_a·coeff_b).
+
+    A string with masks (x, z) is i^popcount(x & z)·X^x·Z^z. Moving Z^az past
+    X^bx gives (-1)^popcount(az & bx); the Y counts of a, b and the product
+    convert between the two forms.
+    """
+    x, z = ax ^ bx, az ^ bz
+    power = (
+        (ax & az).bit_count()
+        + (bx & bz).bit_count()
+        - (x & z).bit_count()
+        + 2 * (az & bx).bit_count()
+    )
+    return x, z, power % 4
+
+
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """A scalar multiple of a tensor product of single-qubit Paulis."""
 
     letters: str
     coeff: complex = 1.0 + 0.0j
+    x_mask: int = field(init=False, repr=False, compare=False)
+    z_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.letters:
             raise ValueError("PauliString needs at least one qubit")
-        bad = set(self.letters) - set(PAULI_LETTERS)
-        if bad:
+        if self.letters.strip(PAULI_LETTERS):
+            bad = set(self.letters) - set(PAULI_LETTERS)
             raise ValueError(f"invalid Pauli letters: {sorted(bad)}")
-        object.__setattr__(self, "coeff", complex(self.coeff))
+        _set_coeff(self, complex(self.coeff))
+        _set_x_mask(self, int(self.letters.translate(_X_BITS), 2))
+        _set_z_mask(self, int(self.letters.translate(_Z_BITS), 2))
+
+    @classmethod
+    def _from_masks(
+        cls, letters: str, coeff: complex, x_mask: int, z_mask: int
+    ) -> "PauliString":
+        """Build from parts already known to agree, skipping the letter parse."""
+        out = object.__new__(cls)
+        _set_letters(out, letters)
+        _set_coeff(out, coeff)
+        _set_x_mask(out, x_mask)
+        _set_z_mask(out, z_mask)
+        return out
 
     @classmethod
     def from_ops(cls, n_qubits: int, ops: dict[int, str], coeff: complex = 1.0) -> "PauliString":
@@ -76,10 +115,10 @@ class PauliString:
 
     @property
     def is_identity(self) -> bool:
-        return set(self.letters) == {"I"}
+        return not (self.x_mask | self.z_mask)
 
     def with_coeff(self, coeff: complex) -> "PauliString":
-        return PauliString(self.letters, coeff)
+        return PauliString._from_masks(self.letters, complex(coeff), self.x_mask, self.z_mask)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return pauli_multiply(self, other)
@@ -92,47 +131,52 @@ class PauliString:
         return self.coeff * functools.reduce(np.kron, mats)
 
     def bit_masks(self) -> tuple[int, int, complex]:
-        """(flip mask, sign mask, phase) with P|j> = phase·(-1)^popcount(j & sign)|j ^ flip>.
+        """(x mask, z mask, phase) with P|j> = phase·(-1)^popcount(j & z)|j ^ x>.
 
-        X and Y set the flip bit of their qubit, Z and Y the sign bit; the
-        phase is the coefficient times i per Y letter.
+        X and Y set the x bit of their qubit, Z and Y the z bit; the phase is
+        the coefficient times i per Y letter.
         """
-        flip_mask = int(self.letters.translate(_FLIP_BITS), 2)
-        sign_mask = int(self.letters.translate(_SIGN_BITS), 2)
-        return flip_mask, sign_mask, self.coeff * _PHASES[self.letters.count("Y") % 4]
+        phase = self.coeff * _PHASES[(self.x_mask & self.z_mask).bit_count() % 4]
+        return self.x_mask, self.z_mask, phase
 
     def statevector_action(self, psi: np.ndarray) -> np.ndarray:
         """Apply the operator to a statevector without building its matrix."""
         n = self.n_qubits
         if psi.shape != (1 << n,):
             raise DimensionError(f"statevector length {psi.shape} does not match {n} qubits")
-        flip_mask, sign_mask, phase = self.bit_masks()
-        src = np.arange(1 << n, dtype=np.int64) ^ flip_mask
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & sign_mask) & 1)
+        x_mask, z_mask, phase = self.bit_masks()
+        src = np.arange(1 << n, dtype=np.int64) ^ x_mask
+        signs = 1.0 - 2.0 * (np.bitwise_count(src & z_mask) & 1)
         return phase * signs * psi[src]
 
     def __str__(self) -> str:
         return f"{_format_coeff(self.coeff)}·{self.letters}"
 
 
-def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Group product a·b with its exact phase."""
+# The slots' own setters, for writes the frozen dataclass's __setattr__
+# refuses; cheaper than object.__setattr__.
+_set_letters, _set_coeff, _set_x_mask, _set_z_mask = (
+    PauliString.__dict__[name].__set__ for name in ("letters", "coeff", "x_mask", "z_mask")
+)
+
+
+def _check_sizes(a: PauliString, b: PauliString) -> None:
     if a.n_qubits != b.n_qubits:
         raise DimensionError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
-    letters = []
-    phase = 0
-    for x, y in zip(a.letters, b.letters):
-        letter, power = _SINGLE_PRODUCT[(x, y)]
-        letters.append(letter)
-        phase += power
-    return PauliString("".join(letters), a.coeff * b.coeff * _PHASES[phase % 4])
+
+
+def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
+    """Group product a·b with its exact phase."""
+    _check_sizes(a, b)
+    x, z, power = _mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+    coeff = a.coeff * b.coeff * _PHASES[power]
+    return PauliString._from_masks(_letters_of(a.n_qubits, x, z), coeff, x, z)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
     """True when the two strings commute as operators."""
-    if a.n_qubits != b.n_qubits:
-        raise DimensionError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
-    clashes = sum(1 for x, y in zip(a.letters, b.letters) if "I" not in (x, y) and x != y)
+    _check_sizes(a, b)
+    clashes = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
     return clashes % 2 == 0
 
 
@@ -149,19 +193,38 @@ class OperatorExpr:
 
     @classmethod
     def from_terms(cls, n_qubits: int, terms: Iterable[PauliString]) -> "OperatorExpr":
-        merged: dict[str, complex] = {}
+        merged: dict[tuple[int, int], complex] = {}
+        letters: dict[tuple[int, int], str] = {}
         for term in terms:
-            if term.n_qubits != n_qubits:
+            if len(term.letters) != n_qubits:
                 raise DimensionError(
                     f"term on {term.n_qubits} qubits in a {n_qubits}-qubit sum"
                 )
-            merged[term.letters] = merged.get(term.letters, 0.0) + term.coeff
-        kept = tuple(
-            PauliString(letters, coeff)
-            for letters, coeff in sorted(merged.items())
+            key = (term.x_mask, term.z_mask)
+            merged[key] = merged.get(key, 0.0) + term.coeff
+            letters[key] = term.letters
+        return cls._from_merged(n_qubits, merged, letters)
+
+    @classmethod
+    def _from_merged(
+        cls,
+        n_qubits: int,
+        merged: dict[tuple[int, int], complex],
+        letters: dict[tuple[int, int], str] | None = None,
+    ) -> "OperatorExpr":
+        """The canonical sum of coefficients keyed by (x mask, z mask)."""
+        kept = [
+            PauliString._from_masks(
+                letters[x, z] if letters is not None else _letters_of(n_qubits, x, z),
+                coeff,
+                x,
+                z,
+            )
+            for (x, z), coeff in merged.items()
             if coeff != 0
-        )
-        return cls(n_qubits, kept)
+        ]
+        kept.sort(key=attrgetter("letters"))
+        return cls(n_qubits, tuple(kept))
 
     @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "OperatorExpr":
@@ -180,14 +243,22 @@ class OperatorExpr:
         return self + (-1.0) * other
 
     def __mul__(self, other):
-        if isinstance(other, OperatorExpr):
-            products = [a * b for a in self.terms for b in other.terms]
-            return OperatorExpr.from_terms(self.n_qubits, products)
         if isinstance(other, PauliString):
-            return OperatorExpr.from_terms(self.n_qubits, [t * other for t in self.terms])
-        return OperatorExpr.from_terms(
-            self.n_qubits, [t.with_coeff(t.coeff * other) for t in self.terms]
-        )
+            other = OperatorExpr.from_terms(other.n_qubits, [other])
+        if isinstance(other, OperatorExpr):
+            if self.n_qubits != other.n_qubits:
+                raise DimensionError(
+                    f"size mismatch: {self.n_qubits} vs {other.n_qubits} qubits"
+                )
+            merged: dict[tuple[int, int], complex] = {}
+            for a in self.terms:
+                for b in other.terms:
+                    x, z, power = _mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+                    merged[x, z] = merged.get((x, z), 0.0) + a.coeff * b.coeff * _PHASES[power]
+            return OperatorExpr._from_merged(self.n_qubits, merged)
+        # Scaling keeps the terms distinct and sorted; only zeros drop out.
+        scaled = ((t, 0.0 + t.coeff * other) for t in self.terms)
+        return OperatorExpr(self.n_qubits, tuple(t.with_coeff(c) for t, c in scaled if c != 0))
 
     def __rmul__(self, scalar) -> "OperatorExpr":
         return self * scalar
@@ -252,15 +323,16 @@ def expand_projector_product(
         for b in chosen[i + 1 :]:
             if not commutes(a, b):
                 raise AlgebraError(f"generators do not commute: {a} vs {b}")
-    expr = OperatorExpr.identity(n_qubits)
+    # Each factor (I + g)/2 keeps every term and adds its product with g.
+    merged: dict[tuple[int, int], complex] = {(0, 0): 1.0 + 0.0j}
     for g in chosen:
-        expr = (expr + expr * g) * 0.5
-    return expr
-
-
-def to_dense(expr: OperatorExpr | PauliString, limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
-    """Dense matrix of a Pauli string or sum; capacity-checked."""
-    return expr.to_matrix(limit)
+        step: dict[tuple[int, int], complex] = {}
+        for (x, z), coeff in merged.items():
+            step[x, z] = step.get((x, z), 0.0) + coeff * 0.5
+            px, pz, power = _mask_product(x, z, g.x_mask, g.z_mask)
+            step[px, pz] = step.get((px, pz), 0.0) + coeff * g.coeff * _PHASES[power] * 0.5
+        merged = step
+    return OperatorExpr._from_merged(n_qubits, merged)
 
 
 def _format_coeff(c: complex) -> str:

@@ -8,14 +8,13 @@ Pauli sums on stabilizer states without any dense matrix, which is the
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, commutes, pauli_multiply
+from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, commutes
 
 WEIGHT_SUM_TOL = 1e-9
 STABILIZER_TOL = 1e-12
@@ -122,69 +121,96 @@ def stabilizer_generators(family: str, n: int) -> list[PauliString]:
     return gens
 
 
-def _solve_gf2(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """One solution of matrix @ x = rhs over GF(2), or None if inconsistent."""
-    a = matrix.copy()
-    b = rhs.copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        hit = np.nonzero(a[r:, c])[0]
-        if hit.size == 0:
-            continue
-        p = r + int(hit[0])
-        a[[r, p]] = a[[p, r]]
-        b[[r, p]] = b[[p, r]]
-        others = np.nonzero(a[:, c])[0]
-        for rr in others:
-            if rr != r:
-                a[rr] ^= a[r]
-                b[rr] ^= b[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    x = np.zeros(cols, dtype=np.uint8)
-    for row_idx, c in enumerate(pivots):
-        x[c] = b[row_idx]
-    if np.any((matrix @ x) % 2 != rhs):
-        return None
-    return x
+class _StabilizerBasis:
+    """The generators of a stabilizer state factored into a GF(2) echelon basis.
 
+    Each generator is the 2n-bit vector x_mask << n | z_mask. Elimination keeps
+    one row per leading bit, and with each row the subset of generators (a bit
+    per generator) whose product it is, so a term reduces in at most 2n xors.
+    """
 
-def _symplectic(p: PauliString) -> np.ndarray:
-    x_bits = [1 if c in "XY" else 0 for c in p.letters]
-    z_bits = [1 if c in "ZY" else 0 for c in p.letters]
-    return np.array(x_bits + z_bits, dtype=np.uint8)
+    def __init__(self, generators: list[PauliString], n: int) -> None:
+        if len(generators) != n:
+            raise ValidationError(f"{len(generators)} generators for {n} qubits; need {n}")
+        for g in generators:
+            if g.n_qubits != n:
+                raise ValidationError("generators and expression act on different qubit counts")
+            if g.coeff not in (1.0, -1.0):
+                raise ValidationError(f"generator {g} has a coefficient other than +-1")
+        for i, g in enumerate(generators):
+            for h in generators[i + 1 :]:
+                if not commutes(g, h):
+                    raise ValidationError(f"generators do not commute: {g} vs {h}")
+        self.n = n
+        # (x mask, z mask, number of Y letters, coefficient) per generator.
+        self.masks = [
+            (g.x_mask, g.z_mask, (g.x_mask & g.z_mask).bit_count(), g.coeff.real)
+            for g in generators
+        ]
+        self.rows: dict[int, tuple[int, int]] = {}
+        for i, g in enumerate(generators):
+            vector, subset = self._reduce(g.x_mask << n | g.z_mask, 1 << i)
+            if not vector:
+                raise ValidationError(f"generator {g} is a product of the ones before it")
+            self.rows[vector.bit_length() - 1] = (vector, subset)
+
+    def _reduce(self, vector: int, subset: int) -> tuple[int, int]:
+        """Clear leading bits that rows cover; the remainder and the subset used."""
+        while vector:
+            row = self.rows.get(vector.bit_length() - 1)
+            if row is None:
+                break
+            vector ^= row[0]
+            subset ^= row[1]
+        return vector, subset
+
+    def sign(self, term: PauliString) -> float:
+        """+-1 when +-term's string is in the group, 0.0 when it is not.
+
+        The generators of the subset are multiplied in order as masks: each
+        step moves the running product's Z part past the generator's X part,
+        a factor (-1)^popcount(z & x), and the Y counts convert from
+        X^x·Z^z form back to letters.
+        """
+        remainder, subset = self._reduce(term.x_mask << self.n | term.z_mask, 0)
+        if remainder:
+            return 0.0
+        x = z = 0
+        power = 0
+        sign = 1.0
+        while subset:
+            low = subset & -subset
+            subset ^= low
+            gx, gz, y_count, coeff = self.masks[low.bit_length() - 1]
+            power += y_count + 2 * (z & gx).bit_count()
+            x ^= gx
+            z ^= gz
+            sign *= coeff
+        power -= (x & z).bit_count()
+        if (x, z) != (term.x_mask, term.z_mask) or power % 2:
+            raise ValidationError("GF(2) solution does not reproduce the term")
+        return -sign if power % 4 else sign
 
 
 def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[PauliString]) -> float:
     """<expr> on the stabilizer state fixed by the given generators.
 
-    A Pauli term has expectation +-1 when (+-)term is in the generated group
-    and 0 otherwise; membership is decided by a GF(2) solve, the sign by the
-    exact phase of the corresponding generator product.
+    The generators must be n independent, pairwise commuting strings with
+    coefficients +-1, so that they fix exactly one state; otherwise this
+    raises ValidationError. A Pauli term has expectation +-1 when (+-)term is
+    in the generated group and 0 otherwise; membership is decided by the
+    echelon basis, factored once per call, and the sign by the exact phase of
+    the corresponding generator product.
     """
     if isinstance(expr, PauliString):
         expr = OperatorExpr.from_terms(expr.n_qubits, [expr])
-    n = expr.n_qubits
-    if any(g.n_qubits != n for g in generators):
-        raise ValidationError("generators and expression act on different qubit counts")
-    basis = np.column_stack([_symplectic(g) for g in generators])
-    identity = PauliString("I" * n)
+    basis = _StabilizerBasis(list(generators), expr.n_qubits)
     real_parts: list[float] = []
     imag_parts: list[float] = []
     for term in expr.terms:
-        subset = _solve_gf2(basis, _symplectic(term))
-        if subset is None:
+        sign = basis.sign(term)
+        if not sign:
             continue
-        product = functools.reduce(
-            pauli_multiply, (g for g, used in zip(generators, subset) if used), identity
-        )
-        if product.letters != term.letters:
-            raise ValidationError("GF(2) solution does not reproduce the term")
-        sign = product.coeff.real
         value = term.coeff * sign
         real_parts.append(value.real)
         imag_parts.append(value.imag)
@@ -280,10 +306,3 @@ class StateFamily:
             return make_mixed_ghz(self.n_qubits, self.p1, self.p2, self.p3, self.alpha)
         return make_cluster(self.n_qubits)
 
-
-def generators_commute(generators: list[PauliString]) -> bool:
-    return all(
-        commutes(a, b)
-        for i, a in enumerate(generators)
-        for b in generators[i + 1 :]
-    )

@@ -283,6 +283,31 @@ def test_load_density_matrix_checks_header_before_entries(tmp_path):
         load_density_matrix(path)
 
 
+def _non_finite_states():
+    nan_everywhere = np.full((2, 2), np.nan, dtype=complex)
+    nan_entry = np.diag([1.0, 0.0]).astype(complex)
+    nan_entry[1, 1] = np.nan
+    inf_diagonal = np.diag([np.inf, 0.0]).astype(complex)
+    inf_coherence = np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex)
+    return [nan_everywhere, nan_entry, inf_diagonal, inf_coherence]
+
+
+@pytest.mark.parametrize(
+    "rho", _non_finite_states(), ids=["nan", "nan-entry", "inf-diag", "inf-offdiag"]
+)
+def test_non_finite_states_are_rejected(rho, tmp_path):
+    with pytest.raises(ValidationError):
+        validate_density_matrix(rho)
+    with pytest.raises(ValidationError):
+        luders_update(rho, 0.5)
+    path = tmp_path / "state.json"
+    # json writes NaN and Infinity tokens and reads them back.
+    payload = {"n_qubits": 1, "real": rho.real.tolist(), "imag": rho.imag.tolist()}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError):
+        load_density_matrix(path)
+
+
 # Property tests of the matrix-free engine against dense, kron-embedded oracles.
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgme.errors import AlgebraError, CapacityError, DimensionError
 from seqgme.pauli import (
@@ -13,7 +15,6 @@ from seqgme.pauli import (
     commutes,
     expand_projector_product,
     pauli_multiply,
-    to_dense,
 )
 
 # Independent 2x2 oracle matrices (not imported from the package).
@@ -79,8 +80,8 @@ def test_to_dense_matches_matrix_product_exhaustive_small():
         for a, b in itertools.product(strings, repeat=2):
             pa, pb = PauliString(a), PauliString(b)
             np.testing.assert_allclose(
-                to_dense(pauli_multiply(pa, pb)),
-                to_dense(pa) @ to_dense(pb),
+                pauli_multiply(pa, pb).to_matrix(),
+                pa.to_matrix() @ pb.to_matrix(),
                 atol=1e-12,
             )
 
@@ -94,20 +95,47 @@ def test_to_dense_matches_matrix_product_random_four_qubits():
         pa = PauliString(a, complex(rng.normal(), rng.normal()))
         pb = PauliString(b, complex(rng.normal(), rng.normal()))
         np.testing.assert_allclose(
-            to_dense(pauli_multiply(pa, pb)), to_dense(pa) @ to_dense(pb), atol=1e-12
+            pauli_multiply(pa, pb).to_matrix(), pa.to_matrix() @ pb.to_matrix(), atol=1e-12
         )
 
 
 def test_to_dense_basic_matrices():
-    np.testing.assert_array_equal(to_dense(PauliString("Z")), np.diag([1.0, -1.0]))
+    np.testing.assert_array_equal(PauliString("Z").to_matrix(), np.diag([1.0, -1.0]))
     np.testing.assert_array_equal(
-        to_dense(PauliString("XX")), np.fliplr(np.eye(4, dtype=complex))
+        PauliString("XX").to_matrix(), np.fliplr(np.eye(4, dtype=complex))
     )
 
 
 def test_to_dense_capacity_limit():
     with pytest.raises(CapacityError):
         PauliString("I" * 12).to_matrix(limit=10)
+
+
+@st.composite
+def pauli_pairs(draw):
+    """Two strings on the same 1..6 qubits with coefficients in {+-1, +-i}."""
+    n = draw(st.integers(1, 6))
+    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coeffs = st.sampled_from([1.0, -1.0, 1.0j, -1.0j])
+    return (
+        PauliString(draw(letters), draw(coeffs)),
+        PauliString(draw(letters), draw(coeffs)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(pauli_pairs())
+def test_mask_product_and_commutation_match_kron_oracle(pair):
+    a, b = pair
+    left, right = kron_oracle(a.letters, a.coeff), kron_oracle(b.letters, b.coeff)
+    product = pauli_multiply(a, b)
+    np.testing.assert_allclose(
+        kron_oracle(product.letters, product.coeff), left @ right, atol=1e-12
+    )
+    # The product's masks agree with the ones parsed from its letters.
+    parsed = PauliString(product.letters)
+    assert (product.x_mask, product.z_mask) == (parsed.x_mask, parsed.z_mask)
+    assert commutes(a, b) == np.allclose(left @ right, right @ left, atol=1e-12)
 
 
 def test_commutes():

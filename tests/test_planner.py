@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgme.analytic import (
     detection_condition_rhs,
@@ -181,3 +183,16 @@ def test_schedule_is_immutable_record():
     assert schedule.epsilon == 0.05
     with pytest.raises(AttributeError):
         schedule.values = ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1e-6, 1.0 - 1e-9),
+    st.floats(1e-6, 1.0 - 1e-9),
+    st.floats(1e-3, 0.5),
+)
+def test_max_detections_never_increases_as_lambda_1_grows(a, b, epsilon):
+    # A larger start raises every later threshold, so the schedule leaves
+    # (0, 1) no later; this is why `plan` returns about the largest lambda_1.
+    low, high = sorted((a, b))
+    assert max_detections(high, epsilon) <= max_detections(low, epsilon)

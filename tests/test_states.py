@@ -1,18 +1,20 @@
 """State constructors, stabilizer generators, and the GF(2) expectation route."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from seqgme.densesim import expectation, validate_density_matrix
 from seqgme.errors import CapacityError, ValidationError
-from seqgme.pauli import PauliString
+from seqgme.pauli import OperatorExpr, PauliString, commutes, pauli_multiply
 from seqgme.states import (
     StateFamily,
     cluster_statevector,
-    generators_commute,
     make_cluster,
     make_generalized_ghz,
     make_ghz,
@@ -122,7 +124,7 @@ def test_stabilizer_generator_letters():
 def test_generators_stabilize_their_state(family, n):
     gens = stabilizer_generators(family, n)
     assert len(gens) == n
-    assert generators_commute(gens)
+    assert all(commutes(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
     psi = {"ghz": make_ghz, "cluster": make_cluster}[family](n)
     for g in gens:
         assert expectation(psi, g) == pytest.approx(1.0, abs=1e-12)
@@ -161,6 +163,90 @@ def test_stabilizer_expectation_signs():
     assert stabilizer_expectation(PauliString("ZIZ"), gens) == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         stabilizer_expectation(PauliString("ZIZI"), gens)
+
+
+# Quarter-integer weights keep every imaginary total exact: 0 or at least 1/4.
+_WEIGHTS = st.integers(-4, 4).map(lambda k: k / 4.0)
+
+
+@st.composite
+def stabilizer_sums(draw):
+    """A GHZ or cluster state on 3..6 qubits, a generating set of its
+    stabilizer group, and a Pauli sum mixing group elements, +-i multiples of
+    group elements and arbitrary strings."""
+    family = draw(st.sampled_from(["ghz", "cluster"]))
+    n = draw(st.integers(3, 6))
+    gens = stabilizer_generators(family, n)
+    # Another generating set of the same group: shuffled, and each generator
+    # times a random subset of the ones before it, so elimination must combine rows.
+    gens = draw(st.permutations(gens))
+    for i in range(1, n):
+        for j in range(i):
+            if draw(st.booleans()):
+                gens[i] = pauli_multiply(gens[i], gens[j])
+    terms = []
+    kinds = st.lists(st.sampled_from(["member", "i*member", "string"]), min_size=1, max_size=10)
+    for kind in draw(kinds):
+        if kind == "string":
+            letters = draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+            terms.append(PauliString(letters, draw(_WEIGHTS)))
+            continue
+        used = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        element = functools.reduce(
+            pauli_multiply, (g for g, u in zip(gens, used) if u), PauliString("I" * n)
+        )
+        scale = draw(_WEIGHTS)
+        if kind == "i*member":
+            scale *= draw(st.sampled_from([1.0j, -1.0j]))
+        terms.append(element.with_coeff(element.coeff * scale))
+    return family, n, gens, OperatorExpr.from_terms(n, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stabilizer_sums())
+def test_stabilizer_expectation_matches_dense_on_random_sums(case):
+    family, n, gens, expr = case
+    rho = {"ghz": make_ghz, "cluster": make_cluster}[family](n)
+    real_part = OperatorExpr.from_terms(n, [t.with_coeff(t.coeff.real) for t in expr.terms])
+    imag_part = OperatorExpr.from_terms(n, [t.with_coeff(t.coeff.imag) for t in expr.terms])
+    if abs(expectation(rho, imag_part)) < 0.1:
+        assert stabilizer_expectation(expr, gens) == pytest.approx(
+            expectation(rho, real_part), abs=1e-12
+        )
+    else:
+        with pytest.raises(ValidationError, match="imaginary residue"):
+            stabilizer_expectation(expr, gens)
+
+
+def test_stabilizer_expectation_rejects_non_commuting_generators():
+    # XII and ZII anticommute, so no common eigenstate exists.
+    gens = [PauliString("XII"), PauliString("ZII"), PauliString("IIZ")]
+    with pytest.raises(ValidationError, match="do not commute"):
+        stabilizer_expectation(PauliString("YII"), gens)
+
+
+def test_stabilizer_expectation_rejects_too_few_generators():
+    # Two generators on three qubits fix a two-dimensional space, not a state.
+    gens = [PauliString("ZZI"), PauliString("IZZ")]
+    with pytest.raises(ValidationError, match="need 3"):
+        stabilizer_expectation(PauliString("XXX"), gens)
+
+
+def test_stabilizer_expectation_rejects_dependent_generators():
+    # ZII and -ZII generate -I, so no state is fixed by all three.
+    gens = [PauliString("ZII"), PauliString("ZII", -1.0), PauliString("IIZ")]
+    with pytest.raises(ValidationError, match="product of the ones before it"):
+        stabilizer_expectation(PauliString("ZII"), gens)
+
+
+def test_stabilizer_expectation_rejects_non_unit_coefficients():
+    gens = stabilizer_generators("ghz", 3)
+    for coeff in (1.0j, 0.5, -2.0):
+        bad = [gens[0].with_coeff(coeff)] + gens[1:]
+        with pytest.raises(ValidationError, match="coefficient"):
+            stabilizer_expectation(PauliString("XXX"), bad)
+    signed = [gens[0].with_coeff(-1.0)] + gens[1:]
+    assert stabilizer_expectation(PauliString("XXX"), signed) == -1.0
 
 
 def test_state_family_parse_and_labels():
