@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .analytic import full_sequence_report
-from .densesim import expectation, luders_update
+from .densesim import expectation, observer_states
 from .pauli import DENSE_QUBIT_LIMIT
 from .planner import (
     DEFAULT_CAP,
@@ -103,11 +103,10 @@ def cmd_run(config: ExperimentConfig) -> list[dict]:
             if family.witness_family == "cluster"
             else build_modified_ghz_witness
         )
-        rho = family.density_matrix()
-        dense_values = []
-        for lam in lambdas:
-            dense_values.append(expectation(rho, build(config.n_qubits, lam)))
-            rho = luders_update(rho, lam)
+        dense_values = [
+            expectation(rho, build(config.n_qubits, lam))
+            for lam, rho in zip(lambdas, observer_states(family.density_matrix(), lambdas))
+        ]
 
     rows = []
     for index, lam in enumerate(lambdas):

@@ -53,11 +53,12 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     full spectrum decide, and name the offending eigenvalue.
     """
     n_qubits_of(rho)
-    # Written as not (err <= tol) so that NaN and Inf entries fail too.
-    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
+    if not np.isfinite(rho).all():
+        raise ValidationError("density matrix has a NaN or infinite entry")
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValidationError("density matrix is not Hermitian")
     trace = np.trace(rho)
-    if not abs(trace - 1.0) <= DENSITY_TRACE_TOL:
+    if abs(trace - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError(f"density matrix trace {trace} is not 1")
     shifted = np.array(rho, dtype=complex)
     diagonal = np.arange(shifted.shape[0])
@@ -141,23 +142,50 @@ def luders_update(rho: np.ndarray, sharpness: float, target: int | None = None) 
     The observer applies, with equal weight, a two-outcome x measurement of
     sharpness lambda and a sharp two-outcome z measurement; each branch updates
     the state with the square roots of its effects. Default target is the last
-    qubit. Trace is preserved.
-
-    The four maps K rho K^dagger add up to the 4x4 superoperator sum_K K (x) conj(K),
-    which acts on the (row bit, column bit) pair of the target qubit.
+    qubit. Trace is preserved. The input must be a valid density matrix.
     """
     rho = np.asarray(rho, dtype=complex)
     n = n_qubits_of(rho)
     validate_density_matrix(rho)
-    t = n - 1 if target is None else target
-    blocks = _target_blocks(rho, n, t)
-    superop = np.zeros((4, 4), dtype=complex)
-    for effect in observer_effects(sharpness, t):
-        root = effect.sqrt_operator()
-        superop += np.kron(root, root.conj())
-    out = np.tensordot(superop.reshape(2, 2, 2, 2), blocks, axes=([2, 3], [1, 4]))
+    return _observer_step(rho, n, sharpness, n - 1 if target is None else target)
+
+
+def _observer_step(rho: np.ndarray, n: int, sharpness: float, target: int) -> np.ndarray:
+    """luders_update without the check of its input state.
+
+    The four maps K rho K^dagger add up to the 4x4 superoperator sum_K K (x) conj(K),
+    which acts on the (row bit, column bit) pair of the target qubit.
+    """
+    blocks = _target_blocks(rho, n, target)
+    roots = np.array([effect.sqrt_operator() for effect in observer_effects(sharpness, target)])
+    # Halving is exact, so folding the channel's 1/2 in here changes no bit.
+    superop = np.einsum("kab,kcd->acbd", roots, roots.conj()) / 2.0
+    out = np.tensordot(superop, blocks, axes=([2, 3], [1, 4]))
     # (row bit, column bit, a, b, a', b') -> (a, row bit, b, a', column bit, b')
-    return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape) / 2.0
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
+
+
+def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
+    """Yield the state each listed observer sees, in order: rho1 first.
+
+    Every sharpness, the target and rho1 are checked before the first state
+    is yielded; rho1 is validated once, since each update maps a density
+    matrix to a density matrix. The update after the last observer is never
+    computed.
+    """
+    lambdas = [_check_sharpness(lam) for lam in sharpnesses]
+    rho = np.asarray(rho1, dtype=complex)
+    del rho1  # hold no reference to the caller's array past the first step
+    n = n_qubits_of(rho)
+    validate_density_matrix(rho)
+    t = n - 1 if target is None else target
+    _target_blocks(rho, n, t)  # range-checks the target
+    if not lambdas:
+        return
+    yield rho
+    for lam in lambdas[:-1]:
+        rho = _observer_step(rho, n, lam, t)
+        yield rho
 
 
 def channel_closed_form(rho: np.ndarray, sharpness: float, target: int | None = None) -> np.ndarray:
@@ -182,10 +210,13 @@ def channel_closed_form(rho: np.ndarray, sharpness: float, target: int | None = 
 def apply_channel_k_times(
     rho1: np.ndarray, sharpnesses, target: int | None = None
 ) -> np.ndarray:
-    """State seen after the listed observers have acted, in order."""
-    rho = np.array(rho1, dtype=complex)
-    for lam in sharpnesses:
-        rho = luders_update(rho, lam, target)
+    """State seen after the listed observers have acted, in order.
+
+    With no observers listed this is rho1 itself, as a complex array.
+    """
+    # That is the state one more observer would see; its sharpness never acts.
+    for rho in observer_states(rho1, [*sharpnesses, 0.0], target):
+        pass
     return rho
 
 

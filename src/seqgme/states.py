@@ -8,6 +8,7 @@ Pauli sums on stabilizer states without any dense matrix, which is the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,8 +98,16 @@ def stabilizer_generators(family: str, n: int) -> list[PauliString]:
     Every returned generator is checked to fix the dense state (S|psi> = |psi>)
     before being handed out; a mismatch raises rather than returning a wrong
     generator set. For the cluster chain the interior generators are
-    Z(m-1) X(m) Z(m+1), the form this check singles out.
+    Z(m-1) X(m) Z(m+1), the form this check singles out. The check runs once
+    per process for each (family, n); every call returns a fresh list.
     """
+    return list(_verified_generators(family, n))
+
+
+# Only valid (family, n) pairs are cached, at most two families times the
+# sizes up to DENSE_QUBIT_LIMIT; invalid ones raise and are not stored.
+@functools.lru_cache(maxsize=None, typed=True)
+def _verified_generators(family: str, n: int) -> tuple[PauliString, ...]:
     _check_size(n)
     if family == "ghz":
         gens = [PauliString("X" * n)]
@@ -118,7 +127,7 @@ def stabilizer_generators(family: str, n: int) -> list[PauliString]:
         deviation = np.max(np.abs(g.statevector_action(psi) - psi))
         if deviation > STABILIZER_TOL:
             raise ValidationError(f"generator {g} fails to stabilize {family}_{n}")
-    return gens
+    return tuple(gens)
 
 
 class _StabilizerBasis:

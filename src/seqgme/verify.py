@@ -39,6 +39,9 @@ SUITE_NAMES = ("channel", "recursion", "psd", "biseparable", "oracle")
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# Biseparable samples evaluated per matmul. Larger blocks run no faster and
+# raise peak memory: 1024-row blocks added about 1 MiB to `verify all`'s RSS.
+_SAMPLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -190,9 +193,12 @@ def verify_biseparable(seed: int, samples: int = 10000) -> list[CheckResult]:
             witnesses = [build(n, lam).to_matrix() for lam in (0.0, 0.3, 0.7, 1.0)]
             for part in all_bipartitions(n):
                 batch = biseparable_statevectors(n, part, samples, rng)
-                for w in witnesses:
-                    values = np.einsum("bi,ij,bj->b", batch.conj(), w, batch).real
-                    minimum = min(minimum, float(values.min()))
+                for start in range(0, samples, _SAMPLE_BLOCK):
+                    rows = batch[start : start + _SAMPLE_BLOCK]
+                    bras = rows.conj()
+                    for w in witnesses:
+                        values = np.einsum("bi,bi->b", bras @ w, rows).real
+                        minimum = min(minimum, float(values.min()))
         results.append(
             CheckResult(
                 "biseparable",

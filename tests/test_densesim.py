@@ -1,12 +1,14 @@
 """Dense simulator: channel forms, decay of correlators, sampling, spectra."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqgme import densesim
 from seqgme.densesim import (
     EIGENVALUE_FLOOR,
     MeasurementEffect,
@@ -19,6 +21,7 @@ from seqgme.densesim import (
     load_density_matrix,
     luders_update,
     observer_effects,
+    observer_states,
     sample_biseparable,
     save_density_matrix,
     validate_density_matrix,
@@ -292,6 +295,7 @@ def _non_finite_states():
     return [nan_everywhere, nan_entry, inf_diagonal, inf_coherence]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "rho", _non_finite_states(), ids=["nan", "nan-entry", "inf-diag", "inf-offdiag"]
 )
@@ -368,6 +372,49 @@ def test_channel_forms_match_embedded_oracles_on_every_target(n, lam, seed):
             atol=1e-13,
         )
     np.testing.assert_allclose(luders_update(rho, lam), kraus_oracle(rho, lam, n - 1), atol=1e-13)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(1, 5),
+    lambdas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_observer_states_match_the_stepwise_chain(n, lambdas, seed):
+    rho1 = random_density(np.random.default_rng(seed), n)
+    for target in (None, *range(n)):
+        with mock.patch.object(densesim, "_observer_step", wraps=densesim._observer_step) as step:
+            seen = list(observer_states(rho1, lambdas, target))
+        assert len(seen) == len(lambdas)
+        assert step.call_count == len(lambdas) - 1
+        expected = rho1
+        for k, rho in enumerate(seen):
+            if k:
+                expected = luders_update(expected, lambdas[k - 1], target)
+            assert np.array_equal(rho, expected)
+            validate_density_matrix(rho)
+        assert np.array_equal(apply_channel_k_times(rho1, lambdas[:-1], target), seen[-1])
+
+
+_MIXED_QUBIT = np.eye(2, dtype=complex) / 2
+
+
+@pytest.mark.parametrize(
+    "rho1, lambdas, target, error, match",
+    [
+        (np.diag([1.5, -0.5]).astype(complex), [0.5, 0.5], None, ValidationError, "eigenvalue"),
+        (np.full((2, 2), np.nan, dtype=complex), [0.5, 0.5], None, ValidationError, "NaN"),
+        (np.eye(2, dtype=complex), [0.5, 0.5], None, ValidationError, "trace"),
+        (_MIXED_QUBIT, [0.5, 0.5, 1.5], None, ValueError, "sharpness 1.5"),
+        (_MIXED_QUBIT, [0.5], 1, ValueError, "target qubit"),
+    ],
+    ids=["non-psd", "nan", "trace-2", "last-lambda", "target"],
+)
+def test_observer_states_reject_bad_input_before_any_step(rho1, lambdas, target, error, match):
+    with mock.patch.object(densesim, "_observer_step") as step:
+        with pytest.raises(error, match=match):
+            next(observer_states(rho1, lambdas, target))
+    step.assert_not_called()
 
 
 @pytest.mark.parametrize("n", [1, 3])

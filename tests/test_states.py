@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from seqgme import states
 from seqgme.densesim import expectation, validate_density_matrix
 from seqgme.errors import CapacityError, ValidationError
 from seqgme.pauli import OperatorExpr, PauliString, commutes, pauli_multiply
 from seqgme.states import (
     StateFamily,
     cluster_statevector,
+    ghz_statevector,
     make_cluster,
     make_generalized_ghz,
     make_ghz,
@@ -117,6 +119,22 @@ def test_stabilizer_generator_letters():
         stabilizer_generators("w", 4)
     with pytest.raises(CapacityError):
         stabilizer_generators("ghz", 2)
+
+
+def test_stabilizer_generators_are_checked_once_and_handed_out_as_copies(monkeypatch):
+    states._verified_generators.cache_clear()
+    built = []
+
+    def counting_statevector(n):
+        built.append(n)
+        return ghz_statevector(n)
+
+    monkeypatch.setattr(states, "ghz_statevector", counting_statevector)
+    first = stabilizer_generators("ghz", 5)
+    first.append(PauliString("IIIII"))
+    second = stabilizer_generators("ghz", 5)
+    assert built == [5]
+    assert [g.letters for g in second] == ["XXXXX", "ZZIII", "IZZII", "IIZZI", "IIIZZ"]
 
 
 @pytest.mark.parametrize("family", ["ghz", "cluster"])
