@@ -7,18 +7,13 @@ sequence certifies GME.
 """
 
 from .analytic import (
-    CorrelatorDecay,
     DetectionReport,
-    cluster_witness_value,
-    detection_condition_rhs,
     full_sequence_report,
-    ghz_witness_value,
-    mixed_ghz_witness_value,
+    witness_value,
     z_factor,
     z_loss,
 )
 from .densesim import (
-    MeasurementEffect,
     all_bipartitions,
     apply_channel_k_times,
     channel_closed_form,
@@ -26,8 +21,6 @@ from .densesim import (
     expectation,
     load_density_matrix,
     luders_update,
-    observer_effects,
-    sample_biseparable,
     save_density_matrix,
 )
 from .errors import (
@@ -49,9 +42,8 @@ from .planner import (
     PlanResult,
     SharpnessSchedule,
     generate_schedule,
+    largest_sharpness_for,
     max_detections,
-    min_sharpness_for,
-    scaled_schedule,
 )
 from .states import (
     StateFamily,
@@ -63,13 +55,12 @@ from .states import (
     stabilizer_generators,
 )
 from .witness import (
-    WitnessSpec,
     build_cluster_witness,
     build_ghz_witness,
     build_modified_cluster_witness,
     build_modified_ghz_witness,
+    build_modified_witness,
     difference_operator,
-    format_witness,
 )
 
 __version__ = "0.1.0"
@@ -77,11 +68,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraError",
     "CapacityError",
-    "CorrelatorDecay",
     "DENSE_QUBIT_LIMIT",
     "DetectionReport",
     "DimensionError",
-    "MeasurementEffect",
     "OperatorExpr",
     "PauliString",
     "PlanResult",
@@ -89,25 +78,22 @@ __all__ = [
     "SharpnessSchedule",
     "StateFamily",
     "ValidationError",
-    "WitnessSpec",
     "all_bipartitions",
     "apply_channel_k_times",
     "build_cluster_witness",
     "build_ghz_witness",
     "build_modified_cluster_witness",
     "build_modified_ghz_witness",
+    "build_modified_witness",
     "channel_closed_form",
-    "cluster_witness_value",
     "commutes",
-    "detection_condition_rhs",
     "difference_operator",
     "eigen_spectrum",
     "expand_projector_product",
     "expectation",
-    "format_witness",
     "full_sequence_report",
     "generate_schedule",
-    "ghz_witness_value",
+    "largest_sharpness_for",
     "load_density_matrix",
     "luders_update",
     "make_cluster",
@@ -115,15 +101,11 @@ __all__ = [
     "make_ghz",
     "make_mixed_ghz",
     "max_detections",
-    "min_sharpness_for",
-    "mixed_ghz_witness_value",
-    "observer_effects",
     "pauli_multiply",
-    "sample_biseparable",
     "save_density_matrix",
-    "scaled_schedule",
     "stabilizer_expectation",
     "stabilizer_generators",
+    "witness_value",
     "z_factor",
     "z_loss",
 ]

@@ -12,108 +12,46 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .errors import check_sharpness
 from .states import StateFamily
-
-_SCALE_TOL = 1e-12
-
-
-def _check_sharpnesses(lambdas: Sequence[float]) -> list[float]:
-    values = [float(lam) for lam in lambdas]
-    for lam in values:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"sharpness {lam} outside [0, 1]")
-    return values
 
 
 def z_factor(lambdas: Sequence[float]) -> float:
     """Surviving fraction of a z-type correlator after the given updates."""
     out = 1.0
-    for lam in _check_sharpnesses(lambdas):
+    for lam in map(check_sharpness, lambdas):
         out *= (1.0 + math.sqrt(1.0 - lam * lam)) / 2.0
     return out
+
+
+def loss_step(lam: float, loss: float) -> float:
+    """z_loss after one more update of sharpness lam; lam is not checked."""
+    root = math.sqrt(1.0 - lam * lam)
+    return loss + (lam * lam / (2.0 * (1.0 + root))) * (1.0 - loss)
 
 
 def z_loss(lambdas: Sequence[float]) -> float:
     """1 - z_factor, accumulated without cancellation for tiny sharpnesses."""
     loss = 0.0
-    for lam in _check_sharpnesses(lambdas):
-        root = math.sqrt(1.0 - lam * lam)
-        step = lam * lam / (2.0 * (1.0 + root))
-        loss += step * (1.0 - loss)
+    for lam in map(check_sharpness, lambdas):
+        loss = loss_step(lam, loss)
     return loss
 
 
-@dataclass(frozen=True)
-class CorrelatorDecay:
-    """Decay factors of end-qubit correlators along a sharpness schedule."""
+def witness_value(k: int, lambdas: Sequence[float], weight: float = 1.0) -> float:
+    """Witness expectation for observer k, z_loss(lambda_<k) - weight*lambda_k/2^(k-1).
 
-    sharpnesses: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        _check_sharpnesses(self.sharpnesses)
-
-    def _check_index(self, k: int) -> None:
-        if k < 1 or k - 1 > len(self.sharpnesses):
-            raise ValueError(f"observer index {k} outside the schedule")
-
-    def z_factor(self, k: int) -> float:
-        self._check_index(k)
-        return z_factor(self.sharpnesses[: k - 1])
-
-    def x_factor(self, k: int) -> float:
-        self._check_index(k)
-        return 0.5 ** (k - 1)
-
-
-def _split_schedule(k: int, lambdas: Sequence[float]) -> tuple[list[float], float]:
-    values = _check_sharpnesses(lambdas)
+    `weight` is the initial <X^N>, StateFamily.x_string_expectation: 1 for GHZ
+    and cluster states, 2 p1 sqrt(alpha(1-alpha)) for the generalized and
+    mixed GHZ states. Both witnesses reduce to one x-type correlator plus a
+    z-type product with the same decay factors, so this covers every family.
+    """
+    values = [check_sharpness(lam) for lam in lambdas]
     if k < 1:
         raise ValueError(f"observer index {k} must be >= 1")
     if len(values) < k:
         raise ValueError(f"need {k} sharpness values, got {len(values)}")
-    return values[: k - 1], values[k - 1]
-
-
-def ghz_witness_value(k: int, lambdas: Sequence[float]) -> float:
-    """Witness expectation for observer k on an initial GHZ state."""
-    prefix, lam_k = _split_schedule(k, lambdas)
-    return z_loss(prefix) - lam_k * 0.5 ** (k - 1)
-
-
-def cluster_witness_value(k: int, lambdas: Sequence[float]) -> float:
-    """Witness expectation for observer k on an initial cluster state.
-
-    Identical to the GHZ expression: both witnesses reduce to one x-type
-    correlator plus a z-type product with the same decay factors.
-    """
-    return ghz_witness_value(k, lambdas)
-
-
-def mixed_ghz_witness_value(k: int, lambdas: Sequence[float], p1: float, alpha: float) -> float:
-    """Witness expectation for observer k on the mixed generalized-GHZ family."""
-    if not 0.0 < p1 <= 1.0:
-        raise ValueError(f"p1 {p1} outside (0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha {alpha} outside (0, 1)")
-    prefix, lam_k = _split_schedule(k, lambdas)
-    weight = 2.0 * p1 * math.sqrt(alpha * (1.0 - alpha))
-    return z_loss(prefix) - weight * lam_k * 0.5 ** (k - 1)
-
-
-def detection_condition_rhs(k: int, lambdas_prefix: Sequence[float], scale: float = 1.0) -> float:
-    """Threshold that lambda_k must exceed for observer k to detect.
-
-    `scale` is 1 for GHZ and cluster states and 1/(2 p1 sqrt(alpha(1-alpha)))
-    for the mixed generalized-GHZ family.
-    """
-    if k < 1:
-        raise ValueError(f"observer index {k} must be >= 1")
-    if scale < 1.0 - _SCALE_TOL:
-        raise ValueError(f"scale {scale} must be >= 1")
-    prefix = _check_sharpnesses(lambdas_prefix)
-    if len(prefix) < k - 1:
-        raise ValueError(f"need {k - 1} prefix values, got {len(prefix)}")
-    return scale * 2.0 ** (k - 1) * z_loss(prefix[: k - 1])
+    return z_loss(values[: k - 1]) - weight * values[k - 1] * 0.5 ** (k - 1)
 
 
 @dataclass(frozen=True)
@@ -126,31 +64,20 @@ class DetectionReport:
     margin: float
 
 
-def _report(k: int, value: float) -> DetectionReport:
-    return DetectionReport(k, value, value < 0.0, abs(value))
-
-
 def full_sequence_report(family, lambdas: Sequence[float]) -> list[DetectionReport]:
     """Per-observer closed-form witness values along a schedule.
 
     `family` is a StateFamily or one of the plain labels "ghz" / "cluster".
     """
-    values = _check_sharpnesses(lambdas)
-    if isinstance(family, str):
-        kind = family
-        p1 = alpha = None
-    elif isinstance(family, StateFamily):
-        kind = family.kind
-        p1, alpha = family.p1, family.alpha
+    values = [check_sharpness(lam) for lam in lambdas]
+    if isinstance(family, StateFamily):
+        weight = family.x_string_expectation
+    elif family in ("ghz", "cluster"):
+        weight = 1.0
     else:
         raise ValueError(f"unsupported family {family!r}")
-    if kind in ("ghz", "cluster"):
-        evaluate = cluster_witness_value if kind == "cluster" else ghz_witness_value
-        return [_report(k, evaluate(k, values)) for k in range(1, len(values) + 1)]
-    if kind in ("gghz", "mixed"):
-        p1 = 1.0 if kind == "gghz" else p1
-        return [
-            _report(k, mixed_ghz_witness_value(k, values, p1, alpha))
-            for k in range(1, len(values) + 1)
-        ]
-    raise ValueError(f"unsupported family {kind!r}")
+    reports = []
+    for k in range(1, len(values) + 1):
+        value = witness_value(k, values, weight)
+        reports.append(DetectionReport(k, value, value < 0.0, abs(value)))
+    return reports

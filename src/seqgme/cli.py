@@ -18,13 +18,12 @@ from .planner import (
     DEFAULT_CAP,
     DEFAULT_EPSILON,
     generate_schedule,
+    largest_sharpness_for,
     max_detections,
-    min_sharpness_for,
-    scaled_schedule,
 )
 from .states import StateFamily
 from .verify import SUITE_NAMES, run_suite
-from .witness import build_modified_cluster_witness, build_modified_ghz_witness
+from .witness import build_modified_witness
 
 AGREEMENT_TOL = 1e-9
 
@@ -50,16 +49,19 @@ class ExperimentConfig:
     lambdas: tuple[float, ...] | None = None
     plan: dict | None = None
     mode: str = "both"
-    seed: int = 7
-    out_format: str = "csv"
 
     def __post_init__(self) -> None:
         if self.mode not in ("analytic", "dense", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if (self.lambdas is None) == (self.plan is None):
             raise ValueError("provide exactly one of an explicit schedule or a plan")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
+
+
+def _plan_value(text, key: str, kind: type):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"plan {key}={text} is not a valid {kind.__name__}") from None
 
 
 def _resolve_schedule(config: ExperimentConfig, family: StateFamily) -> tuple[float, ...]:
@@ -69,18 +71,14 @@ def _resolve_schedule(config: ExperimentConfig, family: StateFamily) -> tuple[fl
         return config.lambdas
     plan = dict(config.plan)
     try:
-        lambda_1 = float(plan.pop("l1"))
-        epsilon = float(plan.pop("eps"))
+        lambda_1 = _plan_value(plan.pop("l1"), "l1", float)
+        epsilon = _plan_value(plan.pop("eps"), "eps", float)
     except KeyError as missing:
         raise ValueError(f"plan needs key {missing}") from None
-    max_k = int(plan.pop("max_k", DEFAULT_CAP))
+    max_k = _plan_value(plan.pop("max_k", DEFAULT_CAP), "max_k", int)
     if plan:
         raise ValueError(f"unknown plan keys {sorted(plan)}")
-    if family.kind in ("gghz", "mixed"):
-        schedule = scaled_schedule(lambda_1, epsilon, family.p1, family.alpha, max_k)
-    else:
-        schedule = generate_schedule(lambda_1, epsilon, max_k)
-    return schedule.values
+    return generate_schedule(lambda_1, epsilon, max_k, family.x_string_expectation).values
 
 
 def cmd_run(config: ExperimentConfig) -> list[dict]:
@@ -98,13 +96,8 @@ def cmd_run(config: ExperimentConfig) -> list[dict]:
             raise ValueError(
                 f"dense mode limited to {DENSE_QUBIT_LIMIT} qubits, got {config.n_qubits}"
             )
-        build = (
-            build_modified_cluster_witness
-            if family.witness_family == "cluster"
-            else build_modified_ghz_witness
-        )
         dense_values = [
-            expectation(rho, build(config.n_qubits, lam))
+            expectation(rho, build_modified_witness(family.witness_family, config.n_qubits, lam))
             for lam, rho in zip(lambdas, observer_states(family.density_matrix(), lambdas))
         ]
 
@@ -190,8 +183,6 @@ def _cmd_run(args) -> int:
         lambdas=_parse_float_list(args.lambdas, "--lambdas") if args.lambdas else None,
         plan=_parse_plan(args.plan) if args.plan else None,
         mode=args.mode,
-        seed=args.seed,
-        out_format=args.format,
     )
     rows = cmd_run(config)
     header = (
@@ -226,7 +217,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    result = min_sharpness_for(args.n, args.epsilon)
+    result = largest_sharpness_for(args.n, args.epsilon)
     rows = [
         {
             "n": args.n,

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, PrecisionError, ValidationError
-from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString
+from .errors import (
+    CapacityError,
+    DimensionError,
+    PrecisionError,
+    ValidationError,
+    check_sharpness,
+)
+from .pauli import DENSE_QUBIT_LIMIT, PAULI_MATRICES, OperatorExpr, PauliString
 
 DENSITY_TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -27,10 +32,14 @@ IMAG_TOL = 1e-10
 # Entries of rho gathered at once by a Pauli-sum expectation (16 MiB of complex128).
 _GATHER_ELEMENTS = 1 << 20
 
-_I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SETTING_MATRIX = {"x": _SX, "z": _SZ}
+# Eigenprojectors (I + sigma)/2 and (I - sigma)/2 of the x and z settings.
+_PROJECTORS = {
+    letter: (
+        (PAULI_MATRICES["I"] + PAULI_MATRICES[letter]) / 2.0,
+        (PAULI_MATRICES["I"] - PAULI_MATRICES[letter]) / 2.0,
+    )
+    for letter in "XZ"
+}
 
 
 def n_qubits_of(rho: np.ndarray) -> int:
@@ -80,60 +89,16 @@ def _target_blocks(rho: np.ndarray, n: int, target: int) -> np.ndarray:
     return rho.reshape(a, 2, b, a, 2, b)
 
 
-def _check_sharpness(sharpness: float) -> float:
-    lam = float(sharpness)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"sharpness {sharpness} outside [0, 1]")
-    return lam
+def _sqrt_effect_pair(letter: str, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
+    """Square roots of the effects (I +- sharpness*sigma)/2, taken on sigma's eigenspaces."""
+    hi = math.sqrt((1.0 + sharpness) / 2.0)
+    lo = math.sqrt((1.0 - sharpness) / 2.0)
+    plus, minus = _PROJECTORS[letter]
+    return hi * plus + lo * minus, lo * plus + hi * minus
 
 
-@dataclass(frozen=True)
-class MeasurementEffect:
-    """One outcome (I +- sharpness*sigma)/2 of a two-outcome qubit measurement."""
-
-    setting: str  # "x" or "z"
-    outcome: str  # "+" or "-"
-    sharpness: float
-    target_qubit: int = 0
-
-    def __post_init__(self) -> None:
-        if self.setting not in _SETTING_MATRIX:
-            raise ValueError(f"unknown setting {self.setting!r}")
-        if self.outcome not in ("+", "-"):
-            raise ValueError(f"unknown outcome {self.outcome!r}")
-        _check_sharpness(self.sharpness)
-        if self.target_qubit < 0:
-            raise ValueError(f"negative target qubit {self.target_qubit}")
-
-    @property
-    def _sign(self) -> float:
-        return 1.0 if self.outcome == "+" else -1.0
-
-    def operator(self) -> np.ndarray:
-        """The 2x2 effect itself; the +/- pair sums to the identity."""
-        return (_I2 + self._sign * self.sharpness * _SETTING_MATRIX[self.setting]) / 2.0
-
-    def sqrt_operator(self) -> np.ndarray:
-        """Square root taken analytically on the setting's eigenspaces."""
-        hi = np.sqrt((1.0 + self.sharpness) / 2.0)
-        lo = np.sqrt((1.0 - self.sharpness) / 2.0)
-        sigma = _SETTING_MATRIX[self.setting]
-        plus, minus = (_I2 + sigma) / 2.0, (_I2 - sigma) / 2.0
-        if self.outcome == "+":
-            return hi * plus + lo * minus
-        return lo * plus + hi * minus
-
-
-def observer_effects(sharpness: float, target: int) -> list[MeasurementEffect]:
-    """The four effects a sequential observer applies with equal setting weight:
-    an unsharp x pair and a sharp z pair."""
-    lam = _check_sharpness(sharpness)
-    return [
-        MeasurementEffect("x", "+", lam, target),
-        MeasurementEffect("x", "-", lam, target),
-        MeasurementEffect("z", "+", 1.0, target),
-        MeasurementEffect("z", "-", 1.0, target),
-    ]
+# The sharp z pair is the same for every observer.
+_Z_ROOTS = _sqrt_effect_pair("Z", 1.0)
 
 
 def luders_update(rho: np.ndarray, sharpness: float, target: int | None = None) -> np.ndarray:
@@ -146,8 +111,9 @@ def luders_update(rho: np.ndarray, sharpness: float, target: int | None = None) 
     """
     rho = np.asarray(rho, dtype=complex)
     n = n_qubits_of(rho)
+    lam = check_sharpness(sharpness)
     validate_density_matrix(rho)
-    return _observer_step(rho, n, sharpness, n - 1 if target is None else target)
+    return _observer_step(rho, n, lam, n - 1 if target is None else target)
 
 
 def _observer_step(rho: np.ndarray, n: int, sharpness: float, target: int) -> np.ndarray:
@@ -157,7 +123,8 @@ def _observer_step(rho: np.ndarray, n: int, sharpness: float, target: int) -> np
     which acts on the (row bit, column bit) pair of the target qubit.
     """
     blocks = _target_blocks(rho, n, target)
-    roots = np.array([effect.sqrt_operator() for effect in observer_effects(sharpness, target)])
+    # An unsharp x pair and a sharp z pair, applied with equal setting weight.
+    roots = np.array([*_sqrt_effect_pair("X", sharpness), *_Z_ROOTS])
     # Halving is exact, so folding the channel's 1/2 in here changes no bit.
     superop = np.einsum("kab,kcd->acbd", roots, roots.conj()) / 2.0
     out = np.tensordot(superop, blocks, axes=([2, 3], [1, 4]))
@@ -173,7 +140,7 @@ def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
     matrix to a density matrix. The update after the last observer is never
     computed.
     """
-    lambdas = [_check_sharpness(lam) for lam in sharpnesses]
+    lambdas = [check_sharpness(lam) for lam in sharpnesses]
     rho = np.asarray(rho1, dtype=complex)
     del rho1  # hold no reference to the caller's array past the first step
     n = n_qubits_of(rho)
@@ -194,7 +161,7 @@ def channel_closed_form(rho: np.ndarray, sharpness: float, target: int | None = 
     In Pauli-transfer form on the target qubit's 2x2 blocks of rho, Z rho Z
     negates the off-diagonal blocks and X rho X swaps blocks 00<->11 and 01<->10.
     """
-    lam = _check_sharpness(sharpness)
+    lam = check_sharpness(sharpness)
     rho = np.asarray(rho, dtype=complex)
     n = n_qubits_of(rho)
     blocks = _target_blocks(rho, n, n - 1 if target is None else target)
@@ -318,13 +285,6 @@ def biseparable_statevectors(
     joint = np.einsum("bi,bj->bij", amp_a, amp_b).reshape(count, *([2] * n))
     order = np.argsort(np.array(side_a + side_b))
     return joint.transpose(0, *(1 + order)).reshape(count, 1 << n)
-
-
-def sample_biseparable(n: int, bipartition, rng_seed: int) -> np.ndarray:
-    """One seeded pure product density matrix across the given bipartition."""
-    rng = np.random.default_rng(rng_seed)
-    psi = biseparable_statevectors(n, bipartition, 1, rng)[0]
-    return np.outer(psi, psi.conj())
 
 
 def save_density_matrix(path, rho: np.ndarray) -> None:

@@ -1,7 +1,7 @@
-"""Exception types shared across the package.
+"""Exception types and the input checks shared across the package.
 
-All subclass ValueError so callers who don't care about the distinction can
-catch a single type.
+All exceptions subclass ValueError so callers who don't care about the
+distinction can catch a single type.
 """
 
 
@@ -23,3 +23,11 @@ class ValidationError(ValueError):
 
 class PrecisionError(ValueError):
     """Result not representable honestly at double precision."""
+
+
+def check_sharpness(sharpness: float) -> float:
+    """The sharpness as a float; ValueError unless it lies in [0, 1] (NaN does not)."""
+    lam = float(sharpness)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"sharpness {sharpness} outside [0, 1]")
+    return lam

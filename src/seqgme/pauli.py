@@ -33,7 +33,7 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 # Hex digit x + 2z of one qubit -> its letter (see _letters_of).
 _DIGIT_LETTERS = str.maketrans("0123", "IXZY")
 
-_SINGLE_MATRIX = {
+PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -127,7 +127,7 @@ class PauliString:
         """Dense 2^N x 2^N matrix; qubit 1 is the most significant factor."""
         if self.n_qubits > limit:
             raise CapacityError(f"{self.n_qubits} qubits exceeds dense limit {limit}")
-        mats = [_SINGLE_MATRIX[c] for c in self.letters]
+        mats = [PAULI_MATRICES[c] for c in self.letters]
         return self.coeff * functools.reduce(np.kron, mats)
 
     def bit_masks(self) -> tuple[int, int, complex]:

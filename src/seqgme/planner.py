@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .analytic import loss_step
 from .errors import PrecisionError
 
 DEFAULT_EPSILON = 0.05
@@ -30,26 +31,32 @@ class SharpnessSchedule:
     epsilon: float
     values: tuple[float, ...]
     terminated: bool
-    scale: float = 1.0
+    weight: float = 1.0
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def _loss_step(lam: float, loss: float) -> float:
-    root = math.sqrt(1.0 - lam * lam)
-    return loss + (lam * lam / (2.0 * (1.0 + root))) * (1.0 - loss)
+def generate_schedule(
+    lambda_1: float, epsilon: float, max_k: int, weight: float = 1.0
+) -> SharpnessSchedule:
+    """Schedule whose observers all detect on a state with initial <X^N> = weight.
 
-
-def _build_schedule(lambda_1: float, epsilon: float, scale: float, max_k: int) -> SharpnessSchedule:
+    `weight` is StateFamily.x_string_expectation: 1 for GHZ and cluster
+    states, 2 p1 sqrt(alpha(1-alpha)) for the generalized and mixed GHZ
+    states, whose detection thresholds are 1/weight times higher.
+    """
     if not 0.0 < lambda_1 < 1.0:
         raise ValueError(f"lambda_1 {lambda_1} outside (0, 1)")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon {epsilon} must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon {epsilon} must be finite and positive")
+    if not 0.0 < weight <= 1.0:
+        raise ValueError(f"weight {weight} outside (0, 1]")
     if max_k < 1:
         raise ValueError(f"max_k {max_k} must be >= 1")
+    scale = 1.0 / weight
     values = [lambda_1]
-    loss = _loss_step(lambda_1, 0.0)
+    loss = loss_step(lambda_1, 0.0)
     terminated = False
     for k in range(2, max_k + 1):
         lam = (1.0 + epsilon) * scale * 2.0 ** (k - 1) * loss
@@ -61,25 +68,8 @@ def _build_schedule(lambda_1: float, epsilon: float, scale: float, max_k: int) -
                 f"sharpness underflowed to {lam} at step {k}; lambda_1 too small"
             )
         values.append(lam)
-        loss = _loss_step(lam, loss)
-    return SharpnessSchedule(lambda_1, epsilon, tuple(values), terminated, scale)
-
-
-def generate_schedule(lambda_1: float, epsilon: float, max_k: int) -> SharpnessSchedule:
-    """Schedule for GHZ or cluster initial states."""
-    return _build_schedule(lambda_1, epsilon, 1.0, max_k)
-
-
-def scaled_schedule(
-    lambda_1: float, epsilon: float, p1: float, alpha: float, max_k: int
-) -> SharpnessSchedule:
-    """Schedule for the mixed generalized-GHZ family; thresholds scale up."""
-    if not 0.0 < p1 <= 1.0:
-        raise ValueError(f"p1 {p1} outside (0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha {alpha} outside (0, 1)")
-    scale = 1.0 / (2.0 * p1 * math.sqrt(alpha * (1.0 - alpha)))
-    return _build_schedule(lambda_1, epsilon, scale, max_k)
+        loss = loss_step(lam, loss)
+    return SharpnessSchedule(lambda_1, epsilon, tuple(values), terminated, weight)
 
 
 def max_detections(lambda_1: float, epsilon: float, cap: int = DEFAULT_CAP) -> int:
@@ -94,8 +84,8 @@ class PlanResult(NamedTuple):
     detections: int
 
 
-def min_sharpness_for(n: int, epsilon: float, tol: float = 1e-9) -> PlanResult:
-    """A lambda_1 whose schedule reaches n detections, found by bisection.
+def largest_sharpness_for(n: int, epsilon: float, tol: float = 1e-9) -> PlanResult:
+    """About the largest lambda_1 whose schedule reaches n detections, by bisection.
 
     The returned value is the low end of the final bracket (guaranteed to
     reach n); the high end is the smallest probed value that failed. When
@@ -103,8 +93,6 @@ def min_sharpness_for(n: int, epsilon: float, tol: float = 1e-9) -> PlanResult:
     """
     if n < 1:
         raise ValueError(f"n {n} must be >= 1")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon {epsilon} must be positive")
 
     def reaches(lam1: float) -> bool:
         return max_detections(lam1, epsilon, cap=n) >= n

@@ -248,6 +248,12 @@ class StateFamily:
             raise ValueError(f"unknown state family {self.kind!r}")
         if self.n_qubits < 3:
             raise ValueError(f"need at least 3 parties, got {self.n_qubits}")
+        for name in ("alpha", "p1", "p2", "p3"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} is not finite")
+        if self.kind != "mixed" and (self.p1, self.p2, self.p3) != (1.0, 0.0, 0.0):
+            raise ValueError(f"{self.kind} takes no mixture weights")
         if self.kind in ("gghz", "mixed") and not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha {self.alpha} outside (0, 1)")
         if self.kind == "mixed":

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    ghz_witness_value,
-    mixed_ghz_witness_value,
-    z_factor,
-)
+from .analytic import full_sequence_report, witness_value, z_factor
 from .densesim import (
     all_bipartitions,
     apply_channel_k_times,
@@ -26,19 +22,15 @@ from .densesim import (
     expectation,
     load_density_matrix,
     luders_update,
+    observer_states,
     save_density_matrix,
 )
-from .states import make_cluster, make_ghz, make_mixed_ghz
-from .witness import (
-    build_modified_cluster_witness,
-    build_modified_ghz_witness,
-    difference_operator,
-)
+from .pauli import PAULI_MATRICES
+from .states import StateFamily
+from .witness import build_modified_witness, difference_operator
 
 SUITE_NAMES = ("channel", "recursion", "psd", "biseparable", "oracle")
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # Biseparable samples evaluated per matmul. Larger blocks run no faster and
 # raise peak memory: 1024-row blocks added about 1 MiB to `verify all`'s RSS.
 _SAMPLE_BLOCK = 256
@@ -115,8 +107,8 @@ def verify_recursion(seed: int, schedules: int = 100) -> list[CheckResult]:
         half = 1 << (n - 1)
         g = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
         a = g + g.conj().T
-        obs_z = np.kron(a, _SZ)
-        obs_x = np.kron(a, _SX)
+        obs_z = np.kron(a, PAULI_MATRICES["Z"])
+        obs_x = np.kron(a, PAULI_MATRICES["X"])
         base_z = expectation(rho, obs_z)
         base_x = expectation(rho, obs_x)
         for k in range(2, 7):
@@ -185,12 +177,13 @@ def verify_psd(seed: int) -> list[CheckResult]:
 def verify_biseparable(seed: int, samples: int = 10000) -> list[CheckResult]:
     """Witness non-negativity on Haar product states across every bipartition."""
     rng = np.random.default_rng(seed)
-    builders = {"ghz": build_modified_ghz_witness, "cluster": build_modified_cluster_witness}
     results = []
-    for family, build in builders.items():
+    for family in ("ghz", "cluster"):
         minimum = np.inf
         for n in (3, 4):
-            witnesses = [build(n, lam).to_matrix() for lam in (0.0, 0.3, 0.7, 1.0)]
+            witnesses = [
+                build_modified_witness(family, n, lam).to_matrix() for lam in (0.0, 0.3, 0.7, 1.0)
+            ]
             for part in all_bipartitions(n):
                 batch = biseparable_statevectors(n, part, samples, rng)
                 for start in range(0, samples, _SAMPLE_BLOCK):
@@ -216,20 +209,20 @@ def verify_oracle(seed: int, schedules: int = 200) -> list[CheckResult]:
     """Closed forms vs dense simulation, plus state-file round trip."""
     rng = np.random.default_rng(seed)
     worst = {"ghz": 0.0, "cluster": 0.0}
+    # At p1 = 1, alpha = 1/2 the mixed family's weight must be exactly 1.
+    unit_weight = StateFamily("mixed", 3, alpha=0.5).x_string_expectation
     formulas_identical = True
     for index in range(schedules):
         n = 3 + index % 4
         k = int(rng.integers(1, 7))
         lambdas = rng.uniform(size=k)
-        analytic = ghz_witness_value(k, lambdas)
-        if mixed_ghz_witness_value(k, lambdas, 1.0, 0.5) != analytic:
+        analytic = witness_value(k, lambdas)
+        if witness_value(k, lambdas, unit_weight) != analytic:
             formulas_identical = False
-        for family, make, build in (
-            ("ghz", make_ghz, build_modified_ghz_witness),
-            ("cluster", make_cluster, build_modified_cluster_witness),
-        ):
-            rho_k = apply_channel_k_times(make(n), lambdas[: k - 1])
-            dense = expectation(rho_k, build(n, lambdas[k - 1]))
+        for family in worst:
+            rho_1 = StateFamily(family, n).density_matrix()
+            rho_k = apply_channel_k_times(rho_1, lambdas[: k - 1])
+            dense = expectation(rho_k, build_modified_witness(family, n, lambdas[k - 1]))
             worst[family] = max(worst[family], abs(dense - analytic))
 
     worst_mixed = 0.0
@@ -237,11 +230,14 @@ def verify_oracle(seed: int, schedules: int = 200) -> list[CheckResult]:
     for p1 in (0.5, 0.8, 1.0):
         for alpha in (0.1, 0.25, 0.5):
             lambdas = rng.uniform(size=4)
-            rho = make_mixed_ghz(3, p1, (1 - p1) / 2, (1 - p1) / 2, alpha)
-            for k in range(1, 5):
-                analytic = mixed_ghz_witness_value(k, lambdas, p1, alpha)
-                rho_k = apply_channel_k_times(rho, lambdas[: k - 1])
-                dense = expectation(rho_k, build_modified_ghz_witness(3, lambdas[k - 1]))
+            family = StateFamily(
+                "mixed", 3, alpha=alpha, p1=p1, p2=(1 - p1) / 2, p3=(1 - p1) / 2
+            )
+            reports = full_sequence_report(family, lambdas)
+            rhos = observer_states(family.density_matrix(), lambdas)
+            for report, lam, rho_k in zip(reports, lambdas, rhos):
+                analytic = report.witness_value
+                dense = expectation(rho_k, build_modified_witness(family.witness_family, 3, lam))
                 worst_mixed = max(worst_mixed, abs(dense - analytic))
                 if (analytic < 0) != (dense < 0) and abs(analytic) > 1e-9:
                     signs_agree = False

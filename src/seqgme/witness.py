@@ -9,19 +9,9 @@ operator a witness again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import check_sharpness
 from .pauli import OperatorExpr, PauliString, expand_projector_product
 from .states import stabilizer_generators
-
-_FAMILIES = ("ghz", "cluster")
-
-
-def _check_sharpness(sharpness: float) -> float:
-    lam = float(sharpness)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"sharpness {sharpness} outside [0, 1]")
-    return lam
 
 
 def _scaled_projector(generator: PauliString, sharpness: float) -> OperatorExpr:
@@ -39,7 +29,7 @@ def build_ghz_witness(n: int) -> OperatorExpr:
 
 
 def build_modified_ghz_witness(n: int, sharpness: float) -> OperatorExpr:
-    lam = _check_sharpness(sharpness)
+    lam = check_sharpness(sharpness)
     gens = stabilizer_generators("ghz", n)
     x_part = _scaled_projector(gens[0], lam)
     z_part = expand_projector_product(gens[1:], n_qubits=n)
@@ -52,7 +42,7 @@ def build_cluster_witness(n: int) -> OperatorExpr:
 
 
 def build_modified_cluster_witness(n: int, sharpness: float) -> OperatorExpr:
-    lam = _check_sharpness(sharpness)
+    lam = check_sharpness(sharpness)
     gens = stabilizer_generators("cluster", n)
     # The last generator is the x-type one on the measured qubit; its projector
     # carries the sharpness inside whichever parity class index n falls in.
@@ -64,44 +54,16 @@ def build_modified_cluster_witness(n: int, sharpness: float) -> OperatorExpr:
     return OperatorExpr.identity(n, 3.0) - 2.0 * (scaled + other)
 
 
-def difference_operator(family: str, n: int, sharpness: float) -> OperatorExpr:
-    """Modified witness minus sharpness times the original; PSD for any valid input."""
-    lam = _check_sharpness(sharpness)
+def build_modified_witness(family: str, n: int, sharpness: float) -> OperatorExpr:
+    """The sharpness-modified witness of a witness family, "ghz" or "cluster"."""
     if family == "ghz":
-        return build_modified_ghz_witness(n, lam) - lam * build_ghz_witness(n)
+        return build_modified_ghz_witness(n, sharpness)
     if family == "cluster":
-        return build_modified_cluster_witness(n, lam) - lam * build_cluster_witness(n)
+        return build_modified_cluster_witness(n, sharpness)
     raise ValueError(f"unknown witness family {family!r}")
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
-    """Which witness a given sequential observer evaluates."""
-
-    family: str
-    n_qubits: int
-    observer_index: int = 1
-    sharpness: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown witness family {self.family!r}")
-        if self.observer_index < 1:
-            raise ValueError(f"observer index {self.observer_index} must be >= 1")
-        _check_sharpness(self.sharpness)
-
-    def build(self) -> OperatorExpr:
-        if self.family == "ghz":
-            return build_modified_ghz_witness(self.n_qubits, self.sharpness)
-        return build_modified_cluster_witness(self.n_qubits, self.sharpness)
-
-
-def format_witness(expr: OperatorExpr, per_line: int = 4) -> str:
-    """Human-readable Pauli sum, a few terms per line."""
-    if not expr.terms:
-        return "0"
-    parts = [str(t) for t in expr.terms]
-    lines = [
-        "  ".join(parts[i : i + per_line]) for i in range(0, len(parts), per_line)
-    ]
-    return "\n".join(lines)
+def difference_operator(family: str, n: int, sharpness: float) -> OperatorExpr:
+    """Modified witness minus sharpness times the original; PSD for any valid input."""
+    lam = check_sharpness(sharpness)
+    return build_modified_witness(family, n, lam) - lam * build_modified_witness(family, n, 1.0)

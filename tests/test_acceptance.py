@@ -8,7 +8,7 @@ derived from the code under test.
 import numpy as np
 import pytest
 
-from seqgme.analytic import ghz_witness_value, mixed_ghz_witness_value, z_factor
+from seqgme.analytic import full_sequence_report, witness_value, z_factor
 from seqgme.densesim import (
     all_bipartitions,
     apply_channel_k_times,
@@ -18,8 +18,9 @@ from seqgme.densesim import (
     expectation,
     luders_update,
 )
-from seqgme.planner import generate_schedule, min_sharpness_for, scaled_schedule
+from seqgme.planner import generate_schedule, largest_sharpness_for
 from seqgme.states import (
+    StateFamily,
     cluster_statevector,
     make_cluster,
     make_ghz,
@@ -127,8 +128,8 @@ def test_criterion_4_closed_forms_match_dense():
         n = 3 + index % 4
         k = int(rng.integers(1, 7))
         lambdas = rng.uniform(size=k)
-        analytic = ghz_witness_value(k, lambdas)
-        if mixed_ghz_witness_value(k, lambdas, 1.0, 0.5) != analytic:
+        analytic = witness_value(k, lambdas)
+        if full_sequence_report("cluster", lambdas)[k - 1].witness_value != analytic:
             identical = False
         for make, build in (
             (make_ghz, build_modified_ghz_witness),
@@ -148,7 +149,7 @@ def test_criterion_5_bounded_arbitrary_detection():
     epsilon = 0.05
     slack = np.inf
     for n_detect in range(1, 9):
-        lam1 = min_sharpness_for(n_detect, epsilon).lambda_1
+        lam1 = largest_sharpness_for(n_detect, epsilon).lambda_1
         values = generate_schedule(lam1, epsilon, max_k=n_detect).values
         assert len(values) == n_detect
         for n_qubits in (3, 4):
@@ -163,7 +164,7 @@ def test_criterion_5_bounded_arbitrary_detection():
     finals = []
     for exponent in range(2, 7):
         schedule = generate_schedule(10.0**-exponent, epsilon, max_k=4)
-        assert all(ghz_witness_value(k, schedule.values) < 0 for k in range(1, 5))
+        assert all(witness_value(k, schedule.values) < 0 for k in range(1, 5))
         finals.append(schedule.values[-1])
     vanishing = all(b < a for a, b in zip(finals, finals[1:]))
     _report(
@@ -216,24 +217,29 @@ def test_criterion_8_mixed_family_condition():
     signs_agree = True
     for p1 in (0.5, 0.8, 1.0):
         for alpha in (0.1, 0.25, 0.5):
+            family = StateFamily(
+                "mixed", 3, alpha=alpha, p1=p1, p2=(1 - p1) / 2, p3=(1 - p1) / 2
+            )
             rho1 = make_mixed_ghz(3, p1, (1 - p1) / 2, (1 - p1) / 2, alpha)
             lambdas = rng.uniform(size=4)
+            reports = full_sequence_report(family, lambdas)
             rho = rho1
             for k in range(1, 5):
-                analytic = mixed_ghz_witness_value(k, lambdas, p1, alpha)
+                analytic = reports[k - 1].witness_value
                 dense = expectation(rho, build_modified_ghz_witness(3, lambdas[k - 1]))
                 worst = max(worst, abs(analytic - dense))
                 if (analytic < 0) != (dense < 0) and abs(analytic) > 1e-9:
                     signs_agree = False
                 rho = luders_update(rho, lambdas[k - 1])
     exact_reduction = True
+    half = StateFamily("mixed", 3, alpha=0.5)  # p1 = 1
     for _ in range(50):
         k = int(rng.integers(1, 7))
         lambdas = rng.uniform(size=k)
-        if mixed_ghz_witness_value(k, lambdas, 1.0, 0.5) != ghz_witness_value(k, lambdas):
+        if full_sequence_report(half, lambdas) != full_sequence_report("ghz", lambdas):
             exact_reduction = False
     base = generate_schedule(0.07, 0.05, max_k=10)
-    if scaled_schedule(0.07, 0.05, 1.0, 0.5, max_k=10).values != base.values:
+    if generate_schedule(0.07, 0.05, 10, half.x_string_expectation).values != base.values:
         exact_reduction = False
     _report(
         "criterion 8: mixed-family sign condition matches dense; p1=1, alpha=1/2 "

@@ -169,3 +169,47 @@ def test_parser_has_all_subcommands():
     text = parser.format_help()
     for name in ("run", "sweep", "plan", "verify"):
         assert name in text
+
+
+MIXED_NAN = "mixed:p1=0.8,p2=nan,p3=0.1,alpha=0.4"
+MIXED_INF = "mixed:p1=inf,p2=0.1,p3=0.1,alpha=0.4"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        pytest.param(
+            ["sweep", "--lambda1-grid", "0.5,0.1", "--epsilon", "nan"], "epsilon", id="sweep-nan"
+        ),
+        pytest.param(
+            ["sweep", "--lambda1-grid", "0.5,0.1", "--epsilon", "inf"], "epsilon", id="sweep-inf"
+        ),
+        pytest.param(["plan", "--n", "5", "--epsilon", "nan"], "epsilon", id="plan-nan"),
+        pytest.param(["plan", "--n", "5", "--epsilon", "inf"], "epsilon", id="plan-inf"),
+        pytest.param(
+            ["run", "--state", MIXED_NAN, "--N", "3", "--lambdas", "0.5,0.1", "--mode", "analytic"],
+            "p2",
+            id="run-mixed-nan",
+        ),
+        pytest.param(
+            ["run", "--state", MIXED_INF, "--N", "3", "--lambdas", "0.5", "--mode", "analytic"],
+            "p1",
+            id="run-mixed-inf",
+        ),
+        pytest.param(
+            ["run", "--state", "ghz", "--N", "3", "--plan", "l1=0.1,eps=nan"],
+            "epsilon",
+            id="run-plan-eps-nan",
+        ),
+        pytest.param(
+            ["run", "--state", "ghz", "--N", "3", "--plan", "l1=0.1,eps=0.05,max_k=2.5"],
+            "max_k",
+            id="run-plan-max-k-float",
+        ),
+    ],
+)
+def test_main_rejects_non_finite_and_malformed_input_naming_the_field(argv, field, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err

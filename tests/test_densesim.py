@@ -1,17 +1,18 @@
 """Dense simulator: channel forms, decay of correlators, sampling, spectra."""
 
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqgme import densesim
 from seqgme.densesim import (
     EIGENVALUE_FLOOR,
-    MeasurementEffect,
     all_bipartitions,
     apply_channel_k_times,
     biseparable_statevectors,
@@ -20,9 +21,7 @@ from seqgme.densesim import (
     expectation,
     load_density_matrix,
     luders_update,
-    observer_effects,
     observer_states,
-    sample_biseparable,
     save_density_matrix,
     validate_density_matrix,
 )
@@ -50,33 +49,49 @@ def ghz3():
     return np.outer(psi, psi.conj())
 
 
+def observer_effects(lam):
+    """The four effects of one observer: (I +- lam X)/2 and the sharp (I +- Z)/2."""
+    return [(np.eye(2) + sign * sharpness * sigma) / 2
+            for sigma, sharpness in ((SX, lam), (SZ, 1.0)) for sign in (1, -1)]
+
+
+def effect_sqrt(effect):
+    """scipy's square root; the sharp z effects are singular projectors, whose
+    root is still exact, so scipy's singularity warning is silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.sqrtm(effect)
+
+
+def package_roots(lam):
+    """The square roots densesim applies, in the order of observer_effects."""
+    return [*densesim._sqrt_effect_pair("X", lam), *densesim._Z_ROOTS]
+
+
 def test_measurement_effects_are_valid_povm_pairs():
-    for setting in ("x", "z"):
-        for lam in (0.0, 0.3, 0.7, 1.0):
-            plus = MeasurementEffect(setting, "+", lam)
-            minus = MeasurementEffect(setting, "-", lam)
+    for lam in (0.0, 0.3, 0.7, 1.0):
+        roots = package_roots(lam)
+        for pair in (roots[:2], roots[2:]):
+            # Completeness of each setting: sum of K^dagger K is the identity.
             np.testing.assert_allclose(
-                plus.operator() + minus.operator(), np.eye(2), atol=1e-15
+                sum(root.conj().T @ root for root in pair), np.eye(2), atol=1e-15
             )
-            for effect in (plus, minus):
-                assert np.linalg.eigvalsh(effect.operator())[0] >= -1e-15
-                root = effect.sqrt_operator()
-                np.testing.assert_allclose(root @ root, effect.operator(), atol=1e-15)
+        for root, effect in zip(roots, observer_effects(lam)):
+            np.testing.assert_allclose(root, root.conj().T, atol=0)
+            assert np.linalg.eigvalsh(root)[0] >= -1e-15
+            np.testing.assert_allclose(root @ root, effect, atol=1e-15)
 
 
 def test_observer_effects_pairs_and_validation():
-    effects = observer_effects(0.4, target=2)
-    assert [(e.setting, e.outcome) for e in effects] == [
-        ("x", "+"), ("x", "-"), ("z", "+"), ("z", "-")
-    ]
-    assert effects[0].sharpness == 0.4
-    assert effects[2].sharpness == 1.0  # z setting stays sharp
-    with pytest.raises(ValueError):
-        MeasurementEffect("y", "+", 0.5)
-    with pytest.raises(ValueError):
-        MeasurementEffect("x", "0", 0.5)
-    with pytest.raises(ValueError):
-        MeasurementEffect("x", "+", 1.5)
+    for lam in (0.0, 0.4, 1.0):
+        for root, effect in zip(package_roots(lam), observer_effects(lam)):
+            np.testing.assert_allclose(root, effect_sqrt(effect), atol=1e-15)
+    rho = ghz3()
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="sharpness"):
+            luders_update(rho, bad)
+        with pytest.raises(ValueError, match="sharpness"):
+            list(observer_states(rho, [0.5, bad]))
 
 
 def test_sharpness_zero_only_dephases():
@@ -231,8 +246,12 @@ def test_all_bipartitions_counts():
 
 
 def test_sample_biseparable_is_seeded_product_state():
-    rho = sample_biseparable(4, (0, 2), rng_seed=42)
-    np.testing.assert_allclose(rho, sample_biseparable(4, (0, 2), rng_seed=42), atol=0)
+    def sample(seed):
+        psi = biseparable_statevectors(4, (0, 2), 1, np.random.default_rng(seed))[0]
+        return np.outer(psi, psi.conj())
+
+    rho = sample(42)
+    np.testing.assert_allclose(rho, sample(42), atol=0)
     validate_density_matrix(rho)
     # Pure product state across {0,2}|{1,3}: rank-1 reshuffled amplitude matrix.
     vals, vecs = np.linalg.eigh(rho)
@@ -245,10 +264,11 @@ def test_sample_biseparable_is_seeded_product_state():
 
 
 def test_sample_biseparable_rejects_trivial_split():
+    rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
-        sample_biseparable(3, (), 1)
+        biseparable_statevectors(3, (), 1, rng)
     with pytest.raises(ValueError):
-        sample_biseparable(3, (0, 1, 2), 1)
+        biseparable_statevectors(3, (0, 1, 2), 1, rng)
 
 
 def test_biseparable_batch_shape_and_norm():
@@ -338,10 +358,11 @@ def test_expectation_of_pauli_sum_matches_dense_trace(expr, seed):
 
 
 def kraus_oracle(rho, lam, target):
+    """First-principles update: the scipy square root of each effect, kron-embedded."""
     n = int(np.log2(rho.shape[0]))
     out = np.zeros_like(rho)
-    for effect in observer_effects(lam, target):
-        root = embed(effect.sqrt_operator(), n, target)
+    for effect in observer_effects(lam):
+        root = embed(effect_sqrt(effect), n, target)
         out += root @ rho @ root.conj().T
     return out / 2
 

@@ -1,28 +1,33 @@
 """Schedule generation, detection counting, and the sharpness search."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgme.analytic import (
-    detection_condition_rhs,
-    full_sequence_report,
-    ghz_witness_value,
-    mixed_ghz_witness_value,
-)
+from seqgme.analytic import full_sequence_report, witness_value, z_loss
 from seqgme.errors import PrecisionError
 from seqgme.densesim import apply_channel_k_times, expectation
 from seqgme.planner import (
     PlanResult,
     SharpnessSchedule,
     generate_schedule,
+    largest_sharpness_for,
     max_detections,
-    min_sharpness_for,
-    scaled_schedule,
 )
-from seqgme.states import make_ghz
+from seqgme.states import StateFamily, make_ghz
 from seqgme.witness import build_modified_ghz_witness
+
+
+def detection_threshold(k, prefix, weight=1.0):
+    """lambda_k above which observer k detects: 2^(k-1) z_loss(lambda_<k) / weight."""
+    return 2.0 ** (k - 1) * z_loss(prefix[: k - 1]) / weight
+
+
+def mixed_weight(p1, alpha):
+    return 2.0 * p1 * math.sqrt(alpha * (1.0 - alpha))
 
 
 def test_schedule_second_value_frozen():
@@ -41,7 +46,7 @@ def test_schedule_detects_at_every_step():
     for lam1 in (0.5, 0.05, 0.001):
         schedule = generate_schedule(lam1, 0.05, max_k=16)
         for k in range(1, len(schedule) + 1):
-            assert ghz_witness_value(k, schedule.values) < 0.0
+            assert witness_value(k, schedule.values) < 0.0
 
 
 def test_schedule_exceeds_threshold_strictly():
@@ -49,7 +54,7 @@ def test_schedule_exceeds_threshold_strictly():
         schedule = generate_schedule(lam1, eps, max_k=16)
         values = list(schedule.values)
         for k in range(2, len(values) + 1):
-            rhs = detection_condition_rhs(k, values[: k - 1])
+            rhs = detection_threshold(k, values[: k - 1])
             assert values[k - 1] > rhs
             assert values[k - 1] == pytest.approx((1 + eps) * rhs, rel=1e-12)
 
@@ -93,7 +98,7 @@ def test_max_detections_basics_and_monotonicity():
 
 
 def test_min_sharpness_trivial_single_observer():
-    result = min_sharpness_for(1, 0.05)
+    result = largest_sharpness_for(1, 0.05)
     assert result.bracket_high == 1.0
     assert result.lambda_1 == result.bracket_low
     assert max_detections(result.lambda_1, 0.05) >= 1
@@ -103,7 +108,7 @@ def test_min_sharpness_two_observer_boundary():
     # Closed form: the second value hits 1 when (1+eps)(1 - sqrt(1-l^2)) = 1.
     eps = 0.1
     boundary = np.sqrt(1 - (1 - 1 / (1 + eps)) ** 2)
-    result = min_sharpness_for(2, eps)
+    result = largest_sharpness_for(2, eps)
     assert result.bracket_low < boundary < result.bracket_high + 2e-9
     assert result.bracket_high - result.bracket_low <= 1e-9
     assert max_detections(result.lambda_1, eps) >= 2
@@ -111,14 +116,14 @@ def test_min_sharpness_two_observer_boundary():
 
 @pytest.mark.parametrize("n", list(range(1, 9)) + [10])
 def test_min_sharpness_reaches_requested_depth(n):
-    result = min_sharpness_for(n, 0.05)
+    result = largest_sharpness_for(n, 0.05)
     assert isinstance(result, PlanResult)
     assert max_detections(result.lambda_1, 0.05, cap=n) >= n
 
 
 def test_planner_agrees_with_dense_simulation():
     for n_detect in (2, 4, 6):
-        lam1 = min_sharpness_for(n_detect, 0.05).lambda_1
+        lam1 = largest_sharpness_for(n_detect, 0.05).lambda_1
         values = generate_schedule(lam1, 0.05, max_k=n_detect).values
         assert len(values) == n_detect
         for n_qubits in (3, 4):
@@ -126,28 +131,30 @@ def test_planner_agrees_with_dense_simulation():
             for k in range(1, n_detect + 1):
                 rho_k = apply_channel_k_times(rho, values[: k - 1])
                 dense = expectation(rho_k, build_modified_ghz_witness(n_qubits, values[k - 1]))
-                analytic = ghz_witness_value(k, values)
+                analytic = witness_value(k, values)
                 assert dense < 0.0
                 assert abs(dense - analytic) < 1e-9
 
 
 def test_scaled_schedule_reduces_and_orders():
     base = generate_schedule(0.3, 0.05, max_k=12)
-    same = scaled_schedule(0.3, 0.05, p1=1.0, alpha=0.5, max_k=12)
+    same = generate_schedule(0.3, 0.05, 12, weight=mixed_weight(1.0, 0.5))
     assert same.values == base.values
-    assert same.scale == 1.0
+    assert same.weight == 1.0
     # Heavier scaling must not extend the schedule.
-    weaker = scaled_schedule(0.3, 0.05, p1=0.6, alpha=0.25, max_k=12)
+    weaker = generate_schedule(0.3, 0.05, 12, weight=mixed_weight(0.6, 0.25))
     assert len(weaker) <= len(base)
     for k in range(2, len(weaker) + 1):
         assert weaker.values[k - 1] > base.values[k - 1]
+        threshold = detection_threshold(k, weaker.values, weaker.weight)
+        assert weaker.values[k - 1] == pytest.approx(1.05 * threshold, rel=1e-12)
 
 
 def test_scaled_schedule_detects_under_mixed_value():
     for p1, alpha in ((0.8, 0.25), (0.5, 0.1), (1.0, 0.5)):
-        schedule = scaled_schedule(0.05, 0.05, p1=p1, alpha=alpha, max_k=10)
-        for k in range(1, len(schedule) + 1):
-            assert mixed_ghz_witness_value(k, schedule.values, p1, alpha) < 0.0
+        family = StateFamily("mixed", 3, alpha=alpha, p1=p1, p2=(1 - p1) / 2, p3=(1 - p1) / 2)
+        schedule = generate_schedule(0.05, 0.05, 10, weight=family.x_string_expectation)
+        assert all(report.detected for report in full_sequence_report(family, schedule.values))
         reports = full_sequence_report("ghz", schedule.values)
         assert reports[0].detected
 
@@ -162,11 +169,23 @@ def test_schedule_and_planner_input_validation():
     with pytest.raises(ValueError):
         generate_schedule(0.5, 0.05, 0)
     with pytest.raises(ValueError):
-        scaled_schedule(0.5, 0.05, p1=0.0, alpha=0.5, max_k=4)
+        largest_sharpness_for(0, 0.05)
     with pytest.raises(ValueError):
-        min_sharpness_for(0, 0.05)
-    with pytest.raises(ValueError):
-        min_sharpness_for(3, -1.0)
+        largest_sharpness_for(3, -1.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_schedule_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        generate_schedule(0.5, epsilon, 4)
+    with pytest.raises(ValueError, match="epsilon"):
+        largest_sharpness_for(3, epsilon)
+
+
+@pytest.mark.parametrize("weight", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_schedule_rejects_weight_outside_unit_interval(weight):
+    with pytest.raises(ValueError, match="weight"):
+        generate_schedule(0.5, 0.05, 4, weight=weight)
 
 
 def test_schedule_refuses_underflowed_start():

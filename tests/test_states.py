@@ -288,3 +288,19 @@ def test_state_family_density_dispatch():
     for text in ("ghz", "cluster", "gghz:alpha=0.3", "mixed:p1=0.9,p2=0.05,p3=0.05,alpha=0.4"):
         fam = StateFamily.parse(text, 4)
         validate_density_matrix(fam.density_matrix())
+
+
+@pytest.mark.parametrize("field", ["alpha", "p1", "p2", "p3"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_state_family_rejects_non_finite_parameters(field, value):
+    params = {"alpha": 0.4, "p1": 0.8, "p2": 0.1, "p3": 0.1, field: value}
+    with pytest.raises(ValueError, match=field):
+        StateFamily("mixed", 3, **params)
+
+
+def test_state_family_mixture_weights_only_for_mixed():
+    # x_string_expectation reads p1, so a gghz state must not carry one.
+    with pytest.raises(ValueError, match="mixture weights"):
+        StateFamily("gghz", 3, alpha=0.3, p1=0.5, p2=0.25, p3=0.25)
+    with pytest.raises(ValueError, match="mixture weights"):
+        StateFamily("ghz", 3, p1=0.9, p3=0.1)

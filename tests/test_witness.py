@@ -18,13 +18,12 @@ from seqgme.states import (
     stabilizer_generators,
 )
 from seqgme.witness import (
-    WitnessSpec,
     build_cluster_witness,
     build_ghz_witness,
     build_modified_cluster_witness,
     build_modified_ghz_witness,
+    build_modified_witness,
     difference_operator,
-    format_witness,
 )
 
 SIGMA = {
@@ -211,21 +210,18 @@ def test_mixed_family_detected_at_full_sharpness():
             assert value < 0
 
 
-def test_witness_spec_validation_and_build():
-    spec = WitnessSpec("cluster", 4, observer_index=2, sharpness=0.5)
-    assert spec.build() == build_modified_cluster_witness(4, 0.5)
+def test_build_modified_witness_selects_and_validates():
+    for n in (3, 4, 5):
+        for lam in (0.0, 0.5, 1.0):
+            assert build_modified_witness("ghz", n, lam) == build_modified_ghz_witness(n, lam)
+            assert build_modified_witness("cluster", n, lam) == build_modified_cluster_witness(
+                n, lam
+            )
+    assert build_modified_witness("ghz", 3, 1.0) == build_ghz_witness(3)
     with pytest.raises(ValueError):
-        WitnessSpec("ghz", 4, observer_index=0)
+        build_modified_witness("ghz", 4, 1.5)
     with pytest.raises(ValueError):
-        WitnessSpec("ghz", 4, sharpness=1.5)
-    with pytest.raises(ValueError):
-        WitnessSpec("w", 4)
-
-
-def test_format_witness_lists_terms():
-    text = format_witness(build_ghz_witness(3))
-    assert "XXX" in text and "ZZI" in text
-    assert format_witness(difference_operator("ghz", 3, 1.0)) == "0"
+        build_modified_witness("w", 4, 0.5)
 
 
 def test_sharpness_range_enforced():
