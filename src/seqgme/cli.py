@@ -153,8 +153,11 @@ def render_rows(rows: list[dict], columns, header: str, out_format: str) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -201,6 +204,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
     grid = _parse_float_list(args.lambda1_grid, "--lambda1-grid")
     if not grid:
         raise ValueError("empty lambda_1 grid")

@@ -164,6 +164,31 @@ def test_main_verify_rejects_sample_count_below_one(capsys):
         assert "--samples must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["run", "--state", "ghz", "--N", "3", "--lambdas", "0.5"], id="run"),
+        pytest.param(["sweep", "--lambda1-grid", "0.5"], id="sweep"),
+        pytest.param(["plan", "--n", "3"], id="plan"),
+        pytest.param(["verify", "biseparable", "--samples", "10"], id="verify"),
+    ],
+)
+def test_main_unwritable_out_exits_2_naming_the_flag(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write --out {target}" in captured.err
+    assert not target.exists()
+
+
+def test_main_sweep_rejects_cap_below_one_naming_the_flag(capsys):
+    for cap in ("0", "-2"):
+        assert main(["sweep", "--lambda1-grid", "0.5", "--cap", cap]) == 2
+        err = capsys.readouterr().err
+        assert f"--cap must be at least 1, got {cap}" in err
+
+
 def test_parser_has_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

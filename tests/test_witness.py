@@ -1,15 +1,21 @@
 """Witness builders: structure, expectations, PSD differences, biseparability."""
 
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from seqgme import witness
 from seqgme.densesim import (
     all_bipartitions,
     biseparable_statevectors,
     eigen_spectrum,
     expectation,
 )
-from seqgme.pauli import PauliString
+from seqgme.pauli import OperatorExpr, PauliString, expand_projector_product
 from seqgme.states import (
     make_cluster,
     make_ghz,
@@ -67,6 +73,56 @@ def dense_cluster_witness(n, lam):
         else:
             odd = odd @ factor
     return 3 * eye - 2 * (even + odd)
+
+
+def reference_modified_witness(family, n, lam):
+    """The modified witness expanded afresh by OperatorExpr algebra on every call."""
+    gens = stabilizer_generators(family, n)
+    identity = PauliString("I" * n, 0.5)
+    if family == "ghz":
+        x_part = OperatorExpr.from_terms(n, [identity, gens[0].with_coeff(0.5 * lam)])
+        z_part = expand_projector_product(gens[1:], n_qubits=n)
+        return OperatorExpr.identity(n, 3.0) - 2.0 * (x_part + z_part)
+    # The last generator is the x-type one on the measured qubit; its projector
+    # carries the sharpness inside whichever parity class index n falls in.
+    host = expand_projector_product(
+        gens, n_qubits=n, select=lambda m: m % 2 == n % 2 and m != n
+    )
+    other = expand_projector_product(gens, n_qubits=n, select=lambda m: m % 2 != n % 2)
+    scaled = host * OperatorExpr.from_terms(n, [identity, gens[-1].with_coeff(0.5 * lam)])
+    return OperatorExpr.identity(n, 3.0) - 2.0 * (scaled + other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(0.0, 1.0))
+@example(lam=0.0)
+@example(lam=5e-324)
+@example(lam=1e-310)
+@example(lam=1.0)
+def test_built_witness_is_bitwise_the_algebraic_expansion(lam):
+    for family in ("ghz", "cluster"):
+        for n in range(3, 11):
+            built = build_modified_witness(family, n, lam)
+            reference = reference_modified_witness(family, n, lam)
+            assert json.dumps(built.to_json()) == json.dumps(reference.to_json())
+
+
+def test_each_family_and_size_is_expanded_once():
+    witness._layout.cache_clear()
+    with mock.patch.object(
+        witness, "expand_projector_product", wraps=expand_projector_product
+    ) as expand:
+        for family, expansions in (("ghz", 1), ("cluster", 2)):
+            for n in (3, 4, 5, 6):
+                before = expand.call_count
+                first = build_modified_witness(family, n, 0.4)
+                assert expand.call_count == before + expansions
+                for lam in (0.4, 0.9, 0.4):
+                    again = build_modified_witness(family, n, lam)
+                    assert again is not first
+                    assert again == reference_modified_witness(family, n, lam)
+                assert again == first
+                assert expand.call_count == before + expansions
 
 
 def test_ghz3_witness_terms():
