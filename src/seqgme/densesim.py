@@ -1,10 +1,15 @@
 """Exact dense density-matrix simulation of the sequential measurement channel.
 
-States are plain complex numpy arrays of shape (2^N, 2^N), qubit 1 being the
-most significant tensor factor. Everything here is the brute-force reference
-that the closed-form layers are checked against. No operator is densified on
-the way: Pauli sums are evaluated by gathers on their bit masks, and
-single-qubit maps act on the target qubit's 2x2 blocks of the state.
+States are numpy arrays of shape (2^N, 2^N), qubit 1 being the most
+significant tensor factor. A state keeps its own dtype: a real state stays
+float64 and a complex one complex128 (integer and narrower float input is
+widened to float64). Every Kraus operator of the channel is real, so a real
+state stays real along a chain, and the Cholesky gate, the channel steps and
+the gathers run on half the bytes of a complex state. Everything here is the
+brute-force reference that the closed-form layers are checked against. No
+operator is densified on the way: Pauli sums are evaluated by gathers on
+their bit masks, and single-qubit maps act on the target qubit's 2x2 blocks
+of the state.
 """
 
 from __future__ import annotations
@@ -29,17 +34,37 @@ HERMITICITY_TOL = 1e-12
 # Accumulated floating error over repeated channel applications.
 EIGENVALUE_FLOOR = -1e-10
 IMAG_TOL = 1e-10
-# Entries of rho gathered at once by a Pauli-sum expectation (16 MiB of complex128).
+# Entries of rho gathered at once by a Pauli-sum expectation (8 MiB of
+# float64, 16 MiB of complex128).
 _GATHER_ELEMENTS = 1 << 20
 
-# Eigenprojectors (I + sigma)/2 and (I - sigma)/2 of the x and z settings.
+# Eigenprojectors (I + sigma)/2 and (I - sigma)/2 of the x and z settings,
+# both real, so the channel maps a real state to a real state.
 _PROJECTORS = {
     letter: (
-        (PAULI_MATRICES["I"] + PAULI_MATRICES[letter]) / 2.0,
-        (PAULI_MATRICES["I"] - PAULI_MATRICES[letter]) / 2.0,
+        ((PAULI_MATRICES["I"] + PAULI_MATRICES[letter]) / 2.0).real,
+        ((PAULI_MATRICES["I"] - PAULI_MATRICES[letter]) / 2.0).real,
     )
     for letter in "XZ"
 }
+
+
+def _as_state(rho) -> np.ndarray:
+    """rho as a float64 or complex128 array, without copying either.
+
+    Complex input widens to complex128; booleans, integers and other real
+    floats widen to float64. Any other dtype (object, string, ...) is refused.
+    """
+    try:
+        rho = np.asarray(rho)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"not a numeric array: {exc}") from None
+    kind = rho.dtype.kind
+    if kind == "c":
+        return rho.astype(np.complex128, copy=False)
+    if kind in "biuf":
+        return rho.astype(np.float64, copy=False)
+    raise ValidationError(f"expected a numeric array, got dtype {rho.dtype}")
 
 
 def n_qubits_of(rho: np.ndarray) -> int:
@@ -53,14 +78,16 @@ def n_qubits_of(rho: np.ndarray) -> int:
     return n
 
 
-def validate_density_matrix(rho: np.ndarray) -> None:
+def validate_density_matrix(rho) -> None:
     """Raise ValidationError unless rho is Hermitian, unit trace, and PSD.
 
     Positivity means a smallest eigenvalue of at least EIGENVALUE_FLOOR. A
     Cholesky factorisation of rho - EIGENVALUE_FLOOR * I succeeds exactly when
     that holds, up to rounding of order 1e-13; only when it fails does the
-    full spectrum decide, and name the offending eigenvalue.
+    full spectrum decide, and name the offending eigenvalue. The factorisation
+    runs in rho's own dtype, so a real state pays for a real one.
     """
+    rho = _as_state(rho)
     n_qubits_of(rho)
     if not np.isfinite(rho).all():
         raise ValidationError("density matrix has a NaN or infinite entry")
@@ -69,7 +96,7 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     trace = np.trace(rho)
     if abs(trace - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError(f"density matrix trace {trace} is not 1")
-    shifted = np.array(rho, dtype=complex)
+    shifted = rho.copy()
     diagonal = np.arange(shifted.shape[0])
     shifted[diagonal, diagonal] -= EIGENVALUE_FLOOR
     try:
@@ -109,7 +136,7 @@ def luders_update(rho: np.ndarray, sharpness: float, target: int | None = None) 
     the state with the square roots of its effects. Default target is the last
     qubit. Trace is preserved. The input must be a valid density matrix.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_state(rho)
     n = n_qubits_of(rho)
     lam = check_sharpness(sharpness)
     validate_density_matrix(rho)
@@ -120,7 +147,8 @@ def _observer_step(rho: np.ndarray, n: int, sharpness: float, target: int) -> np
     """luders_update without the check of its input state.
 
     The four maps K rho K^dagger add up to the 4x4 superoperator sum_K K (x) conj(K),
-    which acts on the (row bit, column bit) pair of the target qubit.
+    which acts on the (row bit, column bit) pair of the target qubit. It is
+    real, so the result has rho's dtype.
     """
     blocks = _target_blocks(rho, n, target)
     # An unsharp x pair and a sharp z pair, applied with equal setting weight.
@@ -141,7 +169,7 @@ def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
     computed.
     """
     lambdas = [check_sharpness(lam) for lam in sharpnesses]
-    rho = np.asarray(rho1, dtype=complex)
+    rho = _as_state(rho1)
     del rho1  # hold no reference to the caller's array past the first step
     n = n_qubits_of(rho)
     validate_density_matrix(rho)
@@ -162,7 +190,7 @@ def channel_closed_form(rho: np.ndarray, sharpness: float, target: int | None = 
     negates the off-diagonal blocks and X rho X swaps blocks 00<->11 and 01<->10.
     """
     lam = check_sharpness(sharpness)
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_state(rho)
     n = n_qubits_of(rho)
     blocks = _target_blocks(rho, n, n - 1 if target is None else target)
     s = np.sqrt(1.0 - lam * lam)
@@ -179,7 +207,8 @@ def apply_channel_k_times(
 ) -> np.ndarray:
     """State seen after the listed observers have acted, in order.
 
-    With no observers listed this is rho1 itself, as a complex array.
+    With no observers listed this is rho1 itself, as a float64 array when it
+    is real and a complex128 array otherwise.
     """
     # That is the state one more observer would see; its sharpness never acts.
     for rho in observer_states(rho1, [*sharpnesses, 0.0], target):
@@ -216,7 +245,7 @@ def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr) -> complex:
 
 def expectation(rho: np.ndarray, obs) -> float:
     """Tr[rho * obs] for a Hermitian observable (dense or Pauli sum)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_state(rho)
     n = n_qubits_of(rho)
     if isinstance(obs, PauliString):
         obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
@@ -227,7 +256,7 @@ def expectation(rho: np.ndarray, obs) -> float:
             raise ValidationError("observable has non-real Pauli coefficients")
         value = _pauli_sum_trace(rho, obs)
     else:
-        dense = np.asarray(obs, dtype=complex)
+        dense = _as_state(obs)
         if dense.shape != rho.shape:
             raise DimensionError(f"observable shape {dense.shape} vs state {rho.shape}")
         if np.max(np.abs(dense - dense.conj().T)) > HERMITICITY_TOL:
@@ -240,7 +269,7 @@ def expectation(rho: np.ndarray, obs) -> float:
 
 def eigen_spectrum(op: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix, residual-checked."""
-    op = np.asarray(op, dtype=complex)
+    op = _as_state(op)
     n_qubits_of(op)
     if np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
         raise ValidationError("matrix is not Hermitian")
@@ -289,7 +318,7 @@ def biseparable_statevectors(
 
 def save_density_matrix(path, rho: np.ndarray) -> None:
     """Write a density matrix as JSON with an explicit qubit-count header."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_state(rho)
     payload = {
         "n_qubits": n_qubits_of(rho),
         "real": rho.real.tolist(),
@@ -312,7 +341,7 @@ def load_density_matrix(path) -> np.ndarray:
         raise ValidationError(f"qubit-count header {header!r} is not a count")
     if header > DENSE_QUBIT_LIMIT:
         raise CapacityError(f"{header} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    rho = np.array(payload["real"], dtype=complex) + 1j * np.array(payload["imag"])
+    rho = _as_state(payload["real"]) + 1j * _as_state(payload["imag"])
     n = n_qubits_of(rho)
     if n != header:
         raise ValidationError(f"header says {header} qubits but entries give {n}")

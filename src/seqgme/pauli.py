@@ -10,7 +10,6 @@ power of i, so stabilizer expansions never accumulate phase noise.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -125,10 +124,7 @@ class PauliString:
 
     def to_matrix(self, limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
         """Dense 2^N x 2^N matrix; qubit 1 is the most significant factor."""
-        if self.n_qubits > limit:
-            raise CapacityError(f"{self.n_qubits} qubits exceeds dense limit {limit}")
-        mats = [PAULI_MATRICES[c] for c in self.letters]
-        return self.coeff * functools.reduce(np.kron, mats)
+        return _dense_sum(self.n_qubits, (self,), limit)
 
     def bit_masks(self) -> tuple[int, int, complex]:
         """(x mask, z mask, phase) with P|j> = phase·(-1)^popcount(j & z)|j ^ x>.
@@ -158,6 +154,26 @@ class PauliString:
 _set_letters, _set_coeff, _set_x_mask, _set_z_mask = (
     PauliString.__dict__[name].__set__ for name in ("letters", "coeff", "x_mask", "z_mask")
 )
+
+
+def _dense_sum(n_qubits: int, terms: Iterable[PauliString], limit: int) -> np.ndarray:
+    """Complex matrix of a sum of strings, added into zeros in term order.
+
+    Term P has one nonzero per column j, phase·(-1)^popcount(j & z) in row
+    j ^ x (see bit_masks), so each term is one scatter. Every entry is exact
+    and is added in the order a sum of Kronecker products would add it, so
+    the result is bit for bit that sum.
+    """
+    if n_qubits > limit:
+        raise CapacityError(f"{n_qubits} qubits exceeds dense limit {limit}")
+    dim = 1 << n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    columns = np.arange(dim, dtype=np.int64)
+    for term in terms:
+        x_mask, z_mask, phase = term.bit_masks()
+        parity = np.bitwise_count(columns & z_mask) & 1
+        out[columns ^ x_mask, columns] += np.where(parity, -phase, phase)
+    return out
 
 
 def _check_sizes(a: PauliString, b: PauliString) -> None:
@@ -270,12 +286,7 @@ class OperatorExpr:
         return all(abs(t.coeff.imag) <= tol for t in self.terms)
 
     def to_matrix(self, limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
-        if self.n_qubits > limit:
-            raise CapacityError(f"{self.n_qubits} qubits exceeds dense limit {limit}")
-        out = np.zeros((1 << self.n_qubits, 1 << self.n_qubits), dtype=complex)
-        for term in self.terms:
-            out += term.to_matrix(limit)
-        return out
+        return _dense_sum(self.n_qubits, self.terms, limit)
 
     def to_json(self) -> list[dict]:
         return [

@@ -1,7 +1,8 @@
 """Initial states: GHZ-type and linear cluster families plus their stabilizers.
 
-Dense constructors return density matrices; statevector helpers back them and
-the construction-time stabilizer checks. `stabilizer_expectation` evaluates
+Dense constructors return real (float64) density matrices, since every
+family here has real amplitudes; the complex statevector helpers back them
+and the construction-time stabilizer checks. `stabilizer_expectation` evaluates
 Pauli sums on stabilizer states without any dense matrix, which is the
 "symbolic" route the dense simulator is cross-checked against.
 """
@@ -63,14 +64,14 @@ def cluster_statevector(n: int) -> np.ndarray:
 def make_ghz(n: int) -> np.ndarray:
     """GHZ density matrix with its four corner entries exactly 1/2."""
     _check_size(n)
-    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho = np.zeros((1 << n, 1 << n))
     rho[np.ix_([0, -1], [0, -1])] = 0.5
     return rho
 
 
 def make_generalized_ghz(n: int, alpha: float) -> np.ndarray:
-    psi = generalized_ghz_statevector(n, alpha)
-    return np.outer(psi, psi.conj())
+    psi = generalized_ghz_statevector(n, alpha).real
+    return np.outer(psi, psi)
 
 
 def make_mixed_ghz(n: int, p1: float, p2: float, p3: float, alpha: float) -> np.ndarray:
@@ -80,16 +81,19 @@ def make_mixed_ghz(n: int, p1: float, p2: float, p3: float, alpha: float) -> np.
     total = p1 + p2 + p3
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"mixture weights sum to {total}, not 1")
-    psi = generalized_ghz_statevector(n, alpha)
-    rho = p1 * np.outer(psi, psi.conj())
+    psi = generalized_ghz_statevector(n, alpha).real
+    rho = p1 * np.outer(psi, psi)
     rho[0, 0] += p2
     rho[-1, -1] += p3
-    return rho / total
+    # Times the reciprocal, which is how numpy divides a complex array by a
+    # real scalar: the entries equal those of the same state built complex.
+    rho *= 1.0 / total
+    return rho
 
 
 def make_cluster(n: int) -> np.ndarray:
-    psi = cluster_statevector(n)
-    return np.outer(psi, psi.conj())
+    psi = cluster_statevector(n).real
+    return np.outer(psi, psi)
 
 
 def stabilizer_generators(family: str, n: int) -> list[PauliString]:

@@ -459,15 +459,19 @@ def test_channel_rejects_out_of_range_target(n):
     n=st.integers(1, 6),
     offset=st.sampled_from([-2e-10, -5e-11, 5e-11, 2e-10]),
     seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
 )
-def test_psd_gate_decides_like_eigvalsh(n, offset, seed):
-    # Plant the smallest eigenvalue just below or above the floor.
+def test_psd_gate_decides_like_eigvalsh(n, offset, seed, real):
+    # Plant the smallest eigenvalue just below or above the floor, in a real
+    # state (a real Cholesky decides) or a complex one.
     rng = np.random.default_rng(seed)
     dim = 1 << n
     lowest = EIGENVALUE_FLOOR + offset
     rest = rng.uniform(0.1, 1.0, size=dim - 1)
     spectrum = np.concatenate([[lowest], rest * (1 - lowest) / rest.sum()])
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = rng.standard_normal((dim, dim))
+    if not real:
+        g = g + 1j * rng.standard_normal((dim, dim))
     unitary, _ = np.linalg.qr(g)
     rho = (unitary * spectrum) @ unitary.conj().T
     rho = (rho + rho.conj().T) / 2
@@ -478,3 +482,118 @@ def test_psd_gate_decides_like_eigvalsh(n, offset, seed):
     else:
         with pytest.raises(ValidationError, match="negative eigenvalue"):
             validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_psd_gate_factors_in_the_state_dtype(dtype):
+    rho = np.eye(4, dtype=dtype) / 4
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor:
+        validate_density_matrix(rho)
+    assert factor.call_args.args[0].dtype == dtype
+
+
+@st.composite
+def density_matrices(draw):
+    """A random full-rank state on 1..5 qubits, real symmetric or complex Hermitian."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 1 << n
+    g = rng.standard_normal((dim, dim))
+    if not draw(st.booleans()):
+        g = g + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=density_matrices(), lam=st.floats(0.0, 1.0))
+@example(rho=np.diag([0.25, 0.75]), lam=1.0)
+def test_channel_keeps_the_state_dtype_and_is_cptp_and_unital(rho, lam):
+    n = densesim.n_qubits_of(rho)
+    dim = 1 << n
+    mixed = np.eye(dim, dtype=rho.dtype) / dim
+    for target in range(n):
+        updated = luders_update(rho, lam, target)
+        closed = channel_closed_form(rho, lam, target)
+        assert updated.dtype == closed.dtype == rho.dtype
+        np.testing.assert_allclose(updated, closed, rtol=0, atol=1e-13)
+        assert abs(np.trace(updated) - 1.0) <= 1e-12
+        assert np.max(np.abs(updated - updated.conj().T)) <= 1e-15
+        assert np.linalg.eigvalsh(updated)[0] >= -1e-12
+        np.testing.assert_allclose(luders_update(mixed, lam, target), mixed, rtol=0, atol=1e-15)
+        if rho.dtype == np.float64:
+            # The real kernels give exactly the complex kernels' numbers.
+            widened = rho.astype(complex)
+            assert np.array_equal(updated, luders_update(widened, lam, target))
+            assert np.array_equal(closed, channel_closed_form(widened, lam, target))
+
+
+@PROPERTY_SETTINGS
+@given(expr=pauli_sums(), seed=st.integers(0, 2**32 - 1))
+def test_real_state_expectation_matches_its_complex_copy(expr, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << expr.n_qubits
+    g = rng.standard_normal((dim, dim))
+    rho = g @ g.T / np.trace(g @ g.T)
+    # Only the order of the gathered sums differs: a few ulps per unit weight.
+    bound = 8 * np.finfo(float).eps * sum(abs(t.coeff) for t in expr.terms)
+    assert abs(expectation(rho, expr) - expectation(rho.astype(complex), expr)) <= bound
+
+
+@pytest.mark.parametrize(
+    "dtype, kept",
+    [
+        (np.bool_, np.float64),
+        (np.int8, np.float64),
+        (np.int64, np.float64),
+        (np.float16, np.float64),
+        (np.float32, np.float64),
+        (np.float64, np.float64),
+        (np.complex64, np.complex128),
+        (np.complex128, np.complex128),
+    ],
+)
+def test_state_dtype_follows_the_input(dtype, kept):
+    rho = np.array([[1, 0], [0, 0]], dtype=dtype)
+    validate_density_matrix(rho)
+    assert luders_update(rho, 0.5).dtype == kept
+    assert channel_closed_form(rho, 0.5).dtype == kept
+    assert next(observer_states(rho, [0.5])).dtype == kept
+    assert apply_channel_k_times(rho, [0.5, 0.5]).dtype == kept
+
+
+def test_real_start_state_is_not_copied():
+    rho = np.eye(4) / 4
+    assert next(observer_states(rho, [0.5])) is rho
+
+
+def test_array_like_states_are_accepted():
+    rho = [[0.5, 0.0], [0.0, 0.5]]
+    validate_density_matrix(rho)
+    np.testing.assert_allclose(luders_update(rho, 0.5), np.eye(2) / 2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(channel_closed_form(rho, 0.5), np.eye(2) / 2, rtol=0, atol=1e-15)
+    assert expectation(rho, PauliString("Z")) == 0.0
+
+
+_STATE_ENTRY_POINTS = {
+    "validate_density_matrix": validate_density_matrix,
+    "luders_update": lambda rho: luders_update(rho, 0.5),
+    "observer_states": lambda rho: next(observer_states(rho, [0.5])),
+    "channel_closed_form": lambda rho: channel_closed_form(rho, 0.5),
+    "expectation": lambda rho: expectation(rho, PauliString("Z")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_STATE_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "rho, match",
+    [
+        (np.full((2, 2), None), "dtype object"),
+        (np.array([["0.5", "0"], ["0", "0.5"]]), "dtype <U3"),
+        ([[0.5, 0.0], [0.5]], "not a numeric array"),
+    ],
+    ids=["none-objects", "strings", "ragged"],
+)
+def test_non_numeric_states_are_rejected_at_the_boundary(entry, rho, match):
+    with pytest.raises(ValidationError, match=match):
+        _STATE_ENTRY_POINTS[entry](rho)

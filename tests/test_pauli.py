@@ -203,6 +203,39 @@ def test_operator_expr_scalar_and_sum_arithmetic():
     )
 
 
+_COEFF_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.floats(-1e-300, 1e-300, allow_nan=False),
+)
+
+
+@st.composite
+def complex_pauli_sums(draw):
+    """An OperatorExpr on 1..6 qubits with arbitrary complex coefficients."""
+    n = draw(st.integers(1, 6))
+    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coeffs = st.builds(complex, _COEFF_PARTS, _COEFF_PARTS)
+    terms = draw(st.lists(st.tuples(letters, coeffs), min_size=0, max_size=16))
+    return OperatorExpr.from_terms(n, [PauliString(w, c) for w, c in terms])
+
+
+@settings(max_examples=80, deadline=None)
+@given(expr=complex_pauli_sums())
+def test_to_matrix_is_bitwise_the_kronecker_sum(expr):
+    dim = 1 << expr.n_qubits
+    want = np.zeros((dim, dim), dtype=complex)
+    for term in expr.terms:
+        want += kron_oracle(term.letters, term.coeff)
+    got = expr.to_matrix()
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    for term in expr.terms:
+        assert np.array_equal(term.to_matrix(), kron_oracle(term.letters, term.coeff))
+
+
 def test_statevector_action_matches_matrix():
     rng = np.random.default_rng(5)
     letters = np.array(list("IXYZ"))

@@ -290,6 +290,22 @@ def test_state_family_density_dispatch():
         validate_density_matrix(fam.density_matrix())
 
 
+@pytest.mark.parametrize(
+    "text", ["ghz", "cluster", "gghz:alpha=0.3", "mixed:p1=0.8,p2=0.1,p3=0.1,alpha=0.4"]
+)
+def test_density_matrix_is_real(text):
+    fam = StateFamily.parse(text, 5)
+    rho = fam.density_matrix()
+    assert rho.dtype == np.float64
+    # The pure states are exactly the outer products of their statevectors.
+    if fam.kind == "cluster":
+        psi = cluster_statevector(5)
+        np.testing.assert_array_equal(rho, np.outer(psi, psi.conj()))
+    if fam.kind == "gghz":
+        psi = states.generalized_ghz_statevector(5, fam.alpha)
+        np.testing.assert_array_equal(rho, np.outer(psi, psi.conj()))
+
+
 @pytest.mark.parametrize("field", ["alpha", "p1", "p2", "p3"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_state_family_rejects_non_finite_parameters(field, value):
