@@ -275,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lambdas", help="explicit comma-separated sharpness schedule")
     run.add_argument("--plan", help="planned schedule, e.g. l1=0.05,eps=0.05[,max_k=K]")
     run.add_argument("--mode", choices=("analytic", "dense", "both"), default="both")
-    run.add_argument("--seed", type=int, default=7)
+    run.add_argument(
+        "--seed", type=int, default=7,
+        help="recorded in the output header only: run draws no random numbers",
+    )
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--out", help="output file (default stdout)")
     run.set_defaults(func=_cmd_run)

@@ -10,6 +10,12 @@ brute-force reference that the closed-form layers are checked against. No
 operator is densified on the way: Pauli sums are evaluated by gathers on
 their bit masks, and single-qubit maps act on the target qubit's 2x2 blocks
 of the state.
+
+Validation costs O(d^2) for the states a chain meets: they have rank at most
+4, so from dimension 128 on a pivoted partial Cholesky of at most 4 steps
+plus a Gershgorin bound on its residual proves positivity. Only when that
+cannot decide does a full Cholesky (and then eigvalsh) run. Large matrices
+are swept in tiles.
 """
 
 from __future__ import annotations
@@ -37,6 +43,18 @@ IMAG_TOL = 1e-10
 # Entries of rho gathered at once by a Pauli-sum expectation (8 MiB of
 # float64, 16 MiB of complex128).
 _GATHER_ELEMENTS = 1 << 20
+# Side of the square tiles of the Hermiticity check and row count of the
+# certificate's row tiles, so that no full-size temporary is made.
+_TILE = 128
+# Pivot steps of the low-rank positivity certificate. Every Kraus operator
+# acts on one qubit, so a chain started from a pure state stays inside
+# span{E_a|psi>} for the four Paulis E_a on the target: rank at most 4. (The
+# GHZ mixture lives on span{|0..0>, |1..1>}, rank at most 2.)
+_CERTIFICATE_RANK = 4
+# Smallest dimension at which the certificate is tried. Below it LAPACK's
+# Cholesky costs less than the pivot steps and the sweep, and full-rank states
+# (verify's random ones) would waste them.
+_CERTIFICATE_MIN_DIM = 128
 
 # Eigenprojectors (I + sigma)/2 and (I - sigma)/2 of the x and z settings,
 # both real, so the channel maps a real state to a real state.
@@ -78,24 +96,98 @@ def n_qubits_of(rho: np.ndarray) -> int:
     return n
 
 
+def _max_asymmetry(x: np.ndarray) -> float:
+    """max |x_ij - conj(x_ji)|, NaN if x has a NaN entry.
+
+    A matrix larger than one tile is swept tile pair by tile pair, (i, j)
+    against (j, i)^dagger, so no full-size temporary is made; the maximum is
+    the same.
+    """
+    dim = x.shape[0]
+    if dim <= _TILE:
+        return np.max(np.abs(x - x.conj().T))
+    return np.max([
+        np.max(np.abs(x[i:i + _TILE, j:j + _TILE] - x[j:j + _TILE, i:i + _TILE].conj().T))
+        for i in range(0, dim, _TILE)
+        for j in range(i, dim, _TILE)
+    ])
+
+
+def _certified_low_rank(rho: np.ndarray, asymmetry: float) -> bool:
+    """True when rho's smallest eigenvalue is proven to be >= EIGENVALUE_FLOOR.
+
+    A pivoted partial Cholesky, always on the largest remaining diagonal
+    entry, takes at most _CERTIFICATE_RANK steps and stops once every
+    remaining diagonal entry is at most |EIGENVALUE_FLOOR|. That writes
+    rho = L L^dagger + S with L L^dagger PSD, so lambda_min(rho) >=
+    lambda_min(S) >= -max_i sum_j |S_ij| (Gershgorin). Each row sum is
+    bounded from above by the computed one plus its rounding,
+    (r + 2) * eps * (sum_j |rho_ij| + (|L| |L|^T)_i) after r steps, plus
+    dim * asymmetry for the Hermitian matrix that the Cholesky and eigvalsh
+    read off rho's lower triangle. The rows are swept in tiles. A False
+    proves nothing; it costs O(r * dim^2), against dim^3 for a Cholesky.
+    """
+    dim = rho.shape[0]
+    limit = -EIGENVALUE_FLOOR
+    factor = np.zeros((dim, _CERTIFICATE_RANK), dtype=rho.dtype)
+    remaining = rho.diagonal().real.copy()
+    rank = 0
+    while remaining.max() > limit:
+        if rank == _CERTIFICATE_RANK:
+            return False
+        pivot = int(np.argmax(remaining))
+        # Columns not yet filled are zero and add exact zeros; keeping the
+        # full width also keeps the sweep's product a BLAS gemm at rank 1.
+        column = rho[:, pivot] - factor @ factor[pivot].conj()
+        factor[:, rank] = column / math.sqrt(remaining[pivot])
+        remaining -= np.abs(factor[:, rank]) ** 2
+        rank += 1
+    factor_h = factor.conj().T
+    magnitude = np.abs(factor)
+    slack = (rank + 2) * np.finfo(np.float64).eps
+    margin = slack * (magnitude @ magnitude.sum(axis=0)) + dim * asymmetry
+    for start in range(0, dim, _TILE):
+        rows = rho[start:start + _TILE]
+        residual = rows - factor[start:start + _TILE] @ factor_h
+        bound = (
+            np.abs(residual).sum(axis=1)
+            + slack * np.abs(rows).sum(axis=1)
+            + margin[start:start + _TILE]
+        )
+        if bound.max() > limit:
+            return False
+    return True
+
+
 def validate_density_matrix(rho) -> None:
     """Raise ValidationError unless rho is Hermitian, unit trace, and PSD.
 
-    Positivity means a smallest eigenvalue of at least EIGENVALUE_FLOOR. A
-    Cholesky factorisation of rho - EIGENVALUE_FLOOR * I succeeds exactly when
-    that holds, up to rounding of order 1e-13; only when it fails does the
-    full spectrum decide, and name the offending eigenvalue. The factorisation
-    runs in rho's own dtype, so a real state pays for a real one.
+    Positivity means a smallest eigenvalue of at least EIGENVALUE_FLOOR. From
+    dimension _CERTIFICATE_MIN_DIM on, a low-rank certificate is tried first:
+    at most 4 pivoted Cholesky steps plus a Gershgorin bound on what they
+    leave, O(dim^2) work that proves positivity of every state of rank at
+    most 4. That covers each family and every state a one-qubit chain
+    reaches from it: from a pure state, or from the GHZ mixture on
+    span{|0..0>, |1..1>}, the chain stays in a span of dimension 4. When the
+    certificate cannot decide, and always below that size, a Cholesky
+    factorisation of rho - EIGENVALUE_FLOOR * I succeeds exactly when
+    positivity holds, up to rounding of order 1e-13; only when it fails does
+    the full spectrum decide, and name the offending eigenvalue. The
+    factorisation runs in rho's own dtype, so a real state pays for a real
+    one.
     """
     rho = _as_state(rho)
     n_qubits_of(rho)
     if not np.isfinite(rho).all():
         raise ValidationError("density matrix has a NaN or infinite entry")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    asymmetry = _max_asymmetry(rho)
+    if asymmetry > HERMITICITY_TOL:
         raise ValidationError("density matrix is not Hermitian")
     trace = np.trace(rho)
     if abs(trace - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError(f"density matrix trace {trace} is not 1")
+    if rho.shape[0] >= _CERTIFICATE_MIN_DIM and _certified_low_rank(rho, asymmetry):
+        return
     shifted = rho.copy()
     diagonal = np.arange(shifted.shape[0])
     shifted[diagonal, diagonal] -= EIGENVALUE_FLOOR
@@ -259,7 +351,7 @@ def expectation(rho: np.ndarray, obs) -> float:
         dense = _as_state(obs)
         if dense.shape != rho.shape:
             raise DimensionError(f"observable shape {dense.shape} vs state {rho.shape}")
-        if np.max(np.abs(dense - dense.conj().T)) > HERMITICITY_TOL:
+        if _max_asymmetry(dense) > HERMITICITY_TOL:
             raise ValidationError("observable is not Hermitian")
         value = complex(np.einsum("ij,ji->", rho, dense))
     if abs(value.imag) >= IMAG_TOL:
@@ -271,7 +363,7 @@ def eigen_spectrum(op: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix, residual-checked."""
     op = _as_state(op)
     n_qubits_of(op)
-    if np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
+    if _max_asymmetry(op) > HERMITICITY_TOL:
         raise ValidationError("matrix is not Hermitian")
     values, vectors = np.linalg.eigh(op)
     residual = np.max(np.linalg.norm(op @ vectors - vectors * values, axis=0))
@@ -332,7 +424,9 @@ def load_density_matrix(path) -> np.ndarray:
     """Read a file written by save_density_matrix; the state must be valid.
 
     The qubit-count header is checked against DENSE_QUBIT_LIMIT before any
-    array is built.
+    array is built. A state whose imaginary parts are all exactly zero comes
+    back as float64, so a saved real state reloads bit for bit in its dtype;
+    any other comes back as complex128.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -341,7 +435,12 @@ def load_density_matrix(path) -> np.ndarray:
         raise ValidationError(f"qubit-count header {header!r} is not a count")
     if header > DENSE_QUBIT_LIMIT:
         raise CapacityError(f"{header} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    rho = _as_state(payload["real"]) + 1j * _as_state(payload["imag"])
+    rho = _as_state(payload["real"])
+    imag = _as_state(payload["imag"])
+    if imag.shape != rho.shape:
+        raise ValidationError(f"imag entries of shape {imag.shape} vs real {rho.shape}")
+    if imag.any():
+        rho = rho + 1j * imag
     n = n_qubits_of(rho)
     if n != header:
         raise ValidationError(f"header says {header} qubits but entries give {n}")

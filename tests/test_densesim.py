@@ -26,6 +26,7 @@ from seqgme.densesim import (
 )
 from seqgme.errors import CapacityError, DimensionError, ValidationError
 from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString
+from seqgme.states import StateFamily, make_cluster
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -288,7 +289,25 @@ def test_density_matrix_io_round_trip(tmp_path):
     rho = random_density(rng, 3)
     path = tmp_path / "state.json"
     save_density_matrix(path, rho)
-    np.testing.assert_allclose(load_density_matrix(path), rho, atol=1e-15)
+    loaded = load_density_matrix(path)
+    assert loaded.dtype == np.complex128
+    np.testing.assert_allclose(loaded, rho, atol=1e-15)
+
+
+def test_real_state_reloads_as_float64(tmp_path):
+    rho = make_cluster(3)
+    path = tmp_path / "state.json"
+    save_density_matrix(path, rho)
+    loaded = load_density_matrix(path)
+    assert loaded.dtype == np.float64
+    assert np.array_equal(loaded, rho)
+
+
+def test_load_density_matrix_rejects_mismatched_parts(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n_qubits": 1, "real": [[1, 0], [0, 0]], "imag": [[0]]}))
+    with pytest.raises(ValidationError, match="imag entries of shape"):
+        load_density_matrix(path)
 
 
 def test_load_density_matrix_rejects_non_positive_state(tmp_path):
@@ -456,24 +475,28 @@ def test_channel_rejects_out_of_range_target(n):
 
 @PROPERTY_SETTINGS
 @given(
-    n=st.integers(1, 6),
-    offset=st.sampled_from([-2e-10, -5e-11, 5e-11, 2e-10]),
+    n=st.integers(1, 8),
+    offset=st.sampled_from([-2e-10, -5e-11, 5e-11, 2e-10, -EIGENVALUE_FLOOR]),
+    rank=st.integers(1, 5) | st.none(),
     seed=st.integers(0, 2**32 - 1),
     real=st.booleans(),
 )
-def test_psd_gate_decides_like_eigvalsh(n, offset, seed, real):
-    # Plant the smallest eigenvalue just below or above the floor, in a real
-    # state (a real Cholesky decides) or a complex one.
+def test_psd_gate_decides_like_eigvalsh(n, offset, rank, seed, real):
+    # Plant the smallest eigenvalue just below or above the floor, or at 0,
+    # in a real state (a real Cholesky decides) or a complex one. Besides it
+    # the state has `rank` positive eigenvalues (all the others when None),
+    # so from 7 qubits on the low-rank states meet the pivoted certificate.
     rng = np.random.default_rng(seed)
     dim = 1 << n
+    positive = dim - 1 if rank is None else min(rank, dim - 1)
     lowest = EIGENVALUE_FLOOR + offset
-    rest = rng.uniform(0.1, 1.0, size=dim - 1)
+    rest = rng.uniform(0.1, 1.0, size=positive)
     spectrum = np.concatenate([[lowest], rest * (1 - lowest) / rest.sum()])
-    g = rng.standard_normal((dim, dim))
+    g = rng.standard_normal((dim, positive + 1))
     if not real:
-        g = g + 1j * rng.standard_normal((dim, dim))
-    unitary, _ = np.linalg.qr(g)
-    rho = (unitary * spectrum) @ unitary.conj().T
+        g = g + 1j * rng.standard_normal((dim, positive + 1))
+    basis, _ = np.linalg.qr(g)
+    rho = (basis * spectrum) @ basis.conj().T
     rho = (rho + rho.conj().T) / 2
     eigvalsh_passes = np.linalg.eigvalsh(rho)[0] >= EIGENVALUE_FLOOR
     assert eigvalsh_passes == (offset > 0)
@@ -490,6 +513,97 @@ def test_psd_gate_factors_in_the_state_dtype(dtype):
     with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor:
         validate_density_matrix(rho)
     assert factor.call_args.args[0].dtype == dtype
+
+
+CHAIN_SHARPNESSES = [1.0, 0.9, 0.5, 0.3, 0.05, 0.0021, 1e-6, 0.0]
+FAMILY_LABELS = ["ghz", "cluster", "gghz:alpha=0.3", "mixed:p1=0.8,p2=0.1,p3=0.1,alpha=0.4"]
+
+
+def _complex_pure_state(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_low_rank_states_are_certified_without_cholesky(n):
+    # Every family has rank <= 2, and a one-qubit chain from a pure state or
+    # from the GHZ mixture stays at rank <= 4, so from dimension 128 on the
+    # pivoted certificate decides alone; the complex chain catches a residual
+    # taken against L L^T instead of L L^dagger.
+    starts = [StateFamily.parse(label, n).density_matrix() for label in FAMILY_LABELS]
+    chains = [starts[0], starts[1], starts[3], _complex_pure_state(n, seed=n)]
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor:
+        for rho in starts:
+            validate_density_matrix(rho)
+        for start in chains:
+            for rho in observer_states(start, CHAIN_SHARPNESSES):
+                validate_density_matrix(rho)
+    assert factor.call_count == 0
+
+
+def test_states_the_certificate_cannot_decide_reach_cholesky():
+    rng = np.random.default_rng(5)
+    dim = 1 << 7
+    g = rng.standard_normal((dim, dim))
+    full_rank = g @ g.T / np.trace(g @ g.T)
+    # Rank 2 plus an eigenvalue planted below the floor.
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
+    below_floor = (basis * [0.7, 0.3 - 2 * EIGENVALUE_FLOOR, 2 * EIGENVALUE_FLOOR]) @ basis.T
+    below_floor = (below_floor + below_floor.T) / 2
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor:
+        validate_density_matrix(full_rank)
+        assert factor.call_count == 1
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            validate_density_matrix(below_floor)
+        assert factor.call_count == 2
+
+
+def _floor_state(excess):
+    """|+>^8<+|^8 - t (sigma sigma^T - diag(sigma^2)), every entry exact.
+
+    sigma is 0 at indices 0 and 1, alternates +-1 elsewhere and is orthogonal
+    to |+>^8, so it is an eigenvector with eigenvalue -253 t. The single pivot
+    step takes column 0, which carries no coherence, so it leaves exactly the
+    coherence term, whose rows sum to 253 t without rounding: t is the
+    multiple of 2^-60 that puts 253 t at |EIGENVALUE_FLOOR| - excess.
+    """
+    dim = 256
+    units = round((-EIGENVALUE_FLOOR - excess) / 253 * 2.0**60)
+    t = units * 2.0**-60
+    sigma = np.zeros(dim)
+    sigma[2:] = np.tile([1.0, -1.0], (dim - 2) // 2)
+    coherence = -t * (np.outer(sigma, sigma) - np.diag(sigma**2))
+    return np.full((dim, dim), 1.0 / dim) + coherence, 253 * t
+
+
+@pytest.mark.parametrize("excess, certified", [(5e-11, True), (2e-16, False), (-1e-11, False)])
+def test_certificate_keeps_a_rounding_margin_below_the_floor(excess, certified):
+    # Each row's residual sums to exactly 253 t, so the decision rests on the
+    # rounding margin: a residual within it of the floor, or past the floor,
+    # is left to the Cholesky gate.
+    rho, row_sum = _floor_state(excess)
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-row_sum, abs=1e-15)
+    assert densesim._certified_low_rank(rho, 0.0) is certified
+
+
+@pytest.mark.parametrize("n", [1, 5, 7, 9])
+def test_tiled_hermiticity_gate_matches_the_whole_matrix(n):
+    rng = np.random.default_rng(n)
+    dim = 1 << n
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    op = (g + g.conj().T) / 2
+    assert densesim._max_asymmetry(op) == 0.0
+    i, j = rng.integers(dim, size=2)
+    op[i, j] += 1e-9j
+    assert densesim._max_asymmetry(op) == np.max(np.abs(op - op.conj().T))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        validate_density_matrix(op / np.trace(op).real)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        expectation(np.eye(dim) / dim, op)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        eigen_spectrum(op)
 
 
 @st.composite
