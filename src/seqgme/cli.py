@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .analytic import full_sequence_report
 from .densesim import expectation, observer_states
+from .errors import PrecisionError
 from .pauli import DENSE_QUBIT_LIMIT
 from .planner import (
     DEFAULT_CAP,
@@ -129,6 +130,20 @@ def run_disagreement(rows: list[dict]) -> float:
     return max(gaps, default=0.0)
 
 
+def sign_disagreements(rows: list[dict]) -> list[int]:
+    """Observers k at which the analytic and dense values have opposite signs."""
+    return [
+        row["k"]
+        for row in rows
+        if row["witness_value_analytic"] is not None
+        and row["witness_value_dense"] is not None
+        and (
+            row["witness_value_analytic"] < 0.0 < row["witness_value_dense"]
+            or row["witness_value_dense"] < 0.0 < row["witness_value_analytic"]
+        )
+    ]
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -192,15 +207,22 @@ def _cmd_run(args) -> int:
         f"seqgme run v1 state={args.state} N={args.N} mode={args.mode} seed={args.seed}"
     )
     _emit(render_rows(rows, RUN_COLUMNS, header, args.format), args.out)
-    if config.mode == "both":
-        gap = run_disagreement(rows)
-        if gap > AGREEMENT_TOL:
-            print(
-                f"error: analytic and dense values disagree by {gap:.3e}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    if config.mode != "both":
+        return 0
+    status = 0
+    gap = run_disagreement(rows)
+    if gap > AGREEMENT_TOL:
+        print(f"error: analytic and dense values disagree by {gap:.3e}", file=sys.stderr)
+        status = 1
+    flipped = sign_disagreements(rows)
+    if flipped:
+        print(
+            "error: analytic and dense values have opposite signs at k = "
+            + ", ".join(str(k) for k in flipped),
+            file=sys.stderr,
+        )
+        status = 1
+    return status
 
 
 def _cmd_sweep(args) -> int:
@@ -212,13 +234,20 @@ def _cmd_sweep(args) -> int:
     for value in grid:
         if not 0.0 < value < 1.0:
             raise ValueError(f"grid value {value} outside (0, 1)")
-    rows = [
-        {"lambda_1": value, "max_detections": max_detections(value, args.epsilon, args.cap)}
-        for value in grid
-    ]
+    rows, failures = [], []
+    for value in grid:
+        try:
+            count = max_detections(value, args.epsilon, args.cap)
+        except PrecisionError as exc:
+            # One point that double precision cannot plan leaves the others standing.
+            count = None
+            failures.append(f"error: lambda_1={value}: {exc}")
+        rows.append({"lambda_1": value, "max_detections": count})
     header = f"seqgme sweep v1 epsilon={args.epsilon} cap={args.cap}"
     _emit(render_rows(rows, SWEEP_COLUMNS, header, args.format), args.out)
-    return 0
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_plan(args) -> int:

@@ -8,8 +8,10 @@ state stays real along a chain, and the Cholesky gate, the channel steps and
 the gathers run on half the bytes of a complex state. Everything here is the
 brute-force reference that the closed-form layers are checked against. No
 operator is densified on the way: Pauli sums are evaluated by gathers on
-their bit masks, and single-qubit maps act on the target qubit's 2x2 blocks
-of the state.
+their bit masks, one gather per distinct X part, and single-qubit maps act on
+the target qubit's 2x2 blocks of the state. The channel step multiplies those
+blocks by its 4x4 superoperator one cache-sized tile at a time, so its output
+is its only full-size allocation.
 
 Validation costs O(d^2) for the states a chain meets: they have rank at most
 4, so from dimension 128 on a pivoted partial Cholesky of at most 4 steps
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,11 +43,13 @@ HERMITICITY_TOL = 1e-12
 # Accumulated floating error over repeated channel applications.
 EIGENVALUE_FLOOR = -1e-10
 IMAG_TOL = 1e-10
-# Entries of rho gathered at once by a Pauli-sum expectation (8 MiB of
-# float64, 16 MiB of complex128).
+# Entries of rho gathered at once by a Pauli-sum expectation, counting both
+# the rows gathered for a block of distinct X parts and the per-term block
+# indexed from them (8 MiB of float64, 16 MiB of complex128).
 _GATHER_ELEMENTS = 1 << 20
-# Side of the square tiles of the Hermiticity check and row count of the
-# certificate's row tiles, so that no full-size temporary is made.
+# Side of the square tiles of the Hermiticity check, row count of the
+# certificate's row tiles, and square root of the entries of one channel-step
+# tile, so that no full-size temporary is made.
 _TILE = 128
 # Pivot steps of the low-rank positivity certificate. Every Kraus operator
 # acts on one qubit, so a chain started from a pure state stays inside
@@ -240,16 +245,36 @@ def _observer_step(rho: np.ndarray, n: int, sharpness: float, target: int) -> np
 
     The four maps K rho K^dagger add up to the 4x4 superoperator sum_K K (x) conj(K),
     which acts on the (row bit, column bit) pair of the target qubit. It is
-    real, so the result has rho's dtype.
+    real, so the result has rho's dtype. It is applied in tiles of about
+    _TILE^2 entries: a tile takes some values of the qubits before the target
+    (axis 0 of the blocks) or, when there are too few of those, some values of
+    the qubits after it (axis 2), with the target's two rows and every column.
+    Each tile is transposed to a (4, m) operand, multiplied by the
+    superoperator and written into its block of the output, so the output is
+    the only full-size array made. Every entry is the same 4-term sum as in
+    one whole-matrix product.
     """
     blocks = _target_blocks(rho, n, target)
+    out = np.empty_like(rho)
+    out_blocks = _target_blocks(out, n, target)
     # An unsharp x pair and a sharp z pair, applied with equal setting weight.
     roots = np.array([*_sqrt_effect_pair("X", sharpness), *_Z_ROOTS])
     # Halving is exact, so folding the channel's 1/2 in here changes no bit.
-    superop = np.einsum("kab,kcd->acbd", roots, roots.conj()) / 2.0
-    out = np.tensordot(superop, blocks, axes=([2, 3], [1, 4]))
-    # (row bit, column bit, a, b, a', b') -> (a, row bit, b, a', column bit, b')
-    return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
+    superop = (np.einsum("kab,kcd->acbd", roots, roots.conj()) / 2.0).reshape(4, 4)
+    a, _, b = blocks.shape[:3]
+    # blocks[i, :, j] is the target's two rows at one (i, j): 2 * 2^n entries.
+    pairs = max(1, _TILE * _TILE // (2 * rho.shape[0]))
+    span_j = min(b, pairs)
+    span_i = max(1, pairs // b)
+    for i in range(0, a, span_i):
+        for j in range(0, b, span_j):
+            tile = blocks[i:i + span_i, :, j:j + span_j]
+            tile_a, _, tile_b = tile.shape[:3]
+            operand = tile.transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+            result = np.dot(superop, operand).reshape(2, 2, tile_a, tile_b, a, b)
+            # (row bit, column bit, a, b, a', b') -> (a, row bit, b, a', column bit, b')
+            out_blocks[i:i + span_i, :, j:j + span_j] = result.transpose(2, 0, 3, 4, 1, 5)
+    return out
 
 
 def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
@@ -313,24 +338,41 @@ def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr) -> complex:
 
     The only nonzero entries of a term P with masks (f, z) and phase c are
     <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
-    c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z): one gather per term, done
-    for blocks of terms at a time.
+    c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z). Terms share few X parts f
+    (a GHZ witness has two), so the row rho[j, j ^ f] is gathered once per
+    distinct f, and each term indexes its part's row. Parts are gathered, and
+    terms summed, a block at a time; the parts' rows and the terms' block
+    together hold at most _GATHER_ELEMENTS entries.
     """
     if not expr.terms:
         return 0j
     dim = rho.shape[0]
     rows = np.arange(dim, dtype=np.int64)
-    flips, signs, phases = zip(*(term.bit_masks() for term in expr.terms))
-    flips = np.array(flips, dtype=np.int64)
+    # Sorted by X part, each part's terms form one run, so part_of ascends.
+    masks = sorted((term.bit_masks() for term in expr.terms), key=itemgetter(0))
+    flips, signs, phases = zip(*masks)
+    parts, part_of = [], []
+    for flip in flips:
+        if not parts or flip != parts[-1]:
+            parts.append(flip)
+        part_of.append(len(parts) - 1)
+    parts = np.array(parts, dtype=np.int64)
+    part_of = np.array(part_of)
     signs = np.array(signs, dtype=np.int64)
     phases = np.array(phases, dtype=complex)
-    per_term = np.empty(len(expr.terms), dtype=complex)
-    step = max(1, _GATHER_ELEMENTS // dim)
-    for start in range(0, len(per_term), step):
-        stop = start + step
-        gathered = rho[rows, rows ^ flips[start:stop, None]]
-        parity = np.bitwise_count(rows & signs[start:stop, None]) & 1
-        per_term[start:stop] = np.where(parity, -gathered, gathered).sum(axis=1)
+    per_term = np.empty(len(flips), dtype=complex)
+    # Rows held at once: at most half of them parts' rows, the rest terms'.
+    budget = max(2, _GATHER_ELEMENTS // dim)
+    for first in range(0, len(parts), budget // 2):
+        chunk = parts[first:first + budget // 2]
+        part_rows = rho[rows, rows ^ chunk[:, None]]
+        step = budget - len(chunk)
+        lo, hi = part_of.searchsorted([first, first + len(chunk)])
+        for start in range(lo, hi, step):
+            block = slice(start, min(start + step, hi))
+            gathered = part_rows[part_of[block] - first]
+            parity = np.bitwise_count(rows & signs[block, None]) & 1
+            per_term[block] = np.where(parity, -gathered, gathered).sum(axis=1)
     per_term *= phases
     return complex(math.fsum(per_term.real.tolist()), math.fsum(per_term.imag.tolist()))
 

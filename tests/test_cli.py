@@ -10,6 +10,7 @@ from seqgme.cli import (
     cmd_run,
     main,
     run_disagreement,
+    sign_disagreements,
 )
 
 
@@ -238,3 +239,62 @@ def test_main_rejects_non_finite_and_malformed_input_naming_the_field(argv, fiel
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+def test_both_mode_exits_1_naming_rows_whose_engines_differ_in_sign(capsys):
+    # From k = 2 on the analytic values are about -2.5e-24, below the dense
+    # engine's rounding, which leaves some dense values positive.
+    argv = ["run", "--state", "ghz", "--N", "4", "--plan", "l1=1e-7,eps=1e-9", "--mode", "both"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 2 + 29
+    assert all(line.split(",")[4] == "true" for line in lines[2:])
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: analytic and dense values have opposite signs at k = 7,")
+    flagged = [int(k) for k in err[0].split("k = ")[1].split(", ")]
+    for k in flagged:
+        analytic, dense = (float(cell) for cell in lines[1 + k].split(",")[2:4])
+        assert analytic * dense < 0.0
+
+
+def test_sign_disagreements_count_only_strictly_opposite_signs():
+    def row(k, analytic, dense):
+        return {"k": k, "witness_value_analytic": analytic, "witness_value_dense": dense}
+
+    rows = [
+        row(1, -1.0, 2e-17),
+        row(2, 0.0, -1e-17),
+        row(3, -1e-300, -1e-300),
+        row(4, 3e-200, -3e-200),
+        row(5, None, 1.0),
+        row(6, -1.0, None),
+    ]
+    assert sign_disagreements(rows) == [1, 4]
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_sweep_reports_each_grid_point_on_its_own(out_format, capsys):
+    argv = ["sweep", "--lambda1-grid", "0.5,1e-200", "--format", out_format]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    if out_format == "csv":
+        assert captured.out.splitlines()[2:] == ["0.5,4", "1e-200,"]
+    else:
+        assert json.loads(captured.out) == [
+            {"lambda_1": 0.5, "max_detections": 4},
+            {"lambda_1": 1e-200, "max_detections": None},
+        ]
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: lambda_1=1e-200: sharpness underflowed")
+
+
+def test_sweep_writes_one_error_line_per_failed_point(capsys):
+    assert main(["sweep", "--lambda1-grid", "1e-100,1e-200,1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[2:] == ["1e-100,64", "1e-200,", "1e-300,"]
+    err = captured.err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["error"] * 2
+    assert [line.split(":")[1] for line in err] == [" lambda_1=1e-200", " lambda_1=1e-300"]

@@ -1,6 +1,8 @@
 """Dense simulator: channel forms, decay of correlators, sampling, spectra."""
 
 import json
+import math
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -711,3 +713,115 @@ _STATE_ENTRY_POINTS = {
 def test_non_numeric_states_are_rejected_at_the_boundary(entry, rho, match):
     with pytest.raises(ValidationError, match=match):
         _STATE_ENTRY_POINTS[entry](rho)
+
+
+# The tiled channel step and the per-X-part gather against whole-matrix oracles.
+def whole_matrix_step(rho, lam, target):
+    """The update as one tensordot over the whole matrix: no tiles."""
+    n = densesim.n_qubits_of(rho)
+    blocks = densesim._target_blocks(rho, n, target)
+    roots = np.array(package_roots(lam))
+    superop = np.einsum("kab,kcd->acbd", roots, roots.conj()) / 2.0
+    out = np.tensordot(superop, blocks, axes=([2, 3], [1, 4]))
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
+
+
+# 128 tiles a power-of-two matrix evenly; 37 leaves a ragged last tile on
+# both axes. From n = 8 on a 128 tile holds fewer row pairs than the qubits
+# after an early target give, so those targets are tiled along axis 2.
+@pytest.mark.parametrize("tile", [128, 37])
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_tiled_channel_step_matches_the_whole_matrix_product(tile, n, real):
+    rng = np.random.default_rng(n)
+    dim = 1 << n
+    g = rng.standard_normal((dim, dim))
+    if not real:
+        g = g + 1j * rng.standard_normal((dim, dim))
+    rho = (g + g.conj().T) / 2
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(rho))
+    with mock.patch.object(densesim, "_TILE", tile):
+        for target in range(n):
+            step = densesim._observer_step(rho, n, 0.3, target)
+            assert step.dtype == rho.dtype
+            assert np.max(np.abs(step - whole_matrix_step(rho, 0.3, target))) <= bound
+
+
+def test_channel_step_allocates_only_its_output():
+    rho = make_cluster(10)
+    tracemalloc.start()
+    try:
+        out = densesim._observer_step(rho, 10, 0.3, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 << 20
+    assert peak <= out.nbytes + (1 << 20)
+
+
+def per_term_gather_trace(rho, expr):
+    """Tr[rho * expr] with one gather of rho[j, j ^ f] for every term."""
+    rows = np.arange(rho.shape[0])
+    sums, phases = [], []
+    for term in expr.terms:
+        flip, sign, phase = term.bit_masks()
+        gathered = rho[rows, rows ^ flip]
+        parity = np.bitwise_count(rows & sign) & 1
+        sums.append(np.where(parity, -gathered, gathered).sum())
+        phases.append(phase)
+    per_term = np.array(sums, dtype=complex) * np.array(phases, dtype=complex)
+    return math.fsum(per_term.real.tolist())
+
+
+@st.composite
+def shared_x_part_sums(draw):
+    """A Hermitian Pauli sum on 1..6 qubits whose terms use 1..3 X parts."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    x_parts = draw(st.lists(masks, min_size=1, max_size=3))
+    letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    terms = []
+    for x_part, z_part, coeff in draw(st.lists(
+        st.tuples(st.sampled_from(x_parts), masks, st.floats(-2.0, 2.0, allow_nan=False)),
+        min_size=1, max_size=16,
+    )):
+        word = "".join(
+            letters[(x_part >> (n - 1 - q)) & 1, (z_part >> (n - 1 - q)) & 1] for q in range(n)
+        )
+        terms.append(PauliString(word, coeff))
+    return OperatorExpr.from_terms(n, terms)
+
+
+class GatherCountingState(np.ndarray):
+    """A state that counts the rows gathered from it by (rows, columns) index arrays."""
+
+    rows_gathered = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, tuple) and all(isinstance(i, np.ndarray) for i in index):
+            GatherCountingState.rows_gathered += np.broadcast_shapes(*(i.shape for i in index))[0]
+        return super().__getitem__(index)
+
+
+@PROPERTY_SETTINGS
+@given(
+    expr=shared_x_part_sums(),
+    rows_at_once=st.integers(2, 5),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_expectation_with_shared_x_parts_matches_per_term_gathers(
+    expr, rows_at_once, real, seed
+):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, expr.n_qubits)
+    if real:
+        rho = rho.real
+    # A budget of a few rows splits the parts and the terms into several blocks.
+    dim = rho.shape[0]
+    with mock.patch.object(densesim, "_GATHER_ELEMENTS", rows_at_once * dim):
+        assert expectation(rho, expr) == per_term_gather_trace(rho, expr)
+        GatherCountingState.rows_gathered = 0
+        densesim._pauli_sum_trace(rho.view(GatherCountingState), expr)
+    # One row rho[j, j ^ f] per distinct X part f.
+    assert GatherCountingState.rows_gathered == len({term.x_mask for term in expr.terms})
