@@ -23,7 +23,7 @@ from .planner import (
     max_detections,
 )
 from .states import StateFamily
-from .verify import SUITE_NAMES, run_suite
+from .verify import MAX_SAMPLES, SUITE_NAMES, run_suite
 from .witness import build_modified_witness
 
 AGREEMENT_TOL = 1e-9
@@ -269,6 +269,11 @@ def _cmd_plan(args) -> int:
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(
+            f"--samples must be at most {MAX_SAMPLES}, got {args.samples}: "
+            "each bipartition's batch of samples is held in memory at once"
+        )
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     rows = []
     for suite in suites:
@@ -330,7 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a numerical verification suite")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     verify.add_argument("--seed", type=int, default=7)
-    verify.add_argument("--samples", type=int, default=10000, help="biseparable samples per bipartition")
+    verify.add_argument(
+        "--samples", type=int, default=10000,
+        help=f"biseparable samples per bipartition, 1..{MAX_SAMPLES}",
+    )
     verify.add_argument("--format", choices=("csv", "json"), default="csv")
     verify.add_argument("--out")
     verify.set_defaults(func=_cmd_verify)

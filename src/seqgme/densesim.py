@@ -9,9 +9,11 @@ the gathers run on half the bytes of a complex state. Everything here is the
 brute-force reference that the closed-form layers are checked against. No
 operator is densified on the way: Pauli sums are evaluated by gathers on
 their bit masks, one gather per distinct X part, and single-qubit maps act on
-the target qubit's 2x2 blocks of the state. The channel step multiplies those
-blocks by its 4x4 superoperator one cache-sized tile at a time, so its output
-is its only full-size allocation.
+the target qubit's 2x2 blocks of the state. The channel step builds its four
+square-rooted effects in one expression from fixed (4, 2, 2) stacks and the
+two eigenvalues of the unsharp x roots, forms the 4x4 superoperator from them,
+and multiplies the target's blocks by it one cache-sized tile at a time, so
+its output is its only full-size allocation.
 
 Validation costs O(d^2) for the states a chain meets: they have rank at most
 4, so from dimension 128 on a pivoted partial Cholesky of at most 4 steps
@@ -70,6 +72,14 @@ _PROJECTORS = {
     )
     for letter in "XZ"
 }
+# The observer's four square-rooted effects, unsharp x pair then sharp z pair,
+# are hi * _ROOTS_HI + lo * _ROOTS_LO + _ROOTS_FIXED for the eigenvalues hi, lo
+# of the x roots: each x root is hi * P + lo * P' on sigma_x's eigenprojectors,
+# and the sharp z roots are the z projectors themselves.
+_NO_ROOTS = np.zeros((2, 2, 2))
+_ROOTS_HI = np.concatenate([np.array(_PROJECTORS["X"]), _NO_ROOTS])
+_ROOTS_LO = np.concatenate([np.array(_PROJECTORS["X"][::-1]), _NO_ROOTS])
+_ROOTS_FIXED = np.concatenate([_NO_ROOTS, np.array(_PROJECTORS["Z"])])
 
 
 def _as_state(rho) -> np.ndarray:
@@ -101,6 +111,11 @@ def n_qubits_of(rho: np.ndarray) -> int:
     return n
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """x^dagger, as a view of x when x is real."""
+    return x.conj().T if x.dtype.kind == "c" else x.T
+
+
 def _max_asymmetry(x: np.ndarray) -> float:
     """max |x_ij - conj(x_ji)|, NaN if x has a NaN entry.
 
@@ -110,9 +125,9 @@ def _max_asymmetry(x: np.ndarray) -> float:
     """
     dim = x.shape[0]
     if dim <= _TILE:
-        return np.max(np.abs(x - x.conj().T))
+        return np.abs(x - _adjoint(x)).max()
     return np.max([
-        np.max(np.abs(x[i:i + _TILE, j:j + _TILE] - x[j:j + _TILE, i:i + _TILE].conj().T))
+        np.abs(x[i:i + _TILE, j:j + _TILE] - _adjoint(x[j:j + _TILE, i:i + _TILE])).max()
         for i in range(0, dim, _TILE)
         for j in range(i, dim, _TILE)
     ])
@@ -188,14 +203,14 @@ def validate_density_matrix(rho) -> None:
     asymmetry = _max_asymmetry(rho)
     if asymmetry > HERMITICITY_TOL:
         raise ValidationError("density matrix is not Hermitian")
-    trace = np.trace(rho)
+    trace = rho.trace()
     if abs(trace - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError(f"density matrix trace {trace} is not 1")
-    if rho.shape[0] >= _CERTIFICATE_MIN_DIM and _certified_low_rank(rho, asymmetry):
+    dim = rho.shape[0]
+    if dim >= _CERTIFICATE_MIN_DIM and _certified_low_rank(rho, asymmetry):
         return
     shifted = rho.copy()
-    diagonal = np.arange(shifted.shape[0])
-    shifted[diagonal, diagonal] -= EIGENVALUE_FLOOR
+    shifted.reshape(-1)[::dim + 1] -= EIGENVALUE_FLOOR  # the diagonal, as a view
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -213,16 +228,12 @@ def _target_blocks(rho: np.ndarray, n: int, target: int) -> np.ndarray:
     return rho.reshape(a, 2, b, a, 2, b)
 
 
-def _sqrt_effect_pair(letter: str, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
-    """Square roots of the effects (I +- sharpness*sigma)/2, taken on sigma's eigenspaces."""
+def _sqrt_effects(sharpness: float) -> np.ndarray:
+    """Square roots of the four effects (I +- sharpness*X)/2 and (I +- Z)/2, as a
+    (4, 2, 2) stack, each taken on its Pauli's eigenspaces."""
     hi = math.sqrt((1.0 + sharpness) / 2.0)
     lo = math.sqrt((1.0 - sharpness) / 2.0)
-    plus, minus = _PROJECTORS[letter]
-    return hi * plus + lo * minus, lo * plus + hi * minus
-
-
-# The sharp z pair is the same for every observer.
-_Z_ROOTS = _sqrt_effect_pair("Z", 1.0)
+    return hi * _ROOTS_HI + lo * _ROOTS_LO + _ROOTS_FIXED
 
 
 def luders_update(rho: np.ndarray, sharpness: float, target: int | None = None) -> np.ndarray:
@@ -258,9 +269,10 @@ def _observer_step(rho: np.ndarray, n: int, sharpness: float, target: int) -> np
     out = np.empty_like(rho)
     out_blocks = _target_blocks(out, n, target)
     # An unsharp x pair and a sharp z pair, applied with equal setting weight.
-    roots = np.array([*_sqrt_effect_pair("X", sharpness), *_Z_ROOTS])
+    # The roots are real, so conj(K) is K.
+    roots = _sqrt_effects(sharpness)
     # Halving is exact, so folding the channel's 1/2 in here changes no bit.
-    superop = (np.einsum("kab,kcd->acbd", roots, roots.conj()) / 2.0).reshape(4, 4)
+    superop = (np.einsum("kab,kcd->acbd", roots, roots) / 2.0).reshape(4, 4)
     a, _, b = blocks.shape[:3]
     # blocks[i, :, j] is the target's two rows at one (i, j): 2 * 2^n entries.
     pairs = max(1, _TILE * _TILE // (2 * rho.shape[0]))
@@ -340,7 +352,8 @@ def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr) -> complex:
     <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
     c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z). Terms share few X parts f
     (a GHZ witness has two), so the row rho[j, j ^ f] is gathered once per
-    distinct f, and each term indexes its part's row. Parts are gathered, and
+    distinct f, and each term indexes its part's row (or, when every part has
+    one term, its rows are the parts' rows in place). Parts are gathered, and
     terms summed, a block at a time; the parts' rows and the terms' block
     together hold at most _GATHER_ELEMENTS entries.
     """
@@ -368,9 +381,15 @@ def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr) -> complex:
         part_rows = rho[rows, rows ^ chunk[:, None]]
         step = budget - len(chunk)
         lo, hi = part_of.searchsorted([first, first + len(chunk)])
+        # With one term per part, term t's row is part_rows[t - lo]: a view.
+        one_to_one = hi - lo == len(chunk)
         for start in range(lo, hi, step):
-            block = slice(start, min(start + step, hi))
-            gathered = part_rows[part_of[block] - first]
+            stop = min(start + step, hi)
+            block = slice(start, stop)
+            if one_to_one:
+                gathered = part_rows[start - lo:stop - lo]
+            else:
+                gathered = part_rows[part_of[block] - first]
             parity = np.bitwise_count(rows & signs[block, None]) & 1
             per_term[block] = np.where(parity, -gathered, gathered).sum(axis=1)
     per_term *= phases
@@ -440,8 +459,12 @@ def biseparable_statevectors(
     side_b = tuple(q for q in range(n) if q not in side_a)
 
     def haar(dim: int) -> np.ndarray:
-        vecs = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-        return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        # Real parts drawn first, then imaginary parts, straight into place.
+        vecs = np.empty((count, dim), dtype=complex)
+        vecs.real = rng.standard_normal((count, dim))
+        vecs.imag = rng.standard_normal((count, dim))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        return vecs
 
     amp_a = haar(1 << len(side_a))
     amp_b = haar(1 << len(side_b))

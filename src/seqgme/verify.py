@@ -26,6 +26,7 @@ from .densesim import (
     observer_states,
     save_density_matrix,
 )
+from .errors import ValidationError
 from .pauli import PAULI_MATRICES
 from .states import StateFamily
 from .witness import build_modified_witness, difference_operator
@@ -33,8 +34,14 @@ from .witness import build_modified_witness, difference_operator
 SUITE_NAMES = ("channel", "recursion", "psd", "biseparable", "oracle")
 
 # Biseparable samples evaluated per matmul. Larger blocks run no faster and
-# raise peak memory: 1024-row blocks added about 1 MiB to `verify all`'s RSS.
+# raise peak memory: 1024-row blocks added about 0.35 MiB to `verify all`'s
+# RSS, while 64-row blocks made the biseparable suite about 18% slower.
 _SAMPLE_BLOCK = 256
+# Largest biseparable sample count per bipartition. Each bipartition's batch is
+# made at once: 256 bytes per sample as 4-qubit complex128 rows, so this caps
+# the batch at 256 MiB. Making it peaks at about 416 bytes per sample while the
+# previous batch is still held, about 700 MiB in all at the cap.
+MAX_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,11 +53,18 @@ class CheckResult:
     detail: str = ""
 
 
+def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A (dim, dim) complex Gaussian matrix: real parts drawn first, then imaginary."""
+    g = np.empty((dim, dim), dtype=complex)
+    g.real = rng.standard_normal((dim, dim))
+    g.imag = rng.standard_normal((dim, dim))
+    return g
+
+
 def _random_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    dim = 1 << n
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = _complex_gaussian(rng, 1 << n)
     rho = g @ g.conj().T
-    return rho / np.trace(rho)
+    return rho / rho.trace()
 
 
 def verify_channel(seed: int, trials: int = 1000) -> list[CheckResult]:
@@ -66,8 +80,8 @@ def verify_channel(seed: int, trials: int = 1000) -> list[CheckResult]:
         target = int(rng.integers(n))
         updated = luders_update(rho, lam, target)
         closed = channel_closed_form(rho, lam, target)
-        worst_gap = max(worst_gap, float(np.max(np.abs(updated - closed))))
-        worst_trace = max(worst_trace, abs(float(np.trace(updated).real) - 1.0))
+        worst_gap = max(worst_gap, float(np.abs(updated - closed).max()))
+        worst_trace = max(worst_trace, abs(float(updated.trace().real) - 1.0))
         lowest_eigenvalue = min(lowest_eigenvalue, float(np.linalg.eigvalsh(updated)[0]))
     unital_gap = 0.0
     for n in (1, 3):
@@ -106,7 +120,7 @@ def verify_recursion(seed: int, schedules: int = 100) -> list[CheckResult]:
         lambdas = rng.uniform(size=5)
         rho = _random_density(rng, n)
         half = 1 << (n - 1)
-        g = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+        g = _complex_gaussian(rng, half)
         a = g + g.conj().T
         obs_z = np.kron(a, PAULI_MATRICES["Z"])
         obs_x = np.kron(a, PAULI_MATRICES["X"])
@@ -176,6 +190,38 @@ def verify_psd(seed: int) -> list[CheckResult]:
     return results
 
 
+def _stacked_witnesses(family: str, n: int, sharpnesses) -> np.ndarray:
+    """The family's witnesses at these sharpnesses, side by side as one real
+    (2^n, len(sharpnesses) * 2^n) matrix.
+
+    Every witness of both families is a real symmetric matrix. One with a
+    nonzero imaginary entry is refused, not truncated to its real part.
+    """
+    stacked = np.concatenate(
+        [build_modified_witness(family, n, lam).to_matrix() for lam in sharpnesses], axis=1
+    )
+    if stacked.imag.any():
+        raise ValidationError(f"{family} witness on {n} qubits has imaginary entries")
+    return np.ascontiguousarray(stacked.real)
+
+
+def _product_values(rows: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """<psi|W|psi> for each row psi of rows and each real witness W of stacked,
+    as a (rows, witnesses) array.
+
+    For a real W, <psi|W|psi> = x^T W x + y^T W y with psi = x + iy, so the
+    rows' real and imaginary parts go through one real product with stacked.
+    Each witness's block of that product is then weighted by the parts in
+    place, and summed by a product with a vector of ones.
+    """
+    count, dim = rows.shape
+    parts = np.concatenate([rows.real, rows.imag])
+    images = (parts @ stacked).reshape(2 * count, -1, dim)
+    images *= parts[:, None, :]
+    sums = (images.reshape(-1, dim) @ np.ones(dim)).reshape(2, count, -1)
+    return sums[0] + sums[1]
+
+
 def verify_biseparable(seed: int, samples: int = 10000) -> list[CheckResult]:
     """Witness non-negativity on Haar product states across every bipartition."""
     rng = np.random.default_rng(seed)
@@ -183,17 +229,12 @@ def verify_biseparable(seed: int, samples: int = 10000) -> list[CheckResult]:
     for family in ("ghz", "cluster"):
         minimum = np.inf
         for n in (3, 4):
-            witnesses = [
-                build_modified_witness(family, n, lam).to_matrix() for lam in (0.0, 0.3, 0.7, 1.0)
-            ]
+            stacked = _stacked_witnesses(family, n, (0.0, 0.3, 0.7, 1.0))
             for part in all_bipartitions(n):
                 batch = biseparable_statevectors(n, part, samples, rng)
                 for start in range(0, samples, _SAMPLE_BLOCK):
-                    rows = batch[start : start + _SAMPLE_BLOCK]
-                    bras = rows.conj()
-                    for w in witnesses:
-                        values = np.einsum("bi,bi->b", bras @ w, rows).real
-                        minimum = min(minimum, float(values.min()))
+                    values = _product_values(batch[start : start + _SAMPLE_BLOCK], stacked)
+                    minimum = min(minimum, float(values.min()))
         results.append(
             CheckResult(
                 "biseparable",
@@ -214,6 +255,10 @@ def verify_oracle(seed: int, schedules: int = 200) -> list[CheckResult]:
     # At p1 = 1, alpha = 1/2 the mixed family's weight must be exactly 1.
     unit_weight = StateFamily("mixed", 3, alpha=0.5).x_string_expectation
     formulas_identical = True
+    # Each start state is built once; the channel never writes to its input.
+    starts = {
+        (family, n): StateFamily(family, n).density_matrix() for family in worst for n in range(3, 7)
+    }
     for index in range(schedules):
         n = 3 + index % 4
         k = int(rng.integers(1, 7))
@@ -222,8 +267,7 @@ def verify_oracle(seed: int, schedules: int = 200) -> list[CheckResult]:
         if witness_value(k, lambdas, unit_weight) != analytic:
             formulas_identical = False
         for family in worst:
-            rho_1 = StateFamily(family, n).density_matrix()
-            rho_k = apply_channel_k_times(rho_1, lambdas[: k - 1])
+            rho_k = apply_channel_k_times(starts[family, n], lambdas[: k - 1])
             dense = expectation(rho_k, build_modified_witness(family, n, lambdas[k - 1]))
             worst[family] = max(worst[family], abs(dense - analytic))
 

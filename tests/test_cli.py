@@ -1,9 +1,11 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
 import json
+from unittest import mock
 
 import pytest
 
+from seqgme import cli
 from seqgme.cli import (
     ExperimentConfig,
     build_parser,
@@ -12,6 +14,7 @@ from seqgme.cli import (
     run_disagreement,
     sign_disagreements,
 )
+from seqgme.verify import MAX_SAMPLES
 
 
 def test_run_rows_explicit_schedule():
@@ -163,6 +166,18 @@ def test_main_verify_rejects_sample_count_below_one(capsys):
         assert main(["verify", "biseparable", "--samples", samples]) == 2
         err = capsys.readouterr().err
         assert "--samples must be at least 1" in err
+
+
+def test_main_verify_caps_the_sample_count_before_any_suite_runs(capsys):
+    # Nothing is allocated: the cap is checked before a suite starts.
+    with mock.patch.object(cli, "run_suite", side_effect=AssertionError("suite ran")):
+        assert main(["verify", "all", "--samples", str(MAX_SAMPLES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--samples must be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}" in captured.err
+    with mock.patch.object(cli, "run_suite", return_value=[]) as suite:
+        assert main(["verify", "biseparable", "--samples", str(MAX_SAMPLES)]) == 0
+    assert suite.call_args.kwargs["samples"] == MAX_SAMPLES
 
 
 @pytest.mark.parametrize(

@@ -73,7 +73,7 @@ def effect_sqrt(effect):
 
 def package_roots(lam):
     """The square roots densesim applies, in the order of observer_effects."""
-    return [*densesim._sqrt_effect_pair("X", lam), *densesim._Z_ROOTS]
+    return list(densesim._sqrt_effects(lam))
 
 
 def test_measurement_effects_are_valid_povm_pairs():
@@ -747,6 +747,38 @@ def test_tiled_channel_step_matches_the_whole_matrix_product(tile, n, real):
             assert np.max(np.abs(step - whole_matrix_step(rho, 0.3, target))) <= bound
 
 
+def first_written_step(rho, lam, target):
+    """The update with every root built on its own by 2x2 arithmetic,
+    hi * P+ + lo * P- and lo * P+ + hi * P-, as one whole-matrix product."""
+    n = densesim.n_qubits_of(rho)
+    roots = []
+    for sigma, sharpness in ((SX, lam), (SZ, 1.0)):
+        hi = math.sqrt((1.0 + sharpness) / 2.0)
+        lo = math.sqrt((1.0 - sharpness) / 2.0)
+        plus, minus = ((np.eye(2) + sigma) / 2.0).real, ((np.eye(2) - sigma) / 2.0).real
+        roots += [hi * plus + lo * minus, lo * plus + hi * minus]
+    roots = np.array(roots)
+    superop = (np.einsum("kab,kcd->acbd", roots, roots.conj()) / 2.0).reshape(4, 4)
+    a, b = 1 << target, 1 << (n - 1 - target)
+    operand = rho.reshape(a, 2, b, a, 2, b).transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+    out = np.dot(superop, operand).reshape(2, 2, a, b, a, b)
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
+
+
+# Up to 6 qubits the step is one tile, so it must equal the reference bit for bit.
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_channel_step_is_bit_identical_to_per_root_arithmetic(n, real):
+    rho = random_density(np.random.default_rng(n), n)
+    if real:
+        rho = rho.real.copy()
+    for lam in (0.0, 1e-300, 0.3, 0.999, 1.0):
+        for target in range(n):
+            step = densesim._observer_step(rho, n, lam, target)
+            assert step.dtype == rho.dtype
+            assert np.array_equal(step, first_written_step(rho, lam, target))
+
+
 def test_channel_step_allocates_only_its_output():
     rho = make_cluster(10)
     tracemalloc.start()
@@ -775,16 +807,20 @@ def per_term_gather_trace(rho, expr):
 
 @st.composite
 def shared_x_part_sums(draw):
-    """A Hermitian Pauli sum on 1..6 qubits whose terms use 1..3 X parts."""
+    """A Hermitian Pauli sum on 1..6 qubits whose terms use 1..3 X parts, or
+    whose terms each have an X part of their own (as in the cluster witness)."""
     n = draw(st.integers(1, 6))
     masks = st.integers(0, (1 << n) - 1)
-    x_parts = draw(st.lists(masks, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        x_of_terms = draw(st.lists(masks, min_size=1, max_size=16, unique=True))
+    else:
+        x_parts = draw(st.lists(masks, min_size=1, max_size=3))
+        x_of_terms = draw(st.lists(st.sampled_from(x_parts), min_size=1, max_size=16))
     letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
     terms = []
-    for x_part, z_part, coeff in draw(st.lists(
-        st.tuples(st.sampled_from(x_parts), masks, st.floats(-2.0, 2.0, allow_nan=False)),
-        min_size=1, max_size=16,
-    )):
+    for x_part in x_of_terms:
+        z_part = draw(masks)
+        coeff = draw(st.floats(-2.0, 2.0, allow_nan=False))
         word = "".join(
             letters[(x_part >> (n - 1 - q)) & 1, (z_part >> (n - 1 - q)) & 1] for q in range(n)
         )
@@ -809,6 +845,15 @@ class GatherCountingState(np.ndarray):
     rows_at_once=st.integers(2, 5),
     real=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+)
+# Every term with its own X part, as in the cluster chain's witnesses.
+@example(
+    expr=OperatorExpr.from_terms(
+        3, [PauliString("XZI", 1.0), PauliString("ZXZ", 0.5), PauliString("IZX", -0.25)]
+    ),
+    rows_at_once=4,
+    real=False,
+    seed=3,
 )
 def test_expectation_with_shared_x_parts_matches_per_term_gathers(
     expr, rows_at_once, real, seed

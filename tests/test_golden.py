@@ -31,6 +31,8 @@ CASES = {
     "readme_sweep": ["sweep", "--lambda1-grid", "0.5,0.1,0.01,0.001"],
     "readme_plan": ["plan", "--n", "6", "--epsilon", "0.05"],
     "readme_verify_all": ["verify", "all", "--seed", "7"],
+    # A second seed pins another set of biseparable minima and residuals.
+    "verify_all_seed3": ["verify", "all", "--seed", "3"],
     # Scaled thresholds of the generalized GHZ family, and the largest dense runs.
     "run_gghz_n6": ["run", "--state", "gghz:alpha=0.3", "--N", "6", "--plan", PLAN],
     "run_ghz_n10": ["run", "--state", "ghz", "--N", "10", "--plan", PLAN, "--mode", "both"],
