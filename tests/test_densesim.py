@@ -747,7 +747,7 @@ def test_tiled_channel_step_matches_the_whole_matrix_product(tile, n, real):
             assert np.max(np.abs(step - whole_matrix_step(rho, 0.3, target))) <= bound
 
 
-def first_written_step(rho, lam, target):
+def per_root_step(rho, lam, target):
     """The update with every root built on its own by 2x2 arithmetic,
     hi * P+ + lo * P- and lo * P+ + hi * P-, as one whole-matrix product."""
     n = densesim.n_qubits_of(rho)
@@ -776,7 +776,7 @@ def test_channel_step_is_bit_identical_to_per_root_arithmetic(n, real):
         for target in range(n):
             step = densesim._observer_step(rho, n, lam, target)
             assert step.dtype == rho.dtype
-            assert np.array_equal(step, first_written_step(rho, lam, target))
+            assert np.array_equal(step, per_root_step(rho, lam, target))
 
 
 def test_channel_step_allocates_only_its_output():
