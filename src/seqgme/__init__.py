@@ -15,12 +15,12 @@ from .analytic import (
 )
 from .densesim import (
     all_bipartitions,
-    apply_channel_k_times,
     channel_closed_form,
     eigen_spectrum,
     expectation,
     load_density_matrix,
     luders_update,
+    observer_states,
     save_density_matrix,
 )
 from .errors import (
@@ -36,7 +36,6 @@ from .pauli import (
     PauliString,
     commutes,
     expand_projector_product,
-    pauli_multiply,
 )
 from .planner import (
     PlanResult,
@@ -47,16 +46,10 @@ from .planner import (
 )
 from .states import (
     StateFamily,
-    make_cluster,
-    make_generalized_ghz,
-    make_ghz,
-    make_mixed_ghz,
     stabilizer_expectation,
     stabilizer_generators,
 )
 from .witness import (
-    build_cluster_witness,
-    build_ghz_witness,
     build_modified_cluster_witness,
     build_modified_ghz_witness,
     build_modified_witness,
@@ -79,9 +72,6 @@ __all__ = [
     "StateFamily",
     "ValidationError",
     "all_bipartitions",
-    "apply_channel_k_times",
-    "build_cluster_witness",
-    "build_ghz_witness",
     "build_modified_cluster_witness",
     "build_modified_ghz_witness",
     "build_modified_witness",
@@ -96,12 +86,8 @@ __all__ = [
     "largest_sharpness_for",
     "load_density_matrix",
     "luders_update",
-    "make_cluster",
-    "make_generalized_ghz",
-    "make_ghz",
-    "make_mixed_ghz",
     "max_detections",
-    "pauli_multiply",
+    "observer_states",
     "save_density_matrix",
     "stabilizer_expectation",
     "stabilizer_generators",

@@ -38,6 +38,16 @@ def z_loss(lambdas: Sequence[float]) -> float:
     return loss
 
 
+def _witness_values(lambdas: list[float], weight: float) -> list[float]:
+    """witness_value(k, lambdas, weight) for every k, z_loss carried from one k to the next."""
+    values, loss = [], 0.0
+    for k, lam in enumerate(lambdas, start=1):
+        if k > 1:
+            loss = loss_step(lambdas[k - 2], loss)
+        values.append(loss - weight * lam * 0.5 ** (k - 1))
+    return values
+
+
 def witness_value(k: int, lambdas: Sequence[float], weight: float = 1.0) -> float:
     """Witness expectation for observer k, z_loss(lambda_<k) - weight*lambda_k/2^(k-1).
 
@@ -51,17 +61,15 @@ def witness_value(k: int, lambdas: Sequence[float], weight: float = 1.0) -> floa
         raise ValueError(f"observer index {k} must be >= 1")
     if len(values) < k:
         raise ValueError(f"need {k} sharpness values, got {len(values)}")
-    return z_loss(values[: k - 1]) - weight * values[k - 1] * 0.5 ** (k - 1)
+    return _witness_values(values[:k], weight)[-1]
 
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Outcome of one observer's witness measurement."""
+    """One observer's closed-form witness value; negative means GME is detected."""
 
     observer_index: int
     witness_value: float
-    detected: bool
-    margin: float
 
 
 def full_sequence_report(family, lambdas: Sequence[float]) -> list[DetectionReport]:
@@ -76,8 +84,7 @@ def full_sequence_report(family, lambdas: Sequence[float]) -> list[DetectionRepo
         weight = 1.0
     else:
         raise ValueError(f"unsupported family {family!r}")
-    reports = []
-    for k in range(1, len(values) + 1):
-        value = witness_value(k, values, weight)
-        reports.append(DetectionReport(k, value, value < 0.0, abs(value)))
-    return reports
+    return [
+        DetectionReport(k, value)
+        for k, value in enumerate(_witness_values(values, weight), start=1)
+    ]

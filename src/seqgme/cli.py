@@ -23,7 +23,7 @@ from .planner import (
     max_detections,
 )
 from .states import StateFamily
-from .verify import MAX_SAMPLES, SUITE_NAMES, run_suite
+from .verify import MAX_SAMPLES, SUITE_NAMES, check_samples, run_suite
 from .witness import build_modified_witness
 
 AGREEMENT_TOL = 1e-9
@@ -267,13 +267,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise ValueError(
-            f"--samples must be at most {MAX_SAMPLES}, got {args.samples}: "
-            "each bipartition's batch of samples is held in memory at once"
-        )
+    try:
+        check_samples(args.samples)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     rows = []
     for suite in suites:

@@ -45,6 +45,8 @@ HERMITICITY_TOL = 1e-12
 # Accumulated floating error over repeated channel applications.
 EIGENVALUE_FLOOR = -1e-10
 IMAG_TOL = 1e-10
+# Largest column norm of op @ V - V * w that eigen_spectrum accepts.
+EIGEN_RESIDUAL_TOL = 1e-9
 # Entries of rho gathered at once by a Pauli-sum expectation, counting both
 # the rows gathered for a block of distinct X parts and the per-term block
 # indexed from them (8 MiB of float64, 16 MiB of complex128).
@@ -331,20 +333,6 @@ def channel_closed_form(rho: np.ndarray, sharpness: float, target: int | None = 
     return out.reshape(rho.shape)
 
 
-def apply_channel_k_times(
-    rho1: np.ndarray, sharpnesses, target: int | None = None
-) -> np.ndarray:
-    """State seen after the listed observers have acted, in order.
-
-    With no observers listed this is rho1 itself, as a float64 array when it
-    is real and a complex128 array otherwise.
-    """
-    # That is the state one more observer would see; its sharpness never acts.
-    for rho in observer_states(rho1, [*sharpnesses, 0.0], target):
-        pass
-    return rho
-
-
 def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr) -> complex:
     """Tr[rho * expr] without building expr's matrix.
 
@@ -420,7 +408,7 @@ def expectation(rho: np.ndarray, obs) -> float:
     return value.real
 
 
-def eigen_spectrum(op: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
+def eigen_spectrum(op: np.ndarray) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix, residual-checked."""
     op = _as_state(op)
     n_qubits_of(op)
@@ -428,8 +416,8 @@ def eigen_spectrum(op: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
         raise ValidationError("matrix is not Hermitian")
     values, vectors = np.linalg.eigh(op)
     residual = np.max(np.linalg.norm(op @ vectors - vectors * values, axis=0))
-    if residual >= residual_tol:
-        raise PrecisionError(f"eigenpair residual {residual} exceeds {residual_tol}")
+    if residual >= EIGEN_RESIDUAL_TOL:
+        raise PrecisionError(f"eigenpair residual {residual} exceeds {EIGEN_RESIDUAL_TOL}")
     return values
 
 

@@ -22,6 +22,8 @@ PAULI_LETTERS = "IXYZ"
 
 # Largest system for which dense 2^N x 2^N matrices are materialized.
 DENSE_QUBIT_LIMIT = 10
+# Largest |imaginary part| of a coefficient in a sum taken as Hermitian.
+HERMITIAN_IMAG_TOL = 1e-12
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -112,19 +114,8 @@ class PauliString:
     def n_qubits(self) -> int:
         return len(self.letters)
 
-    @property
-    def is_identity(self) -> bool:
-        return not (self.x_mask | self.z_mask)
-
     def with_coeff(self, coeff: complex) -> "PauliString":
         return PauliString._from_masks(self.letters, complex(coeff), self.x_mask, self.z_mask)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return pauli_multiply(self, other)
-
-    def to_matrix(self, limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
-        """Dense 2^N x 2^N matrix; qubit 1 is the most significant factor."""
-        return _dense_sum(self.n_qubits, (self,), limit)
 
     def bit_masks(self) -> tuple[int, int, complex]:
         """(x mask, z mask, phase) with P|j> = phase·(-1)^popcount(j & z)|j ^ x>.
@@ -156,42 +147,10 @@ _set_letters, _set_coeff, _set_x_mask, _set_z_mask = (
 )
 
 
-def _dense_sum(n_qubits: int, terms: Iterable[PauliString], limit: int) -> np.ndarray:
-    """Complex matrix of a sum of strings, added into zeros in term order.
-
-    Term P has one nonzero per column j, phase·(-1)^popcount(j & z) in row
-    j ^ x (see bit_masks), so each term is one scatter. Every entry is exact
-    and is added in the order a sum of Kronecker products would add it, so
-    the result is bit for bit that sum.
-    """
-    if n_qubits > limit:
-        raise CapacityError(f"{n_qubits} qubits exceeds dense limit {limit}")
-    dim = 1 << n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    columns = np.arange(dim, dtype=np.int64)
-    for term in terms:
-        x_mask, z_mask, phase = term.bit_masks()
-        parity = np.bitwise_count(columns & z_mask) & 1
-        out[columns ^ x_mask, columns] += np.where(parity, -phase, phase)
-    return out
-
-
-def _check_sizes(a: PauliString, b: PauliString) -> None:
-    if a.n_qubits != b.n_qubits:
-        raise DimensionError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
-
-
-def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Group product a·b with its exact phase."""
-    _check_sizes(a, b)
-    x, z, power = _mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
-    coeff = a.coeff * b.coeff * _PHASES[power]
-    return PauliString._from_masks(_letters_of(a.n_qubits, x, z), coeff, x, z)
-
-
 def commutes(a: PauliString, b: PauliString) -> bool:
     """True when the two strings commute as operators."""
-    _check_sizes(a, b)
+    if a.n_qubits != b.n_qubits:
+        raise DimensionError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
     clashes = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
     return clashes % 2 == 0
 
@@ -201,7 +160,7 @@ class OperatorExpr:
     """Canonical sum of Pauli strings over a fixed number of qubits.
 
     Terms are merged by letters, zero coefficients dropped, and the remainder
-    sorted lexicographically, so equal operators compare and serialize equal.
+    sorted lexicographically, so equal operators compare equal.
     """
 
     n_qubits: int
@@ -246,10 +205,6 @@ class OperatorExpr:
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "OperatorExpr":
         return cls.from_terms(n_qubits, [PauliString("I" * n_qubits, coeff)])
 
-    @classmethod
-    def zero(cls, n_qubits: int) -> "OperatorExpr":
-        return cls(n_qubits, ())
-
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         if self.n_qubits != other.n_qubits:
             raise DimensionError("adding sums over different qubit counts")
@@ -259,8 +214,6 @@ class OperatorExpr:
         return self + (-1.0) * other
 
     def __mul__(self, other):
-        if isinstance(other, PauliString):
-            other = OperatorExpr.from_terms(other.n_qubits, [other])
         if isinstance(other, OperatorExpr):
             if self.n_qubits != other.n_qubits:
                 raise DimensionError(
@@ -279,36 +232,28 @@ class OperatorExpr:
     def __rmul__(self, scalar) -> "OperatorExpr":
         return self * scalar
 
-    def __neg__(self) -> "OperatorExpr":
-        return self * -1.0
+    def is_hermitian(self) -> bool:
+        return all(abs(t.coeff.imag) <= HERMITIAN_IMAG_TOL for t in self.terms)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(t.coeff.imag) <= tol for t in self.terms)
+    def to_matrix(self) -> np.ndarray:
+        """Dense complex 2^N x 2^N matrix, added into zeros in term order.
 
-    def to_matrix(self, limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
-        return _dense_sum(self.n_qubits, self.terms, limit)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"pauli": t.letters, "coeff": [t.coeff.real, t.coeff.imag]}
-            for t in self.terms
-        ]
-
-    @classmethod
-    def from_json(cls, data: Sequence[dict], n_qubits: int | None = None) -> "OperatorExpr":
-        if n_qubits is None:
-            if not data:
-                raise ValueError("empty term list needs an explicit n_qubits")
-            n_qubits = len(data[0]["pauli"])
-        terms = [
-            PauliString(d["pauli"], complex(d["coeff"][0], d["coeff"][1])) for d in data
-        ]
-        return cls.from_terms(n_qubits, terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(str(t) for t in self.terms)
+        Qubit 1 is the most significant factor. Term P has one nonzero per
+        column j, phase·(-1)^popcount(j & z) in row j ^ x (see bit_masks), so
+        each term is one scatter. Every entry is exact and is added in the
+        order a sum of Kronecker products would add it, so the result is bit
+        for bit that sum.
+        """
+        if self.n_qubits > DENSE_QUBIT_LIMIT:
+            raise CapacityError(f"{self.n_qubits} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
+        dim = 1 << self.n_qubits
+        out = np.zeros((dim, dim), dtype=complex)
+        columns = np.arange(dim, dtype=np.int64)
+        for term in self.terms:
+            x_mask, z_mask, phase = term.bit_masks()
+            parity = np.bitwise_count(columns & z_mask) & 1
+            out[columns ^ x_mask, columns] += np.where(parity, -phase, phase)
+        return out
 
 
 def expand_projector_product(

@@ -33,9 +33,6 @@ class SharpnessSchedule:
     terminated: bool
     weight: float = 1.0
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def generate_schedule(
     lambda_1: float, epsilon: float, max_k: int, weight: float = 1.0

@@ -1,8 +1,8 @@
 """Initial states: GHZ-type and linear cluster families plus their stabilizers.
 
-Dense constructors return real (float64) density matrices, since every
-family here has real amplitudes; the complex statevector helpers back them
-and the construction-time stabilizer checks. `stabilizer_expectation` evaluates
+`StateFamily.density_matrix` builds every family as a real (float64) density
+matrix, since each has real amplitudes; the same amplitudes back the
+construction-time stabilizer checks. `stabilizer_expectation` evaluates
 Pauli sums on stabilizer states without any dense matrix, which is the
 "symbolic" route the dense simulator is cross-checked against.
 """
@@ -22,78 +22,26 @@ WEIGHT_SUM_TOL = 1e-9
 STABILIZER_TOL = 1e-12
 
 
-def _check_size(n: int) -> None:
-    if n < 3:
-        raise CapacityError(f"need at least 3 parties, got {n}")
-    if n > DENSE_QUBIT_LIMIT:
-        raise CapacityError(f"{n} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
-
-
-def ghz_statevector(n: int) -> np.ndarray:
-    _check_size(n)
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
-    return psi
-
-
-def generalized_ghz_statevector(n: int, alpha: float) -> np.ndarray:
-    _check_size(n)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha {alpha} outside (0, 1)")
-    psi = np.zeros(1 << n, dtype=complex)
+def _ghz_amplitudes(n: int, alpha: float) -> np.ndarray:
+    """Real amplitudes of sqrt(alpha)|0..0> + sqrt(1 - alpha)|1..1>."""
+    psi = np.zeros(1 << n)
     psi[0] = math.sqrt(alpha)
     psi[-1] = math.sqrt(1.0 - alpha)
     return psi
 
 
-def cluster_statevector(n: int) -> np.ndarray:
+def _cluster_amplitudes(n: int) -> np.ndarray:
     """Linear cluster state: nearest-neighbour phase gates on |+>^n.
 
     Each basis amplitude is 2^(-n/2) times (-1) raised to the number of
     adjacent 11 pairs, which is exactly what the Ising-chain phase gates
     produce on the uniform superposition.
     """
-    _check_size(n)
     idx = np.arange(1 << n)
     bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
     pairs = np.sum(bits[:, :-1] & bits[:, 1:], axis=1)
     signs = 1.0 - 2.0 * (pairs & 1)
-    return signs.astype(complex) / math.sqrt(1 << n)
-
-
-def make_ghz(n: int) -> np.ndarray:
-    """GHZ density matrix with its four corner entries exactly 1/2."""
-    _check_size(n)
-    rho = np.zeros((1 << n, 1 << n))
-    rho[np.ix_([0, -1], [0, -1])] = 0.5
-    return rho
-
-
-def make_generalized_ghz(n: int, alpha: float) -> np.ndarray:
-    psi = generalized_ghz_statevector(n, alpha).real
-    return np.outer(psi, psi)
-
-
-def make_mixed_ghz(n: int, p1: float, p2: float, p3: float, alpha: float) -> np.ndarray:
-    """Mixture of a generalized GHZ state with the two classical extremes."""
-    if p1 <= 0.0 or p2 < 0.0 or p3 < 0.0:
-        raise ValueError(f"invalid mixture weights ({p1}, {p2}, {p3})")
-    total = p1 + p2 + p3
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"mixture weights sum to {total}, not 1")
-    psi = generalized_ghz_statevector(n, alpha).real
-    rho = p1 * np.outer(psi, psi)
-    rho[0, 0] += p2
-    rho[-1, -1] += p3
-    # Times the reciprocal, which is how numpy divides a complex array by a
-    # real scalar: the entries equal those of the same state built complex.
-    rho *= 1.0 / total
-    return rho
-
-
-def make_cluster(n: int) -> np.ndarray:
-    psi = cluster_statevector(n).real
-    return np.outer(psi, psi)
+    return signs / math.sqrt(1 << n)
 
 
 def stabilizer_generators(family: str, n: int) -> list[PauliString]:
@@ -112,11 +60,12 @@ def stabilizer_generators(family: str, n: int) -> list[PauliString]:
 # sizes up to DENSE_QUBIT_LIMIT; invalid ones raise and are not stored.
 @functools.lru_cache(maxsize=None, typed=True)
 def _verified_generators(family: str, n: int) -> tuple[PauliString, ...]:
-    _check_size(n)
+    if not 3 <= n <= DENSE_QUBIT_LIMIT:
+        raise CapacityError(f"generators are checked on 3..{DENSE_QUBIT_LIMIT} qubits, got {n}")
     if family == "ghz":
         gens = [PauliString("X" * n)]
         gens += [PauliString.from_ops(n, {m - 2: "Z", m - 1: "Z"}) for m in range(2, n + 1)]
-        psi = ghz_statevector(n)
+        psi = _ghz_amplitudes(n, 0.5)
     elif family == "cluster":
         gens = [PauliString.from_ops(n, {0: "X", 1: "Z"})]
         gens += [
@@ -124,7 +73,7 @@ def _verified_generators(family: str, n: int) -> tuple[PauliString, ...]:
             for m in range(2, n)
         ]
         gens.append(PauliString.from_ops(n, {n - 2: "Z", n - 1: "X"}))
-        psi = cluster_statevector(n)
+        psi = _cluster_amplitudes(n)
     else:
         raise ValueError(f"unknown stabilizer family {family!r}")
     for g in gens:
@@ -297,13 +246,6 @@ class StateFamily:
             )
         raise ValueError(f"unknown state family {kind!r}")
 
-    def label(self) -> str:
-        if self.kind == "gghz":
-            return f"gghz:alpha={self.alpha:g}"
-        if self.kind == "mixed":
-            return f"mixed:p1={self.p1:g},p2={self.p2:g},p3={self.p3:g},alpha={self.alpha:g}"
-        return self.kind
-
     @property
     def witness_family(self) -> str:
         """Which witness family certifies this state (cluster or GHZ-type)."""
@@ -317,11 +259,24 @@ class StateFamily:
         return 2.0 * self.p1 * math.sqrt(self.alpha * (1.0 - self.alpha))
 
     def density_matrix(self) -> np.ndarray:
+        """The family's real density matrix; at most DENSE_QUBIT_LIMIT qubits."""
+        n = self.n_qubits
+        if n > DENSE_QUBIT_LIMIT:
+            raise CapacityError(f"{n} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
         if self.kind == "ghz":
-            return make_ghz(self.n_qubits)
-        if self.kind == "gghz":
-            return make_generalized_ghz(self.n_qubits, self.alpha)
-        if self.kind == "mixed":
-            return make_mixed_ghz(self.n_qubits, self.p1, self.p2, self.p3, self.alpha)
-        return make_cluster(self.n_qubits)
-
+            # The four corner entries exactly 1/2.
+            rho = np.zeros((1 << n, 1 << n))
+            rho[np.ix_([0, -1], [0, -1])] = 0.5
+            return rho
+        psi = _cluster_amplitudes(n) if self.kind == "cluster" else _ghz_amplitudes(n, self.alpha)
+        if self.kind != "mixed":
+            return np.outer(psi, psi)
+        # The generalized GHZ state mixed with the two classical extremes.
+        total = self.p1 + self.p2 + self.p3
+        rho = self.p1 * np.outer(psi, psi)
+        rho[0, 0] += self.p2
+        rho[-1, -1] += self.p3
+        # Times the reciprocal, which is how numpy divides a complex array by a
+        # real scalar: the entries equal those of the same state built complex.
+        rho *= 1.0 / total
+        return rho

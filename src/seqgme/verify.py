@@ -16,7 +16,6 @@ import numpy as np
 from .analytic import full_sequence_report, witness_value, z_factor
 from .densesim import (
     all_bipartitions,
-    apply_channel_k_times,
     biseparable_statevectors,
     channel_closed_form,
     eigen_spectrum,
@@ -42,6 +41,20 @@ _SAMPLE_BLOCK = 256
 # the batch at 256 MiB. Making it peaks at about 416 bytes per sample while the
 # previous batch is still held, about 700 MiB in all at the cap.
 MAX_SAMPLES = 1 << 20
+# Random density matrices of the channel suite, random schedules of the oracle suite.
+_CHANNEL_TRIALS = 1000
+_ORACLE_SCHEDULES = 200
+
+
+def check_samples(samples: int) -> None:
+    """ValueError unless the biseparable sample count lies in 1..MAX_SAMPLES."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"samples must be at most {MAX_SAMPLES}, got {samples}: "
+            "each bipartition's batch of samples is held in memory at once"
+        )
 
 
 @dataclass(frozen=True)
@@ -67,13 +80,13 @@ def _random_density(rng: np.random.Generator, n: int) -> np.ndarray:
     return rho / rho.trace()
 
 
-def verify_channel(seed: int, trials: int = 1000) -> list[CheckResult]:
+def verify_channel(seed: int) -> list[CheckResult]:
     """Update rule vs its three-term closed form, trace, positivity, unitality."""
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     worst_trace = 0.0
     lowest_eigenvalue = 0.0
-    for _ in range(trials):
+    for _ in range(_CHANNEL_TRIALS):
         n = int(rng.integers(1, 5))
         rho = _random_density(rng, n)
         lam = float(rng.uniform())
@@ -95,7 +108,7 @@ def verify_channel(seed: int, trials: int = 1000) -> list[CheckResult]:
             "sqrt-effect update equals closed three-term form",
             worst_gap < 1e-12,
             worst_gap,
-            f"{trials} random density matrices, up to 4 qubits",
+            f"{_CHANNEL_TRIALS} random density matrices, up to 4 qubits",
         ),
         CheckResult("channel", "trace preserved", worst_trace < 1e-12, worst_trace),
         CheckResult(
@@ -224,6 +237,7 @@ def _product_values(rows: np.ndarray, stacked: np.ndarray) -> np.ndarray:
 
 def verify_biseparable(seed: int, samples: int = 10000) -> list[CheckResult]:
     """Witness non-negativity on Haar product states across every bipartition."""
+    check_samples(samples)
     rng = np.random.default_rng(seed)
     results = []
     for family in ("ghz", "cluster"):
@@ -248,7 +262,7 @@ def verify_biseparable(seed: int, samples: int = 10000) -> list[CheckResult]:
     return results
 
 
-def verify_oracle(seed: int, schedules: int = 200) -> list[CheckResult]:
+def verify_oracle(seed: int) -> list[CheckResult]:
     """Closed forms vs dense simulation, plus state-file round trip."""
     rng = np.random.default_rng(seed)
     worst = {"ghz": 0.0, "cluster": 0.0}
@@ -259,7 +273,7 @@ def verify_oracle(seed: int, schedules: int = 200) -> list[CheckResult]:
     starts = {
         (family, n): StateFamily(family, n).density_matrix() for family in worst for n in range(3, 7)
     }
-    for index in range(schedules):
+    for index in range(_ORACLE_SCHEDULES):
         n = 3 + index % 4
         k = int(rng.integers(1, 7))
         lambdas = rng.uniform(size=k)
@@ -267,7 +281,7 @@ def verify_oracle(seed: int, schedules: int = 200) -> list[CheckResult]:
         if witness_value(k, lambdas, unit_weight) != analytic:
             formulas_identical = False
         for family in worst:
-            rho_k = apply_channel_k_times(starts[family, n], lambdas[: k - 1])
+            *_, rho_k = observer_states(starts[family, n], lambdas[:k])
             dense = expectation(rho_k, build_modified_witness(family, n, lambdas[k - 1]))
             worst[family] = max(worst[family], abs(dense - analytic))
 
@@ -303,14 +317,14 @@ def verify_oracle(seed: int, schedules: int = 200) -> list[CheckResult]:
             "ghz closed form matches dense simulation",
             worst["ghz"] < 1e-9,
             worst["ghz"],
-            f"{schedules} random schedules, 3..6 qubits",
+            f"{_ORACLE_SCHEDULES} random schedules, 3..6 qubits",
         ),
         CheckResult(
             "oracle",
             "cluster closed form matches dense simulation",
             worst["cluster"] < 1e-9,
             worst["cluster"],
-            f"{schedules} random schedules, 3..6 qubits",
+            f"{_ORACLE_SCHEDULES} random schedules, 3..6 qubits",
         ),
         CheckResult(
             "oracle",

@@ -28,21 +28,14 @@ from .pauli import (
 from .states import stabilizer_generators
 
 
-def build_ghz_witness(n: int) -> OperatorExpr:
-    """3I - 2[(I+S_1)/2 + prod_{m>=2} (I+S_m)/2] for the GHZ stabilizers."""
-    return build_modified_ghz_witness(n, 1.0)
-
-
 def build_modified_ghz_witness(n: int, sharpness: float) -> OperatorExpr:
+    """3I - 2[(I+λS_1)/2 + prod_{m>=2} (I+S_m)/2]; λ = 1 is the plain GHZ witness."""
     return _fill("ghz", n, sharpness)
 
 
-def build_cluster_witness(n: int) -> OperatorExpr:
-    """3I - 2[prod_{even m} (I+S_m)/2 + prod_{odd m} (I+S_m)/2] for the chain."""
-    return build_modified_cluster_witness(n, 1.0)
-
-
 def build_modified_cluster_witness(n: int, sharpness: float) -> OperatorExpr:
+    """3I - 2[prod_{even m} (I+S_m)/2 + prod_{odd m} (I+S_m)/2] with λS_N for S_N;
+    λ = 1 is the plain cluster witness."""
     return _fill("cluster", n, sharpness)
 
 

@@ -11,26 +11,16 @@ import pytest
 from seqgme.analytic import full_sequence_report, witness_value, z_factor
 from seqgme.densesim import (
     all_bipartitions,
-    apply_channel_k_times,
     biseparable_statevectors,
     channel_closed_form,
     eigen_spectrum,
     expectation,
     luders_update,
+    observer_states,
 )
 from seqgme.planner import generate_schedule, largest_sharpness_for
-from seqgme.states import (
-    StateFamily,
-    cluster_statevector,
-    make_cluster,
-    make_ghz,
-    make_mixed_ghz,
-    stabilizer_expectation,
-    stabilizer_generators,
-)
+from seqgme.states import StateFamily, stabilizer_expectation, stabilizer_generators
 from seqgme.witness import (
-    build_cluster_witness,
-    build_ghz_witness,
     build_modified_cluster_witness,
     build_modified_ghz_witness,
     difference_operator,
@@ -56,8 +46,8 @@ def _random_density(rng, n):
 def test_criterion_1_ghz_witness_baseline():
     worst = 0.0
     for n in range(3, 9):
-        expr = build_ghz_witness(n)
-        dense = expectation(make_ghz(n), expr)
+        expr = build_modified_ghz_witness(n, 1.0)
+        dense = expectation(StateFamily("ghz", n).density_matrix(), expr)
         symbolic = stabilizer_expectation(expr, stabilizer_generators("ghz", n))
         worst = max(worst, abs(dense + 1.0), abs(symbolic + 1.0))
     _report(
@@ -131,11 +121,11 @@ def test_criterion_4_closed_forms_match_dense():
         analytic = witness_value(k, lambdas)
         if full_sequence_report("cluster", lambdas)[k - 1].witness_value != analytic:
             identical = False
-        for make, build in (
-            (make_ghz, build_modified_ghz_witness),
-            (make_cluster, build_modified_cluster_witness),
+        for kind, build in (
+            ("ghz", build_modified_ghz_witness),
+            ("cluster", build_modified_cluster_witness),
         ):
-            rho_k = apply_channel_k_times(make(n), lambdas[: k - 1])
+            *_, rho_k = observer_states(StateFamily(kind, n).density_matrix(), lambdas)
             dense = expectation(rho_k, build(n, lambdas[k - 1]))
             worst = max(worst, abs(dense - analytic))
     _report(
@@ -153,7 +143,7 @@ def test_criterion_5_bounded_arbitrary_detection():
         values = generate_schedule(lam1, epsilon, max_k=n_detect).values
         assert len(values) == n_detect
         for n_qubits in (3, 4):
-            rho = make_ghz(n_qubits)
+            rho = StateFamily("ghz", n_qubits).density_matrix()
             for k in range(1, n_detect + 1):
                 value = expectation(
                     rho, build_modified_ghz_witness(n_qubits, values[k - 1])
@@ -220,10 +210,9 @@ def test_criterion_8_mixed_family_condition():
             family = StateFamily(
                 "mixed", 3, alpha=alpha, p1=p1, p2=(1 - p1) / 2, p3=(1 - p1) / 2
             )
-            rho1 = make_mixed_ghz(3, p1, (1 - p1) / 2, (1 - p1) / 2, alpha)
             lambdas = rng.uniform(size=4)
             reports = full_sequence_report(family, lambdas)
-            rho = rho1
+            rho = family.density_matrix()
             for k in range(1, 5):
                 analytic = reports[k - 1].witness_value
                 dense = expectation(rho, build_modified_ghz_witness(3, lambdas[k - 1]))
@@ -253,16 +242,18 @@ def test_criterion_9_cluster_construction_self_check():
     worst_stabilizer = 0.0
     worst_witness = 0.0
     for n in range(3, 9):
-        psi = cluster_statevector(n)
+        rho = StateFamily("cluster", n).density_matrix()
+        # The state is pure with amplitude 2^(-n/2) on |0..0>, so column 0 gives it.
+        psi = rho[:, 0] / np.sqrt(rho[0, 0])
         gens = stabilizer_generators("cluster", n)
         for g in gens:
             worst_stabilizer = max(
                 worst_stabilizer, float(np.max(np.abs(g.statevector_action(psi) - psi)))
             )
-        expr = build_cluster_witness(n)
+        expr = build_modified_cluster_witness(n, 1.0)
         worst_witness = max(
             worst_witness,
-            abs(expectation(make_cluster(n), expr) + 1.0),
+            abs(expectation(rho, expr) + 1.0),
             abs(stabilizer_expectation(expr, gens) + 1.0),
         )
     _report(

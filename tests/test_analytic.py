@@ -1,8 +1,11 @@
 """Closed-form observer values against the dense simulator and each other."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from seqgme import analytic
 from seqgme.analytic import (
     DetectionReport,
     full_sequence_report,
@@ -10,8 +13,8 @@ from seqgme.analytic import (
     z_factor,
     z_loss,
 )
-from seqgme.densesim import apply_channel_k_times, expectation
-from seqgme.states import StateFamily, make_cluster, make_ghz, make_mixed_ghz
+from seqgme.densesim import expectation, observer_states
+from seqgme.states import StateFamily
 from seqgme.witness import (
     build_modified_cluster_witness,
     build_modified_ghz_witness,
@@ -20,13 +23,9 @@ from seqgme.witness import (
 
 
 def dense_observer_value(kind, n, k, lambdas, p1=1.0, alpha=0.5):
-    if kind == "cluster":
-        rho = make_cluster(n)
-        build = build_modified_cluster_witness
-    else:
-        rho = make_mixed_ghz(n, p1, (1 - p1) / 2, (1 - p1) / 2, alpha) if kind == "mixed" else make_ghz(n)
-        build = build_modified_ghz_witness
-    rho_k = apply_channel_k_times(rho, lambdas[: k - 1])
+    family = mixed_family(n, p1, alpha) if kind == "mixed" else StateFamily(kind, n)
+    build = build_modified_cluster_witness if kind == "cluster" else build_modified_ghz_witness
+    *_, rho_k = observer_states(family.density_matrix(), lambdas[:k])
     return expectation(rho_k, build(n, lambdas[k - 1]))
 
 
@@ -86,7 +85,7 @@ def test_analytic_matches_dense_over_random_schedules(kind):
             lambdas = rng.uniform(size=k)
             family = random_family(kind, n, rng)
             analytic = full_sequence_report(family, lambdas)[k - 1].witness_value
-            rho_k = apply_channel_k_times(family.density_matrix(), lambdas[: k - 1])
+            *_, rho_k = observer_states(family.density_matrix(), lambdas)
             witness = build_modified_witness(family.witness_family, n, lambdas[k - 1])
             dense = expectation(rho_k, witness)
             assert abs(analytic - dense) < 1e-9
@@ -193,9 +192,9 @@ def test_z_loss_stable_for_tiny_sharpness():
 
 def test_full_sequence_report_contents():
     single = full_sequence_report("ghz", [0.1])
-    assert single == [DetectionReport(1, pytest.approx(-0.1), True, pytest.approx(0.1))]
+    assert single == [DetectionReport(1, pytest.approx(-0.1))]
     pair = full_sequence_report("ghz", [1.0, 1.0])
-    assert [r.detected for r in pair] == [True, False]
+    assert [r.witness_value < 0.0 for r in pair] == [True, False]
     assert pair[1].witness_value == pytest.approx(0.0, abs=1e-15)
     fam = StateFamily("mixed", 3, alpha=0.5, p1=1.0, p2=0.0, p3=0.0)
     mixed = full_sequence_report(fam, [0.3, 0.5])
@@ -205,6 +204,22 @@ def test_full_sequence_report_contents():
     assert cluster[0].witness_value == pytest.approx(-0.2)
     with pytest.raises(ValueError):
         full_sequence_report("wstate", [0.1])
+
+
+def test_full_sequence_report_is_one_pass_of_witness_value():
+    # Each update is applied once along the schedule, none after the last
+    # observer, and every value is bit for bit witness_value's.
+    lambdas = np.random.default_rng(24).uniform(size=2000).tolist()
+    with mock.patch.object(analytic, "loss_step", wraps=analytic.loss_step) as step:
+        reports = full_sequence_report("ghz", lambdas)
+    assert step.call_count == len(lambdas) - 1
+    assert [r.observer_index for r in reports] == list(range(1, len(lambdas) + 1))
+    for k, report in enumerate(reports, start=1):
+        assert report.witness_value == witness_value(k, lambdas)
+    # Against the formula itself, with z_loss summed afresh for each observer.
+    for k in range(1, len(lambdas) + 1, 37):
+        expected = z_loss(lambdas[: k - 1]) - lambdas[k - 1] * 0.5 ** (k - 1)
+        assert reports[k - 1].witness_value == expected
 
 
 def test_domain_errors():

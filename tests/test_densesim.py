@@ -15,7 +15,6 @@ from seqgme import densesim
 from seqgme.densesim import (
     EIGENVALUE_FLOOR,
     all_bipartitions,
-    apply_channel_k_times,
     biseparable_statevectors,
     channel_closed_form,
     eigen_spectrum,
@@ -28,7 +27,7 @@ from seqgme.densesim import (
 )
 from seqgme.errors import CapacityError, DimensionError, ValidationError
 from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString
-from seqgme.states import StateFamily, make_cluster
+from seqgme.states import StateFamily
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -164,17 +163,19 @@ def test_invalid_inputs_rejected():
 
 
 def test_apply_channel_empty_schedule_is_identity_map():
+    # The first observer sees the start state: no channel has acted yet.
     rho = ghz3()
-    np.testing.assert_allclose(apply_channel_k_times(rho, []), rho, atol=0)
+    np.testing.assert_allclose(next(observer_states(rho, [0.3])), rho, atol=0)
+    assert list(observer_states(rho, [])) == []
 
 
 def test_apply_channel_examples_on_ghz3():
     rho = ghz3()
     zz = PauliString("ZZI")
     xxx = PauliString("XXX")
-    dephased = apply_channel_k_times(rho, [0.0])
+    _, dephased = observer_states(rho, [0.0, 0.0])
     assert expectation(dephased, zz) == pytest.approx(1.0, abs=1e-12)
-    sharp = apply_channel_k_times(rho, [1.0])
+    _, sharp = observer_states(rho, [1.0, 0.0])
     assert expectation(sharp, xxx) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -297,7 +298,7 @@ def test_density_matrix_io_round_trip(tmp_path):
 
 
 def test_real_state_reloads_as_float64(tmp_path):
-    rho = make_cluster(3)
+    rho = StateFamily("cluster", 3).density_matrix()
     path = tmp_path / "state.json"
     save_density_matrix(path, rho)
     loaded = load_density_matrix(path)
@@ -441,7 +442,6 @@ def test_observer_states_match_the_stepwise_chain(n, lambdas, seed):
                 expected = luders_update(expected, lambdas[k - 1], target)
             assert np.array_equal(rho, expected)
             validate_density_matrix(rho)
-        assert np.array_equal(apply_channel_k_times(rho1, lambdas[:-1], target), seen[-1])
 
 
 _MIXED_QUBIT = np.eye(2, dtype=complex) / 2
@@ -675,7 +675,7 @@ def test_state_dtype_follows_the_input(dtype, kept):
     assert luders_update(rho, 0.5).dtype == kept
     assert channel_closed_form(rho, 0.5).dtype == kept
     assert next(observer_states(rho, [0.5])).dtype == kept
-    assert apply_channel_k_times(rho, [0.5, 0.5]).dtype == kept
+    assert list(observer_states(rho, [0.5, 0.5]))[-1].dtype == kept
 
 
 def test_real_start_state_is_not_copied():
@@ -780,7 +780,7 @@ def test_channel_step_is_bit_identical_to_per_root_arithmetic(n, real):
 
 
 def test_channel_step_allocates_only_its_output():
-    rho = make_cluster(10)
+    rho = StateFamily("cluster", 10).density_matrix()
     tracemalloc.start()
     try:
         out = densesim._observer_step(rho, 10, 0.3, 9)

@@ -1,7 +1,6 @@
 """Pauli string algebra: multiplication phases, expansions, dense conversion."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -10,11 +9,11 @@ from hypothesis import strategies as st
 
 from seqgme.errors import AlgebraError, CapacityError, DimensionError
 from seqgme.pauli import (
+    DENSE_QUBIT_LIMIT,
     OperatorExpr,
     PauliString,
     commutes,
     expand_projector_product,
-    pauli_multiply,
 )
 
 # Independent 2x2 oracle matrices (not imported from the package).
@@ -33,16 +32,30 @@ def kron_oracle(letters, coeff=1.0):
     return out
 
 
+def as_sum(p):
+    return OperatorExpr.from_terms(p.n_qubits, [p])
+
+
+def pauli_product(a, b):
+    """a·b as one string, through the product of two single-term sums."""
+    (term,) = (as_sum(a) * as_sum(b)).terms
+    return term
+
+
+def matrix_of(p):
+    return as_sum(p).to_matrix()
+
+
 def test_single_qubit_products():
-    assert pauli_multiply(PauliString("X"), PauliString("X")) == PauliString("I", 1.0)
-    assert pauli_multiply(PauliString("X"), PauliString("Z")) == PauliString("Y", -1.0j)
-    assert pauli_multiply(PauliString("Z"), PauliString("X")) == PauliString("Y", 1.0j)
-    assert pauli_multiply(PauliString("X"), PauliString("Y")) == PauliString("Z", 1.0j)
+    assert pauli_product(PauliString("X"), PauliString("X")) == PauliString("I", 1.0)
+    assert pauli_product(PauliString("X"), PauliString("Z")) == PauliString("Y", -1.0j)
+    assert pauli_product(PauliString("Z"), PauliString("X")) == PauliString("Y", 1.0j)
+    assert pauli_product(PauliString("X"), PauliString("Y")) == PauliString("Z", 1.0j)
 
 
 def test_two_qubit_product_against_matrix_oracle():
     a, b = PauliString("XZ"), PauliString("ZX")
-    product = pauli_multiply(a, b)
+    product = pauli_product(a, b)
     assert product.letters == "YY"
     assert product.coeff == pytest.approx(1.0)
     np.testing.assert_allclose(
@@ -54,21 +67,21 @@ def test_two_qubit_product_against_matrix_oracle():
 
 def test_size_mismatch_rejected():
     with pytest.raises(DimensionError):
-        pauli_multiply(PauliString("X"), PauliString("XX"))
+        as_sum(PauliString("X")) * as_sum(PauliString("XX"))
 
 
 def test_multiplication_associative_exhaustive_two_qubits():
     strings = [PauliString(a + b) for a in "IXYZ" for b in "IXYZ"]
     for p, q, r in itertools.product(strings, repeat=3):
-        assert pauli_multiply(pauli_multiply(p, q), r) == pauli_multiply(
-            p, pauli_multiply(q, r)
+        assert pauli_product(pauli_product(p, q), r) == pauli_product(
+            p, pauli_product(q, r)
         )
 
 
 def test_square_is_identity_with_unit_phase():
     for letters in ("".join(t) for t in itertools.product("IXYZ", repeat=2)):
         for phase in (1.0, 1.0j, -1.0, -1.0j):
-            sq = pauli_multiply(PauliString(letters, phase), PauliString(letters, phase))
+            sq = pauli_product(PauliString(letters, phase), PauliString(letters, phase))
             assert sq.letters == "II"
             assert sq.coeff in (1.0 + 0j, -1.0 + 0j)
             assert sq.coeff == phase * phase
@@ -80,8 +93,8 @@ def test_to_dense_matches_matrix_product_exhaustive_small():
         for a, b in itertools.product(strings, repeat=2):
             pa, pb = PauliString(a), PauliString(b)
             np.testing.assert_allclose(
-                pauli_multiply(pa, pb).to_matrix(),
-                pa.to_matrix() @ pb.to_matrix(),
+                matrix_of(pauli_product(pa, pb)),
+                matrix_of(pa) @ matrix_of(pb),
                 atol=1e-12,
             )
 
@@ -95,20 +108,20 @@ def test_to_dense_matches_matrix_product_random_four_qubits():
         pa = PauliString(a, complex(rng.normal(), rng.normal()))
         pb = PauliString(b, complex(rng.normal(), rng.normal()))
         np.testing.assert_allclose(
-            pauli_multiply(pa, pb).to_matrix(), pa.to_matrix() @ pb.to_matrix(), atol=1e-12
+            matrix_of(pauli_product(pa, pb)), matrix_of(pa) @ matrix_of(pb), atol=1e-12
         )
 
 
 def test_to_dense_basic_matrices():
-    np.testing.assert_array_equal(PauliString("Z").to_matrix(), np.diag([1.0, -1.0]))
+    np.testing.assert_array_equal(matrix_of(PauliString("Z")), np.diag([1.0, -1.0]))
     np.testing.assert_array_equal(
-        PauliString("XX").to_matrix(), np.fliplr(np.eye(4, dtype=complex))
+        matrix_of(PauliString("XX")), np.fliplr(np.eye(4, dtype=complex))
     )
 
 
 def test_to_dense_capacity_limit():
     with pytest.raises(CapacityError):
-        PauliString("I" * 12).to_matrix(limit=10)
+        matrix_of(PauliString("I" * (DENSE_QUBIT_LIMIT + 1)))
 
 
 @st.composite
@@ -128,7 +141,7 @@ def pauli_pairs(draw):
 def test_mask_product_and_commutation_match_kron_oracle(pair):
     a, b = pair
     left, right = kron_oracle(a.letters, a.coeff), kron_oracle(b.letters, b.coeff)
-    product = pauli_multiply(a, b)
+    product = pauli_product(a, b)
     np.testing.assert_allclose(
         kron_oracle(product.letters, product.coeff), left @ right, atol=1e-12
     )
@@ -191,6 +204,10 @@ def test_operator_expr_canonicalization():
     )
     assert expr.terms == (PauliString("ZZ", 1.0),)
     assert (expr - expr).terms == ()
+    mixed = OperatorExpr.from_terms(
+        4, [PauliString("XZIZ", 0.25), PauliString("IIII", -1.5), PauliString("YYII", 0.5j)]
+    )
+    assert [t.letters for t in mixed.terms] == ["IIII", "XZIZ", "YYII"]
 
 
 def test_operator_expr_scalar_and_sum_arithmetic():
@@ -233,7 +250,7 @@ def test_to_matrix_is_bitwise_the_kronecker_sum(expr):
     assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
     assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
     for term in expr.terms:
-        assert np.array_equal(term.to_matrix(), kron_oracle(term.letters, term.coeff))
+        assert np.array_equal(matrix_of(term), kron_oracle(term.letters, term.coeff))
 
 
 def test_statevector_action_matches_matrix():
@@ -244,27 +261,12 @@ def test_statevector_action_matches_matrix():
         for _ in range(25):
             p = PauliString("".join(rng.choice(letters, size=n)), complex(rng.normal(), rng.normal()))
             np.testing.assert_allclose(
-                p.statevector_action(psi), p.to_matrix() @ psi, atol=1e-12
+                p.statevector_action(psi), matrix_of(p) @ psi, atol=1e-12
             )
 
 
-def test_from_ops_and_json_edge_cases():
+def test_from_ops_and_letter_edge_cases():
     with pytest.raises(ValueError):
         PauliString.from_ops(3, {3: "X"})
     with pytest.raises(ValueError):
         PauliString("XQ")
-    empty = OperatorExpr.from_json([], n_qubits=2)
-    assert empty == OperatorExpr.zero(2)
-    with pytest.raises(ValueError):
-        OperatorExpr.from_json([])
-
-
-def test_json_round_trip_is_canonical_and_deterministic():
-    expr = OperatorExpr.from_terms(
-        4, [PauliString("XZIZ", 0.25), PauliString("IIII", -1.5), PauliString("YYII", 0.5j)]
-    )
-    payload = json.dumps(expr.to_json())
-    back = OperatorExpr.from_json(json.loads(payload))
-    assert back == expr
-    assert json.dumps(back.to_json()) == payload
-    assert [t.letters for t in expr.terms] == sorted(t.letters for t in expr.terms)

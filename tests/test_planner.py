@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from seqgme.analytic import full_sequence_report, witness_value, z_loss
 from seqgme.errors import PrecisionError
-from seqgme.densesim import apply_channel_k_times, expectation
+from seqgme.densesim import expectation, observer_states
 from seqgme.planner import (
     PlanResult,
     SharpnessSchedule,
@@ -17,7 +17,7 @@ from seqgme.planner import (
     largest_sharpness_for,
     max_detections,
 )
-from seqgme.states import StateFamily, make_ghz
+from seqgme.states import StateFamily
 from seqgme.witness import build_modified_ghz_witness
 
 
@@ -45,7 +45,7 @@ def test_schedule_values_stay_in_open_interval():
 def test_schedule_detects_at_every_step():
     for lam1 in (0.5, 0.05, 0.001):
         schedule = generate_schedule(lam1, 0.05, max_k=16)
-        for k in range(1, len(schedule) + 1):
+        for k in range(1, len(schedule.values) + 1):
             assert witness_value(k, schedule.values) < 0.0
 
 
@@ -62,7 +62,7 @@ def test_schedule_exceeds_threshold_strictly():
 def test_schedule_terminates_on_aggressive_start():
     schedule = generate_schedule(0.999999, 10.0, max_k=8)
     assert schedule.terminated
-    assert len(schedule) == 1
+    assert len(schedule.values) == 1
 
 
 def test_ratio_between_consecutive_values_exceeds_two():
@@ -85,7 +85,7 @@ def test_vanishing_start_gives_vanishing_schedule():
     finals = []
     for m in range(2, 7):
         schedule = generate_schedule(10.0**-m, 0.05, max_k=4)
-        assert len(schedule) == 4
+        assert len(schedule.values) == 4
         finals.append(schedule.values[3])
     assert all(b < a for a, b in zip(finals, finals[1:]))
     assert finals[-1] < 1e-9
@@ -127,9 +127,8 @@ def test_planner_agrees_with_dense_simulation():
         values = generate_schedule(lam1, 0.05, max_k=n_detect).values
         assert len(values) == n_detect
         for n_qubits in (3, 4):
-            rho = make_ghz(n_qubits)
-            for k in range(1, n_detect + 1):
-                rho_k = apply_channel_k_times(rho, values[: k - 1])
+            rho = StateFamily("ghz", n_qubits).density_matrix()
+            for k, rho_k in enumerate(observer_states(rho, values), start=1):
                 dense = expectation(rho_k, build_modified_ghz_witness(n_qubits, values[k - 1]))
                 analytic = witness_value(k, values)
                 assert dense < 0.0
@@ -143,8 +142,8 @@ def test_scaled_schedule_reduces_and_orders():
     assert same.weight == 1.0
     # Heavier scaling must not extend the schedule.
     weaker = generate_schedule(0.3, 0.05, 12, weight=mixed_weight(0.6, 0.25))
-    assert len(weaker) <= len(base)
-    for k in range(2, len(weaker) + 1):
+    assert len(weaker.values) <= len(base.values)
+    for k in range(2, len(weaker.values) + 1):
         assert weaker.values[k - 1] > base.values[k - 1]
         threshold = detection_threshold(k, weaker.values, weaker.weight)
         assert weaker.values[k - 1] == pytest.approx(1.05 * threshold, rel=1e-12)
@@ -154,9 +153,9 @@ def test_scaled_schedule_detects_under_mixed_value():
     for p1, alpha in ((0.8, 0.25), (0.5, 0.1), (1.0, 0.5)):
         family = StateFamily("mixed", 3, alpha=alpha, p1=p1, p2=(1 - p1) / 2, p3=(1 - p1) / 2)
         schedule = generate_schedule(0.05, 0.05, 10, weight=family.x_string_expectation)
-        assert all(report.detected for report in full_sequence_report(family, schedule.values))
-        reports = full_sequence_report("ghz", schedule.values)
-        assert reports[0].detected
+        reports = full_sequence_report(family, schedule.values)
+        assert all(report.witness_value < 0.0 for report in reports)
+        assert full_sequence_report("ghz", schedule.values)[0].witness_value < 0.0
 
 
 def test_schedule_and_planner_input_validation():

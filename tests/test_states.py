@@ -12,22 +12,23 @@ from scipy.linalg import expm
 from seqgme import states
 from seqgme.densesim import expectation, validate_density_matrix
 from seqgme.errors import CapacityError, ValidationError
-from seqgme.pauli import OperatorExpr, PauliString, commutes, pauli_multiply
-from seqgme.states import (
-    StateFamily,
-    cluster_statevector,
-    ghz_statevector,
-    make_cluster,
-    make_generalized_ghz,
-    make_ghz,
-    make_mixed_ghz,
-    stabilizer_expectation,
-    stabilizer_generators,
-)
+from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, commutes
+from seqgme.states import StateFamily, stabilizer_expectation, stabilizer_generators
+
+
+def density(kind, n, **params):
+    return StateFamily(kind, n, **params).density_matrix()
+
+
+def string_product(a, b):
+    """a·b as one string, through the product of two single-term sums."""
+    n = a.n_qubits
+    (term,) = (OperatorExpr.from_terms(n, [a]) * OperatorExpr.from_terms(n, [b])).terms
+    return term
 
 
 def test_ghz3_density_entries():
-    rho = make_ghz(3)
+    rho = density("ghz", 3)
     expected = np.zeros((8, 8), dtype=complex)
     for i in (0, 7):
         for j in (0, 7):
@@ -37,7 +38,7 @@ def test_ghz3_density_entries():
 
 def test_ghz_corners_are_exactly_one_half():
     for n in (3, 6, 10):
-        rho = make_ghz(n)
+        rho = density("ghz", n)
         corners = np.ix_([0, -1], [0, -1])
         assert np.all(rho[corners] == 0.5)
         rho[corners] = 0.0
@@ -46,14 +47,14 @@ def test_ghz_corners_are_exactly_one_half():
 
 def test_ghz_stabilizer_expectations():
     for n in (3, 5):
-        rho = make_ghz(n)
+        rho = density("ghz", n)
         assert expectation(rho, PauliString("X" * n)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_generalized_ghz_reductions_and_correlators():
-    np.testing.assert_allclose(make_generalized_ghz(3, 0.5), make_ghz(3), atol=1e-15)
+    np.testing.assert_allclose(density("gghz", 3, alpha=0.5), density("ghz", 3), atol=1e-15)
     for n, alpha in ((3, 0.3), (4, 0.1)):
-        rho = make_generalized_ghz(n, alpha)
+        rho = density("gghz", n, alpha=alpha)
         assert expectation(rho, PauliString("X" * n)) == pytest.approx(
             2.0 * math.sqrt(alpha * (1.0 - alpha)), abs=1e-12
         )
@@ -61,12 +62,12 @@ def test_generalized_ghz_reductions_and_correlators():
             zz = PauliString.from_ops(n, {m - 2: "Z", m - 1: "Z"})
             assert expectation(rho, zz) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        make_generalized_ghz(3, 1.0)
+        StateFamily("gghz", 3, alpha=1.0)
 
 
 def test_mixed_ghz_stabilizer_expectations():
     n, p1, p2, p3, alpha = 4, 0.7, 0.2, 0.1, 0.25
-    rho = make_mixed_ghz(n, p1, p2, p3, alpha)
+    rho = density("mixed", n, alpha=alpha, p1=p1, p2=p2, p3=p3)
     validate_density_matrix(rho)
     assert expectation(rho, PauliString("X" * n)) == pytest.approx(
         2.0 * p1 * math.sqrt(alpha * (1.0 - alpha)), abs=1e-12
@@ -75,12 +76,12 @@ def test_mixed_ghz_stabilizer_expectations():
         zz = PauliString.from_ops(n, {m - 2: "Z", m - 1: "Z"})
         assert expectation(rho, zz) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(
-        make_mixed_ghz(n, 1.0, 0.0, 0.0, alpha), make_generalized_ghz(n, alpha), atol=1e-15
+        density("mixed", n, alpha=alpha), density("gghz", n, alpha=alpha), atol=1e-15
     )
     with pytest.raises(ValueError):
-        make_mixed_ghz(n, 0.5, 0.2, 0.2, alpha)  # weights sum to 0.9
+        StateFamily("mixed", n, alpha=alpha, p1=0.5, p2=0.2, p3=0.2)  # weights sum to 0.9
     with pytest.raises(ValueError):
-        make_mixed_ghz(n, 0.0, 0.5, 0.5, alpha)
+        StateFamily("mixed", n, alpha=alpha, p1=0.0, p2=0.5, p3=0.5)
 
 
 def test_neighbour_phase_gate_is_controlled_z():
@@ -100,12 +101,12 @@ def test_cluster_state_matches_gate_circuit():
                 np.kron(np.eye(1 << m), cz), np.eye(1 << (n - m - 2))
             )
             psi = full @ psi
-        np.testing.assert_allclose(cluster_statevector(n), psi, atol=1e-12)
+        np.testing.assert_allclose(density("cluster", n), np.outer(psi, psi.conj()), atol=1e-12)
 
 
 def test_cluster_first_stabilizer_expectation():
     for n in (3, 4, 6):
-        rho = make_cluster(n)
+        rho = density("cluster", n)
         validate_density_matrix(rho)
         xz = PauliString.from_ops(n, {0: "X", 1: "Z"})
         assert expectation(rho, xz) == pytest.approx(1.0, abs=1e-12)
@@ -125,11 +126,13 @@ def test_stabilizer_generators_are_checked_once_and_handed_out_as_copies(monkeyp
     states._verified_generators.cache_clear()
     built = []
 
-    def counting_statevector(n):
-        built.append(n)
-        return ghz_statevector(n)
+    amplitudes = states._ghz_amplitudes
 
-    monkeypatch.setattr(states, "ghz_statevector", counting_statevector)
+    def counting_amplitudes(n, alpha):
+        built.append(n)
+        return amplitudes(n, alpha)
+
+    monkeypatch.setattr(states, "_ghz_amplitudes", counting_amplitudes)
     first = stabilizer_generators("ghz", 5)
     first.append(PauliString("IIIII"))
     second = stabilizer_generators("ghz", 5)
@@ -143,7 +146,7 @@ def test_generators_stabilize_their_state(family, n):
     gens = stabilizer_generators(family, n)
     assert len(gens) == n
     assert all(commutes(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
-    psi = {"ghz": make_ghz, "cluster": make_cluster}[family](n)
+    psi = density(family, n)
     for g in gens:
         assert expectation(psi, g) == pytest.approx(1.0, abs=1e-12)
 
@@ -151,7 +154,8 @@ def test_generators_stabilize_their_state(family, n):
 def test_printed_cluster_middle_variant_fails_oracle():
     # The ZXX interior form does not fix the chain state; the resolved ZXZ does.
     for n in (3, 4, 5):
-        psi = cluster_statevector(n)
+        rho = density("cluster", n)
+        psi = rho[:, 0] / math.sqrt(rho[0, 0])  # pure, amplitude 2^(-n/2) on |0..0>
         for m in range(2, n):
             zxx = PauliString.from_ops(n, {m - 2: "Z", m - 1: "X", m: "X"})
             assert np.linalg.norm(zxx.statevector_action(psi) - psi) > 1.0
@@ -165,7 +169,7 @@ def test_stabilizer_expectation_matches_dense():
     for family in ("ghz", "cluster"):
         for n in (3, 4, 6):
             gens = stabilizer_generators(family, n)
-            rho = {"ghz": make_ghz, "cluster": make_cluster}[family](n)
+            rho = density(family, n)
             for _ in range(40):
                 p = PauliString("".join(rng.choice(letters, size=n)))
                 assert stabilizer_expectation(p, gens) == pytest.approx(
@@ -201,7 +205,7 @@ def stabilizer_sums(draw):
     for i in range(1, n):
         for j in range(i):
             if draw(st.booleans()):
-                gens[i] = pauli_multiply(gens[i], gens[j])
+                gens[i] = string_product(gens[i], gens[j])
     terms = []
     kinds = st.lists(st.sampled_from(["member", "i*member", "string"]), min_size=1, max_size=10)
     for kind in draw(kinds):
@@ -211,7 +215,7 @@ def stabilizer_sums(draw):
             continue
         used = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         element = functools.reduce(
-            pauli_multiply, (g for g, u in zip(gens, used) if u), PauliString("I" * n)
+            string_product, (g for g, u in zip(gens, used) if u), PauliString("I" * n)
         )
         scale = draw(_WEIGHTS)
         if kind == "i*member":
@@ -224,7 +228,7 @@ def stabilizer_sums(draw):
 @given(stabilizer_sums())
 def test_stabilizer_expectation_matches_dense_on_random_sums(case):
     family, n, gens, expr = case
-    rho = {"ghz": make_ghz, "cluster": make_cluster}[family](n)
+    rho = density(family, n)
     real_part = OperatorExpr.from_terms(n, [t.with_coeff(t.coeff.real) for t in expr.terms])
     imag_part = OperatorExpr.from_terms(n, [t.with_coeff(t.coeff.imag) for t in expr.terms])
     if abs(expectation(rho, imag_part)) < 0.1:
@@ -270,7 +274,6 @@ def test_stabilizer_expectation_rejects_non_unit_coefficients():
 def test_state_family_parse_and_labels():
     fam = StateFamily.parse("mixed:p1=0.8,p2=0.1,p3=0.1,alpha=0.4", 4)
     assert (fam.kind, fam.p1, fam.alpha) == ("mixed", 0.8, 0.4)
-    assert fam.label() == "mixed:p1=0.8,p2=0.1,p3=0.1,alpha=0.4"
     assert StateFamily.parse("gghz:alpha=0.3", 3).alpha == 0.3
     assert StateFamily.parse("cluster", 5).witness_family == "cluster"
     assert StateFamily.parse("ghz", 5).x_string_expectation == 1.0
@@ -288,6 +291,8 @@ def test_state_family_density_dispatch():
     for text in ("ghz", "cluster", "gghz:alpha=0.3", "mixed:p1=0.9,p2=0.05,p3=0.05,alpha=0.4"):
         fam = StateFamily.parse(text, 4)
         validate_density_matrix(fam.density_matrix())
+    with pytest.raises(CapacityError):
+        density("ghz", DENSE_QUBIT_LIMIT + 1)
 
 
 @pytest.mark.parametrize(
@@ -299,11 +304,15 @@ def test_density_matrix_is_real(text):
     assert rho.dtype == np.float64
     # The pure states are exactly the outer products of their statevectors.
     if fam.kind == "cluster":
-        psi = cluster_statevector(5)
-        np.testing.assert_array_equal(rho, np.outer(psi, psi.conj()))
+        # (-1) to the number of adjacent 11 pairs, over 2^(n/2).
+        bits = [format(j, "05b") for j in range(32)]
+        psi = np.array([(-1) ** sum(a == b == "1" for a, b in zip(w, w[1:])) for w in bits])
+        psi = psi / math.sqrt(32)
+        np.testing.assert_array_equal(rho, np.outer(psi, psi))
     if fam.kind == "gghz":
-        psi = states.generalized_ghz_statevector(5, fam.alpha)
-        np.testing.assert_array_equal(rho, np.outer(psi, psi.conj()))
+        psi = np.zeros(32)
+        psi[0], psi[-1] = math.sqrt(fam.alpha), math.sqrt(1.0 - fam.alpha)
+        np.testing.assert_array_equal(rho, np.outer(psi, psi))
 
 
 @pytest.mark.parametrize("field", ["alpha", "p1", "p2", "p3"])

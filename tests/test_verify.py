@@ -80,3 +80,12 @@ def test_witness_with_an_imaginary_entry_is_refused():
     with mock.patch.object(verify, "build_modified_witness", complex_witness):
         with pytest.raises(ValidationError, match="imaginary entries"):
             verify_biseparable(seed=3, samples=10)
+
+
+@pytest.mark.parametrize("samples", [0, verify.MAX_SAMPLES + 1])
+def test_library_call_refuses_a_sample_count_out_of_range(samples):
+    # Refused before any batch is drawn, as the CLI's --samples is.
+    with mock.patch.object(verify, "biseparable_statevectors") as sampler:
+        with pytest.raises(ValueError, match=f"samples must be at (least|most) .*got {samples}"):
+            verify_biseparable(seed=3, samples=samples)
+    sampler.assert_not_called()

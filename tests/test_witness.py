@@ -1,6 +1,5 @@
 """Witness builders: structure, expectations, PSD differences, biseparability."""
 
-import json
 from unittest import mock
 
 import numpy as np
@@ -16,16 +15,8 @@ from seqgme.densesim import (
     expectation,
 )
 from seqgme.pauli import OperatorExpr, PauliString, expand_projector_product
-from seqgme.states import (
-    make_cluster,
-    make_ghz,
-    make_mixed_ghz,
-    stabilizer_expectation,
-    stabilizer_generators,
-)
+from seqgme.states import StateFamily, stabilizer_expectation, stabilizer_generators
 from seqgme.witness import (
-    build_cluster_witness,
-    build_ghz_witness,
     build_modified_cluster_witness,
     build_modified_ghz_witness,
     build_modified_witness,
@@ -93,6 +84,22 @@ def reference_modified_witness(family, n, lam):
     return OperatorExpr.identity(n, 3.0) - 2.0 * (scaled + other)
 
 
+def plain_witness(family, n):
+    """3I - 2(P_1 + P_2) over the family's two generator classes, none scaled."""
+    gens = stabilizer_generators(family, n)
+    if family == "ghz":
+        classes = (lambda m: m == 1, lambda m: m > 1)
+    else:
+        classes = (lambda m: m % 2 == 0, lambda m: m % 2 == 1)
+    first, second = (expand_projector_product(gens, n_qubits=n, select=c) for c in classes)
+    return OperatorExpr.identity(n, 3.0) - 2.0 * (first + second)
+
+
+def term_bits(expr):
+    """Each term's letters and the exact bits of its coefficient, sign of zero included."""
+    return [(t.letters, t.coeff.real.hex(), t.coeff.imag.hex()) for t in expr.terms]
+
+
 @settings(max_examples=40, deadline=None)
 @given(lam=st.floats(0.0, 1.0))
 @example(lam=0.0)
@@ -104,7 +111,7 @@ def test_built_witness_is_bitwise_the_algebraic_expansion(lam):
         for n in range(3, 11):
             built = build_modified_witness(family, n, lam)
             reference = reference_modified_witness(family, n, lam)
-            assert json.dumps(built.to_json()) == json.dumps(reference.to_json())
+            assert term_bits(built) == term_bits(reference)
 
 
 def test_each_family_and_size_is_expanded_once():
@@ -126,7 +133,7 @@ def test_each_family_and_size_is_expanded_once():
 
 
 def test_ghz3_witness_terms():
-    expr = build_ghz_witness(3)
+    expr = build_modified_ghz_witness(3, 1.0)
     assert {t.letters: t.coeff for t in expr.terms} == {
         "III": 1.5,
         "XXX": -1.0,
@@ -138,7 +145,7 @@ def test_ghz3_witness_terms():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_ghz_witness_term_count(n):
-    assert len(build_ghz_witness(n).terms) == 2 ** (n - 1) + 1
+    assert len(build_modified_ghz_witness(n, 1.0).terms) == 2 ** (n - 1) + 1
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -156,20 +163,20 @@ def test_modified_witnesses_match_dense_oracles(n, lam):
 
 def test_sharpness_one_reduces_to_plain_witnesses():
     for n in (3, 4, 5, 6):
-        assert build_modified_ghz_witness(n, 1.0) == build_ghz_witness(n)
-        assert build_modified_cluster_witness(n, 1.0) == build_cluster_witness(n)
+        assert build_modified_ghz_witness(n, 1.0) == plain_witness("ghz", n)
+        assert build_modified_cluster_witness(n, 1.0) == plain_witness("cluster", n)
 
 
 def test_ghz_witness_values_on_reference_states():
     for n in (3, 4, 5):
-        rho = make_ghz(n)
+        rho = StateFamily("ghz", n).density_matrix()
         gens = stabilizer_generators("ghz", n)
-        expr = build_ghz_witness(n)
+        expr = build_modified_ghz_witness(n, 1.0)
         assert expectation(rho, expr) == pytest.approx(-1.0, abs=1e-12)
         assert stabilizer_expectation(expr, gens) == pytest.approx(-1.0, abs=1e-12)
     zero3 = np.zeros((8, 8), dtype=complex)
     zero3[0, 0] = 1.0
-    assert expectation(zero3, build_ghz_witness(3)) == pytest.approx(0.0, abs=1e-12)
+    assert expectation(zero3, build_modified_ghz_witness(3, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_modified_ghz_witness_value_is_minus_sharpness():
@@ -178,7 +185,7 @@ def test_modified_ghz_witness_value_is_minus_sharpness():
         for lam in (0.0, 0.25, 0.3, 0.9, 1.0):
             expr = build_modified_ghz_witness(n, lam)
             assert stabilizer_expectation(expr, gens) == -lam
-        rho = make_ghz(min(n, 6))
+        rho = StateFamily("ghz", min(n, 6)).density_matrix()
         if n <= 6:
             assert expectation(rho, build_modified_ghz_witness(n, 0.3)) == pytest.approx(
                 -0.3, abs=1e-12
@@ -195,11 +202,13 @@ def test_modified_cluster_witness_value_is_minus_sharpness():
 
 def test_cluster_witness_frozen_cross_values():
     # Dense evaluations recorded from the matrix oracle; no closed-form claim.
-    rho_c4 = make_cluster(4)
-    assert expectation(rho_c4, build_cluster_witness(4)) == pytest.approx(-1.0, abs=1e-12)
+    plain = build_modified_cluster_witness(4, 1.0)
+    rho_c4 = StateFamily("cluster", 4).density_matrix()
+    assert expectation(rho_c4, plain) == pytest.approx(-1.0, abs=1e-12)
     plus4 = np.full((16, 16), 1.0 / 16.0, dtype=complex)
-    assert expectation(plus4, build_cluster_witness(4)) == pytest.approx(2.0, abs=1e-12)
-    assert expectation(make_ghz(4), build_cluster_witness(4)) == pytest.approx(2.0, abs=1e-12)
+    assert expectation(plus4, plain) == pytest.approx(2.0, abs=1e-12)
+    ghz4 = StateFamily("ghz", 4).density_matrix()
+    assert expectation(ghz4, plain) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ghz_witness_on_paired_bell_states_is_boundary():
@@ -207,7 +216,7 @@ def test_ghz_witness_on_paired_bell_states_is_boundary():
     bell[0] = bell[3] = 1 / np.sqrt(2)
     psi = np.kron(bell, bell)
     rho = np.outer(psi, psi.conj())
-    value = expectation(rho, build_ghz_witness(4))
+    value = expectation(rho, build_modified_ghz_witness(4, 1.0))
     assert value >= -1e-10
     assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -260,7 +269,8 @@ def test_mixed_family_detected_at_full_sharpness():
     n = 3
     for p1 in (0.2, 0.5, 0.8, 1.0):
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-            rho = make_mixed_ghz(n, p1, (1 - p1) / 2, (1 - p1) / 2, alpha)
+            family = StateFamily("mixed", n, alpha=alpha, p1=p1, p2=(1 - p1) / 2, p3=(1 - p1) / 2)
+            rho = family.density_matrix()
             value = expectation(rho, build_modified_ghz_witness(n, 1.0))
             assert value == pytest.approx(-2 * p1 * np.sqrt(alpha * (1 - alpha)), abs=1e-12)
             assert value < 0
@@ -273,7 +283,6 @@ def test_build_modified_witness_selects_and_validates():
             assert build_modified_witness("cluster", n, lam) == build_modified_cluster_witness(
                 n, lam
             )
-    assert build_modified_witness("ghz", 3, 1.0) == build_ghz_witness(3)
     with pytest.raises(ValueError):
         build_modified_witness("ghz", 4, 1.5)
     with pytest.raises(ValueError):
