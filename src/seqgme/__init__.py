@@ -11,7 +11,6 @@ from .analytic import (
     full_sequence_report,
     witness_value,
     z_factor,
-    z_loss,
 )
 from .densesim import (
     all_bipartitions,
@@ -93,5 +92,4 @@ __all__ = [
     "stabilizer_generators",
     "witness_value",
     "z_factor",
-    "z_loss",
 ]

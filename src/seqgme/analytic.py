@@ -25,21 +25,15 @@ def z_factor(lambdas: Sequence[float]) -> float:
 
 
 def loss_step(lam: float, loss: float) -> float:
-    """z_loss after one more update of sharpness lam; lam is not checked."""
+    """The z-type loss 1 - z_factor after one more update of sharpness lam,
+    from its value loss before it, without cancellation for tiny sharpnesses;
+    lam is not checked."""
     root = math.sqrt(1.0 - lam * lam)
     return loss + (lam * lam / (2.0 * (1.0 + root))) * (1.0 - loss)
 
 
-def z_loss(lambdas: Sequence[float]) -> float:
-    """1 - z_factor, accumulated without cancellation for tiny sharpnesses."""
-    loss = 0.0
-    for lam in map(check_sharpness, lambdas):
-        loss = loss_step(lam, loss)
-    return loss
-
-
 def _witness_values(lambdas: list[float], weight: float) -> list[float]:
-    """witness_value(k, lambdas, weight) for every k, z_loss carried from one k to the next."""
+    """witness_value(k, lambdas, weight) for every k, the loss carried from one k to the next."""
     values, loss = [], 0.0
     for k, lam in enumerate(lambdas, start=1):
         if k > 1:
@@ -49,9 +43,10 @@ def _witness_values(lambdas: list[float], weight: float) -> list[float]:
 
 
 def witness_value(k: int, lambdas: Sequence[float], weight: float = 1.0) -> float:
-    """Witness expectation for observer k, z_loss(lambda_<k) - weight*lambda_k/2^(k-1).
+    """Witness expectation for observer k, loss(lambda_<k) - weight*lambda_k/2^(k-1).
 
-    `weight` is the initial <X^N>, StateFamily.x_string_expectation: 1 for GHZ
+    loss(lambda_<k) is 1 - z_factor(lambda_<k), folded by loss_step over the
+    observers before k. `weight` is the initial <X^N>, StateFamily.x_string_expectation: 1 for GHZ
     and cluster states, 2 p1 sqrt(alpha(1-alpha)) for the generalized and
     mixed GHZ states. Both witnesses reduce to one x-type correlator plus a
     z-type product with the same decay factors, so this covers every family.

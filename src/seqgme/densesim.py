@@ -1,19 +1,30 @@
 """Exact dense density-matrix simulation of the sequential measurement channel.
 
 States are numpy arrays of shape (2^N, 2^N), qubit 1 being the most
-significant tensor factor. A state keeps its own dtype: a real state stays
-float64 and a complex one complex128 (integer and narrower float input is
-widened to float64). Every Kraus operator of the channel is real, so a real
-state stays real along a chain, and the Cholesky gate, the channel steps and
-the gathers run on half the bytes of a complex state. Everything here is the
-brute-force reference that the closed-form layers are checked against. No
-operator is densified on the way: Pauli sums are evaluated by gathers on
-their bit masks, one gather per distinct X part, and single-qubit maps act on
-the target qubit's 2x2 blocks of the state. The channel step builds its four
+significant tensor factor. The state kernels (validate_density_matrix,
+luders_update, observer_states, channel_closed_form, and expectation of a
+dense observable) take a stack of states, shape (..., 2^N, 2^N), and treat
+each element as a state of its own; a single state is the empty stack. A
+sharpness is one number for every element, or an array that broadcasts to the
+stack's shape with one value per element. Each element's result is bit for
+bit the result of its own call. An error in a stack names the first element
+at fault ("stack element 3: ..."); for a single state the message has no such
+prefix. So callers with many small states, such as the verify suites, pay
+each numpy call's fixed cost once per stack, not once per state.
+
+A state keeps its own dtype: a real state stays float64 and a complex one
+complex128 (integer and narrower float input is widened to float64). Every
+Kraus operator of the channel is real, so a real state stays real along a
+chain, and the Cholesky gate, the channel steps and the gathers run on half
+the bytes of a complex state. Everything here is the brute-force reference
+that the closed-form layers are checked against. No operator is densified on
+the way: Pauli sums are evaluated by gathers on their bit masks, one gather
+per distinct X part, and single-qubit maps act on the target qubit's 2x2
+blocks of the state. The channel step builds each element's four
 square-rooted effects in one expression from fixed (4, 2, 2) stacks and the
 two eigenvalues of the unsharp x roots, forms the 4x4 superoperator from them,
-and multiplies the target's blocks by it one cache-sized tile at a time, so
-its output is its only full-size allocation.
+and multiplies the target's blocks by it one cache-sized tile at a time (a
+tile spans the whole stack), so its output is its only full-size allocation.
 
 Validation costs O(d^2) for the states a chain meets: they have rank at most
 4, so from dimension 128 on a pivoted partial Cholesky of at most 4 steps
@@ -103,36 +114,75 @@ def _as_state(rho) -> np.ndarray:
 
 
 def n_qubits_of(rho: np.ndarray) -> int:
-    """Qubit count of a square matrix whose dimension is a power of two."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    """Qubit count of a square matrix, or of a stack (..., d, d) of them,
+    whose dimension d is a power of two."""
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {rho.shape}")
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise DimensionError(f"dimension {dim} is not a power of two")
     return n
 
 
+def _matrix_qubits(x: np.ndarray) -> int:
+    """n_qubits_of for a function that takes one matrix, not a stack."""
+    if x.ndim != 2:
+        raise DimensionError(f"expected a square matrix, got shape {x.shape}")
+    return n_qubits_of(x)
+
+
+def _named(index: tuple[int, ...], message: str) -> str:
+    """A message about one state, naming the stack element it is about."""
+    if not index:
+        return message
+    return f"stack element {index[0] if len(index) == 1 else index}: {message}"
+
+
+def _refuse(failed, error: type[ValueError], message: str, values=None) -> None:
+    """Raise error(message) for the first stack element at which failed is
+    True, named by _named; "{}" in message is that element's entry of values."""
+    if failed.any():
+        index = tuple(int(i) for i in np.unravel_index(int(np.argmax(failed)), failed.shape))
+        raise error(_named(index, message if values is None else message.format(values[index])))
+
+
+def _sharpnesses(sharpness, stack: tuple[int, ...]):
+    """The checked sharpness: a float for every element, or an array of the
+    stack's shape with one value per element."""
+    if np.isscalar(sharpness) or np.ndim(sharpness) == 0:
+        return check_sharpness(sharpness)
+    lam = np.asarray(sharpness, dtype=np.float64)
+    try:
+        lam = np.broadcast_to(lam, stack)
+    except ValueError:
+        raise DimensionError(f"sharpness shape {lam.shape} vs stack {stack}") from None
+    _refuse(~((lam >= 0.0) & (lam <= 1.0)), ValueError, "sharpness {} outside [0, 1]", lam)
+    return lam
+
+
 def _adjoint(x: np.ndarray) -> np.ndarray:
-    """x^dagger, as a view of x when x is real."""
-    return x.conj().T if x.dtype.kind == "c" else x.T
+    """x^dagger of each matrix of a stack, as a view of x when x is real."""
+    return x.conj().swapaxes(-1, -2) if x.dtype.kind == "c" else x.swapaxes(-1, -2)
 
 
-def _max_asymmetry(x: np.ndarray) -> float:
-    """max |x_ij - conj(x_ji)|, NaN if x has a NaN entry.
+def _max_asymmetry(x: np.ndarray):
+    """max |x_ij - conj(x_ji)| of each matrix of a stack, NaN if it has a NaN entry.
 
     A matrix larger than one tile is swept tile pair by tile pair, (i, j)
     against (j, i)^dagger, so no full-size temporary is made; the maximum is
     the same.
     """
-    dim = x.shape[0]
+    dim = x.shape[-1]
     if dim <= _TILE:
-        return np.abs(x - _adjoint(x)).max()
+        return np.abs(x - _adjoint(x)).max(axis=(-2, -1))
     return np.max([
-        np.abs(x[i:i + _TILE, j:j + _TILE] - _adjoint(x[j:j + _TILE, i:i + _TILE])).max()
+        np.abs(
+            x[..., i:i + _TILE, j:j + _TILE] - _adjoint(x[..., j:j + _TILE, i:i + _TILE])
+        ).max(axis=(-2, -1))
         for i in range(0, dim, _TILE)
         for j in range(i, dim, _TILE)
-    ])
+    ], axis=0)
 
 
 def _certified_low_rank(rho: np.ndarray, asymmetry: float) -> bool:
@@ -182,7 +232,8 @@ def _certified_low_rank(rho: np.ndarray, asymmetry: float) -> bool:
 
 
 def validate_density_matrix(rho) -> None:
-    """Raise ValidationError unless rho is Hermitian, unit trace, and PSD.
+    """Raise ValidationError unless rho, or each matrix of a stack, is
+    Hermitian, unit trace, and PSD.
 
     Positivity means a smallest eigenvalue of at least EIGENVALUE_FLOOR. From
     dimension _CERTIFICATE_MIN_DIM on, a low-rank certificate is tried first:
@@ -191,118 +242,141 @@ def validate_density_matrix(rho) -> None:
     most 4. That covers each family and every state a one-qubit chain
     reaches from it: from a pure state, or from the GHZ mixture on
     span{|0..0>, |1..1>}, the chain stays in a span of dimension 4. When the
-    certificate cannot decide, and always below that size, a Cholesky
-    factorisation of rho - EIGENVALUE_FLOOR * I succeeds exactly when
-    positivity holds, up to rounding of order 1e-13; only when it fails does
-    the full spectrum decide, and name the offending eigenvalue. The
+    certificate cannot decide for some element, and always below that size,
+    a Cholesky factorisation of rho - EIGENVALUE_FLOOR * I succeeds exactly
+    when positivity holds, up to rounding of order 1e-13; only when it fails
+    does the full spectrum decide, and name the offending eigenvalue. The
     factorisation runs in rho's own dtype, so a real state pays for a real
-    one.
+    one. A stack is checked as a whole, and when it fails, each element in
+    turn decides as it would alone.
     """
     rho = _as_state(rho)
     n_qubits_of(rho)
-    if not np.isfinite(rho).all():
-        raise ValidationError("density matrix has a NaN or infinite entry")
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    _refuse(~finite, ValidationError, "density matrix has a NaN or infinite entry")
     asymmetry = _max_asymmetry(rho)
-    if asymmetry > HERMITICITY_TOL:
-        raise ValidationError("density matrix is not Hermitian")
-    trace = rho.trace()
-    if abs(trace - 1.0) > DENSITY_TRACE_TOL:
-        raise ValidationError(f"density matrix trace {trace} is not 1")
-    dim = rho.shape[0]
-    if dim >= _CERTIFICATE_MIN_DIM and _certified_low_rank(rho, asymmetry):
+    _refuse(asymmetry > HERMITICITY_TOL, ValidationError, "density matrix is not Hermitian")
+    trace = rho.trace(axis1=-2, axis2=-1)
+    wrong_trace = abs(trace - 1.0) > DENSITY_TRACE_TOL
+    _refuse(wrong_trace, ValidationError, "density matrix trace {} is not 1", trace)
+    stack, dim = rho.shape[:-2], rho.shape[-1]
+    if dim >= _CERTIFICATE_MIN_DIM and all(
+        _certified_low_rank(rho[i], asymmetry[i]) for i in np.ndindex(stack)
+    ):
         return
     shifted = rho.copy()
-    shifted.reshape(-1)[::dim + 1] -= EIGENVALUE_FLOOR  # the diagonal, as a view
+    shifted.reshape(-1, dim * dim)[:, ::dim + 1] -= EIGENVALUE_FLOOR  # the diagonals, as a view
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        lowest = float(np.linalg.eigvalsh(rho)[0])
-        if lowest < EIGENVALUE_FLOOR:
-            raise ValidationError(f"density matrix has negative eigenvalue {lowest}") from None
+        for index in np.ndindex(stack):
+            # In a stack, the elements whose own factorisation succeeds pass.
+            if stack and _factorises(shifted[index]):
+                continue
+            lowest = float(np.linalg.eigvalsh(rho[index])[0])
+            if lowest < EIGENVALUE_FLOOR:
+                raise ValidationError(
+                    _named(index, f"density matrix has negative eigenvalue {lowest}")
+                ) from None
+
+
+def _factorises(matrix: np.ndarray) -> bool:
+    """Whether numpy's Cholesky factorisation of matrix succeeds."""
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _target_blocks(rho: np.ndarray, n: int, target: int) -> np.ndarray:
-    """rho as (a, 2, b, a, 2, b): axes 1 and 4 are the target qubit's row and
-    column bit."""
+    """rho as (..., a, 2, b, a, 2, b): the last six axes of each matrix, of
+    which the 2s are the target qubit's row and column bit."""
     if not 0 <= target < n:
         raise ValueError(f"target qubit {target} outside 0..{n - 1}")
     a, b = 1 << target, 1 << (n - 1 - target)
-    return rho.reshape(a, 2, b, a, 2, b)
+    return rho.reshape(*rho.shape[:-2], a, 2, b, a, 2, b)
 
 
-def _sqrt_effects(sharpness: float) -> np.ndarray:
+def _sqrt_effects(sharpness) -> np.ndarray:
     """Square roots of the four effects (I +- sharpness*X)/2 and (I +- Z)/2, as a
-    (4, 2, 2) stack, each taken on its Pauli's eigenspaces."""
-    hi = math.sqrt((1.0 + sharpness) / 2.0)
-    lo = math.sqrt((1.0 - sharpness) / 2.0)
+    (..., 4, 2, 2) stack with one (4, 2, 2) block per sharpness, each root
+    taken on its Pauli's eigenspaces."""
+    hi = np.sqrt((1.0 + sharpness) / 2.0)[..., None, None, None]
+    lo = np.sqrt((1.0 - sharpness) / 2.0)[..., None, None, None]
     return hi * _ROOTS_HI + lo * _ROOTS_LO + _ROOTS_FIXED
 
 
-def luders_update(rho: np.ndarray, sharpness: float, target: int | None = None) -> np.ndarray:
+def luders_update(rho: np.ndarray, sharpness, target: int | None = None) -> np.ndarray:
     """One sequential observer's unselective update on the target qubit.
 
     The observer applies, with equal weight, a two-outcome x measurement of
     sharpness lambda and a sharp two-outcome z measurement; each branch updates
     the state with the square roots of its effects. Default target is the last
-    qubit. Trace is preserved. The input must be a valid density matrix.
+    qubit. Trace is preserved. The input must be a valid density matrix, or a
+    stack of them with one sharpness or one per element.
     """
     rho = _as_state(rho)
     n = n_qubits_of(rho)
-    lam = check_sharpness(sharpness)
+    lam = _sharpnesses(sharpness, rho.shape[:-2])
     validate_density_matrix(rho)
     return _observer_step(rho, n, lam, n - 1 if target is None else target)
 
 
-def _observer_step(rho: np.ndarray, n: int, sharpness: float, target: int) -> np.ndarray:
-    """luders_update without the check of its input state.
+def _observer_step(rho: np.ndarray, n: int, sharpness, target: int) -> np.ndarray:
+    """luders_update without the checks of its input state and sharpness.
 
     The four maps K rho K^dagger add up to the 4x4 superoperator sum_K K (x) conj(K),
     which acts on the (row bit, column bit) pair of the target qubit. It is
     real, so the result has rho's dtype. It is applied in tiles of about
-    _TILE^2 entries: a tile takes some values of the qubits before the target
-    (axis 0 of the blocks) or, when there are too few of those, some values of
-    the qubits after it (axis 2), with the target's two rows and every column.
-    Each tile is transposed to a (4, m) operand, multiplied by the
-    superoperator and written into its block of the output, so the output is
-    the only full-size array made. Every entry is the same 4-term sum as in
-    one whole-matrix product.
+    _TILE^2 entries per element: a tile takes some values of the qubits before
+    the target (axis 0 of the blocks) or, when there are too few of those, some
+    values of the qubits after it (axis 2), with the target's two rows and
+    every column, in every element of the stack. Each element's tile is
+    transposed to a (4, m) operand, multiplied by its superoperator (one BLAS
+    product per element) and written into its block of the output, so the
+    output is the only full-size array made. Every entry is the same 4-term sum
+    as in one whole-matrix product.
     """
-    blocks = _target_blocks(rho, n, target)
-    out = np.empty_like(rho)
-    out_blocks = _target_blocks(out, n, target)
+    dim = rho.shape[-1]
+    out = np.empty(rho.shape, dtype=rho.dtype)
+    # The stack as one leading axis; a single state is a stack of one.
+    blocks = _target_blocks(rho.reshape(-1, dim, dim), n, target)
+    out_blocks = _target_blocks(out.reshape(-1, dim, dim), n, target)
     # An unsharp x pair and a sharp z pair, applied with equal setting weight.
     # The roots are real, so conj(K) is K.
     roots = _sqrt_effects(sharpness)
     # Halving is exact, so folding the channel's 1/2 in here changes no bit.
-    superop = (np.einsum("kab,kcd->acbd", roots, roots) / 2.0).reshape(4, 4)
-    a, _, b = blocks.shape[:3]
-    # blocks[i, :, j] is the target's two rows at one (i, j): 2 * 2^n entries.
-    pairs = max(1, _TILE * _TILE // (2 * rho.shape[0]))
+    superop = (np.einsum("...kab,...kcd->...acbd", roots, roots) / 2.0).reshape(-1, 4, 4)
+    a, _, b = blocks.shape[1:4]
+    # blocks[:, i, :, j] is the target's two rows at one (i, j): 2 * 2^n entries.
+    pairs = max(1, _TILE * _TILE // (2 * dim))
     span_j = min(b, pairs)
     span_i = max(1, pairs // b)
     for i in range(0, a, span_i):
         for j in range(0, b, span_j):
-            tile = blocks[i:i + span_i, :, j:j + span_j]
-            tile_a, _, tile_b = tile.shape[:3]
-            operand = tile.transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
-            result = np.dot(superop, operand).reshape(2, 2, tile_a, tile_b, a, b)
+            tile = blocks[:, i:i + span_i, :, j:j + span_j]
+            count, tile_a, _, tile_b = tile.shape[:4]
+            operand = tile.transpose(0, 2, 5, 1, 3, 4, 6).reshape(count, 4, -1)
+            result = np.matmul(superop, operand).reshape(count, 2, 2, tile_a, tile_b, a, b)
             # (row bit, column bit, a, b, a', b') -> (a, row bit, b, a', column bit, b')
-            out_blocks[i:i + span_i, :, j:j + span_j] = result.transpose(2, 0, 3, 4, 1, 5)
+            out_blocks[:, i:i + span_i, :, j:j + span_j] = result.transpose(0, 3, 1, 4, 5, 2, 6)
     return out
 
 
 def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
     """Yield the state each listed observer sees, in order: rho1 first.
 
-    Every sharpness, the target and rho1 are checked before the first state
-    is yielded; rho1 is validated once, since each update maps a density
+    rho1 may be a stack, with each observer's sharpness one number or one per
+    element. Every sharpness, the target and rho1 are checked before the first
+    state is yielded; rho1 is validated once, since each update maps a density
     matrix to a density matrix. The update after the last observer is never
     computed.
     """
-    lambdas = [check_sharpness(lam) for lam in sharpnesses]
     rho = _as_state(rho1)
     del rho1  # hold no reference to the caller's array past the first step
     n = n_qubits_of(rho)
+    lambdas = [_sharpnesses(lam, rho.shape[:-2]) for lam in sharpnesses]
     validate_density_matrix(rho)
     t = n - 1 if target is None else target
     _target_blocks(rho, n, t)  # range-checks the target
@@ -314,21 +388,23 @@ def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
         yield rho
 
 
-def channel_closed_form(rho: np.ndarray, sharpness: float, target: int | None = None) -> np.ndarray:
+def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -> np.ndarray:
     """Equivalent three-term mixture form of the update; kept as a cross-check.
 
     In Pauli-transfer form on the target qubit's 2x2 blocks of rho, Z rho Z
     negates the off-diagonal blocks and X rho X swaps blocks 00<->11 and 01<->10.
+    rho may be a stack, with one sharpness or one per element.
     """
-    lam = check_sharpness(sharpness)
     rho = _as_state(rho)
     n = n_qubits_of(rho)
+    lam = _sharpnesses(sharpness, rho.shape[:-2])
     blocks = _target_blocks(rho, n, n - 1 if target is None else target)
-    s = np.sqrt(1.0 - lam * lam)
+    # One factor per element, broadcast over its six block axes.
+    s = np.reshape(np.sqrt(1.0 - lam * lam), np.shape(lam) + (1,) * 6)
     z_rho_z = blocks.copy()
-    z_rho_z[:, 0, :, :, 1, :] *= -1.0
-    z_rho_z[:, 1, :, :, 0, :] *= -1.0
-    x_rho_x = blocks[:, ::-1, :, :, ::-1, :]
+    z_rho_z[..., 0, :, :, 1, :] *= -1.0
+    z_rho_z[..., 1, :, :, 0, :] *= -1.0
+    x_rho_x = blocks[..., ::-1, :, :, ::-1, :]
     out = ((2.0 + s) * blocks + z_rho_z + (1.0 - s) * x_rho_x) / 4.0
     return out.reshape(rho.shape)
 
@@ -384,34 +460,49 @@ def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr) -> complex:
     return complex(math.fsum(per_term.real.tolist()), math.fsum(per_term.imag.tolist()))
 
 
-def expectation(rho: np.ndarray, obs) -> float:
-    """Tr[rho * obs] for a Hermitian observable (dense or Pauli sum)."""
+def expectation(rho: np.ndarray, obs):
+    """Tr[rho * obs] for a Hermitian observable (dense or Pauli sum).
+
+    A dense observable may be a stack, and so may rho; the two stacks
+    broadcast against each other, and the result is an array of that
+    broadcast shape (a float for one state and one observable). Each
+    observable is checked for Hermiticity once, however many states it meets.
+    A Pauli sum takes one state.
+    """
     rho = _as_state(rho)
     n = n_qubits_of(rho)
     if isinstance(obs, PauliString):
         obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
     if isinstance(obs, OperatorExpr):
+        _matrix_qubits(rho)
         if obs.n_qubits != n:
             raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
         if not obs.is_hermitian():
             raise ValidationError("observable has non-real Pauli coefficients")
-        value = _pauli_sum_trace(rho, obs)
+        value = np.asarray(_pauli_sum_trace(rho, obs))
     else:
         dense = _as_state(obs)
-        if dense.shape != rho.shape:
+        try:
+            matched = dense.shape[-2:] == rho.shape[-2:]
+            np.broadcast_shapes(dense.shape[:-2], rho.shape[:-2])
+        except ValueError:
+            matched = False
+        if not matched:
             raise DimensionError(f"observable shape {dense.shape} vs state {rho.shape}")
-        if _max_asymmetry(dense) > HERMITICITY_TOL:
-            raise ValidationError("observable is not Hermitian")
-        value = complex(np.einsum("ij,ji->", rho, dense))
-    if abs(value.imag) >= IMAG_TOL:
-        raise ValidationError(f"expectation has imaginary residue {value.imag}")
-    return value.real
+        asymmetric = _max_asymmetry(dense) > HERMITICITY_TOL
+        _refuse(asymmetric, ValidationError, "observable is not Hermitian")
+        # Row sums, then a running sum of them: the order of additions of one
+        # matrix's einsum("ij,ji->"), whatever the stacks' layout.
+        value = np.cumsum(np.einsum("...ij,...ji->...i", rho, dense), axis=-1)[..., -1]
+    residue = value.imag
+    _refuse(abs(residue) >= IMAG_TOL, ValidationError, "expectation has imaginary residue {}", residue)
+    return value.real if value.ndim else float(value.real)
 
 
 def eigen_spectrum(op: np.ndarray) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix, residual-checked."""
     op = _as_state(op)
-    n_qubits_of(op)
+    _matrix_qubits(op)
     if _max_asymmetry(op) > HERMITICITY_TOL:
         raise ValidationError("matrix is not Hermitian")
     values, vectors = np.linalg.eigh(op)
@@ -465,7 +556,7 @@ def save_density_matrix(path, rho: np.ndarray) -> None:
     """Write a density matrix as JSON with an explicit qubit-count header."""
     rho = _as_state(rho)
     payload = {
-        "n_qubits": n_qubits_of(rho),
+        "n_qubits": _matrix_qubits(rho),
         "real": rho.real.tolist(),
         "imag": rho.imag.tolist(),
     }
@@ -494,7 +585,7 @@ def load_density_matrix(path) -> np.ndarray:
         raise ValidationError(f"imag entries of shape {imag.shape} vs real {rho.shape}")
     if imag.any():
         rho = rho + 1j * imag
-    n = n_qubits_of(rho)
+    n = _matrix_qubits(rho)
     if n != header:
         raise ValidationError(f"header says {header} qubits but entries give {n}")
     validate_density_matrix(rho)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -66,42 +65,58 @@ class CheckResult:
     detail: str = ""
 
 
-def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A (dim, dim) complex Gaussian matrix: real parts drawn first, then imaginary."""
-    g = np.empty((dim, dim), dtype=complex)
-    g.real = rng.standard_normal((dim, dim))
-    g.imag = rng.standard_normal((dim, dim))
+def _complex_stack(parts: np.ndarray) -> np.ndarray:
+    """Complex matrices from Gaussian parts (..., 2, d, d): real parts drawn
+    first, then imaginary."""
+    g = np.empty(parts.shape[:-3] + parts.shape[-2:], dtype=complex)
+    g.real = parts[..., 0, :, :]
+    g.imag = parts[..., 1, :, :]
     return g
 
 
-def _random_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = _complex_gaussian(rng, 1 << n)
-    rho = g @ g.conj().T
-    return rho / rho.trace()
+def _random_densities(parts: np.ndarray) -> np.ndarray:
+    """The density matrix g g^dagger / Tr of each complex Gaussian g in parts."""
+    g = _complex_stack(parts)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / rho.trace(axis1=-2, axis2=-1)[..., None, None]
 
 
 def verify_channel(seed: int) -> list[CheckResult]:
-    """Update rule vs its three-term closed form, trace, positivity, unitality."""
+    """Update rule vs its three-term closed form, trace, positivity, unitality.
+
+    The trials are drawn in order, each straight into the stack of its qubit
+    count (np.empty touches no page that no trial fills), and are evaluated
+    one (qubit count, target) group at a time.
+    """
     rng = np.random.default_rng(seed)
+    parts = {n: np.empty((_CHANNEL_TRIALS, 2, 1 << n, 1 << n)) for n in range(1, 5)}
+    drawn = {n: [] for n in parts}  # (sharpness, target) of each trial
+    for _ in range(_CHANNEL_TRIALS):
+        n = int(rng.integers(1, 5))
+        rng.standard_normal(out=parts[n][len(drawn[n])])
+        drawn[n].append((float(rng.uniform()), int(rng.integers(n))))
     worst_gap = 0.0
     worst_trace = 0.0
     lowest_eigenvalue = 0.0
-    for _ in range(_CHANNEL_TRIALS):
-        n = int(rng.integers(1, 5))
-        rho = _random_density(rng, n)
-        lam = float(rng.uniform())
-        target = int(rng.integers(n))
-        updated = luders_update(rho, lam, target)
-        closed = channel_closed_form(rho, lam, target)
-        worst_gap = max(worst_gap, float(np.abs(updated - closed).max()))
-        worst_trace = max(worst_trace, abs(float(updated.trace().real) - 1.0))
-        lowest_eigenvalue = min(lowest_eigenvalue, float(np.linalg.eigvalsh(updated)[0]))
+    for n, trials in drawn.items():
+        lams, targets = np.array(trials).T
+        for target in range(n):
+            group = targets == target
+            rho = _random_densities(parts[n][: len(trials)][group])
+            updated = luders_update(rho, lams[group], target)
+            closed = channel_closed_form(rho, lams[group], target)
+            trace = updated.trace(axis1=-2, axis2=-1).real
+            worst_gap = max(worst_gap, float(np.abs(updated - closed).max()))
+            worst_trace = max(worst_trace, float(np.abs(trace - 1.0).max()))
+            lowest = float(np.linalg.eigvalsh(updated)[:, 0].min())
+            lowest_eigenvalue = min(lowest_eigenvalue, lowest)
     unital_gap = 0.0
+    unital_sharpnesses = np.array([0.0, 0.4, 1.0])
     for n in (1, 3):
         maximally_mixed = np.eye(1 << n, dtype=complex) / (1 << n)
-        for lam in (0.0, 0.4, 1.0):
-            out = luders_update(maximally_mixed, lam)
-            unital_gap = max(unital_gap, float(np.max(np.abs(out - maximally_mixed))))
+        copies = np.broadcast_to(maximally_mixed, (len(unital_sharpnesses), 1 << n, 1 << n))
+        out = luders_update(copies, unital_sharpnesses)
+        unital_gap = max(unital_gap, float(np.max(np.abs(out - maximally_mixed))))
     return [
         CheckResult(
             "channel",
@@ -123,31 +138,52 @@ def verify_channel(seed: int) -> list[CheckResult]:
 
 
 def verify_recursion(seed: int, schedules: int = 100) -> list[CheckResult]:
-    """Correlator decay factors, including which product index is correct."""
+    """Correlator decay factors, including which product index is correct.
+
+    The schedules are drawn in order, each straight into the stacks of its
+    qubit count, and evaluated one qubit count at a time: one chain of five
+    stacked steps, and one expectation per observable kind against all six
+    states, so each random observable is checked for Hermiticity once.
+    """
     rng = np.random.default_rng(seed)
+    # Per qubit count: the sharpnesses, the state's parts, the observable's parts.
+    stacks = {}
+    for n in range(3, 6):
+        state, observable = (2, 1 << n, 1 << n), (2, 1 << (n - 1), 1 << (n - 1))
+        stacks[n] = [np.empty((schedules, *shape)) for shape in ((5,), state, observable)]
+    drawn = dict.fromkeys(stacks, 0)
+    for _ in range(schedules):
+        n = int(rng.integers(3, 6))
+        lambdas, state_parts, observable_parts = stacks[n]
+        lambdas[drawn[n]] = rng.uniform(size=5)
+        rng.standard_normal(out=state_parts[drawn[n]])
+        rng.standard_normal(out=observable_parts[drawn[n]])
+        drawn[n] += 1
     worst_z = 0.0
     worst_x = 0.0
     printed_index_gap = 0.0
-    for _ in range(schedules):
-        n = int(rng.integers(3, 6))
-        lambdas = rng.uniform(size=5)
-        rho = _random_density(rng, n)
-        half = 1 << (n - 1)
-        g = _complex_gaussian(rng, half)
-        a = g + g.conj().T
-        obs_z = np.kron(a, PAULI_MATRICES["Z"])
-        obs_x = np.kron(a, PAULI_MATRICES["X"])
-        base_z = expectation(rho, obs_z)
-        base_x = expectation(rho, obs_x)
-        # The states after 1..5 observers: rho is validated once for the chain.
-        chain = islice(observer_states(rho, [*lambdas, 0.0]), 1, None)
-        for k, rho in enumerate(chain, start=2):
-            measured_z = expectation(rho, obs_z)
-            worst_z = max(worst_z, abs(measured_z - z_factor(lambdas[: k - 1]) * base_z))
-            worst_x = max(worst_x, abs(expectation(rho, obs_x) - base_x * 0.5 ** (k - 1)))
-            printed_index_gap = max(
-                printed_index_gap, abs(measured_z - z_factor(lambdas[:k]) * base_z)
-            )
+    for n, count in drawn.items():
+        if not count:
+            continue
+        lambdas, state_parts, observable_parts = (stack[:count] for stack in stacks[n])
+        rho = _random_densities(state_parts)
+        g = _complex_stack(observable_parts)
+        a = g + g.conj().swapaxes(-1, -2)
+        # rho and the states after 1..5 observers: rho is validated once.
+        chain = np.empty((6, *rho.shape), dtype=rho.dtype)
+        for k, state in enumerate(observer_states(rho, [*lambdas.T, 0.0])):
+            chain[k] = state
+        values_z = expectation(chain, np.kron(a, PAULI_MATRICES["Z"]))
+        values_x = expectation(chain, np.kron(a, PAULI_MATRICES["X"]))
+        base_z, measured_z = values_z[0], values_z[1:]
+        # factors[j] is the decay product over the first j observers, j = 0..5.
+        factors = np.array([[z_factor(row[:j]) for row in lambdas] for j in range(6)])
+        # measured_z[k - 2] is seen by observer k = 2..6, after k - 1 updates.
+        worst_z = max(worst_z, float(np.abs(measured_z - factors[1:] * base_z).max()))
+        printed = np.abs(measured_z - factors[[2, 3, 4, 5, 5]] * base_z).max()
+        printed_index_gap = max(printed_index_gap, float(printed))
+        halvings = 0.5 ** np.arange(1, 6)[:, None]
+        worst_x = max(worst_x, float(np.abs(values_x[1:] - values_x[0] * halvings).max()))
     return [
         CheckResult(
             "recursion",
@@ -263,7 +299,13 @@ def verify_biseparable(seed: int, samples: int = 10000) -> list[CheckResult]:
 
 
 def verify_oracle(seed: int) -> list[CheckResult]:
-    """Closed forms vs dense simulation, plus state-file round trip."""
+    """Closed forms vs dense simulation, plus state-file round trip.
+
+    The random schedules are drawn in order and grouped by (qubit count,
+    observer count). Each family's chain runs once per group, on a stack of
+    copies of its start state with one schedule per element; the mixed grid's
+    nine states run as one stack.
+    """
     rng = np.random.default_rng(seed)
     worst = {"ghz": 0.0, "cluster": 0.0}
     # At p1 = 1, alpha = 1/2 the mixed family's weight must be exactly 1.
@@ -273,6 +315,7 @@ def verify_oracle(seed: int) -> list[CheckResult]:
     starts = {
         (family, n): StateFamily(family, n).density_matrix() for family in worst for n in range(3, 7)
     }
+    groups = {}  # (n, k) -> [(sharpnesses, closed-form value)], in draw order
     for index in range(_ORACLE_SCHEDULES):
         n = 3 + index % 4
         k = int(rng.integers(1, 7))
@@ -280,29 +323,36 @@ def verify_oracle(seed: int) -> list[CheckResult]:
         analytic = witness_value(k, lambdas)
         if witness_value(k, lambdas, unit_weight) != analytic:
             formulas_identical = False
+        groups.setdefault((n, k), []).append((lambdas, analytic))
+    for (n, k), schedules in groups.items():
+        lambdas = np.array([lams for lams, _ in schedules])
         for family in worst:
-            *_, rho_k = observer_states(starts[family, n], lambdas[:k])
-            dense = expectation(rho_k, build_modified_witness(family, n, lambdas[k - 1]))
-            worst[family] = max(worst[family], abs(dense - analytic))
+            start = starts[family, n]
+            copies = np.broadcast_to(start, (len(schedules), *start.shape))
+            *_, rho_k = observer_states(copies, lambdas.T)
+            for rho, (lams, analytic) in zip(rho_k, schedules):
+                dense = expectation(rho, build_modified_witness(family, n, lams[k - 1]))
+                worst[family] = max(worst[family], abs(dense - analytic))
 
     worst_mixed = 0.0
     signs_agree = True
-    for p1 in (0.5, 0.8, 1.0):
-        for alpha in (0.1, 0.25, 0.5):
-            lambdas = rng.uniform(size=4)
-            family = StateFamily(
-                "mixed", 3, alpha=alpha, p1=p1, p2=(1 - p1) / 2, p3=(1 - p1) / 2
-            )
-            reports = full_sequence_report(family, lambdas)
-            rhos = observer_states(family.density_matrix(), lambdas)
-            for report, lam, rho_k in zip(reports, lambdas, rhos):
-                analytic = report.witness_value
-                dense = expectation(rho_k, build_modified_witness(family.witness_family, 3, lam))
-                worst_mixed = max(worst_mixed, abs(dense - analytic))
-                if (analytic < 0) != (dense < 0) and abs(analytic) > 1e-9:
-                    signs_agree = False
+    mixed = [
+        StateFamily("mixed", 3, alpha=alpha, p1=p1, p2=(1 - p1) / 2, p3=(1 - p1) / 2)
+        for p1 in (0.5, 0.8, 1.0)
+        for alpha in (0.1, 0.25, 0.5)
+    ]
+    lambdas = np.array([rng.uniform(size=4) for _ in mixed])
+    reports = [full_sequence_report(family, lams) for family, lams in zip(mixed, lambdas)]
+    chain = observer_states(np.stack([family.density_matrix() for family in mixed]), lambdas.T)
+    for k, rhos in enumerate(chain):
+        for family, lams, report, rho_k in zip(mixed, lambdas, reports, rhos):
+            analytic = report[k].witness_value
+            dense = expectation(rho_k, build_modified_witness(family.witness_family, 3, lams[k]))
+            worst_mixed = max(worst_mixed, abs(dense - analytic))
+            if (analytic < 0) != (dense < 0) and abs(analytic) > 1e-9:
+                signs_agree = False
 
-    rho = _random_density(rng, 3)
+    rho = _random_densities(rng.standard_normal((2, 8, 8)))
     handle, path = tempfile.mkstemp(suffix=".json")
     os.close(handle)
     try:

@@ -1,5 +1,6 @@
 """Closed-form observer values against the dense simulator and each other."""
 
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,6 @@ from seqgme.analytic import (
     full_sequence_report,
     witness_value,
     z_factor,
-    z_loss,
 )
 from seqgme.densesim import expectation, observer_states
 from seqgme.states import StateFamily
@@ -20,6 +20,11 @@ from seqgme.witness import (
     build_modified_ghz_witness,
     build_modified_witness,
 )
+
+
+def z_loss(lambdas):
+    """1 - z_factor(lambdas), folded with analytic.loss_step as the closed forms do."""
+    return reduce(lambda loss, lam: analytic.loss_step(lam, loss), lambdas, 0.0)
 
 
 def dense_observer_value(kind, n, k, lambdas, p1=1.0, alpha=0.5):

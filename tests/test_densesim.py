@@ -870,3 +870,223 @@ def test_expectation_with_shared_x_parts_matches_per_term_gathers(
         densesim._pauli_sum_trace(rho.view(GatherCountingState), expr)
     # One row rho[j, j ^ f] per distinct X part f.
     assert GatherCountingState.rows_gathered == len({term.x_mask for term in expr.terms})
+
+
+# Stacks of states: every kernel on a (..., d, d) stack against its call on
+# each element alone.
+STACK_SHARPNESS = st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def state_stacks(draw, max_qubits=6):
+    """A stack of 1..8 random full-rank states on 1..max_qubits qubits, real
+    or complex, and one sharpness per element."""
+    n = draw(st.integers(1, max_qubits))
+    count = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 1 << n
+    g = rng.standard_normal((count, dim, dim))
+    if not draw(st.booleans()):
+        g = g + 1j * rng.standard_normal((count, dim, dim))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+    lambdas = np.array(draw(st.lists(STACK_SHARPNESS, min_size=count, max_size=count)))
+    return rho, lambdas
+
+
+def _each(rho, call):
+    """call(element, index) for every element of a stack, stacked again."""
+    return np.array([call(rho[i], i) for i in range(len(rho))])
+
+
+@PROPERTY_SETTINGS
+@given(stack=state_stacks(), data=st.data())
+def test_stacked_channel_kernels_equal_their_per_element_calls(stack, data):
+    rho, lambdas = stack
+    n = densesim.n_qubits_of(rho)
+    validate_density_matrix(rho)
+    for i in range(len(rho)):
+        validate_density_matrix(rho[i])
+    target = data.draw(st.sampled_from([None, *range(n)]))
+    for kernel in (luders_update, channel_closed_form):
+        stacked = kernel(rho, lambdas, target)
+        assert stacked.dtype == rho.dtype
+        assert np.array_equal(stacked, _each(rho, lambda one, i: kernel(one, lambdas[i], target)))
+        # One sharpness for every element.
+        shared = kernel(rho, lambdas[0], target)
+        assert np.array_equal(shared, _each(rho, lambda one, i: kernel(one, lambdas[0], target)))
+
+
+@PROPERTY_SETTINGS
+@given(
+    stack=state_stacks(),
+    observers=st.integers(1, 4),
+    data=st.data(),
+)
+def test_stacked_chain_and_dense_expectation_equal_their_per_element_calls(
+    stack, observers, data
+):
+    rho, first = stack
+    count, dim = rho.shape[0], rho.shape[-1]
+    rest = data.draw(st.lists(
+        st.lists(STACK_SHARPNESS, min_size=count, max_size=count),
+        min_size=observers - 1, max_size=observers - 1,
+    ))
+    schedule = [first, *map(np.array, rest)]
+    chain = np.array(list(observer_states(rho, schedule)))
+    assert chain.shape == (observers, *rho.shape)
+    for i in range(count):
+        alone = list(observer_states(rho[i], [lams[i] for lams in schedule]))
+        assert np.array_equal(chain[:, i], np.array(alone))
+    # A stack of observables, one per element, met by every state of the chain.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h = rng.standard_normal((count, dim, dim))
+    if data.draw(st.booleans()):
+        h = h + 1j * rng.standard_normal((count, dim, dim))
+    obs = h + h.conj().swapaxes(-1, -2)
+    values = expectation(chain, obs)
+    assert values.shape == (observers, count)
+    for k in range(observers):
+        for i in range(count):
+            assert values[k, i] == expectation(chain[k, i], obs[i])
+    # One observable for a stack of states, and one state for a stack of observables.
+    assert np.array_equal(expectation(rho, obs[0]), _each(rho, lambda one, i: expectation(one, obs[0])))
+    assert np.array_equal(expectation(rho[0], obs), _each(obs, lambda one, i: expectation(rho[0], one)))
+
+
+def _spoil(rho, fault):
+    """rho, no longer a valid state in the way fault names."""
+    bad = rho.copy()
+    if fault == "nan":
+        bad[-1, 0] = np.nan
+    elif fault == "non-hermitian":
+        bad[-1, 0] += 1e-3
+    else:  # non-psd, with unit trace and Hermitian
+        bad[...] = 0.0
+        bad[0, 0], bad[-1, -1] = 1.5, -0.5
+    return bad
+
+
+_FAULT_MESSAGES = {
+    "nan": "density matrix has a NaN or infinite entry",
+    "non-hermitian": "density matrix is not Hermitian",
+    "non-psd": "density matrix has negative eigenvalue -0.5",
+}
+
+
+@PROPERTY_SETTINGS
+@given(
+    stack=state_stacks(max_qubits=4),
+    fault=st.sampled_from(sorted(_FAULT_MESSAGES)),
+    data=st.data(),
+)
+def test_a_stack_with_one_bad_element_names_it(stack, fault, data):
+    rho, lambdas = stack
+    bad = data.draw(st.integers(0, len(rho) - 1))
+    rho[bad] = _spoil(rho[bad], fault)
+    message = f"stack element {bad}: {_FAULT_MESSAGES[fault]}"
+    for check in (
+        validate_density_matrix,
+        lambda states: luders_update(states, lambdas),
+        lambda states: next(observer_states(states, [lambdas, lambdas])),
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            check(rho)
+        assert str(excinfo.value) == message
+    # The same fault in a two-axis stack is named by its index pair.
+    pair = np.stack([rho, rho[::-1]])
+    with pytest.raises(ValidationError) as excinfo:
+        validate_density_matrix(pair)
+    assert str(excinfo.value) == f"stack element (0, {bad}): {_FAULT_MESSAGES[fault]}"
+    if fault == "non-hermitian":
+        with pytest.raises(ValidationError) as excinfo:
+            expectation(np.eye(rho.shape[-1]) / rho.shape[-1], rho)
+        assert str(excinfo.value) == f"stack element {bad}: observable is not Hermitian"
+
+
+@PROPERTY_SETTINGS
+@given(
+    stack=state_stacks(max_qubits=3),
+    outside=st.sampled_from([-1e-300, 1.5, np.inf, np.nan]),
+    data=st.data(),
+)
+def test_a_sharpness_outside_the_unit_interval_names_its_element(stack, outside, data):
+    rho, lambdas = stack
+    bad = data.draw(st.integers(0, len(rho) - 1))
+    lambdas[bad] = outside
+    message = f"stack element {bad}: sharpness {outside} outside [0, 1]"
+    for check in (
+        lambda: luders_update(rho, lambdas),
+        lambda: channel_closed_form(rho, lambdas),
+        lambda: next(observer_states(rho, [0.5, lambdas])),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            check()
+        assert str(excinfo.value) == message
+
+
+def test_single_state_messages_carry_no_stack_prefix():
+    # The messages of a state on its own, byte for byte as before stacks.
+    mixed = np.eye(2) / 2
+    cases = [
+        (lambda: validate_density_matrix(_spoil(mixed, "nan")), _FAULT_MESSAGES["nan"]),
+        (lambda: validate_density_matrix(_spoil(mixed, "non-hermitian")),
+         _FAULT_MESSAGES["non-hermitian"]),
+        (lambda: validate_density_matrix(_spoil(mixed, "non-psd")), _FAULT_MESSAGES["non-psd"]),
+        (lambda: validate_density_matrix(np.eye(2)), "density matrix trace 2.0 is not 1"),
+        (lambda: validate_density_matrix(np.eye(2, dtype=complex)),
+         "density matrix trace (2+0j) is not 1"),
+        (lambda: luders_update(mixed, 1.5), "sharpness 1.5 outside [0, 1]"),
+        (lambda: channel_closed_form(mixed, -0.25), "sharpness -0.25 outside [0, 1]"),
+        (lambda: next(observer_states(mixed, [0.5, float("nan")])), "sharpness nan outside [0, 1]"),
+        (lambda: expectation(mixed, _spoil(mixed, "non-hermitian")), "observable is not Hermitian"),
+        (lambda: expectation(mixed, np.eye(4)), "observable shape (4, 4) vs state (2, 2)"),
+        (lambda: expectation(np.array([[0.5, 0.5], [-0.5, 0.5]]), np.array([[0, 1j], [-1j, 0]])),
+         "expectation has imaginary residue -1.0"),
+        (lambda: expectation(np.stack([mixed, mixed]), PauliString("Z")),
+         "expected a square matrix, got shape (2, 2, 2)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
+def _floor_straddlers():
+    """Two 4x4 states whose smallest eigenvalue lies within rounding of the
+    floor, where the Cholesky gate and eigvalsh disagree: the first factors
+    but eigvalsh puts it below the floor, the second fails to factor but
+    eigvalsh puts it above. Each is valid on its own."""
+    found = {}
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        rest = rng.uniform(0.1, 1.0, size=3)
+        lowest = EIGENVALUE_FLOOR + 1e-17
+        basis, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        rho = (basis * np.concatenate([[lowest], rest * (1 - lowest) / rest.sum()])) @ basis.T
+        rho = (rho + rho.T) / 2
+        shifted = rho - EIGENVALUE_FLOOR * np.eye(4)
+        try:
+            np.linalg.cholesky(shifted)
+            factors = True
+        except np.linalg.LinAlgError:
+            factors = False
+        below = np.linalg.eigvalsh(rho)[0] < EIGENVALUE_FLOOR
+        if factors == below:
+            found.setdefault(factors, rho)
+        if len(found) == 2:
+            return found[True], found[False]
+    pytest.fail("no states straddling the floor among 200 seeds")
+
+
+def test_a_stack_decides_each_element_as_its_own_call_does():
+    # The stack's factorisation fails for the second state, so its elements
+    # are decided one by one: the first passes on its own factorisation,
+    # which eigvalsh alone would have refused, and the second on its spectrum.
+    factors, fails_to_factor = _floor_straddlers()
+    for rho in (factors, fails_to_factor):
+        validate_density_matrix(rho)
+    validate_density_matrix(np.stack([factors, fails_to_factor]))
+    negative = _spoil(np.eye(4) / 4, "non-psd")
+    with pytest.raises(ValidationError, match=r"^stack element 2: .* eigenvalue -0\.5$"):
+        validate_density_matrix(np.stack([factors, fails_to_factor, negative]))

@@ -1,13 +1,14 @@
 """Schedule generation, detection counting, and the sharpness search."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgme.analytic import full_sequence_report, witness_value, z_loss
+from seqgme.analytic import full_sequence_report, loss_step, witness_value
 from seqgme.errors import PrecisionError
 from seqgme.densesim import expectation, observer_states
 from seqgme.planner import (
@@ -19,6 +20,11 @@ from seqgme.planner import (
 )
 from seqgme.states import StateFamily
 from seqgme.witness import build_modified_ghz_witness
+
+
+def z_loss(lambdas):
+    """1 - z_factor(lambdas), folded with loss_step as the closed forms do."""
+    return reduce(lambda loss, lam: loss_step(lam, loss), lambdas, 0.0)
 
 
 def detection_threshold(k, prefix, weight=1.0):

@@ -1,5 +1,6 @@
 """The verification suites' use of the dense engine."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -14,13 +15,41 @@ from seqgme.witness import build_modified_witness
 SHARPNESS_GRID = (0.0, 0.3, 0.7, 1.0)
 
 
+def _stack_sizes(calls) -> list[int]:
+    """The number of matrices in the first argument of each mocked call."""
+    return [math.prod(call.args[0].shape[:-2]) for call in calls]
+
+
 def test_recursion_suite_validates_each_schedule_once():
+    # One validation per qubit count, of the stack of its start states: each
+    # schedule's state once, and no state of a chain after it.
     with mock.patch.object(
         densesim, "validate_density_matrix", wraps=densesim.validate_density_matrix
     ) as check:
         results = verify_recursion(seed=5, schedules=4)
     assert all(result.passed for result in results)
-    assert check.call_count == 4
+    assert sum(_stack_sizes(check.call_args_list)) == 4
+    dims = [call.args[0].shape[-1] for call in check.call_args_list]
+    assert len(dims) == len(set(dims))
+
+
+def test_recursion_suite_checks_each_observable_once():
+    # Per qubit count, three Hermiticity sweeps: the start states' (in their
+    # validation), then the z and the x observables', each against all six
+    # states of the chain. Checked one call at a time, the 10 schedules made
+    # 10 + 2 * 6 * 10 = 130 checks.
+    schedules = 10
+    with (
+        mock.patch.object(densesim, "_max_asymmetry", wraps=densesim._max_asymmetry) as check,
+        mock.patch.object(verify, "expectation", wraps=densesim.expectation) as evaluate,
+    ):
+        results = verify_recursion(seed=5, schedules=schedules)
+    assert all(result.passed for result in results)
+    assert sum(_stack_sizes(check.call_args_list)) == 3 * schedules
+    groups = len({call.args[0].shape[-1] for call in check.call_args_list})
+    assert check.call_count == 3 * groups
+    assert evaluate.call_count == 2 * groups
+    assert all(call.args[0].shape[0] == 6 for call in evaluate.call_args_list)
 
 
 def test_biseparable_values_match_each_witness_complex_expectation():
