@@ -23,7 +23,7 @@ from .planner import (
     max_detections,
 )
 from .states import StateFamily
-from .verify import MAX_SAMPLES, SUITE_NAMES, check_samples, run_suite
+from .verify import SUITE_NAMES, run_suite
 from .witness import build_modified_witness
 
 AGREEMENT_TOL = 1e-9
@@ -267,14 +267,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        check_samples(args.samples)
-    except ValueError as exc:
-        raise ValueError(f"--{exc}") from None
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     rows = []
     for suite in suites:
-        for check in run_suite(suite, args.seed, samples=args.samples):
+        for check in run_suite(suite, args.seed):
             rows.append(
                 {
                     "suite": check.suite,
@@ -332,10 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a numerical verification suite")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     verify.add_argument("--seed", type=int, default=7)
-    verify.add_argument(
-        "--samples", type=int, default=10000,
-        help=f"biseparable samples per bipartition, 1..{MAX_SAMPLES}",
-    )
     verify.add_argument("--format", choices=("csv", "json"), default="csv")
     verify.add_argument("--out")
     verify.set_defaults(func=_cmd_verify)

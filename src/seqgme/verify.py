@@ -15,7 +15,6 @@ import numpy as np
 from .analytic import full_sequence_report, witness_value, z_factor
 from .densesim import (
     all_bipartitions,
-    biseparable_statevectors,
     channel_closed_form,
     eigen_spectrum,
     expectation,
@@ -24,36 +23,15 @@ from .densesim import (
     observer_states,
     save_density_matrix,
 )
-from .errors import ValidationError
 from .pauli import PAULI_MATRICES
 from .states import StateFamily
 from .witness import build_modified_witness, difference_operator
 
 SUITE_NAMES = ("channel", "recursion", "psd", "biseparable", "oracle")
 
-# Biseparable samples evaluated per matmul. Larger blocks run no faster and
-# raise peak memory: 1024-row blocks added about 0.35 MiB to `verify all`'s
-# RSS, while 64-row blocks made the biseparable suite about 18% slower.
-_SAMPLE_BLOCK = 256
-# Largest biseparable sample count per bipartition. Each bipartition's batch is
-# made at once: 256 bytes per sample as 4-qubit complex128 rows, so this caps
-# the batch at 256 MiB. Making it peaks at about 416 bytes per sample while the
-# previous batch is still held, about 700 MiB in all at the cap.
-MAX_SAMPLES = 1 << 20
 # Random density matrices of the channel suite, random schedules of the oracle suite.
 _CHANNEL_TRIALS = 1000
 _ORACLE_SCHEDULES = 200
-
-
-def check_samples(samples: int) -> None:
-    """ValueError unless the biseparable sample count lies in 1..MAX_SAMPLES."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ValueError(
-            f"samples must be at most {MAX_SAMPLES}, got {samples}: "
-            "each bipartition's batch of samples is held in memory at once"
-        )
 
 
 @dataclass(frozen=True)
@@ -239,60 +217,56 @@ def verify_psd(seed: int) -> list[CheckResult]:
     return results
 
 
-def _stacked_witnesses(family: str, n: int, sharpnesses) -> np.ndarray:
-    """The family's witnesses at these sharpnesses, side by side as one real
-    (2^n, len(sharpnesses) * 2^n) matrix.
+def _reduced_state(rho: np.ndarray, n: int, part: tuple[int, ...]) -> np.ndarray:
+    """The partial trace of rho over the qubits outside part."""
+    order = [*part, *(q for q in range(n) if q not in part)]
+    tensor = rho.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
+    side = 1 << len(part)
+    return np.einsum("ajbj->ab", tensor.reshape(side, -1, side, rho.shape[-1] // side))
 
-    Every witness of both families is a real symmetric matrix. One with a
-    nonzero imaginary entry is refused, not truncated to its real part.
+
+def verify_biseparable(seed: int) -> list[CheckResult]:
+    """A proof that every witness is non-negative on every biseparable state.
+
+    With psi the family's state and rho = |psi><psi|, on any biseparable sigma:
+    <W(lambda)> = (1 - lambda) <W(0)> + lambda <W(1)>, as W is affine in
+    lambda; <W(0)> >= low0 = lambda_min(W(0)); and <W(1)> >= 1 + low1 -
+    2 <psi|sigma|psi> >= 1 + low1 - 2w, where low1 = lambda_min(W(1) - I +
+    2 rho) and w, the largest squared Schmidt coefficient of psi over all
+    cuts (the largest eigenvalue of a reduced state), bounds <psi|sigma|psi>.
+    So min(low0, low1 + 1 - 2w), less the operator norm of the built W's
+    departure from that affine form at lambda = 0.3 and 0.7, bounds every
+    <W(lambda)> from below, for every lambda in [0, 1].
     """
-    stacked = np.concatenate(
-        [build_modified_witness(family, n, lam).to_matrix() for lam in sharpnesses], axis=1
-    )
-    if stacked.imag.any():
-        raise ValidationError(f"{family} witness on {n} qubits has imaginary entries")
-    return np.ascontiguousarray(stacked.real)
-
-
-def _product_values(rows: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """<psi|W|psi> for each row psi of rows and each real witness W of stacked,
-    as a (rows, witnesses) array.
-
-    For a real W, <psi|W|psi> = x^T W x + y^T W y with psi = x + iy, so the
-    rows' real and imaginary parts go through one real product with stacked.
-    Each witness's block of that product is then weighted by the parts in
-    place, and summed by a product with a vector of ones.
-    """
-    count, dim = rows.shape
-    parts = np.concatenate([rows.real, rows.imag])
-    images = (parts @ stacked).reshape(2 * count, -1, dim)
-    images *= parts[:, None, :]
-    sums = (images.reshape(-1, dim) @ np.ones(dim)).reshape(2, count, -1)
-    return sums[0] + sums[1]
-
-
-def verify_biseparable(seed: int, samples: int = 10000) -> list[CheckResult]:
-    """Witness non-negativity on Haar product states across every bipartition."""
-    check_samples(samples)
-    rng = np.random.default_rng(seed)
+    del seed  # deterministic suite; kept for a uniform signature
     results = []
     for family in ("ghz", "cluster"):
-        minimum = np.inf
-        for n in (3, 4):
-            stacked = _stacked_witnesses(family, n, (0.0, 0.3, 0.7, 1.0))
-            for part in all_bipartitions(n):
-                batch = biseparable_statevectors(n, part, samples, rng)
-                for start in range(0, samples, _SAMPLE_BLOCK):
-                    values = _product_values(batch[start : start + _SAMPLE_BLOCK], stacked)
-                    minimum = min(minimum, float(values.min()))
+        bound = np.inf
+        for n in (3, 4, 5, 6):
+            rho = StateFamily(family, n).density_matrix()
+            w0, w1 = (build_modified_witness(family, n, lam).to_matrix() for lam in (0.0, 1.0))
+            low0 = eigen_spectrum(w0)[0]
+            low1 = eigen_spectrum(w1 - np.eye(len(rho)) + 2.0 * rho)[0]
+            weight = max(
+                eigen_spectrum(_reduced_state(rho, n, part))[-1] for part in all_bipartitions(n)
+            )
+            departure = max(
+                np.linalg.norm(
+                    build_modified_witness(family, n, lam).to_matrix()
+                    - ((1.0 - lam) * w0 + lam * w1),
+                    2,
+                )
+                for lam in (0.3, 0.7)
+            )
+            bound = min(bound, min(low0, low1 + 1.0 - 2.0 * weight) - departure)
         results.append(
             CheckResult(
                 "biseparable",
-                f"{family} witnesses non-negative on biseparable samples",
-                minimum >= -1e-10,
-                abs(min(minimum, 0.0)),
-                f"{samples} samples per bipartition, 3 and 4 qubits, "
-                f"sharpness grid (0, 0.3, 0.7, 1); minimum value {minimum:.3e}",
+                f"{family} witnesses non-negative on every biseparable state",
+                bool(bound >= -1e-10),
+                abs(min(float(bound), 0.0)),
+                "proven: W(0) >= 0, W(1) >= I - 2|psi><psi|, Schmidt weight <= 1/2 "
+                "on every cut; 3..6 qubits, every lambda in [0, 1]",
             )
         )
     return results
@@ -399,15 +373,9 @@ def verify_oracle(seed: int) -> list[CheckResult]:
     ]
 
 
-def run_suite(name: str, seed: int, samples: int = 10000) -> list[CheckResult]:
-    if name == "channel":
-        return verify_channel(seed)
-    if name == "recursion":
-        return verify_recursion(seed)
-    if name == "psd":
-        return verify_psd(seed)
-    if name == "biseparable":
-        return verify_biseparable(seed, samples=samples)
-    if name == "oracle":
-        return verify_oracle(seed)
-    raise ValueError(f"unknown verification suite {name!r}")
+def run_suite(name: str, seed: int) -> list[CheckResult]:
+    """The checks of the suite of that name. The suite's function is looked
+    up when called, so a wrapper installed on it since import is the one run."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown verification suite {name!r}")
+    return globals()[f"verify_{name}"](seed)

@@ -7,11 +7,11 @@ derived from the code under test.
 
 import numpy as np
 import pytest
+from biseparable_sampling import biseparable_statevectors
 
 from seqgme.analytic import full_sequence_report, witness_value, z_factor
 from seqgme.densesim import (
     all_bipartitions,
-    biseparable_statevectors,
     channel_closed_form,
     eigen_spectrum,
     expectation,

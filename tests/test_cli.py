@@ -1,11 +1,9 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
 import json
-from unittest import mock
 
 import pytest
 
-from seqgme import cli
 from seqgme.cli import (
     ExperimentConfig,
     build_parser,
@@ -14,7 +12,6 @@ from seqgme.cli import (
     run_disagreement,
     sign_disagreements,
 )
-from seqgme.verify import MAX_SAMPLES
 
 
 def test_run_rows_explicit_schedule():
@@ -156,28 +153,21 @@ def test_main_verify_small_suite(capsys):
 
 
 def test_main_verify_biseparable_reduced_samples(capsys):
-    code = main(["verify", "biseparable", "--samples", "200", "--seed", "11"])
+    code = main(["verify", "biseparable", "--seed", "11"])
     assert code == 0
     assert "true" in capsys.readouterr().out
 
 
-def test_main_verify_rejects_sample_count_below_one(capsys):
-    for samples in ("0", "-3"):
-        assert main(["verify", "biseparable", "--samples", samples]) == 2
-        err = capsys.readouterr().err
-        assert "--samples must be at least 1" in err
-
-
-def test_main_verify_caps_the_sample_count_before_any_suite_runs(capsys):
-    # Nothing is allocated: the cap is checked before a suite starts.
-    with mock.patch.object(cli, "run_suite", side_effect=AssertionError("suite ran")):
-        assert main(["verify", "all", "--samples", str(MAX_SAMPLES + 1)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"--samples must be at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}" in captured.err
-    with mock.patch.object(cli, "run_suite", return_value=[]) as suite:
-        assert main(["verify", "biseparable", "--samples", str(MAX_SAMPLES)]) == 0
-    assert suite.call_args.kwargs["samples"] == MAX_SAMPLES
+def test_main_verify_proven_suites_ignore_the_seed(capsys):
+    # psd and biseparable draw no random numbers: only the header's seed moves.
+    outputs = []
+    for seed in ("3", "11"):
+        assert main(["verify", "psd", "--seed", seed]) == 0
+        assert main(["verify", "biseparable", "--seed", seed]) == 0
+        outputs.append([
+            line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")
+        ])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -186,7 +176,7 @@ def test_main_verify_caps_the_sample_count_before_any_suite_runs(capsys):
         pytest.param(["run", "--state", "ghz", "--N", "3", "--lambdas", "0.5"], id="run"),
         pytest.param(["sweep", "--lambda1-grid", "0.5"], id="sweep"),
         pytest.param(["plan", "--n", "3"], id="plan"),
-        pytest.param(["verify", "biseparable", "--samples", "10"], id="verify"),
+        pytest.param(["verify", "biseparable"], id="verify"),
     ],
 )
 def test_main_unwritable_out_exits_2_naming_the_flag(argv, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Dense simulator: channel forms, decay of correlators, sampling, spectra."""
+"""Dense simulator: channel forms, decay of correlators, spectra."""
 
 import json
 import math
@@ -15,7 +15,6 @@ from seqgme import densesim
 from seqgme.densesim import (
     EIGENVALUE_FLOOR,
     all_bipartitions,
-    biseparable_statevectors,
     channel_closed_form,
     eigen_spectrum,
     expectation,
@@ -254,39 +253,6 @@ def test_all_bipartitions_counts():
     assert all(0 in part for part in all_bipartitions(5))
 
 
-def test_sample_biseparable_is_seeded_product_state():
-    def sample(seed):
-        psi = biseparable_statevectors(4, (0, 2), 1, np.random.default_rng(seed))[0]
-        return np.outer(psi, psi.conj())
-
-    rho = sample(42)
-    np.testing.assert_allclose(rho, sample(42), atol=0)
-    validate_density_matrix(rho)
-    # Pure product state across {0,2}|{1,3}: rank-1 reshuffled amplitude matrix.
-    vals, vecs = np.linalg.eigh(rho)
-    psi = vecs[:, -1]
-    assert vals[-1] == pytest.approx(1.0, abs=1e-12)
-    block = psi.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    singular = np.linalg.svd(block, compute_uv=False)
-    assert singular[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(singular[1:] < 1e-12)
-
-
-def test_sample_biseparable_rejects_trivial_split():
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        biseparable_statevectors(3, (), 1, rng)
-    with pytest.raises(ValueError):
-        biseparable_statevectors(3, (0, 1, 2), 1, rng)
-
-
-def test_biseparable_batch_shape_and_norm():
-    rng = np.random.default_rng(7)
-    batch = biseparable_statevectors(4, (0, 1), 50, rng)
-    assert batch.shape == (50, 16)
-    np.testing.assert_allclose(np.linalg.norm(batch, axis=1), np.ones(50), atol=1e-12)
-
-
 def test_density_matrix_io_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     rho = random_density(rng, 3)
@@ -330,6 +296,23 @@ def test_load_density_matrix_checks_header_before_entries(tmp_path):
         load_density_matrix(path)
     path.write_text(json.dumps({"n_qubits": "1", "real": [[1]], "imag": [[0]]}))
     with pytest.raises(ValidationError, match="not a count"):
+        load_density_matrix(path)
+
+
+@pytest.mark.parametrize("key", ["n_qubits", "real", "imag"])
+def test_load_density_matrix_names_a_missing_entry(key, tmp_path):
+    path = tmp_path / "state.json"
+    payload = {"n_qubits": 1, "real": [[1, 0], [0, 0]], "imag": [[0, 0], [0, 0]]}
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match=f"no '{key}' entry"):
+        load_density_matrix(path)
+
+
+def test_load_density_matrix_refuses_a_top_level_list(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps([[1, 0], [0, 0]]))
+    with pytest.raises(ValidationError, match="JSON list, not an object"):
         load_density_matrix(path)
 
 

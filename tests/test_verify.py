@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from seqgme import densesim, verify
-from seqgme.errors import ValidationError
-from seqgme.pauli import OperatorExpr, PauliString
-from seqgme.verify import verify_biseparable, verify_recursion
+from seqgme.pauli import OperatorExpr, expand_projector_product
+from seqgme.states import stabilizer_generators
+from seqgme.verify import verify_biseparable, verify_oracle, verify_recursion
 from seqgme.witness import build_modified_witness
 
 SHARPNESS_GRID = (0.0, 0.3, 0.7, 1.0)
@@ -52,69 +52,75 @@ def test_recursion_suite_checks_each_observable_once():
     assert all(call.args[0].shape[0] == 6 for call in evaluate.call_args_list)
 
 
-def test_biseparable_values_match_each_witness_complex_expectation():
-    seen = []
-    evaluate = verify._product_values
-
-    def spy(rows, stacked):
-        values = evaluate(rows, stacked)
-        seen.append((rows.copy(), stacked, values))
-        return values
-
-    with mock.patch.object(verify, "_product_values", spy):
-        verify_biseparable(seed=3, samples=300)
-    # 2 families x (3 + 7 bipartitions) x 2 blocks: 256 rows, then 44.
-    assert len(seen) == 40
-    eps = np.finfo(float).eps
-    for index, (rows, stacked, values) in enumerate(seen):
-        family = "ghz" if index < 20 else "cluster"
-        n = rows.shape[1].bit_length() - 1
-        witnesses = [build_modified_witness(family, n, lam).to_matrix() for lam in SHARPNESS_GRID]
-        assert np.array_equal(stacked, np.concatenate(witnesses, axis=1).real)
-        assert values.shape == (len(rows), len(witnesses))
-        for column, matrix in zip(values.T, witnesses):
-            complex_values = np.einsum("bi,bi->b", rows.conj() @ matrix, rows)
-            # The rounding scale of both sums: |psi|^T |W| |psi|.
-            scale = np.einsum("bi,bi->b", np.abs(rows) @ np.abs(matrix), np.abs(rows))
-            assert np.all(np.abs(column - complex_values.real) <= 4 * eps * scale)
+def _ghz_witness(n, sharpness, scaled=0, drop_last=False):
+    """3I - 2[(I + S_1)/2 + prod_{m>=2} (I + S_m)/2] built by hand, with the
+    sharpness on generator `scaled` (0, the X..X one, is right) and without
+    the last ZZ generator if drop_last."""
+    gens = stabilizer_generators("ghz", n)
+    gens[scaled] = gens[scaled].with_coeff(sharpness)
+    x, *zz = gens
+    if drop_last:
+        zz = zz[:-1]
+    projectors = expand_projector_product([x], n_qubits=n) + expand_projector_product(zz, n_qubits=n)
+    return OperatorExpr.identity(n, 3.0) - 2.0 * projectors
 
 
-def _reported_minimum(result) -> float:
-    return float(result.detail.rsplit(" ", 1)[1])
+def _ghz_mutant(**fault):
+    """build_modified_witness with the GHZ witness replaced by a faulty one."""
+
+    def build(family, n, sharpness):
+        if family == "ghz":
+            return _ghz_witness(n, sharpness, **fault)
+        return build_modified_witness(family, n, sharpness)
+
+    return build
 
 
-# The sampler's minima at this seed are 0.334 (ghz) and 0.264 (cluster), so
-# W - 0.05 I stays positive there; W - 0.5 I goes negative and must fail.
+def test_hand_built_ghz_witness_is_the_library_one():
+    for n in (3, 4, 5, 6):
+        for lam in SHARPNESS_GRID:
+            built = _ghz_witness(n, lam).to_matrix()
+            assert np.allclose(built, build_modified_witness("ghz", n, lam).to_matrix(), atol=1e-15)
+
+
+# W - s I lowers both W(0)'s and W(1)'s bound by s, so the proof reads -s. The
+# Haar sampler it replaces saw minima about 0.1 above 0 and passed s = 0.05.
 @pytest.mark.parametrize("shift", [0.05, 0.5])
 def test_shifted_witness_moves_the_reported_minimum(shift):
-    plain = verify_biseparable(seed=3, samples=200)
-
     def shifted(family, n, sharpness):
         return build_modified_witness(family, n, sharpness) - shift * OperatorExpr.identity(n)
 
     with mock.patch.object(verify, "build_modified_witness", shifted):
-        moved = verify_biseparable(seed=3, samples=200)
-    for before, after in zip(plain, moved):
-        minimum = _reported_minimum(after)
-        assert minimum == pytest.approx(_reported_minimum(before) - shift, abs=1e-3)
-        assert after.passed == (minimum >= 0)
-        assert after.residual == pytest.approx(max(-minimum, 0.0), rel=1e-3)
+        results = verify_biseparable(seed=3)
+    assert [result.passed for result in results] == [False, False]
+    for result in results:
+        assert result.residual == pytest.approx(shift, abs=1e-12)
 
 
-def test_witness_with_an_imaginary_entry_is_refused():
-    def complex_witness(family, n, sharpness):
-        y_on_first = OperatorExpr.from_terms(n, [PauliString("Y" + "I" * (n - 1), 0.1)])
-        return build_modified_witness(family, n, sharpness) + y_on_first
+def test_dropped_ghz_generator_fails_the_ghz_row():
+    # Without the last ZZ projector, W(1) has eigenvalue -1 on a second state
+    # besides GHZ, so W(1) - I + 2|psi><psi| has eigenvalue -2.
+    with mock.patch.object(verify, "build_modified_witness", _ghz_mutant(drop_last=True)):
+        ghz, cluster = verify_biseparable(seed=3)
+    assert not ghz.passed
+    assert ghz.residual == pytest.approx(2.0, abs=1e-12)
+    assert cluster.passed
 
-    with mock.patch.object(verify, "build_modified_witness", complex_witness):
-        with pytest.raises(ValidationError, match="imaginary entries"):
-            verify_biseparable(seed=3, samples=10)
+
+def test_sharpness_on_the_wrong_ghz_generator_is_caught_by_the_oracle_only():
+    # Sharpness on the first ZZ generator instead of X..X leaves W(0) PSD, so
+    # the witness is still valid and the biseparable proof holds; its values
+    # on the observers' states no longer match the closed form.
+    with mock.patch.object(verify, "build_modified_witness", _ghz_mutant(scaled=1)):
+        biseparable = verify_biseparable(seed=3)
+        oracle = {result.name: result for result in verify_oracle(seed=3)}
+    assert all(result.passed for result in biseparable)
+    assert not oracle["ghz closed form matches dense simulation"].passed
+    assert oracle["cluster closed form matches dense simulation"].passed
 
 
-@pytest.mark.parametrize("samples", [0, verify.MAX_SAMPLES + 1])
-def test_library_call_refuses_a_sample_count_out_of_range(samples):
-    # Refused before any batch is drawn, as the CLI's --samples is.
-    with mock.patch.object(verify, "biseparable_statevectors") as sampler:
-        with pytest.raises(ValueError, match=f"samples must be at (least|most) .*got {samples}"):
-            verify_biseparable(seed=3, samples=samples)
-    sampler.assert_not_called()
+def test_biseparable_rows_are_plain_python_values():
+    # So that `verify --format json` can serialise them.
+    for result in verify_biseparable(seed=3):
+        assert type(result.passed) is bool
+        assert type(result.residual) is float

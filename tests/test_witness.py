@@ -4,13 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from biseparable_sampling import biseparable_statevectors
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqgme import witness
 from seqgme.densesim import (
     all_bipartitions,
-    biseparable_statevectors,
     eigen_spectrum,
     expectation,
 )
