@@ -83,15 +83,21 @@ def _verified_generators(family: str, n: int) -> tuple[PauliString, ...]:
     return tuple(gens)
 
 
+# Distinct generator sets whose validated basis and member table are kept.
+_BASIS_CACHE_SIZE = 64
+
+
 class _StabilizerBasis:
     """The generators of a stabilizer state factored into a GF(2) echelon basis.
 
     Each generator is the 2n-bit vector x_mask << n | z_mask. Elimination keeps
     one row per leading bit, and with each row the subset of generators (a bit
     per generator) whose product it is, so a term reduces in at most 2n xors.
+    `members` maps the masks of each group string already decided to its sign,
+    so it holds at most 2^n entries; strings outside the group are not stored.
     """
 
-    def __init__(self, generators: list[PauliString], n: int) -> None:
+    def __init__(self, generators: tuple[PauliString, ...], n: int) -> None:
         if len(generators) != n:
             raise ValidationError(f"{len(generators)} generators for {n} qubits; need {n}")
         for g in generators:
@@ -115,6 +121,7 @@ class _StabilizerBasis:
             if not vector:
                 raise ValidationError(f"generator {g} is a product of the ones before it")
             self.rows[vector.bit_length() - 1] = (vector, subset)
+        self.members: dict[tuple[int, int], float] = {}
 
     def _reduce(self, vector: int, subset: int) -> tuple[int, int]:
         """Clear leading bits that rows cover; the remainder and the subset used."""
@@ -132,7 +139,7 @@ class _StabilizerBasis:
         The generators of the subset are multiplied in order as masks: each
         step moves the running product's Z part past the generator's X part,
         a factor (-1)^popcount(z & x), and the Y counts convert from
-        X^x·Z^z form back to letters.
+        X^x·Z^z form back to letters. A member's sign is stored in `members`.
         """
         remainder, subset = self._reduce(term.x_mask << self.n | term.z_mask, 0)
         if remainder:
@@ -151,7 +158,17 @@ class _StabilizerBasis:
         power -= (x & z).bit_count()
         if (x, z) != (term.x_mask, term.z_mask) or power % 2:
             raise ValidationError("GF(2) solution does not reproduce the term")
-        return -sign if power % 4 else sign
+        sign = -sign if power % 4 else sign
+        self.members[x, z] = sign
+        return sign
+
+
+# Keyed by value (each generator's letters and coefficient, and n): an equal
+# set shares the basis, {S, ...} and {-S, ...} do not. A set that fails
+# validation raises on every call, since exceptions are not cached.
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _stabilizer_basis(generators: tuple[PauliString, ...], n: int) -> _StabilizerBasis:
+    return _StabilizerBasis(generators, n)
 
 
 def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[PauliString]) -> float:
@@ -161,16 +178,19 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
     coefficients +-1, so that they fix exactly one state; otherwise this
     raises ValidationError. A Pauli term has expectation +-1 when (+-)term is
     in the generated group and 0 otherwise; membership is decided by the
-    echelon basis, factored once per call, and the sign by the exact phase of
-    the corresponding generator product.
+    echelon basis, factored once per generator set, and the sign by the exact
+    phase of the corresponding generator product. Each set keeps the signs of
+    the members it has decided, at most 2^n, so a string shared by many
+    witnesses is decided once.
     """
     if isinstance(expr, PauliString):
         expr = OperatorExpr.from_terms(expr.n_qubits, [expr])
-    basis = _StabilizerBasis(list(generators), expr.n_qubits)
+    basis = _stabilizer_basis(tuple(generators), expr.n_qubits)
+    members = basis.members
     real_parts: list[float] = []
     imag_parts: list[float] = []
     for term in expr.terms:
-        sign = basis.sign(term)
+        sign = members.get((term.x_mask, term.z_mask)) or basis.sign(term)
         if not sign:
             continue
         value = term.coeff * sign

@@ -29,8 +29,10 @@ from .witness import build_modified_witness, difference_operator
 
 SUITE_NAMES = ("channel", "recursion", "psd", "biseparable", "oracle")
 
-# Random density matrices of the channel suite, random schedules of the oracle suite.
+# Random density matrices of the channel suite, random schedules of the
+# recursion and oracle suites.
 _CHANNEL_TRIALS = 1000
+_RECURSION_SCHEDULES = 100
 _ORACLE_SCHEDULES = 200
 
 
@@ -115,7 +117,7 @@ def verify_channel(seed: int) -> list[CheckResult]:
     ]
 
 
-def verify_recursion(seed: int, schedules: int = 100) -> list[CheckResult]:
+def verify_recursion(seed: int) -> list[CheckResult]:
     """Correlator decay factors, including which product index is correct.
 
     The schedules are drawn in order, each straight into the stacks of its
@@ -127,10 +129,10 @@ def verify_recursion(seed: int, schedules: int = 100) -> list[CheckResult]:
     # Per qubit count: the sharpnesses, the state's parts, the observable's parts.
     stacks = {}
     for n in range(3, 6):
-        state, observable = (2, 1 << n, 1 << n), (2, 1 << (n - 1), 1 << (n - 1))
-        stacks[n] = [np.empty((schedules, *shape)) for shape in ((5,), state, observable)]
+        shapes = ((5,), (2, 1 << n, 1 << n), (2, 1 << (n - 1), 1 << (n - 1)))
+        stacks[n] = [np.empty((_RECURSION_SCHEDULES, *shape)) for shape in shapes]
     drawn = dict.fromkeys(stacks, 0)
-    for _ in range(schedules):
+    for _ in range(_RECURSION_SCHEDULES):
         n = int(rng.integers(3, 6))
         lambdas, state_parts, observable_parts = stacks[n]
         lambdas[drawn[n]] = rng.uniform(size=5)

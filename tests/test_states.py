@@ -14,6 +14,7 @@ from seqgme.densesim import expectation, validate_density_matrix
 from seqgme.errors import CapacityError, ValidationError
 from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, commutes
 from seqgme.states import StateFamily, stabilizer_expectation, stabilizer_generators
+from seqgme.witness import build_modified_witness
 
 
 def density(kind, n, **params):
@@ -241,10 +242,12 @@ def test_stabilizer_expectation_matches_dense_on_random_sums(case):
 
 
 def test_stabilizer_expectation_rejects_non_commuting_generators():
-    # XII and ZII anticommute, so no common eigenstate exists.
+    # XII and ZII anticommute, so no common eigenstate exists. A refused set
+    # is not cached: the second call is refused too.
     gens = [PauliString("XII"), PauliString("ZII"), PauliString("IIZ")]
-    with pytest.raises(ValidationError, match="do not commute"):
-        stabilizer_expectation(PauliString("YII"), gens)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="do not commute"):
+            stabilizer_expectation(PauliString("YII"), gens)
 
 
 def test_stabilizer_expectation_rejects_too_few_generators():
@@ -257,18 +260,91 @@ def test_stabilizer_expectation_rejects_too_few_generators():
 def test_stabilizer_expectation_rejects_dependent_generators():
     # ZII and -ZII generate -I, so no state is fixed by all three.
     gens = [PauliString("ZII"), PauliString("ZII", -1.0), PauliString("IIZ")]
-    with pytest.raises(ValidationError, match="product of the ones before it"):
-        stabilizer_expectation(PauliString("ZII"), gens)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="product of the ones before it"):
+            stabilizer_expectation(PauliString("ZII"), gens)
 
 
 def test_stabilizer_expectation_rejects_non_unit_coefficients():
     gens = stabilizer_generators("ghz", 3)
     for coeff in (1.0j, 0.5, -2.0):
         bad = [gens[0].with_coeff(coeff)] + gens[1:]
-        with pytest.raises(ValidationError, match="coefficient"):
-            stabilizer_expectation(PauliString("XXX"), bad)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="coefficient"):
+                stabilizer_expectation(PauliString("XXX"), bad)
     signed = [gens[0].with_coeff(-1.0)] + gens[1:]
     assert stabilizer_expectation(PauliString("XXX"), signed) == -1.0
+
+
+def _fresh_expectation(expr, gens):
+    """<expr> from a basis built for this call alone, with no decided members."""
+    basis = states._StabilizerBasis(tuple(gens), expr.n_qubits)
+    values = [t.coeff * sign for t in expr.terms if (sign := basis.sign(t))]
+    total_imag = math.fsum(v.imag for v in values)
+    if abs(total_imag) >= 1e-10:
+        raise ValidationError(f"expectation has imaginary residue {total_imag}")
+    return math.fsum(v.real for v in values)
+
+
+def _outcome(evaluate, expr, gens):
+    """The value's exact bits, or the error it raises."""
+    try:
+        return evaluate(expr, gens).hex()
+    except ValidationError as error:
+        return str(error)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stabilizer_sums(), st.lists(st.booleans(), min_size=6, max_size=6))
+def test_cached_expectation_is_bit_for_bit_a_fresh_basis_evaluation(case, flips):
+    # Flipping generator signs fixes another stabilizer state; "string" terms
+    # are mostly outside the group and carry Y letters.
+    _, n, gens, expr = case
+    gens = [g.with_coeff(-g.coeff) if flip else g for g, flip in zip(gens, flips)]
+    expected = _outcome(_fresh_expectation, expr, gens)
+    # Cold, then with every member of expr decided, then from an equal copy.
+    for generators in (gens, gens, list(gens)):
+        assert _outcome(stabilizer_expectation, expr, generators) == expected
+    # Only group members are stored, so at most 2^n of them.
+    members = states._stabilizer_basis(tuple(gens), n).members
+    assert len(members) <= 1 << n and set(members.values()) <= {1.0, -1.0}
+
+
+def test_equal_generator_sets_share_one_validated_basis():
+    states._stabilizer_basis.cache_clear()
+    witness = build_modified_witness("cluster", 5, 0.3)
+    # Three equal sets, each a fresh list.
+    values = {stabilizer_expectation(witness, stabilizer_generators("cluster", 5)) for _ in "abc"}
+    info = states._stabilizer_basis.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 2, states._BASIS_CACHE_SIZE)
+    assert len(values) == 1
+
+
+def test_member_tables_hold_at_most_two_to_the_n_entries():
+    for family in ("ghz", "cluster"):
+        for n in range(3, DENSE_QUBIT_LIMIT + 1):
+            gens = stabilizer_generators(family, n)
+            for lam in (0.0, 0.2, 0.5, 0.9, 1.0):
+                stabilizer_expectation(build_modified_witness(family, n, lam), gens)
+            members = states._stabilizer_basis(tuple(gens), n).members
+            assert 0 < len(members) <= 1 << n
+            assert set(members.values()) <= {1.0, -1.0}
+
+
+@pytest.mark.parametrize("family", ["ghz", "cluster"])
+def test_opposite_generator_signs_keep_separate_tables(family):
+    n = 4
+    gens = stabilizer_generators(family, n)
+    flipped = [gens[0].with_coeff(-1.0)] + gens[1:]
+    bases = [states._stabilizer_basis(tuple(g), n) for g in (gens, flipped)]
+    assert bases[0] is not bases[1]
+    # The first generator, and its product with the second, flip sign.
+    for term in (gens[0], string_product(gens[0], gens[1])):
+        term = term.with_coeff(1.0)
+        values = [stabilizer_expectation(term, g) for g in (gens, flipped)]
+        assert values[0] == -values[1] and abs(values[0]) == 1.0
+    assert bases[0].members is not bases[1].members
+    assert all(bases[0].members[key] == -sign for key, sign in bases[1].members.items())
 
 
 def test_state_family_parse_and_labels():

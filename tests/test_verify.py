@@ -20,30 +20,32 @@ def _stack_sizes(calls) -> list[int]:
     return [math.prod(call.args[0].shape[:-2]) for call in calls]
 
 
-def test_recursion_suite_validates_each_schedule_once():
+def test_recursion_suite_validates_each_schedule_once(monkeypatch):
     # One validation per qubit count, of the stack of its start states: each
     # schedule's state once, and no state of a chain after it.
+    monkeypatch.setattr(verify, "_RECURSION_SCHEDULES", 4)
     with mock.patch.object(
         densesim, "validate_density_matrix", wraps=densesim.validate_density_matrix
     ) as check:
-        results = verify_recursion(seed=5, schedules=4)
+        results = verify_recursion(seed=5)
     assert all(result.passed for result in results)
     assert sum(_stack_sizes(check.call_args_list)) == 4
     dims = [call.args[0].shape[-1] for call in check.call_args_list]
     assert len(dims) == len(set(dims))
 
 
-def test_recursion_suite_checks_each_observable_once():
+def test_recursion_suite_checks_each_observable_once(monkeypatch):
     # Per qubit count, three Hermiticity sweeps: the start states' (in their
     # validation), then the z and the x observables', each against all six
     # states of the chain. Checked one call at a time, the 10 schedules made
     # 10 + 2 * 6 * 10 = 130 checks.
     schedules = 10
+    monkeypatch.setattr(verify, "_RECURSION_SCHEDULES", schedules)
     with (
         mock.patch.object(densesim, "_max_asymmetry", wraps=densesim._max_asymmetry) as check,
         mock.patch.object(verify, "expectation", wraps=densesim.expectation) as evaluate,
     ):
-        results = verify_recursion(seed=5, schedules=schedules)
+        results = verify_recursion(seed=5)
     assert all(result.passed for result in results)
     assert sum(_stack_sizes(check.call_args_list)) == 3 * schedules
     groups = len({call.args[0].shape[-1] for call in check.call_args_list})
