@@ -13,9 +13,7 @@ from .analytic import (
     z_factor,
 )
 from .densesim import (
-    all_bipartitions,
     channel_closed_form,
-    eigen_spectrum,
     expectation,
     load_density_matrix,
     luders_update,
@@ -47,6 +45,7 @@ from .states import (
     StateFamily,
     stabilizer_expectation,
     stabilizer_generators,
+    syndrome_spectrum,
 )
 from .witness import (
     build_modified_cluster_witness,
@@ -70,14 +69,12 @@ __all__ = [
     "SharpnessSchedule",
     "StateFamily",
     "ValidationError",
-    "all_bipartitions",
     "build_modified_cluster_witness",
     "build_modified_ghz_witness",
     "build_modified_witness",
     "channel_closed_form",
     "commutes",
     "difference_operator",
-    "eigen_spectrum",
     "expand_projector_product",
     "expectation",
     "full_sequence_report",
@@ -90,6 +87,7 @@ __all__ = [
     "save_density_matrix",
     "stabilizer_expectation",
     "stabilizer_generators",
+    "syndrome_spectrum",
     "witness_value",
     "z_factor",
 ]

@@ -2,12 +2,12 @@
 
 States are numpy arrays of shape (2^N, 2^N), qubit 1 being the most
 significant tensor factor. The state kernels (validate_density_matrix,
-luders_update, observer_states, channel_closed_form, and expectation of a
-dense observable) take a stack of states, shape (..., 2^N, 2^N), and treat
-each element as a state of its own; a single state is the empty stack. A
-sharpness is one number for every element, or an array that broadcasts to the
-stack's shape with one value per element. Each element's result is bit for
-bit the result of its own call. An error in a stack names the first element
+luders_update, observer_states, channel_closed_form and expectation) take a
+stack of states, shape (..., 2^N, 2^N), and treat each element as a state of
+its own; a single state is the empty stack. A sharpness is one number for
+every element, or an array that broadcasts to the stack's shape with one value
+per element; a Pauli sum is one for every element, or a sequence with one per
+element. Each element's result is bit for bit the result of its own call. An error in a stack names the first element
 at fault ("stack element 3: ..."); for a single state the message has no such
 prefix. So callers with many small states, such as the verify suites, pay
 each numpy call's fixed cost once per stack, not once per state.
@@ -19,7 +19,8 @@ chain, and the Cholesky gate, the channel steps and the gathers run on half
 the bytes of a complex state. Everything here is the brute-force reference
 that the closed-form layers are checked against. No operator is densified on
 the way: Pauli sums are evaluated by gathers on their bit masks, one gather
-per distinct X part, and single-qubit maps act on the target qubit's 2x2
+per distinct X part and stack of elements that share a term layout, with a
+plan cached per layout, and single-qubit maps act on the target qubit's 2x2
 blocks of the state. The channel step builds each element's four
 square-rooted effects in one expression from fixed (4, 2, 2) stacks and the
 two eigenvalues of the unsharp x roots, forms the 4x4 superoperator from them,
@@ -35,29 +36,27 @@ are swept in tiles.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
-from itertools import combinations
-from operator import itemgetter
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import (
     CapacityError,
     DimensionError,
-    PrecisionError,
     ValidationError,
     check_sharpness,
 )
-from .pauli import DENSE_QUBIT_LIMIT, PAULI_MATRICES, OperatorExpr, PauliString
+from .pauli import _PHASES, DENSE_QUBIT_LIMIT, PAULI_MATRICES, OperatorExpr, PauliString
 
 DENSITY_TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 # Accumulated floating error over repeated channel applications.
 EIGENVALUE_FLOOR = -1e-10
 IMAG_TOL = 1e-10
-# Largest column norm of op @ V - V * w that eigen_spectrum accepts.
-EIGEN_RESIDUAL_TOL = 1e-9
 # Entries of rho gathered at once by a Pauli-sum expectation, counting both
 # the rows gathered for a block of distinct X parts and the per-term block
 # indexed from them (8 MiB of float64, 16 MiB of complex128).
@@ -409,40 +408,111 @@ def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -
     return out.reshape(rho.shape)
 
 
-def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr) -> complex:
-    """Tr[rho * expr] without building expr's matrix.
+_MASKS = attrgetter("x_mask", "z_mask")
+# Gather plans kept, one per term layout; a plan's parity table holds one
+# byte per term and basis state (513 KiB for the 513-term witness at N = 10).
+_PLAN_CACHE_SIZE = 16
 
-    The only nonzero entries of a term P with masks (f, z) and phase c are
-    <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _gather_plan(n: int, layout: tuple[tuple[int, int], ...]):
+    """How to gather a Pauli sum whose terms have these (x, z) masks.
+
+    The power of i that each term's Y letters put in its phase (in term
+    order, as in PauliString.bit_masks), the order of the terms by X part
+    (each part's terms form one run, so part_of ascends), the distinct X
+    parts, each ordered term's part, and the bool table
+    (-1)^popcount(j & z) == -1 of each ordered term and basis state j.
+    """
+    y_phases = tuple(_PHASES[(x & z).bit_count() % 4] for x, z in layout)
+    order = sorted(range(len(layout)), key=lambda t: layout[t][0])
+    parts, part_of = [], []
+    for t in order:
+        if not parts or layout[t][0] != parts[-1]:
+            parts.append(layout[t][0])
+        part_of.append(len(parts) - 1)
+    rows = np.arange(1 << n, dtype=np.int64)
+    signs = np.array([layout[t][1] for t in order], dtype=np.int64)
+    negative = (np.bitwise_count(rows & signs[:, None]) & 1).astype(bool)
+    order = np.array(order)
+    return y_phases, order, np.array(parts, dtype=np.int64), np.array(part_of), negative
+
+
+def _pauli_sum_trace(rho: np.ndarray, sums):
+    """Tr[rho * P] without building P's matrix, for one state (d, d) or each
+    element of a stack (count, d, d).
+
+    sums is one OperatorExpr, or a sequence of them with one per element or
+    one for every element. The only nonzero entries of a term P with masks (f, z) and phase
+    c are <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
     c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z). Terms share few X parts f
     (a GHZ witness has two), so the row rho[j, j ^ f] is gathered once per
     distinct f, and each term indexes its part's row (or, when every part has
     one term, its rows are the parts' rows in place). Parts are gathered, and
     terms summed, a block at a time; the parts' rows and the terms' block
-    together hold at most _GATHER_ELEMENTS entries.
+    together hold at most _GATHER_ELEMENTS entries over all elements (a
+    stack too large for two rows of each is split). Elements whose sums
+    share a term layout are gathered together, with one cached plan. Each
+    term's sum is a row sum of a 2-D array, and the terms are added by fsum,
+    so an element's value is bit for bit that of its own call.
     """
-    if not expr.terms:
-        return 0j
-    dim = rho.shape[0]
+    single = rho.ndim == 2
+    groups = {}
+    for index, expr in enumerate([sums] if isinstance(sums, OperatorExpr) else sums):
+        layout = tuple(map(_MASKS, expr.terms))
+        members, exprs = groups.setdefault(layout, ([], []))
+        members.append(index)
+        exprs.append(expr)
+    if len(groups) == 1:  # every element, or one sum for all: the stack itself
+        groups = {layout: (slice(None), exprs)}
+    out = np.zeros(1 if single else len(rho), dtype=complex)
+    for layout, (members, exprs) in groups.items():
+        if not layout:
+            continue
+        y_phases, order, parts, part_of, negative = _gather_plan(
+            rho.shape[-1].bit_length() - 1, layout
+        )
+        states = rho if single else rho[members]
+        per_term = _term_traces(states, parts, part_of, negative).reshape(-1, len(layout))
+        # Each term's coefficient times the phase of its Y letters, as in bit_masks.
+        phases = np.array(
+            [[t.coeff * y for t, y in zip(expr.terms, y_phases)] for expr in exprs]
+        )[:, order]
+        if len(phases) == 1:
+            phases = itertools.repeat(phases[0])
+        # Each element's products in a call of their own shape, as alone.
+        out[members] = [_fsum(row * phase) for row, phase in zip(per_term, phases)]
+    return out[0] if single else out
+
+
+def _fsum(values: np.ndarray) -> complex:
+    """The correctly rounded sum of complex values."""
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+
+
+def _term_traces(rho: np.ndarray, parts, part_of, negative) -> np.ndarray:
+    """sum_j rho[j, j ^ f] * (-1)^popcount(j & z) of each planned term, for one
+    state or each element of a stack; shape (..., terms), complex."""
+    dim = rho.shape[-1]
+    count = 1 if rho.ndim == 2 else len(rho)
+    # Two rows of every element must fit the budget: split a larger stack.
+    split = max(1, _GATHER_ELEMENTS // (2 * dim))
+    if count > split:
+        return np.concatenate([
+            _term_traces(rho[i:i + split], parts, part_of, negative)
+            for i in range(0, count, split)
+        ])
     rows = np.arange(dim, dtype=np.int64)
-    # Sorted by X part, each part's terms form one run, so part_of ascends.
-    masks = sorted((term.bit_masks() for term in expr.terms), key=itemgetter(0))
-    flips, signs, phases = zip(*masks)
-    parts, part_of = [], []
-    for flip in flips:
-        if not parts or flip != parts[-1]:
-            parts.append(flip)
-        part_of.append(len(parts) - 1)
-    parts = np.array(parts, dtype=np.int64)
-    part_of = np.array(part_of)
-    signs = np.array(signs, dtype=np.int64)
-    phases = np.array(phases, dtype=complex)
-    per_term = np.empty(len(flips), dtype=complex)
+    per_term = np.empty((*rho.shape[:-2], len(part_of)), dtype=complex)
     # Rows held at once: at most half of them parts' rows, the rest terms'.
-    budget = max(2, _GATHER_ELEMENTS // dim)
+    budget = max(2, _GATHER_ELEMENTS // (dim * count))
     for first in range(0, len(parts), budget // 2):
         chunk = parts[first:first + budget // 2]
-        part_rows = rho[rows, rows ^ chunk[:, None]]
+        columns = rows ^ chunk[:, None]
+        if rho.ndim == 2:
+            part_rows = rho[rows, columns]
+        else:  # take, unlike rho[:, rows, columns], returns C-ordered rows
+            part_rows = np.take(rho.reshape(count, -1), rows * dim + columns, axis=1)
         step = budget - len(chunk)
         lo, hi = part_of.searchsorted([first, first + len(chunk)])
         # With one term per part, term t's row is part_rows[t - lo]: a view.
@@ -451,35 +521,59 @@ def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr) -> complex:
             stop = min(start + step, hi)
             block = slice(start, stop)
             if one_to_one:
-                gathered = part_rows[start - lo:stop - lo]
+                gathered = part_rows[..., start - lo:stop - lo, :]
             else:
-                gathered = part_rows[part_of[block] - first]
-            parity = np.bitwise_count(rows & signs[block, None]) & 1
-            per_term[block] = np.where(parity, -gathered, gathered).sum(axis=1)
-    per_term *= phases
-    return complex(math.fsum(per_term.real.tolist()), math.fsum(per_term.imag.tolist()))
+                gathered = np.take(part_rows, part_of[block] - first, axis=-2)
+            signed = np.where(negative[block], -gathered, gathered)
+            # Sums of C-ordered rows: numpy adds each row pairwise, in the same
+            # order whatever the number of rows, where a strided row would be
+            # added in sequence.
+            flat = np.ascontiguousarray(signed).reshape(-1, dim)
+            per_term[..., block] = flat.sum(axis=1).reshape(signed.shape[:-1])
+    return per_term
+
+
+def _pauli_sums(obs) -> list[OperatorExpr] | None:
+    """The Pauli sums of obs, a sum or a sequence of them; None when obs is a
+    dense observable."""
+    items = obs if isinstance(obs, (list, tuple)) and obs else [obs]
+    if not all(isinstance(item, (PauliString, OperatorExpr)) for item in items):
+        return None
+    return [
+        OperatorExpr.from_terms(item.n_qubits, [item]) if isinstance(item, PauliString) else item
+        for item in items
+    ]
 
 
 def expectation(rho: np.ndarray, obs):
     """Tr[rho * obs] for a Hermitian observable (dense or Pauli sum).
 
-    A dense observable may be a stack, and so may rho; the two stacks
-    broadcast against each other, and the result is an array of that
-    broadcast shape (a float for one state and one observable). Each
-    observable is checked for Hermiticity once, however many states it meets.
-    A Pauli sum takes one state.
+    rho may be a stack, and the result is then an array of the stack's shape
+    (a float for one state). A dense observable may be a stack too; the two
+    stacks broadcast against each other. A Pauli sum is one for every
+    element, or a sequence with one per element of a one-axis stack, so the
+    elements may differ in coefficients and terms. Each observable is
+    checked once, however many states it meets, and each element's value is
+    bit for bit that of its own call.
     """
     rho = _as_state(rho)
     n = n_qubits_of(rho)
-    if isinstance(obs, PauliString):
-        obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
-    if isinstance(obs, OperatorExpr):
-        _matrix_qubits(rho)
-        if obs.n_qubits != n:
-            raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
-        if not obs.is_hermitian():
-            raise ValidationError("observable has non-real Pauli coefficients")
-        value = np.asarray(_pauli_sum_trace(rho, obs))
+    sums = _pauli_sums(obs)
+    if sums is not None:
+        stack = rho.shape[:-2]
+        per_element = isinstance(obs, (list, tuple))
+        if per_element and stack != (len(sums),):
+            raise DimensionError(f"{len(sums)} Pauli sums vs stack {stack}")
+        for index, expr in enumerate(sums):
+            where = (index,) if per_element else ()
+            if expr.n_qubits != n:
+                raise DimensionError(
+                    _named(where, f"observable on {expr.n_qubits} qubits, state on {n}")
+                )
+            if not expr.is_hermitian():
+                raise ValidationError(_named(where, "observable has non-real Pauli coefficients"))
+        states = rho.reshape(-1, *rho.shape[-2:]) if stack else rho
+        value = np.asarray(_pauli_sum_trace(states, sums)).reshape(stack)
     else:
         dense = _as_state(obs)
         try:
@@ -497,29 +591,6 @@ def expectation(rho: np.ndarray, obs):
     residue = value.imag
     _refuse(abs(residue) >= IMAG_TOL, ValidationError, "expectation has imaginary residue {}", residue)
     return value.real if value.ndim else float(value.real)
-
-
-def eigen_spectrum(op: np.ndarray) -> np.ndarray:
-    """Ascending real spectrum of a Hermitian matrix, residual-checked."""
-    op = _as_state(op)
-    _matrix_qubits(op)
-    if _max_asymmetry(op) > HERMITICITY_TOL:
-        raise ValidationError("matrix is not Hermitian")
-    values, vectors = np.linalg.eigh(op)
-    residual = np.max(np.linalg.norm(op @ vectors - vectors * values, axis=0))
-    if residual >= EIGEN_RESIDUAL_TOL:
-        raise PrecisionError(f"eigenpair residual {residual} exceeds {EIGEN_RESIDUAL_TOL}")
-    return values
-
-
-def all_bipartitions(n: int) -> list[tuple[int, ...]]:
-    """All 2^(n-1) - 1 bipartitions, each given by the side containing qubit 0."""
-    parts = []
-    rest = range(1, n)
-    for size in range(0, n - 1):
-        for extra in combinations(rest, size):
-            parts.append((0, *extra))
-    return parts
 
 
 def save_density_matrix(path, rho: np.ndarray) -> None:

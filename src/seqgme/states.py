@@ -4,7 +4,9 @@
 matrix, since each has real amplitudes; the same amplitudes back the
 construction-time stabilizer checks. `stabilizer_expectation` evaluates
 Pauli sums on stabilizer states without any dense matrix, which is the
-"symbolic" route the dense simulator is cross-checked against.
+"symbolic" route the dense simulator is cross-checked against, and
+`syndrome_spectrum` gives every eigenvalue of a sum of stabilizer-group
+strings from the same GF(2) factoring.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ class _StabilizerBasis:
     one row per leading bit, and with each row the subset of generators (a bit
     per generator) whose product it is, so a term reduces in at most 2n xors.
     `members` maps the masks of each group string already decided to its sign,
-    so it holds at most 2^n entries; strings outside the group are not stored.
+    and `factors` those that syndrome_spectrum met to their (generator subset,
+    sign), so each holds at most 2^n entries; strings outside the group are
+    not stored.
     """
 
     def __init__(self, generators: tuple[PauliString, ...], n: int) -> None:
@@ -122,6 +126,7 @@ class _StabilizerBasis:
                 raise ValidationError(f"generator {g} is a product of the ones before it")
             self.rows[vector.bit_length() - 1] = (vector, subset)
         self.members: dict[tuple[int, int], float] = {}
+        self.factors: dict[tuple[int, int], tuple[int, float]] = {}
 
     def _reduce(self, vector: int, subset: int) -> tuple[int, int]:
         """Clear leading bits that rows cover; the remainder and the subset used."""
@@ -133,23 +138,25 @@ class _StabilizerBasis:
             subset ^= row[1]
         return vector, subset
 
-    def sign(self, term: PauliString) -> float:
-        """+-1 when +-term's string is in the group, 0.0 when it is not.
+    def factor(self, term: PauliString) -> tuple[int, float] | None:
+        """(subset, sign) with +-term's string equal to sign times the product
+        of the subset's generators, or None when it is not in the group.
 
         The generators of the subset are multiplied in order as masks: each
         step moves the running product's Z part past the generator's X part,
         a factor (-1)^popcount(z & x), and the Y counts convert from
-        X^x·Z^z form back to letters. A member's sign is stored in `members`.
+        X^x·Z^z form back to letters.
         """
         remainder, subset = self._reduce(term.x_mask << self.n | term.z_mask, 0)
         if remainder:
-            return 0.0
+            return None
+        factors = subset
         x = z = 0
         power = 0
         sign = 1.0
-        while subset:
-            low = subset & -subset
-            subset ^= low
+        while factors:
+            low = factors & -factors
+            factors ^= low
             gx, gz, y_count, coeff = self.masks[low.bit_length() - 1]
             power += y_count + 2 * (z & gx).bit_count()
             x ^= gx
@@ -158,9 +165,16 @@ class _StabilizerBasis:
         power -= (x & z).bit_count()
         if (x, z) != (term.x_mask, term.z_mask) or power % 2:
             raise ValidationError("GF(2) solution does not reproduce the term")
-        sign = -sign if power % 4 else sign
-        self.members[x, z] = sign
-        return sign
+        return subset, -sign if power % 4 else sign
+
+    def sign(self, term: PauliString) -> float:
+        """+-1 when +-term's string is in the group, 0.0 when it is not.
+        A member's sign is stored in `members`."""
+        found = self.factor(term)
+        if found is None:
+            return 0.0
+        self.members[term.x_mask, term.z_mask] = found[1]
+        return found[1]
 
 
 # Keyed by value (each generator's letters and coefficient, and n): an equal
@@ -200,6 +214,40 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
     if abs(total_imag) >= 1e-10:
         raise ValidationError(f"expectation has imaginary residue {total_imag}")
     return math.fsum(real_parts)
+
+
+def syndrome_spectrum(expr: OperatorExpr, generators: list[PauliString]) -> np.ndarray:
+    """expr's eigenvalue on every syndrome of the state the generators fix.
+
+    Entry b is the eigenvalue on the joint eigenspace where generator m has
+    eigenvalue (-1)^(bit m of b), so entry 0 belongs to the state itself.
+    Every term must be +- a product of generators, which makes expr diagonal
+    in that basis; a term outside the group raises ValidationError naming it.
+    A term c·sign·prod_{m in subset} S_m contributes
+    c·sign·prod_{m in subset} (-1)^(b_m) at b, so the spectrum is one
+    Walsh-Hadamard transform of the coefficients placed at their subsets.
+    The generators are checked as for stabilizer_expectation.
+    """
+    n = expr.n_qubits
+    if not expr.is_hermitian():
+        raise ValidationError("operator has non-real Pauli coefficients")
+    basis = _stabilizer_basis(tuple(generators), n)
+    factors = basis.factors
+    spectrum = np.zeros(1 << n)
+    for term in expr.terms:
+        found = factors.get((term.x_mask, term.z_mask)) or basis.factor(term)
+        if found is None:
+            raise ValidationError(f"term {term} is outside the stabilizer group")
+        subset, sign = factors[term.x_mask, term.z_mask] = found
+        spectrum[subset] += term.coeff.real * sign
+    # One butterfly per generator bit h, in place: (a, b) -> (a + b, a - b).
+    for h in range(n):
+        pairs = spectrum.reshape(-1, 2, 1 << h)
+        low, high = pairs[:, 0], pairs[:, 1]
+        total = low + high
+        np.subtract(low, high, out=high)
+        low[...] = total
+    return spectrum
 
 
 _FAMILY_KINDS = ("ghz", "gghz", "mixed", "cluster")

@@ -8,12 +8,11 @@ derived from the code under test.
 import numpy as np
 import pytest
 from biseparable_sampling import biseparable_statevectors
+from dense_spectra import all_bipartitions, eigen_spectrum
 
 from seqgme.analytic import full_sequence_report, witness_value, z_factor
 from seqgme.densesim import (
-    all_bipartitions,
     channel_closed_form,
-    eigen_spectrum,
     expectation,
     luders_update,
     observer_states,

@@ -5,12 +5,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from dense_spectra import all_bipartitions, eigen_spectrum, reduced_state
 
-from seqgme import densesim, verify
-from seqgme.pauli import OperatorExpr, expand_projector_product
-from seqgme.states import stabilizer_generators
-from seqgme.verify import verify_biseparable, verify_oracle, verify_recursion
-from seqgme.witness import build_modified_witness
+from seqgme import densesim, verify, witness
+from seqgme.cli import main
+from seqgme.densesim import expectation, observer_states
+from seqgme.errors import ValidationError
+from seqgme.pauli import OperatorExpr, PauliString, expand_projector_product
+from seqgme.states import StateFamily, stabilizer_generators, syndrome_spectrum
+from seqgme.verify import verify_biseparable, verify_oracle, verify_psd, verify_recursion
+from seqgme.witness import build_modified_witness, difference_operator
 
 SHARPNESS_GRID = (0.0, 0.3, 0.7, 1.0)
 
@@ -126,3 +130,99 @@ def test_biseparable_rows_are_plain_python_values():
     for result in verify_biseparable(seed=3):
         assert type(result.passed) is bool
         assert type(result.residual) is float
+
+
+def _off_group_ghz(family, n, sharpness):
+    """build_modified_witness with 0.1·Z on qubit 1 added to the GHZ witness:
+    a string outside the GHZ stabilizer group."""
+    built = build_modified_witness(family, n, sharpness)
+    if family != "ghz":
+        return built
+    return built + OperatorExpr.from_terms(n, [PauliString.from_ops(n, {0: "Z"}, 0.1)])
+
+
+def test_off_group_term_fails_the_psd_and_biseparable_ghz_rows(capsys):
+    # The difference operator is built by witness.build_modified_witness, the
+    # biseparable proof and the oracle by verify's own import of it.
+    with (
+        mock.patch.object(witness, "build_modified_witness", _off_group_ghz),
+        mock.patch.object(verify, "build_modified_witness", _off_group_ghz),
+    ):
+        psd = verify_psd(seed=3)
+        biseparable = verify_biseparable(seed=3)
+        assert main(["verify", "all", "--seed", "3"]) == 1
+    assert [row.passed for row in psd] == [False, False, True, True]
+    assert [row.passed for row in biseparable] == [False, True]
+    for row in (*psd[:2], biseparable[0]):
+        assert row.detail == "term +0.1·ZII is outside the stabilizer group"
+        assert row.residual == 1.0
+    # The fourth failure is the oracle's mixed row: <Z_1> = p1 (2 alpha - 1) there.
+    assert capsys.readouterr().err == "error: 4 verification check(s) failed\n"
+
+
+def test_spectral_suites_use_no_dense_matrix_and_the_oracle_stacks_its_traces():
+    with (
+        mock.patch.object(OperatorExpr, "to_matrix", side_effect=AssertionError) as densify,
+        mock.patch.object(np.linalg, "eigh", side_effect=AssertionError) as solve,
+    ):
+        assert all(row.passed for row in verify_psd(seed=3) + verify_biseparable(seed=3))
+    assert densify.call_count == solve.call_count == 0
+    # One call per (n, k, family) group, at most 4 * 6 * 2, and one per
+    # observer of the mixed grid, 4; one call per schedule made 436.
+    with mock.patch.object(verify, "expectation", wraps=densesim.expectation) as evaluate:
+        assert all(row.passed for row in verify_oracle(seed=3))
+    assert evaluate.call_count <= 52
+
+
+@pytest.mark.parametrize("family", ["ghz", "cluster"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_syndrome_spectra_equal_the_dense_spectra(family, n):
+    generators = stabilizer_generators(family, n)
+    for lam in SHARPNESS_GRID:
+        for expr in (build_modified_witness(family, n, lam), difference_operator(family, n, lam)):
+            spectrum = np.sort(syndrome_spectrum(expr, generators))
+            dense = eigen_spectrum(expr.to_matrix())
+            np.testing.assert_allclose(spectrum, dense, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("family", ["ghz", "cluster"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cut_rank_weights_equal_the_dense_reduced_states(family, n):
+    generators = stabilizer_generators(family, n)
+    rho = StateFamily(family, n).density_matrix()
+    for part in all_bipartitions(n):
+        cut = sum(1 << (n - 1 - q) for q in part)
+        dense = eigen_spectrum(reduced_state(rho, n, part))[-1]
+        assert verify._schmidt_weight(generators, cut) == pytest.approx(dense, rel=0, abs=1e-15)
+
+
+def test_syndrome_spectrum_names_a_term_outside_the_group():
+    generators = stabilizer_generators("cluster", 3)
+    expr = OperatorExpr.from_terms(3, [PauliString("XZI"), PauliString("IIZ", -0.5)])
+    with pytest.raises(ValidationError, match=r"^term -0\.5·IIZ is outside the stabilizer group$"):
+        syndrome_spectrum(expr, generators)
+    # Index 0 is the state itself; XZI is generator 0, so it flips on odd syndromes.
+    values = syndrome_spectrum(OperatorExpr.from_terms(3, [PauliString("XZI", 2.0)]), generators)
+    assert values.tolist() == [2.0, -2.0] * 4
+
+
+def test_stacked_witness_traces_equal_their_own_calls():
+    # One stack whose elements carry witnesses of different layouts: lambda = 0
+    # drops the lambda terms, and the mutants add or drop strings.
+    kinds = [
+        build_modified_witness,
+        _ghz_mutant(scaled=1),
+        _ghz_mutant(drop_last=True),
+        _off_group_ghz,
+    ]
+    rng = np.random.default_rng(17)
+    for n in (3, 4, 5):
+        start = StateFamily("ghz", n).density_matrix()
+        lambdas = rng.uniform(size=(3, 8))
+        lambdas[:, ::3] = 0.0
+        *_, states = observer_states(np.broadcast_to(start, (8, *start.shape)), lambdas)
+        for rho in (states, states.astype(complex)):
+            sums = [kinds[i % 4]("ghz", n, lam) for i, lam in enumerate(lambdas[-1])]
+            stacked = expectation(rho, sums)
+            own = [expectation(one, expr) for one, expr in zip(rho, sums)]
+            assert stacked.tolist() == own

@@ -5,15 +5,12 @@ from unittest import mock
 import numpy as np
 import pytest
 from biseparable_sampling import biseparable_statevectors
+from dense_spectra import all_bipartitions, eigen_spectrum
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqgme import witness
-from seqgme.densesim import (
-    all_bipartitions,
-    eigen_spectrum,
-    expectation,
-)
+from seqgme.densesim import expectation
 from seqgme.pauli import OperatorExpr, PauliString, expand_projector_product
 from seqgme.states import StateFamily, stabilizer_expectation, stabilizer_generators
 from seqgme.witness import (
