@@ -51,7 +51,6 @@ from .witness import (
     build_modified_cluster_witness,
     build_modified_ghz_witness,
     build_modified_witness,
-    difference_operator,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +73,6 @@ __all__ = [
     "build_modified_witness",
     "channel_closed_form",
     "commutes",
-    "difference_operator",
     "expand_projector_product",
     "expectation",
     "full_sequence_report",

@@ -267,6 +267,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     rows = []
     for suite in suites:

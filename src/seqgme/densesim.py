@@ -6,8 +6,9 @@ luders_update, observer_states, channel_closed_form and expectation) take a
 stack of states, shape (..., 2^N, 2^N), and treat each element as a state of
 its own; a single state is the empty stack. A sharpness is one number for
 every element, or an array that broadcasts to the stack's shape with one value
-per element; a Pauli sum is one for every element, or a sequence with one per
-element. Each element's result is bit for bit the result of its own call. An error in a stack names the first element
+per element; an observable is one Pauli sum for every element, or a dense
+stack that broadcasts against the states. Each element's result is bit for
+bit the result of its own call. An error in a stack names the first element
 at fault ("stack element 3: ..."); for a single state the message has no such
 prefix. So callers with many small states, such as the verify suites, pay
 each numpy call's fixed cost once per stack, not once per state.
@@ -18,14 +19,14 @@ Kraus operator of the channel is real, so a real state stays real along a
 chain, and the Cholesky gate, the channel steps and the gathers run on half
 the bytes of a complex state. Everything here is the brute-force reference
 that the closed-form layers are checked against. No operator is densified on
-the way: Pauli sums are evaluated by gathers on their bit masks, one gather
-per distinct X part and stack of elements that share a term layout, with a
-plan cached per layout, and single-qubit maps act on the target qubit's 2x2
-blocks of the state. The channel step builds each element's four
-square-rooted effects in one expression from fixed (4, 2, 2) stacks and the
-two eigenvalues of the unsharp x roots, forms the 4x4 superoperator from them,
-and multiplies the target's blocks by it one cache-sized tile at a time (a
-tile spans the whole stack), so its output is its only full-size allocation.
+the way: a Pauli sum is evaluated by gathers on its bit masks, one gather
+per distinct X part for the whole stack, with a plan cached per term
+layout, and single-qubit maps act on the target qubit's 2x2 blocks of the
+state. The channel step builds each element's four square-rooted effects
+in one expression from fixed (4, 2, 2) stacks and the two eigenvalues of
+the unsharp x roots, forms the 4x4 superoperator from them, and multiplies
+the target's blocks by it one cache-sized tile at a time (a tile spans the
+whole stack), so its output is its only full-size allocation.
 
 Validation costs O(d^2) for the states a chain meets: they have rank at most
 4, so from dimension 128 on a pivoted partial Cholesky of at most 4 steps
@@ -37,7 +38,6 @@ are swept in tiles.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from operator import attrgetter
@@ -438,50 +438,34 @@ def _gather_plan(n: int, layout: tuple[tuple[int, int], ...]):
     return y_phases, order, np.array(parts, dtype=np.int64), np.array(part_of), negative
 
 
-def _pauli_sum_trace(rho: np.ndarray, sums):
+def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr):
     """Tr[rho * P] without building P's matrix, for one state (d, d) or each
     element of a stack (count, d, d).
 
-    sums is one OperatorExpr, or a sequence of them with one per element or
-    one for every element. The only nonzero entries of a term P with masks (f, z) and phase
-    c are <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
+    The only nonzero entries of a term P with masks (f, z) and phase c are
+    <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
     c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z). Terms share few X parts f
     (a GHZ witness has two), so the row rho[j, j ^ f] is gathered once per
     distinct f, and each term indexes its part's row (or, when every part has
     one term, its rows are the parts' rows in place). Parts are gathered, and
     terms summed, a block at a time; the parts' rows and the terms' block
     together hold at most _GATHER_ELEMENTS entries over all elements (a
-    stack too large for two rows of each is split). Elements whose sums
-    share a term layout are gathered together, with one cached plan. Each
-    term's sum is a row sum of a 2-D array, and the terms are added by fsum,
-    so an element's value is bit for bit that of its own call.
+    stack too large for two rows of each is split). Each term's sum is a row
+    sum of a 2-D array, and the terms are added by fsum, so an element's
+    value is bit for bit that of its own call.
     """
     single = rho.ndim == 2
-    groups = {}
-    for index, expr in enumerate([sums] if isinstance(sums, OperatorExpr) else sums):
-        layout = tuple(map(_MASKS, expr.terms))
-        members, exprs = groups.setdefault(layout, ([], []))
-        members.append(index)
-        exprs.append(expr)
-    if len(groups) == 1:  # every element, or one sum for all: the stack itself
-        groups = {layout: (slice(None), exprs)}
-    out = np.zeros(1 if single else len(rho), dtype=complex)
-    for layout, (members, exprs) in groups.items():
-        if not layout:
-            continue
-        y_phases, order, parts, part_of, negative = _gather_plan(
-            rho.shape[-1].bit_length() - 1, layout
-        )
-        states = rho if single else rho[members]
-        per_term = _term_traces(states, parts, part_of, negative).reshape(-1, len(layout))
-        # Each term's coefficient times the phase of its Y letters, as in bit_masks.
-        phases = np.array(
-            [[t.coeff * y for t, y in zip(expr.terms, y_phases)] for expr in exprs]
-        )[:, order]
-        if len(phases) == 1:
-            phases = itertools.repeat(phases[0])
-        # Each element's products in a call of their own shape, as alone.
-        out[members] = [_fsum(row * phase) for row, phase in zip(per_term, phases)]
+    layout = tuple(map(_MASKS, expr.terms))
+    if not layout:
+        return 0j if single else np.zeros(len(rho), dtype=complex)
+    y_phases, order, parts, part_of, negative = _gather_plan(
+        rho.shape[-1].bit_length() - 1, layout
+    )
+    per_term = _term_traces(rho, parts, part_of, negative).reshape(-1, len(layout))
+    # Each term's coefficient times the phase of its Y letters, as in bit_masks.
+    phases = np.array([t.coeff * y for t, y in zip(expr.terms, y_phases)])[order]
+    # Each element's products in a call of their own shape, as alone.
+    out = np.array([_fsum(row * phases) for row in per_term])
     return out[0] if single else out
 
 
@@ -533,47 +517,27 @@ def _term_traces(rho: np.ndarray, parts, part_of, negative) -> np.ndarray:
     return per_term
 
 
-def _pauli_sums(obs) -> list[OperatorExpr] | None:
-    """The Pauli sums of obs, a sum or a sequence of them; None when obs is a
-    dense observable."""
-    items = obs if isinstance(obs, (list, tuple)) and obs else [obs]
-    if not all(isinstance(item, (PauliString, OperatorExpr)) for item in items):
-        return None
-    return [
-        OperatorExpr.from_terms(item.n_qubits, [item]) if isinstance(item, PauliString) else item
-        for item in items
-    ]
-
-
 def expectation(rho: np.ndarray, obs):
     """Tr[rho * obs] for a Hermitian observable (dense or Pauli sum).
 
     rho may be a stack, and the result is then an array of the stack's shape
     (a float for one state). A dense observable may be a stack too; the two
     stacks broadcast against each other. A Pauli sum is one for every
-    element, or a sequence with one per element of a one-axis stack, so the
-    elements may differ in coefficients and terms. Each observable is
-    checked once, however many states it meets, and each element's value is
-    bit for bit that of its own call.
+    element. Each observable is checked once, however many states it meets,
+    and each element's value is bit for bit that of its own call.
     """
     rho = _as_state(rho)
     n = n_qubits_of(rho)
-    sums = _pauli_sums(obs)
-    if sums is not None:
+    if isinstance(obs, PauliString):
+        obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
+    if isinstance(obs, OperatorExpr):
+        if obs.n_qubits != n:
+            raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
+        if not obs.is_hermitian():
+            raise ValidationError("observable has non-real Pauli coefficients")
         stack = rho.shape[:-2]
-        per_element = isinstance(obs, (list, tuple))
-        if per_element and stack != (len(sums),):
-            raise DimensionError(f"{len(sums)} Pauli sums vs stack {stack}")
-        for index, expr in enumerate(sums):
-            where = (index,) if per_element else ()
-            if expr.n_qubits != n:
-                raise DimensionError(
-                    _named(where, f"observable on {expr.n_qubits} qubits, state on {n}")
-                )
-            if not expr.is_hermitian():
-                raise ValidationError(_named(where, "observable has non-real Pauli coefficients"))
         states = rho.reshape(-1, *rho.shape[-2:]) if stack else rho
-        value = np.asarray(_pauli_sum_trace(states, sums)).reshape(stack)
+        value = np.asarray(_pauli_sum_trace(states, obs)).reshape(stack)
     else:
         dense = _as_state(obs)
         try:

@@ -2,6 +2,10 @@
 
 Each suite replays one family of claims against the dense simulator and
 reports a pass/fail per invariant together with the worst residual seen.
+Every witness comes from this module's `build_modified_witness`. A witness
+is affine in the sharpness, W(λ) = (1 - λ)·W(0) + λ·W(1): `biseparable`
+checks that form on built witnesses, and `oracle` evaluates only W(0) and
+W(1) and combines their values.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .densesim import (
 from .errors import ValidationError
 from .pauli import PAULI_MATRICES, PauliString
 from .states import StateFamily, stabilizer_generators, syndrome_spectrum
-from .witness import build_modified_witness, difference_operator
+from .witness import build_modified_witness
 
 SUITE_NAMES = ("channel", "recursion", "psd", "biseparable", "oracle")
 
@@ -184,8 +188,9 @@ def verify_psd(seed: int) -> list[CheckResult]:
     """Spectra of modified-minus-scaled-original witness differences.
 
     Each spectrum is read off the syndrome basis of the family's stabilizer
-    state, in which every term of a difference operator is diagonal; a term
-    outside the stabilizer group fails the family's rows and is named.
+    state, in which every term of a witness is diagonal: the difference
+    W(λ) - λ·W(1) has W(λ)'s spectrum less λ times W(1)'s. A term outside
+    the stabilizer group fails the family's rows and is named.
     """
     del seed  # deterministic suite; kept for a uniform signature
     allowed_multiples = {"ghz": (0.0, 2.0), "cluster": (0.0, 1.0, 2.0, 3.0)}
@@ -200,8 +205,10 @@ def verify_psd(seed: int) -> list[CheckResult]:
         try:
             for n in (3, 4, 5, 6):
                 generators = stabilizer_generators(family, n)
+                plain = syndrome_spectrum(build_modified_witness(family, n, 1.0), generators)
                 for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-                    spectrum = syndrome_spectrum(difference_operator(family, n, lam), generators)
+                    modified = syndrome_spectrum(build_modified_witness(family, n, lam), generators)
+                    spectrum = modified - lam * plain
                     allowed = np.array([m * (1.0 - lam) for m in multiples])
                     gaps = np.min(np.abs(spectrum[:, None] - allowed[None, :]), axis=1)
                     worst_gap = max(worst_gap, float(np.max(gaps)))
@@ -311,22 +318,19 @@ def verify_biseparable(seed: int) -> list[CheckResult]:
 def verify_oracle(seed: int) -> list[CheckResult]:
     """Closed forms vs dense simulation, plus state-file round trip.
 
-    The random schedules are drawn in order and grouped by (qubit count,
-    observer count). Each family's chain runs once per group, on a stack of
-    copies of its start state with one schedule per element, and its last
-    states meet their witnesses in one expectation call; the mixed grid's
-    nine states run as one stack, with one call per observer.
+    The random schedules are drawn in order. For each qubit count and family,
+    the chain runs once per observer count k, on a stack of copies of the
+    start state with one schedule per element, and its last states go into
+    one stack, which meets W(0) and W(1) in one expectation call each: the
+    value at the last sharpness λ is (1 - λ)·<W(0)> + λ·<W(1)>. The mixed
+    grid's nine states run as one stack, with two calls per observer.
     """
     rng = np.random.default_rng(seed)
     worst = {"ghz": 0.0, "cluster": 0.0}
     # At p1 = 1, alpha = 1/2 the mixed family's weight must be exactly 1.
     unit_weight = StateFamily("mixed", 3, alpha=0.5).x_string_expectation
     formulas_identical = True
-    # Each start state is built once; the channel never writes to its input.
-    starts = {
-        (family, n): StateFamily(family, n).density_matrix() for family in worst for n in range(3, 7)
-    }
-    groups = {}  # (n, k) -> [(sharpnesses, closed-form value)], in draw order
+    drawn = {n: [] for n in range(3, 7)}  # n -> [(sharpnesses, closed-form value)]
     for index in range(_ORACLE_SCHEDULES):
         n = 3 + index % 4
         k = int(rng.integers(1, 7))
@@ -334,17 +338,23 @@ def verify_oracle(seed: int) -> list[CheckResult]:
         analytic = witness_value(k, lambdas)
         if witness_value(k, lambdas, unit_weight) != analytic:
             formulas_identical = False
-        groups.setdefault((n, k), []).append((lambdas, analytic))
-    for (n, k), schedules in groups.items():
-        lambdas = np.array([lams for lams, _ in schedules])
+        drawn[n].append((lambdas, analytic))
+    for n, schedules in drawn.items():
+        rows_of = {}  # k -> the rows of its schedules, in draw order
+        for row, (lambdas, _) in enumerate(schedules):
+            rows_of.setdefault(len(lambdas), []).append(row)
+        last = np.array([lambdas[-1] for lambdas, _ in schedules])
+        analytic = np.array([value for _, value in schedules])
         for family in worst:
-            start = starts[family, n]
-            copies = np.broadcast_to(start, (len(schedules), *start.shape))
-            *_, rho_k = observer_states(copies, lambdas.T)
-            witnesses = [build_modified_witness(family, n, lam) for lam in lambdas[:, k - 1]]
-            dense = expectation(rho_k, witnesses)
-            for value, (_, analytic) in zip(dense.tolist(), schedules):
-                worst[family] = max(worst[family], abs(value - analytic))
+            start = StateFamily(family, n).density_matrix()
+            finals = np.empty((len(schedules), *start.shape), dtype=start.dtype)
+            for rows in rows_of.values():
+                copies = np.broadcast_to(start, (len(rows), *start.shape))
+                lambdas = np.array([schedules[row][0] for row in rows])
+                *_, finals[rows] = observer_states(copies, lambdas.T)
+            v0, v1 = (expectation(finals, build_modified_witness(family, n, lam)) for lam in (0, 1))
+            dense = (1.0 - last) * v0 + last * v1
+            worst[family] = max(worst[family], float(np.abs(dense - analytic).max()))
 
     worst_mixed = 0.0
     signs_agree = True
@@ -353,15 +363,15 @@ def verify_oracle(seed: int) -> list[CheckResult]:
         for p1 in (0.5, 0.8, 1.0)
         for alpha in (0.1, 0.25, 0.5)
     ]
+    (witness_family,) = {family.witness_family for family in mixed}
+    w0, w1 = (build_modified_witness(witness_family, 3, lam) for lam in (0, 1))
     lambdas = np.array([rng.uniform(size=4) for _ in mixed])
     reports = [full_sequence_report(family, lams) for family, lams in zip(mixed, lambdas)]
     chain = observer_states(np.stack([family.density_matrix() for family in mixed]), lambdas.T)
     for k, rhos in enumerate(chain):
-        witnesses = [
-            build_modified_witness(family.witness_family, 3, lams[k])
-            for family, lams in zip(mixed, lambdas)
-        ]
-        for report, dense in zip(reports, expectation(rhos, witnesses).tolist()):
+        lam = lambdas[:, k]
+        values = (1.0 - lam) * expectation(rhos, w0) + lam * expectation(rhos, w1)
+        for report, dense in zip(reports, values.tolist()):
             analytic = report[k].witness_value
             worst_mixed = max(worst_mixed, abs(dense - analytic))
             if (analytic < 0) != (dense < 0) and abs(analytic) > 1e-9:

@@ -4,6 +4,8 @@
 basis and every Schmidt weight off a GF(2) cut rank. These helpers compute
 the same numbers from dense matrices at small n: a residual-checked `eigh`
 spectrum, the bipartitions of the qubits, and the reduced state on one side.
+The difference operator W(λ) - λ·W(1), whose spectrum `verify psd` reads as
+W(λ)'s spectrum less λ times W(1)'s, is built here by operator algebra.
 """
 
 from itertools import combinations
@@ -11,7 +13,9 @@ from itertools import combinations
 import numpy as np
 
 from seqgme import densesim
-from seqgme.errors import PrecisionError, ValidationError
+from seqgme.errors import PrecisionError, ValidationError, check_sharpness
+from seqgme.pauli import OperatorExpr
+from seqgme.witness import build_modified_witness
 
 # Largest column norm of op @ V - V * w that eigen_spectrum accepts.
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -28,6 +32,12 @@ def eigen_spectrum(op: np.ndarray) -> np.ndarray:
     if residual >= EIGEN_RESIDUAL_TOL:
         raise PrecisionError(f"eigenpair residual {residual} exceeds {EIGEN_RESIDUAL_TOL}")
     return values
+
+
+def difference_operator(family: str, n: int, sharpness: float) -> OperatorExpr:
+    """Modified witness minus sharpness times the original; PSD for any valid input."""
+    lam = check_sharpness(sharpness)
+    return build_modified_witness(family, n, lam) - lam * build_modified_witness(family, n, 1.0)
 
 
 def all_bipartitions(n: int) -> list[tuple[int, ...]]:

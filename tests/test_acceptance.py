@@ -8,7 +8,7 @@ derived from the code under test.
 import numpy as np
 import pytest
 from biseparable_sampling import biseparable_statevectors
-from dense_spectra import all_bipartitions, eigen_spectrum
+from dense_spectra import all_bipartitions, difference_operator, eigen_spectrum
 
 from seqgme.analytic import full_sequence_report, witness_value, z_factor
 from seqgme.densesim import (
@@ -22,7 +22,6 @@ from seqgme.states import StateFamily, stabilizer_expectation, stabilizer_genera
 from seqgme.witness import (
     build_modified_cluster_witness,
     build_modified_ghz_witness,
-    difference_operator,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

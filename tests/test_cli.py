@@ -195,6 +195,14 @@ def test_main_sweep_rejects_cap_below_one_naming_the_flag(capsys):
         assert f"--cap must be at least 1, got {cap}" in err
 
 
+def test_run_at_a_subnormal_sharpness_reports_its_exact_value(capsys):
+    # The GHZ value is -lambda: the witness's lambda term is -lambda·X..X,
+    # nonzero even where 0.5 * lambda underflows to zero.
+    assert main(["run", "--state", "ghz", "--N", "3", "--lambdas", "5e-324", "--mode", "dense"]) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row == "1,4.94065645841e-324,,-4.94065645841e-324,true,4.94065645841e-324"
+
+
 def test_parser_has_all_subcommands():
     parser = build_parser()
     text = parser.format_help()
@@ -237,6 +245,9 @@ MIXED_INF = "mixed:p1=inf,p2=0.1,p3=0.1,alpha=0.4"
             "max_k",
             id="run-plan-max-k-float",
         ),
+        pytest.param(["verify", "all", "--seed", "-1"], "--seed", id="verify-negative-seed"),
+        # Refused also by a suite that draws no random numbers.
+        pytest.param(["verify", "psd", "--seed", "-1"], "--seed", id="verify-psd-negative-seed"),
     ],
 )
 def test_main_rejects_non_finite_and_malformed_input_naming_the_field(argv, field, capsys):
