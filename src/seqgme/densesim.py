@@ -247,10 +247,13 @@ def validate_density_matrix(rho) -> None:
     does the full spectrum decide, and name the offending eigenvalue. The
     factorisation runs in rho's own dtype, so a real state pays for a real
     one. A stack is checked as a whole, and when it fails, each element in
-    turn decides as it would alone.
+    turn decides as it would alone. An element repeated along a zero-stride
+    (broadcast) stack axis is checked once, as the first of its copies, so
+    an error names the index that the materialized stack's error names.
     """
     rho = _as_state(rho)
     n_qubits_of(rho)
+    rho = rho[tuple(slice(0, 1) if step == 0 else slice(None) for step in rho.strides[:-2])]
     finite = np.isfinite(rho).all(axis=(-2, -1))
     _refuse(~finite, ValidationError, "density matrix has a NaN or infinite entry")
     asymmetry = _max_asymmetry(rho)

@@ -6,13 +6,19 @@ its X part and Z part, in the tableau style of Aaronson and Gottesman
 (arXiv:quant-ph/0406196): the letter Y = i·X·Z sets both bits of its qubit.
 Products are an xor of the masks plus a popcount phase tracked as an exact
 power of i, so stabilizer expansions never accumulate phase noise.
+
+A sum built from stabilizer projectors (a witness) can carry the factored
+form it was expanded from, constant·I + Σ_j w_j·Π_{S in class j}(I + S)/2,
+beside its terms; `states.stabilizer_expectation` evaluates that form in one
+sign lookup per generator instead of one per term.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,16 +161,32 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return clashes % 2 == 0
 
 
+class _ProjectorForm(NamedTuple):
+    """constant·I + Σ_j weight_j·Π_{S in class j}(I + λ_S·S)/2, with each
+    class given as (weight, its generators).
+
+    λ_S is `sharpness` for the first generator of the first class and 1 for
+    every other. The generators commute pairwise.
+    """
+
+    constant: float
+    classes: tuple[tuple[float, tuple[PauliString, ...]], ...]
+    sharpness: float
+
+
 @dataclass(frozen=True)
 class OperatorExpr:
     """Canonical sum of Pauli strings over a fixed number of qubits.
 
     Terms are merged by letters, zero coefficients dropped, and the remainder
-    sorted lexicographically, so equal operators compare equal.
+    sorted lexicographically, so equal operators compare equal. `factored`
+    is the _ProjectorForm the terms expand, when the builder knows it; ==
+    and hash ignore it, and every arithmetic result goes without it.
     """
 
     n_qubits: int
     terms: tuple[PauliString, ...]
+    factored: _ProjectorForm | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_terms(cls, n_qubits: int, terms: Iterable[PauliString]) -> "OperatorExpr":
@@ -257,31 +279,27 @@ class OperatorExpr:
 
 
 def expand_projector_product(
-    generators: Sequence[PauliString],
-    n_qubits: int | None = None,
-    select: Callable[[int], bool] | None = None,
+    generators: Sequence[PauliString], n_qubits: int | None = None
 ) -> OperatorExpr:
-    """Expand the product of (I + S)/2 over the chosen generators.
+    """Expand the product of (I + S)/2 over the generators.
 
-    `select` filters generators by their 1-based position; the default keeps
-    all of them. The result has one term per generator subset, each weighted
-    1/2^q. Generators must commute pairwise for the product to be well defined.
+    The result has one term per generator subset, each weighted 1/2^q.
+    Generators must commute pairwise for the product to be well defined.
     """
-    chosen = [g for m, g in enumerate(generators, start=1) if select is None or select(m)]
     if n_qubits is None:
-        if not chosen:
+        if not generators:
             raise ValueError("empty generator list needs an explicit n_qubits")
-        n_qubits = chosen[0].n_qubits
-    for g in chosen:
+        n_qubits = generators[0].n_qubits
+    for g in generators:
         if g.n_qubits != n_qubits:
             raise DimensionError("generators act on different qubit counts")
-    for i, a in enumerate(chosen):
-        for b in chosen[i + 1 :]:
+    for i, a in enumerate(generators):
+        for b in generators[i + 1 :]:
             if not commutes(a, b):
                 raise AlgebraError(f"generators do not commute: {a} vs {b}")
     # Each factor (I + g)/2 keeps every term and adds its product with g.
     merged: dict[tuple[int, int], complex] = {(0, 0): 1.0 + 0.0j}
-    for g in chosen:
+    for g in generators:
         step: dict[tuple[int, int], complex] = {}
         for (x, z), coeff in merged.items():
             step[x, z] = step.get((x, z), 0.0) + coeff * 0.5

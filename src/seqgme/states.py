@@ -4,7 +4,8 @@
 matrix, since each has real amplitudes; the same amplitudes back the
 construction-time stabilizer checks. `stabilizer_expectation` evaluates
 Pauli sums on stabilizer states without any dense matrix, which is the
-"symbolic" route the dense simulator is cross-checked against, and
+"symbolic" route the dense simulator is cross-checked against (a built
+witness from its factored form in O(N), any other sum term by term), and
 `syndrome_spectrum` gives every eigenvalue of a sum of stabilizer-group
 strings from the same GF(2) factoring.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, commutes
+from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, _ProjectorForm, commutes
 
 WEIGHT_SUM_TOL = 1e-9
 STABILIZER_TOL = 1e-12
@@ -196,10 +197,20 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
     phase of the corresponding generator product. Each set keeps the signs of
     the members it has decided, at most 2^n, so a string shared by many
     witnesses is decided once.
+
+    A sum that carries its factored form (a built witness) is evaluated from
+    that form when each of its generators is +- a group member: one lookup
+    per generator, bit for bit the term enumeration (see
+    _factored_expectation). Any other sum, and a form with a generator
+    outside the group, has its terms enumerated.
     """
     if isinstance(expr, PauliString):
         expr = OperatorExpr.from_terms(expr.n_qubits, [expr])
     basis = _stabilizer_basis(tuple(generators), expr.n_qubits)
+    if expr.factored is not None:
+        value = _factored_expectation(expr.factored, basis)
+        if value is not None:
+            return value
     members = basis.members
     real_parts: list[float] = []
     imag_parts: list[float] = []
@@ -214,6 +225,35 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
     if abs(total_imag) >= 1e-10:
         raise ValidationError(f"expectation has imaginary residue {total_imag}")
     return math.fsum(real_parts)
+
+
+def _factored_expectation(form: _ProjectorForm, basis: _StabilizerBasis) -> float | None:
+    """<form> on the basis's state, or None unless every generator of the form
+    is +- a member of the basis's group.
+
+    The state is then an eigenstate of each such generator S, with eigenvalue
+    sigma = +-1, so a projector (I + S)/2 has the value (1 + sigma)/2, 0 or 1.
+    The first class's product, with h the value of its factors after the
+    first, is split as w/2·h + λ·(w/2)·sigma·h. Every piece is exact, so their
+    fsum is the correctly rounded value of the form, and so bit for bit the
+    term enumeration of the sum it expands whenever every expanded
+    coefficient is exact, as a built witness's are.
+    """
+    members = basis.members
+    products = []
+    for weight, generators in form.classes:
+        signs = []
+        for g in generators:
+            sign = members.get((g.x_mask, g.z_mask)) or basis.sign(g)
+            if not sign:
+                return None
+            signs.append(sign * g.coeff.real)
+        products.append((weight, signs))
+    (weight, (sloped, *host)), *others = products
+    half = weight / 2.0 * all(sign > 0 for sign in host)
+    pieces = [form.constant, half, form.sharpness * sloped * half]
+    pieces += [weight * all(sign > 0 for sign in signs) for weight, signs in others]
+    return math.fsum(pieces)
 
 
 def syndrome_spectrum(expr: OperatorExpr, generators: list[PauliString]) -> np.ndarray:

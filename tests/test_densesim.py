@@ -1023,6 +1023,38 @@ def test_a_stack_with_one_bad_element_names_it(stack, fault, data):
 
 @PROPERTY_SETTINGS
 @given(
+    stack=state_stacks(max_qubits=4),
+    fault=st.sampled_from(sorted(_FAULT_MESSAGES)),
+    data=st.data(),
+)
+def test_a_broadcast_stack_is_checked_once_and_named_as_its_copy(stack, fault, data):
+    rho, _ = stack
+    copies = data.draw(st.integers(2, 4))
+    count = len(rho)
+
+    def broadcasts(states):
+        # The repeated axis before, then after, the stack's own.
+        yield np.broadcast_to(states, (copies, *states.shape))
+        yield np.broadcast_to(states[:, None], (count, copies, *states.shape[1:]))
+
+    for valid in broadcasts(rho):
+        with mock.patch.object(densesim, "_max_asymmetry", wraps=densesim._max_asymmetry) as sweep:
+            validate_density_matrix(valid)
+        (call,) = sweep.call_args_list
+        assert math.prod(call.args[0].shape[:-2]) == count
+    bad = data.draw(st.integers(0, count - 1))
+    rho[bad] = _spoil(rho[bad], fault)
+    for invalid in broadcasts(rho):
+        with pytest.raises(ValidationError) as materialized:
+            validate_density_matrix(invalid.copy())
+        with pytest.raises(ValidationError) as excinfo:
+            validate_density_matrix(invalid)
+        assert str(excinfo.value) == str(materialized.value)
+    assert str(excinfo.value) == f"stack element ({bad}, 0): {_FAULT_MESSAGES[fault]}"
+
+
+@PROPERTY_SETTINGS
+@given(
     stack=state_stacks(max_qubits=3),
     outside=st.sampled_from([-1e-300, 1.5, np.inf, np.nan]),
     data=st.data(),

@@ -189,13 +189,6 @@ def test_expand_matches_dense_projector_product(n):
     np.testing.assert_allclose(expr.to_matrix(), dense, atol=1e-12)
 
 
-def test_expand_select_filters_by_position():
-    gens = [PauliString("ZZI"), PauliString("IZZ"), PauliString("XXX")]
-    expr = expand_projector_product(gens, select=lambda m: m % 2 == 1)
-    full = expand_projector_product([gens[0], gens[2]])
-    assert expr == full
-
-
 def test_operator_expr_canonicalization():
     n = 2
     expr = OperatorExpr.from_terms(

@@ -310,6 +310,56 @@ def test_cached_expectation_is_bit_for_bit_a_fresh_basis_evaluation(case, flips)
     assert len(members) <= 1 << n and set(members.values()) <= {1.0, -1.0}
 
 
+def _assert_factored_is_enumerated(lambdas):
+    """Each built witness's factored value equals its term enumeration, bit
+    for bit, on its family's state and on each state with one generator's
+    sign flipped (every factor still +- a group member)."""
+    for family in ("ghz", "cluster"):
+        for n in range(3, DENSE_QUBIT_LIMIT + 1):
+            gens = stabilizer_generators(family, n)
+            for flip in range(-1, n):
+                signed = [g.with_coeff(-1.0) if m == flip else g for m, g in enumerate(gens)]
+                basis = states._stabilizer_basis(tuple(signed), n)
+                for lam in lambdas:
+                    built = build_modified_witness(family, n, lam)
+                    value = states._factored_expectation(built.factored, basis)
+                    assert value is not None
+                    assert value.hex() == _fresh_expectation(built, signed).hex()
+                    assert stabilizer_expectation(built, signed).hex() == value.hex()
+
+
+def test_factored_witness_value_is_bitwise_the_term_enumeration():
+    # 2^-1000 and up keep every slope times lambda exact; the subnormal ones
+    # check the sharpness the factored form carries where they round.
+    _assert_factored_is_enumerated((0.0, 2.0**-1000, 1e-300, 0.3, 1.0, 5e-324, 1e-310))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.0, 1.0))
+def test_factored_witness_value_is_bitwise_the_term_enumeration_at_random_sharpness(lam):
+    _assert_factored_is_enumerated((lam,))
+
+
+def test_sums_without_a_usable_factored_form_are_enumerated():
+    for n in range(3, DENSE_QUBIT_LIMIT + 1):
+        for family, other in (("ghz", "cluster"), ("cluster", "ghz")):
+            built = build_modified_witness(family, n, 0.3)
+            gens = stabilizer_generators(family, n)
+            # Arithmetic drops the form; == and hash ignore it.
+            for plain in (1.0 * built, built + OperatorExpr(n, ())):
+                assert plain.factored is None
+                assert plain == built and hash(plain) == hash(built)
+                assert stabilizer_expectation(plain, gens).hex() == (
+                    stabilizer_expectation(built, gens).hex()
+                )
+            # On the other family's state some factor is outside the group.
+            other_gens = stabilizer_generators(other, n)
+            basis = states._stabilizer_basis(tuple(other_gens), n)
+            assert states._factored_expectation(built.factored, basis) is None
+            expected = _fresh_expectation(built, other_gens).hex()
+            assert stabilizer_expectation(built, other_gens).hex() == expected
+
+
 def test_equal_generator_sets_share_one_validated_basis():
     states._stabilizer_basis.cache_clear()
     witness = build_modified_witness("cluster", 5, 0.3)

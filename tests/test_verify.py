@@ -23,6 +23,26 @@ def _stack_sizes(calls) -> list[int]:
     return [math.prod(call.args[0].shape[:-2]) for call in calls]
 
 
+def test_a_channel_group_that_fails_its_cholesky_reports_the_eigvalsh_minimum():
+    # Every 2-qubit output is pushed below zero; the other groups still pass
+    # their Cholesky and add nothing.
+    outputs = []
+
+    def shifted_update(rho, sharpness, target=None):
+        out = densesim.luders_update(rho, sharpness, target)
+        if out.shape[-1] == 4:
+            out = out - 0.1 * np.eye(4)
+        outputs.append(out)
+        return out
+
+    with mock.patch.object(verify, "luders_update", shifted_update):
+        rows = verify.verify_channel(seed=3)
+    (positivity,) = (row for row in rows if row.name == "positivity preserved")
+    lowest = min(float(np.linalg.eigvalsh(out)[..., 0].min()) for out in outputs)
+    assert lowest < -1e-10
+    assert not positivity.passed and positivity.residual == -lowest
+
+
 def test_recursion_suite_validates_each_schedule_once(monkeypatch):
     # One validation per qubit count, of the stack of its start states: each
     # schedule's state once, and no state of a chain after it.

@@ -73,9 +73,11 @@ def reference_modified_witness(family, n, lam):
     # The last generator is the x-type one on the measured qubit; its projector
     # carries the sharpness inside whichever parity class index n falls in.
     host = expand_projector_product(
-        gens, n_qubits=n, select=lambda m: m % 2 == n % 2 and m != n
+        [g for m, g in enumerate(gens, 1) if m % 2 == n % 2 and m != n], n_qubits=n
     )
-    other = expand_projector_product(gens, n_qubits=n, select=lambda m: m % 2 != n % 2)
+    other = expand_projector_product(
+        [g for m, g in enumerate(gens, 1) if m % 2 != n % 2], n_qubits=n
+    )
     scaled = host * OperatorExpr.from_terms(n, [identity, gens[-1].with_coeff(0.5 * lam)])
     return OperatorExpr.identity(n, 3.0) - 2.0 * (scaled + other)
 
@@ -87,7 +89,10 @@ def plain_witness(family, n):
         classes = (lambda m: m == 1, lambda m: m > 1)
     else:
         classes = (lambda m: m % 2 == 0, lambda m: m % 2 == 1)
-    first, second = (expand_projector_product(gens, n_qubits=n, select=c) for c in classes)
+    first, second = (
+        expand_projector_product([g for m, g in enumerate(gens, 1) if c(m)], n_qubits=n)
+        for c in classes
+    )
     return OperatorExpr.identity(n, 3.0) - 2.0 * (first + second)
 
 
