@@ -7,15 +7,15 @@ its X part and Z part, in the tableau style of Aaronson and Gottesman
 Products are an xor of the masks plus a popcount phase tracked as an exact
 power of i, so stabilizer expansions never accumulate phase noise.
 
-A sum built from stabilizer projectors (a witness) can carry the factored
-form it was expanded from, constant·I + Σ_j w_j·Π_{S in class j}(I + S)/2,
-beside its terms; `states.stabilizer_expectation` evaluates that form in one
-sign lookup per generator instead of one per term.
+A sum built from stabilizer projectors (a witness) is made from the factored
+form constant·I + Σ_j w_j·Π_{S in class j}(I + S)/2 and expands its terms
+when first read; `states.stabilizer_expectation` evaluates that form in one
+sign lookup per generator, so it never expands them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
@@ -181,12 +181,27 @@ class OperatorExpr:
     Terms are merged by letters, zero coefficients dropped, and the remainder
     sorted lexicographically, so equal operators compare equal. `factored`
     is the _ProjectorForm the terms expand, when the builder knows it; ==
-    and hash ignore it, and every arithmetic result goes without it.
+    and hash ignore it, and every arithmetic result goes without it. A sum
+    made by `_deferred` expands its terms when first read (as == and hash do).
     """
 
     n_qubits: int
     terms: tuple[PauliString, ...]
     factored: _ProjectorForm | None = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def _deferred(cls, n_qubits: int, factored: _ProjectorForm, expand: Callable) -> "OperatorExpr":
+        """The sum whose canonical terms expand() returns, called when first read."""
+        out = object.__new__(cls)
+        out.__dict__.update(n_qubits=n_qubits, factored=factored, _expand=expand)
+        return out
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks, as a deferred sum's terms.
+        if name != "terms" or "_expand" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        terms = self.__dict__["terms"] = self._expand()
+        return terms
 
     @classmethod
     def from_terms(cls, n_qubits: int, terms: Iterable[PauliString]) -> "OperatorExpr":

@@ -2,10 +2,10 @@
 
 `StateFamily.density_matrix` builds every family as a real (float64) density
 matrix, since each has real amplitudes; the same amplitudes back the
-construction-time stabilizer checks. `stabilizer_expectation` evaluates
-Pauli sums on stabilizer states without any dense matrix, which is the
-"symbolic" route the dense simulator is cross-checked against (a built
-witness from its factored form in O(N), any other sum term by term), and
+stabilizer checks up to DENSE_QUBIT_LIMIT qubits. `stabilizer_expectation`
+evaluates Pauli sums on stabilizer states without any dense matrix, which is
+the "symbolic" route the dense simulator is cross-checked against (a built
+witness from its factored form at any N, any other sum term by term), and
 `syndrome_spectrum` gives every eigenvalue of a sum of stabilizer-group
 strings from the same GF(2) factoring.
 """
@@ -50,25 +50,27 @@ def _cluster_amplitudes(n: int) -> np.ndarray:
 def stabilizer_generators(family: str, n: int) -> list[PauliString]:
     """Stabilizer generators of the family's n-qubit state, verified on it.
 
-    Every returned generator is checked to fix the dense state (S|psi> = |psi>)
-    before being handed out; a mismatch raises rather than returning a wrong
-    generator set. For the cluster chain the interior generators are
-    Z(m-1) X(m) Z(m+1), the form this check singles out. The check runs once
-    per process for each (family, n); every call returns a fresh list.
+    Up to DENSE_QUBIT_LIMIT qubits each generator is checked to fix the dense
+    state (S|psi> = |psi>), so a mismatch raises; for the cluster chain the
+    interior generators are Z(m-1) X(m) Z(m+1), the form this check singles
+    out. Above it GF(2) algebra checks that the set fixes one state, as in
+    stabilizer_expectation. Each call returns a fresh list.
     """
     return list(_verified_generators(family, n))
 
 
-# Only valid (family, n) pairs are cached, at most two families times the
-# sizes up to DENSE_QUBIT_LIMIT; invalid ones raise and are not stored.
-@functools.lru_cache(maxsize=None, typed=True)
+# Entries kept per cache: generator sets with their validated basis and member
+# table, and valid (family, n) pairs (invalid ones raise and are not stored).
+_BASIS_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE, typed=True)
 def _verified_generators(family: str, n: int) -> tuple[PauliString, ...]:
-    if not 3 <= n <= DENSE_QUBIT_LIMIT:
-        raise CapacityError(f"generators are checked on 3..{DENSE_QUBIT_LIMIT} qubits, got {n}")
+    if n < 3:
+        raise CapacityError(f"generators are defined on 3 or more qubits, got {n}")
     if family == "ghz":
         gens = [PauliString("X" * n)]
         gens += [PauliString.from_ops(n, {m - 2: "Z", m - 1: "Z"}) for m in range(2, n + 1)]
-        psi = _ghz_amplitudes(n, 0.5)
     elif family == "cluster":
         gens = [PauliString.from_ops(n, {0: "X", 1: "Z"})]
         gens += [
@@ -76,18 +78,25 @@ def _verified_generators(family: str, n: int) -> tuple[PauliString, ...]:
             for m in range(2, n)
         ]
         gens.append(PauliString.from_ops(n, {n - 2: "Z", n - 1: "X"}))
-        psi = _cluster_amplitudes(n)
     else:
         raise ValueError(f"unknown stabilizer family {family!r}")
+    gens = tuple(gens)
+    if n > DENSE_QUBIT_LIMIT:
+        _basis_by_value(gens, n)  # validates them, and keeps the basis
+        return gens
+    psi = _ghz_amplitudes(n, 0.5) if family == "ghz" else _cluster_amplitudes(n)
     for g in gens:
         deviation = np.max(np.abs(g.statevector_action(psi) - psi))
         if deviation > STABILIZER_TOL:
             raise ValidationError(f"generator {g} fails to stabilize {family}_{n}")
-    return tuple(gens)
+    return gens
 
 
-# Distinct generator sets whose validated basis and member table are kept.
-_BASIS_CACHE_SIZE = 64
+def _keep(cache: dict, key, value):
+    # Drop the oldest entry of a full cache.
+    if len(cache) >= _BASIS_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 class _StabilizerBasis:
@@ -99,7 +108,7 @@ class _StabilizerBasis:
     `members` maps the masks of each group string already decided to its sign,
     and `factors` those that syndrome_spectrum met to their (generator subset,
     sign), so each holds at most 2^n entries; strings outside the group are
-    not stored.
+    not stored. `forms` keeps _factored_expectation's λ-free pieces.
     """
 
     def __init__(self, generators: tuple[PauliString, ...], n: int) -> None:
@@ -128,6 +137,7 @@ class _StabilizerBasis:
             self.rows[vector.bit_length() - 1] = (vector, subset)
         self.members: dict[tuple[int, int], float] = {}
         self.factors: dict[tuple[int, int], tuple[int, float]] = {}
+        self.forms: dict[int, tuple] = {}
 
     def _reduce(self, vector: int, subset: int) -> tuple[int, int]:
         """Clear leading bits that rows cover; the remainder and the subset used."""
@@ -182,8 +192,25 @@ class _StabilizerBasis:
 # set shares the basis, {S, ...} and {-S, ...} do not. A set that fails
 # validation raises on every call, since exceptions are not cached.
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _stabilizer_basis(generators: tuple[PauliString, ...], n: int) -> _StabilizerBasis:
+def _basis_by_value(generators: tuple[PauliString, ...], n: int) -> _StabilizerBasis:
     return _StabilizerBasis(generators, n)
+
+
+# (n, the ids of the generator strings) -> (those strings, their basis). Each
+# entry holds its strings, so no other object can take their ids meanwhile.
+_BASES_BY_IDENTITY: dict[tuple[int, ...], tuple[tuple, _StabilizerBasis]] = {}
+
+
+def _stabilizer_basis(generators: list[PauliString], n: int) -> _StabilizerBasis:
+    """The generators' validated basis, found without hashing strings already
+    seen (stabilizer_generators hands out the same ones), else by value."""
+    key = (n, *map(id, generators))
+    found = _BASES_BY_IDENTITY.get(key)
+    if found is None:
+        held = tuple(generators)
+        found = held, _basis_by_value(held, n)
+        _keep(_BASES_BY_IDENTITY, key, found)
+    return found[1]
 
 
 def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[PauliString]) -> float:
@@ -206,7 +233,7 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
     """
     if isinstance(expr, PauliString):
         expr = OperatorExpr.from_terms(expr.n_qubits, [expr])
-    basis = _stabilizer_basis(tuple(generators), expr.n_qubits)
+    basis = _stabilizer_basis(generators, expr.n_qubits)
     if expr.factored is not None:
         value = _factored_expectation(expr.factored, basis)
         if value is not None:
@@ -237,23 +264,25 @@ def _factored_expectation(form: _ProjectorForm, basis: _StabilizerBasis) -> floa
     first, is split as w/2·h + λ·(w/2)·sigma·h. Every piece is exact, so their
     fsum is the correctly rounded value of the form, and so bit for bit the
     term enumeration of the sum it expands whenever every expanded
-    coefficient is exact, as a built witness's are.
+    coefficient is exact, as a built witness's are. The λ-free pieces are
+    kept per basis and form classes.
     """
-    members = basis.members
-    products = []
-    for weight, generators in form.classes:
-        signs = []
-        for g in generators:
-            sign = members.get((g.x_mask, g.z_mask)) or basis.sign(g)
-            if not sign:
-                return None
-            signs.append(sign * g.coeff.real)
-        products.append((weight, signs))
-    (weight, (sloped, *host)), *others = products
-    half = weight / 2.0 * all(sign > 0 for sign in host)
-    pieces = [form.constant, half, form.sharpness * sloped * half]
-    pieces += [weight * all(sign > 0 for sign in signs) for weight, signs in others]
-    return math.fsum(pieces)
+    found = basis.forms.get(id(form.classes))
+    if found is None:
+        members = basis.members
+        (weight, _), *others = form.classes
+        (sloped, *host), *rest = signs = [
+            [(members.get((g.x_mask, g.z_mask)) or basis.sign(g)) * g.coeff.real for g in gens]
+            for _, gens in form.classes
+        ]
+        half = weight / 2.0 * all(sign > 0 for sign in host)
+        pieces = half, sloped * half, [w * all(s > 0 for s in ss) for (w, _), ss in zip(others, rest)]
+        found = (form.classes, pieces if all(map(all, signs)) else None)
+        _keep(basis.forms, id(form.classes), found)
+    if found[1] is None:
+        return None
+    half, signed_half, others = found[1]
+    return math.fsum((form.constant, half, form.sharpness * signed_half, *others))
 
 
 def syndrome_spectrum(expr: OperatorExpr, generators: list[PauliString]) -> np.ndarray:
@@ -266,12 +295,14 @@ def syndrome_spectrum(expr: OperatorExpr, generators: list[PauliString]) -> np.n
     A term c·sign·prod_{m in subset} S_m contributes
     c·sign·prod_{m in subset} (-1)^(b_m) at b, so the spectrum is one
     Walsh-Hadamard transform of the coefficients placed at their subsets.
-    The generators are checked as for stabilizer_expectation.
+    The generators are checked as for stabilizer_expectation; n <= DENSE_QUBIT_LIMIT.
     """
     n = expr.n_qubits
+    if n > DENSE_QUBIT_LIMIT:
+        raise CapacityError(f"{n} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
     if not expr.is_hermitian():
         raise ValidationError("operator has non-real Pauli coefficients")
-    basis = _stabilizer_basis(tuple(generators), n)
+    basis = _stabilizer_basis(generators, n)
     factors = basis.factors
     spectrum = np.zeros(1 << n)
     for term in expr.terms:

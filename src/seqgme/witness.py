@@ -10,21 +10,19 @@ product (H = I for GHZ), so the witness is affine in λ:
     W(λ) = W(0) + λ·Ẇ,  W(0) = 3I - H - 2R,  Ẇ = -S·H,
 
 with R the other class's product (Gühne and Tóth, Phys. Rep. 474, 1).
-Each (family, N) is expanded once into the terms of W(0) and of Ẇ, which
-never share a string; a build copies them and writes each slope times λ
-into Ẇ's terms. Every built witness also carries its factored form, the
-constant 3 and the two classes of generators weighted -2 with λ on S alone
-(Tóth and Gühne, PRL 94, 060501), which `states.stabilizer_expectation`
-evaluates in one sign lookup per generator.
+A build makes the factored form, the constant 3 and the two classes of
+generators weighted -2 with λ on S alone (Tóth and Gühne, PRL 94, 060501),
+which `states.stabilizer_expectation` evaluates at any N. Its terms are made
+when first read, up to DENSE_QUBIT_LIMIT qubits: each (family, N) is expanded
+once into W(0)'s and Ẇ's terms, and a witness writes each slope times λ in.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
-from .errors import check_sharpness
-from .pauli import OperatorExpr, PauliString, _ProjectorForm, expand_projector_product
+from .errors import CapacityError, check_sharpness
+from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, _ProjectorForm, expand_projector_product
 from .states import stabilizer_generators
 
 
@@ -49,40 +47,32 @@ def build_modified_witness(family: str, n: int, sharpness: float) -> OperatorExp
 
 
 def _fill(family: str, n: int, sharpness: float) -> OperatorExpr:
-    """W(0) + λ·Ẇ: the family's layout with each slope times λ written in,
-    carrying the factored form the terms expand.
-
-    Every slope has the same magnitude, so either all of Ẇ's terms stay or,
-    when that magnitude times λ is zero (λ = 0, or an underflow), all drop
-    out, as a canonical sum drops every zero.
-    """
+    """The factored form with λ on S; its terms W(0) + λ·Ẇ are made when read."""
     lam = check_sharpness(sharpness)
-    layout = _layout(family, n)
-    scaled = layout.unit * lam
-    if scaled == 0:
-        terms = layout.fixed
-    else:
-        filled = list(layout.terms)
-        for i in layout.sloped:
-            filled[i] = filled[i].with_coeff(filled[i].coeff * lam)
-        terms = tuple(filled)
-    # λ as Ẇ's terms carry it: λ itself unless the slopes times λ round in
-    # the subnormals, so the form's value stays the terms' exact sum.
-    return OperatorExpr(n, terms, layout.form._replace(sharpness=scaled / layout.unit))
+    form, unit = _layout(family, n)
+    # λ as Ẇ's terms carry it (λ unless 2^-|H|·λ is subnormal), so the form is
+    # their exact sum; above DENSE_QUBIT_LIMIT no terms exist, and λ is kept.
+    carried = unit * lam / unit if n <= DENSE_QUBIT_LIMIT else lam
+    form = _ProjectorForm(form.constant, form.classes, carried)
+    return OperatorExpr._deferred(n, form, functools.partial(_terms, family, n, lam))
 
 
-class _Layout(NamedTuple):
-    fixed: tuple[PauliString, ...]  # W(0)'s terms
-    terms: tuple[PauliString, ...]  # W(0)'s and Ẇ's, in canonical order
-    sloped: tuple[int, ...]  # the positions of Ẇ's terms, whose coefficients are the slopes
-    unit: float  # the magnitude of every slope, 2^-|H|
-    form: _ProjectorForm  # the factored form at λ = 1: S's class, S first, then R's
+def _terms(family: str, n: int, lam: float) -> tuple:
+    """W(0) + λ·Ẇ's canonical terms. Every slope has the same magnitude, so
+    either all of Ẇ's terms stay or, when that magnitude times λ is zero
+    (λ = 0, or an underflow), all drop out, as a canonical sum drops zeros."""
+    fixed, terms, sloped = _expansion(family, n)
+    filled = list(terms)
+    for i in sloped:
+        filled[i] = filled[i].with_coeff(filled[i].coeff * lam)
+    return tuple(filled) if filled[sloped[0]].coeff else fixed
 
 
-# Only valid (family, n) pairs are cached, as in states._verified_generators.
-@functools.lru_cache(maxsize=None, typed=True)
-def _layout(family: str, n: int) -> _Layout:
-    """The family's witness expanded once, and the factored form it expands."""
+# The last 64 valid (family, n) pairs are kept, as in states._verified_generators.
+@functools.lru_cache(maxsize=64, typed=True)
+def _layout(family: str, n: int) -> tuple[_ProjectorForm, float]:
+    """The factored form at λ = 1, S's class (S first) then R's, and the
+    magnitude 2^-|H| of every slope of Ẇ; nothing is expanded."""
     gens = stabilizer_generators(family, n)
     # S's position and its class: the X..X generator alone for GHZ; for the
     # cluster chain the x-type one on the measured qubit, in its parity class.
@@ -92,18 +82,22 @@ def _layout(family: str, n: int) -> _Layout:
         s, in_class = n, lambda m: m % 2 == n % 2
     host_gens = tuple(g for m, g in enumerate(gens, 1) if in_class(m) and m != s)
     rest_gens = tuple(g for m, g in enumerate(gens, 1) if not in_class(m))
+    classes = ((-2.0, (gens[s - 1], *host_gens)), (-2.0, rest_gens))
+    return _ProjectorForm(3.0, classes, 1.0), 0.5 ** len(host_gens)
+
+
+# Only sizes up to DENSE_QUBIT_LIMIT expand: two families times those sizes.
+@functools.lru_cache(maxsize=None, typed=True)
+def _expansion(family: str, n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """W(0)'s terms, W(0)'s and Ẇ's (which never share a string) in canonical
+    order, and the positions of Ẇ's, whose coefficients are the slopes."""
+    if n > DENSE_QUBIT_LIMIT:
+        raise CapacityError(f"witness terms are expanded up to {DENSE_QUBIT_LIMIT} qubits, got {n}")
+    (_, (s, *host_gens)), (_, rest_gens) = _layout(family, n)[0].classes
     host = expand_projector_product(host_gens, n_qubits=n)
     rest = expand_projector_product(rest_gens, n_qubits=n)
     fixed = OperatorExpr.identity(n, 3.0) - host - 2.0 * rest
-    slope = -1.0 * (host * OperatorExpr.from_terms(n, [gens[s - 1]]))
-    (unit,) = {abs(term.coeff) for term in slope.terms}
-    entries = [(term, False) for term in fixed.terms] + [(term, True) for term in slope.terms]
-    entries.sort(key=lambda entry: entry[0].letters)
-    classes = ((-2.0, (gens[s - 1], *host_gens)), (-2.0, rest_gens))
-    return _Layout(
-        fixed=fixed.terms,
-        terms=tuple(term for term, _ in entries),
-        sloped=tuple(i for i, (_, sloped) in enumerate(entries) if sloped),
-        unit=unit,
-        form=_ProjectorForm(3.0, classes, 1.0),
-    )
+    slope = -1.0 * (host * OperatorExpr.from_terms(n, [s]))
+    terms = (fixed + slope).terms
+    sloped = {term.letters for term in slope.terms}
+    return fixed.terms, terms, tuple(i for i, t in enumerate(terms) if t.letters in sloped)

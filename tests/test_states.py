@@ -361,12 +361,21 @@ def test_sums_without_a_usable_factored_form_are_enumerated():
 
 
 def test_equal_generator_sets_share_one_validated_basis():
-    states._stabilizer_basis.cache_clear()
-    witness = build_modified_witness("cluster", 5, 0.3)
-    # Three equal sets, each a fresh list.
-    values = {stabilizer_expectation(witness, stabilizer_generators("cluster", 5)) for _ in "abc"}
-    info = states._stabilizer_basis.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 2, states._BASIS_CACHE_SIZE)
+    n = 5
+    # Three equal sets, each a fresh list of the same strings.
+    first, *others = (
+        states._stabilizer_basis(stabilizer_generators("cluster", n), n) for _ in "abc"
+    )
+    assert all(basis is first for basis in others)
+    # Newly constructed equal strings share it; a sign-flipped set does not.
+    gens = stabilizer_generators("cluster", n)
+    rebuilt = [PauliString(g.letters, g.coeff) for g in gens]
+    assert not any(a is b for a, b in zip(rebuilt, gens))
+    assert states._stabilizer_basis(rebuilt, n) is first
+    flipped = [rebuilt[0].with_coeff(-1.0), *rebuilt[1:]]
+    assert states._stabilizer_basis(flipped, n) is not first
+    witness = build_modified_witness("cluster", n, 0.3)
+    values = {stabilizer_expectation(witness, g) for g in (gens, rebuilt, list(gens))}
     assert len(values) == 1
 
 

@@ -9,8 +9,8 @@ from dense_spectra import all_bipartitions, difference_operator, eigen_spectrum,
 
 from seqgme import densesim, verify
 from seqgme.cli import main
-from seqgme.errors import ValidationError
-from seqgme.pauli import OperatorExpr, PauliString, expand_projector_product
+from seqgme.errors import CapacityError, ValidationError
+from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, expand_projector_product
 from seqgme.states import StateFamily, stabilizer_generators, syndrome_spectrum
 from seqgme.verify import verify_biseparable, verify_oracle, verify_psd, verify_recursion
 from seqgme.witness import build_modified_witness
@@ -227,3 +227,10 @@ def test_syndrome_spectrum_names_a_term_outside_the_group():
     # Index 0 is the state itself; XZI is generator 0, so it flips on odd syndromes.
     values = syndrome_spectrum(OperatorExpr.from_terms(3, [PauliString("XZI", 2.0)]), generators)
     assert values.tolist() == [2.0, -2.0] * 4
+
+
+def test_syndrome_spectrum_refuses_more_than_the_dense_limit_of_entries():
+    # 2^N entries; checked before the generators or terms are read.
+    n = DENSE_QUBIT_LIMIT + 1
+    with pytest.raises(CapacityError, match=f"{n} qubits exceeds dense limit"):
+        syndrome_spectrum(OperatorExpr.identity(n), stabilizer_generators("ghz", n))

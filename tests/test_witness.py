@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqgme import witness
+from seqgme.analytic import full_sequence_report
 from seqgme.densesim import expectation
-from seqgme.pauli import OperatorExpr, PauliString, expand_projector_product
+from seqgme.errors import CapacityError
+from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, expand_projector_product
 from seqgme.states import StateFamily, stabilizer_expectation, stabilizer_generators
 from seqgme.witness import (
     build_modified_cluster_witness,
@@ -136,8 +138,9 @@ def test_built_witness_is_bitwise_the_algebraic_expansion(lam):
 
 
 def test_each_family_and_size_is_expanded_once():
-    # Two products per (family, n): S's class without S, and the other class.
-    witness._layout.cache_clear()
+    # Two products per (family, n): S's class without S, and the other class,
+    # made the first time any of its witnesses' terms are read.
+    witness._expansion.cache_clear()
     with mock.patch.object(
         witness, "expand_projector_product", wraps=expand_projector_product
     ) as expand:
@@ -145,6 +148,8 @@ def test_each_family_and_size_is_expanded_once():
             for n in (3, 4, 5, 6):
                 before = expand.call_count
                 first = build_modified_witness(family, n, 0.4)
+                assert expand.call_count == before
+                assert first.terms
                 assert expand.call_count == before + 2
                 for lam in (0.4, 0.9, 0.4):
                     again = build_modified_witness(family, n, lam)
@@ -152,6 +157,50 @@ def test_each_family_and_size_is_expanded_once():
                     assert again == reference_modified_witness(family, n, lam)
                 assert again == first
                 assert expand.call_count == before + 2
+
+
+@pytest.mark.parametrize("family", ["ghz", "cluster"])
+def test_a_built_witness_cannot_be_told_from_its_eager_sum(family):
+    # Each probe is the first read of a fresh witness's deferred terms.
+    probes = {
+        "terms": term_bits,
+        "repr": repr,
+        "str": str,
+        "hash": hash,
+        "==": lambda expr: (expr == eager, eager == expr),
+    }
+    for n in range(3, 11):
+        w0, w1 = (reference_modified_witness(family, n, lam) for lam in (0.0, 1.0))
+        for lam in (0.0, 5e-324, 0.3, 1.0):
+            # W(0) + λ·(W(1) - W(0)), by OperatorExpr algebra.
+            eager = OperatorExpr(n, (w0 + (w1 - w0) * lam).terms)
+            for name, probe in probes.items():
+                assert probe(build_modified_witness(family, n, lam)) == probe(eager), (n, lam, name)
+
+
+def test_stabilizer_evaluation_never_expands_a_built_witness():
+    with mock.patch.object(witness, "_expansion", side_effect=AssertionError("expanded")):
+        for family in ("ghz", "cluster"):
+            for n in (3, 6, 10, 11):
+                gens = stabilizer_generators(family, n)
+                for lam in (0.0, 0.3, 1.0):
+                    value = stabilizer_expectation(build_modified_witness(family, n, lam), gens)
+                    assert value == full_sequence_report(family, [lam])[0].witness_value
+
+
+@pytest.mark.parametrize("family", ["ghz", "cluster"])
+@pytest.mark.parametrize("n", [11, 64, 1000])
+def test_witness_values_beyond_the_dense_limit_are_the_closed_form(family, n):
+    gens = stabilizer_generators(family, n)
+    for lam in (0.0, 0.37, 1.0):
+        value = stabilizer_expectation(build_modified_witness(family, n, lam), gens)
+        assert abs(value - full_sequence_report(family, [lam])[0].witness_value) <= 1e-12
+    # The form carries λ itself, though 2^-|H|·λ underflows for cluster at N = 1000.
+    assert build_modified_witness(family, n, 1e-300).factored.sharpness == 1e-300
+    if n == DENSE_QUBIT_LIMIT + 1:
+        # GHZ would have 2^(N-1) + 1 terms; they are not expanded.
+        with pytest.raises(CapacityError, match=f"up to {DENSE_QUBIT_LIMIT} qubits"):
+            build_modified_witness(family, n, 0.5).terms
 
 
 def test_ghz3_witness_terms():
