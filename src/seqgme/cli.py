@@ -190,7 +190,10 @@ def _parse_plan(text: str) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"malformed plan entry {item!r}")
-        plan[key.strip()] = value.strip()
+        key = key.strip()
+        if key in plan:
+            raise ValueError(f"plan key {key!r} is given more than once")
+        plan[key] = value.strip()
     return plan
 
 

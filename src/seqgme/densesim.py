@@ -422,7 +422,7 @@ def _gather_plan(n: int, layout: tuple[tuple[int, int], ...]):
     """How to gather a Pauli sum whose terms have these (x, z) masks.
 
     The power of i that each term's Y letters put in its phase (in term
-    order, as in PauliString.bit_masks), the order of the terms by X part
+    order; a string with masks (x, z) is i^popcount(x & z)·X^x·Z^z), the order of the terms by X part
     (each part's terms form one run, so part_of ascends), the distinct X
     parts, each ordered term's part, and the bool table
     (-1)^popcount(j & z) == -1 of each ordered term and basis state j.
@@ -465,7 +465,7 @@ def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr):
         rho.shape[-1].bit_length() - 1, layout
     )
     per_term = _term_traces(rho, parts, part_of, negative).reshape(-1, len(layout))
-    # Each term's coefficient times the phase of its Y letters, as in bit_masks.
+    # Each term's coefficient times the phase of its Y letters.
     phases = np.array([t.coeff * y for t, y in zip(expr.terms, y_phases)])[order]
     # Each element's products in a call of their own shape, as alone.
     out = np.array([_fsum(row * phases) for row in per_term])

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlgebraError, CapacityError, DimensionError
+from .errors import AlgebraError, DimensionError
 
 PAULI_LETTERS = "IXYZ"
 
@@ -122,25 +122,6 @@ class PauliString:
 
     def with_coeff(self, coeff: complex) -> "PauliString":
         return PauliString._from_masks(self.letters, complex(coeff), self.x_mask, self.z_mask)
-
-    def bit_masks(self) -> tuple[int, int, complex]:
-        """(x mask, z mask, phase) with P|j> = phase·(-1)^popcount(j & z)|j ^ x>.
-
-        X and Y set the x bit of their qubit, Z and Y the z bit; the phase is
-        the coefficient times i per Y letter.
-        """
-        phase = self.coeff * _PHASES[(self.x_mask & self.z_mask).bit_count() % 4]
-        return self.x_mask, self.z_mask, phase
-
-    def statevector_action(self, psi: np.ndarray) -> np.ndarray:
-        """Apply the operator to a statevector without building its matrix."""
-        n = self.n_qubits
-        if psi.shape != (1 << n,):
-            raise DimensionError(f"statevector length {psi.shape} does not match {n} qubits")
-        x_mask, z_mask, phase = self.bit_masks()
-        src = np.arange(1 << n, dtype=np.int64) ^ x_mask
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & z_mask) & 1)
-        return phase * signs * psi[src]
 
     def __str__(self) -> str:
         return f"{_format_coeff(self.coeff)}·{self.letters}"
@@ -271,26 +252,6 @@ class OperatorExpr:
 
     def is_hermitian(self) -> bool:
         return all(abs(t.coeff.imag) <= HERMITIAN_IMAG_TOL for t in self.terms)
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense complex 2^N x 2^N matrix, added into zeros in term order.
-
-        Qubit 1 is the most significant factor. Term P has one nonzero per
-        column j, phase·(-1)^popcount(j & z) in row j ^ x (see bit_masks), so
-        each term is one scatter. Every entry is exact and is added in the
-        order a sum of Kronecker products would add it, so the result is bit
-        for bit that sum.
-        """
-        if self.n_qubits > DENSE_QUBIT_LIMIT:
-            raise CapacityError(f"{self.n_qubits} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
-        dim = 1 << self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        columns = np.arange(dim, dtype=np.int64)
-        for term in self.terms:
-            x_mask, z_mask, phase = term.bit_masks()
-            parity = np.bitwise_count(columns & z_mask) & 1
-            out[columns ^ x_mask, columns] += np.where(parity, -phase, phase)
-        return out
 
 
 def expand_projector_product(

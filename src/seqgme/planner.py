@@ -85,7 +85,8 @@ def largest_sharpness_for(n: int, epsilon: float, tol: float = 1e-9) -> PlanResu
     """About the largest lambda_1 whose schedule reaches n detections, by bisection.
 
     The returned value is the low end of the final bracket (guaranteed to
-    reach n); the high end is the smallest probed value that failed. When
+    reach n); the high end is the smallest probed value that failed, at most
+    tol * low above it, so the result is accurate relative to its size. When
     every admissible lambda_1 works the bracket degenerates to the upper end.
     """
     if n < 1:
@@ -99,13 +100,14 @@ def largest_sharpness_for(n: int, epsilon: float, tol: float = 1e-9) -> PlanResu
         return PlanResult(high, high, 1.0, n)
     low = 0.5
     while not reaches(low):
+        high = low
         low /= 2.0
         if low < _FEASIBILITY_FLOOR:
             raise PrecisionError(
                 f"no lambda_1 above {_FEASIBILITY_FLOOR} reaches {n} detections "
                 f"at double precision (epsilon={epsilon})"
             )
-    while high - low > tol:
+    while high - low > tol * low:
         mid = (low + high) / 2.0
         if reaches(mid):
             low = mid

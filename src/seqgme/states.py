@@ -1,10 +1,11 @@
 """Initial states: GHZ-type and linear cluster families plus their stabilizers.
 
 `StateFamily.density_matrix` builds every family as a real (float64) density
-matrix, since each has real amplitudes; the same amplitudes back the
-stabilizer checks up to DENSE_QUBIT_LIMIT qubits. `stabilizer_expectation`
-evaluates Pauli sums on stabilizer states without any dense matrix, which is
-the "symbolic" route the dense simulator is cross-checked against (a built
+matrix, since each has real amplitudes. `stabilizer_generators` checks each
+family's generators by GF(2) algebra at every N and keeps the echelon basis
+that check builds. `stabilizer_expectation` evaluates Pauli sums on
+stabilizer states from that basis without any dense matrix, which is the
+"symbolic" route the dense simulator is cross-checked against (a built
 witness from its factored form at any N, any other sum term by term), and
 `syndrome_spectrum` gives every eigenvalue of a sum of stabilizer-group
 strings from the same GF(2) factoring.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,6 @@ from .errors import CapacityError, ValidationError
 from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, _ProjectorForm, commutes
 
 WEIGHT_SUM_TOL = 1e-9
-STABILIZER_TOL = 1e-12
 
 
 def _ghz_amplitudes(n: int, alpha: float) -> np.ndarray:
@@ -48,19 +49,19 @@ def _cluster_amplitudes(n: int) -> np.ndarray:
 
 
 def stabilizer_generators(family: str, n: int) -> list[PauliString]:
-    """Stabilizer generators of the family's n-qubit state, verified on it.
+    """Stabilizer generators of the family's n-qubit state, checked by GF(2).
 
-    Up to DENSE_QUBIT_LIMIT qubits each generator is checked to fix the dense
-    state (S|psi> = |psi>), so a mismatch raises; for the cluster chain the
-    interior generators are Z(m-1) X(m) Z(m+1), the form this check singles
-    out. Above it GF(2) algebra checks that the set fixes one state, as in
-    stabilizer_expectation. Each call returns a fresh list.
+    For the cluster chain the interior generators are Z(m-1) X(m) Z(m+1).
+    The set is checked, as in stabilizer_expectation, to be n independent,
+    pairwise commuting strings with coefficients +-1, so that it fixes one
+    state; the check's basis is kept for these strings. Each call returns a
+    fresh list of the same strings.
     """
     return list(_verified_generators(family, n))
 
 
-# Entries kept per cache: generator sets with their validated basis and member
-# table, and valid (family, n) pairs (invalid ones raise and are not stored).
+# Entries kept per cache: generator sets with their validated basis, and
+# valid (family, n) pairs (invalid ones raise and are not stored).
 _BASIS_CACHE_SIZE = 64
 
 
@@ -81,14 +82,7 @@ def _verified_generators(family: str, n: int) -> tuple[PauliString, ...]:
     else:
         raise ValueError(f"unknown stabilizer family {family!r}")
     gens = tuple(gens)
-    if n > DENSE_QUBIT_LIMIT:
-        _basis_by_value(gens, n)  # validates them, and keeps the basis
-        return gens
-    psi = _ghz_amplitudes(n, 0.5) if family == "ghz" else _cluster_amplitudes(n)
-    for g in gens:
-        deviation = np.max(np.abs(g.statevector_action(psi) - psi))
-        if deviation > STABILIZER_TOL:
-            raise ValidationError(f"generator {g} fails to stabilize {family}_{n}")
+    _stabilizer_basis(gens, n)  # validates them, and keeps the basis
     return gens
 
 
@@ -105,10 +99,10 @@ class _StabilizerBasis:
     Each generator is the 2n-bit vector x_mask << n | z_mask. Elimination keeps
     one row per leading bit, and with each row the subset of generators (a bit
     per generator) whose product it is, so a term reduces in at most 2n xors.
-    `members` maps the masks of each group string already decided to its sign,
-    and `factors` those that syndrome_spectrum met to their (generator subset,
-    sign), so each holds at most 2^n entries; strings outside the group are
-    not stored. `forms` keeps _factored_expectation's λ-free pieces.
+    `factors` maps the masks of each group string already factored to its
+    (generator subset, sign), so it holds at most 2^n entries; strings outside
+    the group are not stored. `forms` keeps _factored_expectation's λ-free
+    pieces.
     """
 
     def __init__(self, generators: tuple[PauliString, ...], n: int) -> None:
@@ -135,7 +129,6 @@ class _StabilizerBasis:
             if not vector:
                 raise ValidationError(f"generator {g} is a product of the ones before it")
             self.rows[vector.bit_length() - 1] = (vector, subset)
-        self.members: dict[tuple[int, int], float] = {}
         self.factors: dict[tuple[int, int], tuple[int, float]] = {}
         self.forms: dict[int, tuple] = {}
 
@@ -156,8 +149,13 @@ class _StabilizerBasis:
         The generators of the subset are multiplied in order as masks: each
         step moves the running product's Z part past the generator's X part,
         a factor (-1)^popcount(z & x), and the Y counts convert from
-        X^x·Z^z form back to letters.
+        X^x·Z^z form back to letters. A member's factors are kept in
+        `factors`.
         """
+        key = term.x_mask, term.z_mask
+        found = self.factors.get(key)
+        if found is not None:
+            return found
         remainder, subset = self._reduce(term.x_mask << self.n | term.z_mask, 0)
         if remainder:
             return None
@@ -174,41 +172,26 @@ class _StabilizerBasis:
             z ^= gz
             sign *= coeff
         power -= (x & z).bit_count()
-        if (x, z) != (term.x_mask, term.z_mask) or power % 2:
+        if (x, z) != key or power % 2:
             raise ValidationError("GF(2) solution does not reproduce the term")
-        return subset, -sign if power % 4 else sign
-
-    def sign(self, term: PauliString) -> float:
-        """+-1 when +-term's string is in the group, 0.0 when it is not.
-        A member's sign is stored in `members`."""
-        found = self.factor(term)
-        if found is None:
-            return 0.0
-        self.members[term.x_mask, term.z_mask] = found[1]
-        return found[1]
-
-
-# Keyed by value (each generator's letters and coefficient, and n): an equal
-# set shares the basis, {S, ...} and {-S, ...} do not. A set that fails
-# validation raises on every call, since exceptions are not cached.
-@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _basis_by_value(generators: tuple[PauliString, ...], n: int) -> _StabilizerBasis:
-    return _StabilizerBasis(generators, n)
+        found = self.factors[key] = subset, -sign if power % 4 else sign
+        return found
 
 
 # (n, the ids of the generator strings) -> (those strings, their basis). Each
-# entry holds its strings, so no other object can take their ids meanwhile.
+# entry holds its strings, so no other object can take their ids meanwhile. A
+# set that fails validation raises on every call, since it is not stored.
 _BASES_BY_IDENTITY: dict[tuple[int, ...], tuple[tuple, _StabilizerBasis]] = {}
 
 
-def _stabilizer_basis(generators: list[PauliString], n: int) -> _StabilizerBasis:
-    """The generators' validated basis, found without hashing strings already
-    seen (stabilizer_generators hands out the same ones), else by value."""
+def _stabilizer_basis(generators: Sequence[PauliString], n: int) -> _StabilizerBasis:
+    """The generators' validated basis, found by the identity of the strings
+    (stabilizer_generators hands out the same ones), else built."""
     key = (n, *map(id, generators))
     found = _BASES_BY_IDENTITY.get(key)
     if found is None:
         held = tuple(generators)
-        found = held, _basis_by_value(held, n)
+        found = held, _StabilizerBasis(held, n)
         _keep(_BASES_BY_IDENTITY, key, found)
     return found[1]
 
@@ -221,8 +204,8 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
     raises ValidationError. A Pauli term has expectation +-1 when (+-)term is
     in the generated group and 0 otherwise; membership is decided by the
     echelon basis, factored once per generator set, and the sign by the exact
-    phase of the corresponding generator product. Each set keeps the signs of
-    the members it has decided, at most 2^n, so a string shared by many
+    phase of the corresponding generator product. Each set keeps the factors
+    of the members it has decided, at most 2^n, so a string shared by many
     witnesses is decided once.
 
     A sum that carries its factored form (a built witness) is evaluated from
@@ -238,14 +221,13 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
         value = _factored_expectation(expr.factored, basis)
         if value is not None:
             return value
-    members = basis.members
     real_parts: list[float] = []
     imag_parts: list[float] = []
     for term in expr.terms:
-        sign = members.get((term.x_mask, term.z_mask)) or basis.sign(term)
-        if not sign:
+        found = basis.factor(term)
+        if found is None:
             continue
-        value = term.coeff * sign
+        value = term.coeff * found[1]
         real_parts.append(value.real)
         imag_parts.append(value.imag)
     total_imag = math.fsum(imag_parts)
@@ -269,10 +251,9 @@ def _factored_expectation(form: _ProjectorForm, basis: _StabilizerBasis) -> floa
     """
     found = basis.forms.get(id(form.classes))
     if found is None:
-        members = basis.members
         (weight, _), *others = form.classes
         (sloped, *host), *rest = signs = [
-            [(members.get((g.x_mask, g.z_mask)) or basis.sign(g)) * g.coeff.real for g in gens]
+            [member[1] * g.coeff.real if (member := basis.factor(g)) else 0.0 for g in gens]
             for _, gens in form.classes
         ]
         half = weight / 2.0 * all(sign > 0 for sign in host)
@@ -303,13 +284,12 @@ def syndrome_spectrum(expr: OperatorExpr, generators: list[PauliString]) -> np.n
     if not expr.is_hermitian():
         raise ValidationError("operator has non-real Pauli coefficients")
     basis = _stabilizer_basis(generators, n)
-    factors = basis.factors
     spectrum = np.zeros(1 << n)
     for term in expr.terms:
-        found = factors.get((term.x_mask, term.z_mask)) or basis.factor(term)
+        found = basis.factor(term)
         if found is None:
             raise ValidationError(f"term {term} is outside the stabilizer group")
-        subset, sign = factors[term.x_mask, term.z_mask] = found
+        subset, sign = found
         spectrum[subset] += term.coeff.real * sign
     # One butterfly per generator bit h, in place: (a, b) -> (a + b, a - b).
     for h in range(n):
@@ -366,7 +346,10 @@ class StateFamily:
                 key, _, value = item.partition("=")
                 if not value:
                     raise ValueError(f"malformed state parameter {item!r}")
-                args[key.strip()] = float(value)
+                key = key.strip()
+                if key in args:
+                    raise ValueError(f"state parameter {key!r} is given more than once")
+                args[key] = float(value)
         if kind in ("ghz", "cluster"):
             if args:
                 raise ValueError(f"{kind} takes no parameters")

@@ -1,7 +1,10 @@
 """Numerical verification suites behind the CLI `verify` command.
 
-Each suite replays one family of claims against the dense simulator and
-reports a pass/fail per invariant together with the worst residual seen.
+Each suite checks one family of claims and reports a pass/fail per
+invariant together with the worst residual seen. `channel`, `recursion` and
+`oracle` replay their claims on the dense simulator; `psd` and `biseparable`
+read every spectrum off the syndrome basis (`syndrome_spectrum`) and every
+Schmidt weight off a GF(2) cut rank, so they build no dense matrix.
 Every witness comes from this module's `build_modified_witness`. A witness
 is affine in the sharpness, W(λ) = (1 - λ)·W(0) + λ·W(1): `biseparable`
 checks that form on built witnesses, and `oracle` evaluates only W(0) and

@@ -1,4 +1,4 @@
-"""The dense spectral certificate, kept as a cross-check of the syndrome route.
+"""Dense references for the matrix-free routes of the package.
 
 `verify psd` and `verify biseparable` read every spectrum off the syndrome
 basis and every Schmidt weight off a GF(2) cut rank. These helpers compute
@@ -6,6 +6,9 @@ the same numbers from dense matrices at small n: a residual-checked `eigh`
 spectrum, the bipartitions of the qubits, and the reduced state on one side.
 The difference operator W(λ) - λ·W(1), whose spectrum `verify psd` reads as
 W(λ)'s spectrum less λ times W(1)'s, is built here by operator algebra.
+`to_matrix` writes a Pauli sum as a dense matrix, and `statevector_action`
+applies a string to a statevector, so the tests can check the package's
+GF(2) and gather routes against explicit linear algebra.
 """
 
 from itertools import combinations
@@ -13,8 +16,14 @@ from itertools import combinations
 import numpy as np
 
 from seqgme import densesim
-from seqgme.errors import PrecisionError, ValidationError, check_sharpness
-from seqgme.pauli import OperatorExpr
+from seqgme.errors import (
+    CapacityError,
+    DimensionError,
+    PrecisionError,
+    ValidationError,
+    check_sharpness,
+)
+from seqgme.pauli import _PHASES, DENSE_QUBIT_LIMIT, OperatorExpr, PauliString
 from seqgme.witness import build_modified_witness
 
 # Largest column norm of op @ V - V * w that eigen_spectrum accepts.
@@ -56,3 +65,45 @@ def reduced_state(rho: np.ndarray, n: int, part: tuple[int, ...]) -> np.ndarray:
     tensor = rho.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
     side = 1 << len(part)
     return np.einsum("ajbj->ab", tensor.reshape(side, -1, side, rho.shape[-1] // side))
+
+
+def bit_masks(term: PauliString) -> tuple[int, int, complex]:
+    """(x mask, z mask, phase) with P|j> = phase·(-1)^popcount(j & z)|j ^ x>.
+
+    X and Y set the x bit of their qubit, Z and Y the z bit; the phase is
+    the coefficient times i per Y letter.
+    """
+    phase = term.coeff * _PHASES[(term.x_mask & term.z_mask).bit_count() % 4]
+    return term.x_mask, term.z_mask, phase
+
+
+def statevector_action(term: PauliString, psi: np.ndarray) -> np.ndarray:
+    """Apply the string to a statevector without building its matrix."""
+    n = term.n_qubits
+    if psi.shape != (1 << n,):
+        raise DimensionError(f"statevector length {psi.shape} does not match {n} qubits")
+    x_mask, z_mask, phase = bit_masks(term)
+    src = np.arange(1 << n, dtype=np.int64) ^ x_mask
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & z_mask) & 1)
+    return phase * signs * psi[src]
+
+
+def to_matrix(expr: OperatorExpr) -> np.ndarray:
+    """Dense complex 2^N x 2^N matrix, added into zeros in term order.
+
+    Qubit 1 is the most significant factor. Term P has one nonzero per
+    column j, phase·(-1)^popcount(j & z) in row j ^ x (see bit_masks), so
+    each term is one scatter. Every entry is exact and is added in the
+    order a sum of Kronecker products would add it, so the result is bit
+    for bit that sum.
+    """
+    if expr.n_qubits > DENSE_QUBIT_LIMIT:
+        raise CapacityError(f"{expr.n_qubits} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
+    dim = 1 << expr.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    columns = np.arange(dim, dtype=np.int64)
+    for term in expr.terms:
+        x_mask, z_mask, phase = bit_masks(term)
+        parity = np.bitwise_count(columns & z_mask) & 1
+        out[columns ^ x_mask, columns] += np.where(parity, -phase, phase)
+    return out

@@ -8,7 +8,13 @@ derived from the code under test.
 import numpy as np
 import pytest
 from biseparable_sampling import biseparable_statevectors
-from dense_spectra import all_bipartitions, difference_operator, eigen_spectrum
+from dense_spectra import (
+    all_bipartitions,
+    difference_operator,
+    eigen_spectrum,
+    statevector_action,
+    to_matrix,
+)
 
 from seqgme.analytic import full_sequence_report, witness_value, z_factor
 from seqgme.densesim import (
@@ -169,7 +175,7 @@ def test_criterion_6_difference_operator_spectra():
     for family, multiples in allowed_multiples.items():
         for n in (3, 4, 5, 6):
             for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-                spectrum = eigen_spectrum(difference_operator(family, n, lam).to_matrix())
+                spectrum = eigen_spectrum(to_matrix(difference_operator(family, n, lam)))
                 allowed = np.array([m * (1.0 - lam) for m in multiples])
                 gaps = np.min(np.abs(spectrum[:, None] - allowed[None, :]), axis=1)
                 worst = max(worst, float(np.max(gaps)))
@@ -186,7 +192,7 @@ def test_criterion_7_biseparable_nonnegativity():
     minimum = np.inf
     for build in (build_modified_ghz_witness, build_modified_cluster_witness):
         for n in (3, 4):
-            witnesses = [build(n, lam).to_matrix() for lam in (0.0, 0.3, 0.7, 1.0)]
+            witnesses = [to_matrix(build(n, lam)) for lam in (0.0, 0.3, 0.7, 1.0)]
             for part in all_bipartitions(n):
                 batch = biseparable_statevectors(n, part, samples, rng)
                 for w in witnesses:
@@ -246,7 +252,7 @@ def test_criterion_9_cluster_construction_self_check():
         gens = stabilizer_generators("cluster", n)
         for g in gens:
             worst_stabilizer = max(
-                worst_stabilizer, float(np.max(np.abs(g.statevector_action(psi) - psi)))
+                worst_stabilizer, float(np.max(np.abs(statevector_action(g, psi) - psi)))
             )
         expr = build_modified_cluster_witness(n, 1.0)
         worst_witness = max(

@@ -245,6 +245,17 @@ MIXED_INF = "mixed:p1=inf,p2=0.1,p3=0.1,alpha=0.4"
             "max_k",
             id="run-plan-max-k-float",
         ),
+        # A repeated key is refused, not overwritten by its last value.
+        pytest.param(
+            ["run", "--state", "ghz", "--N", "4", "--plan", "l1=0.05,l1=0.5,eps=0.05"],
+            "plan key 'l1' is given more than once",
+            id="run-plan-repeated-key",
+        ),
+        pytest.param(
+            ["run", "--state", "gghz:alpha=0.3,alpha=0.6", "--N", "4", "--lambdas", "0.5"],
+            "state parameter 'alpha' is given more than once",
+            id="run-state-repeated-key",
+        ),
         pytest.param(["verify", "all", "--seed", "-1"], "--seed", id="verify-negative-seed"),
         # Refused also by a suite that draws no random numbers.
         pytest.param(["verify", "psd", "--seed", "-1"], "--seed", id="verify-psd-negative-seed"),

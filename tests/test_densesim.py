@@ -8,7 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from dense_spectra import all_bipartitions, eigen_spectrum
+from dense_spectra import all_bipartitions, bit_masks, eigen_spectrum, to_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -362,7 +362,7 @@ def pauli_sums(draw):
 @given(expr=pauli_sums(), seed=st.integers(0, 2**32 - 1))
 def test_expectation_of_pauli_sum_matches_dense_trace(expr, seed):
     rho = random_density(np.random.default_rng(seed), expr.n_qubits)
-    dense = complex(np.einsum("ij,ji->", rho, expr.to_matrix())).real
+    dense = complex(np.einsum("ij,ji->", rho, to_matrix(expr))).real
     assert abs(expectation(rho, expr) - dense) <= 1e-12
 
 
@@ -778,7 +778,7 @@ def per_term_gather_trace(rho, expr):
     rows = np.arange(rho.shape[0])
     sums, phases = [], []
     for term in expr.terms:
-        flip, sign, phase = term.bit_masks()
+        flip, sign, phase = bit_masks(term)
         gathered = rho[rows, rows ^ flip]
         parity = np.bitwise_count(rows & sign) & 1
         sums.append(np.where(parity, -gathered, gathered).sum())

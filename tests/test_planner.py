@@ -127,6 +127,17 @@ def test_min_sharpness_reaches_requested_depth(n):
     assert max_detections(result.lambda_1, 0.05, cap=n) >= n
 
 
+@pytest.mark.parametrize("n", [6, 40, 60, 100])
+def test_plan_bracket_is_tight_relative_to_the_threshold(n):
+    # Thresholds fall to about 1e-28 at n = 100, so an absolute width of
+    # 1e-9 would leave the bracket's low end unresolved there.
+    result = largest_sharpness_for(n, 0.05)
+    assert max_detections(result.lambda_1, 0.05, cap=n) >= n
+    assert max_detections(result.bracket_high, 0.05, cap=n) < n
+    assert result.lambda_1 == result.bracket_low < result.bracket_high
+    assert result.bracket_high - result.bracket_low <= 1e-9 * result.bracket_low
+
+
 def test_planner_agrees_with_dense_simulation():
     for n_detect in (2, 4, 6):
         lam1 = largest_sharpness_for(n_detect, 0.05).lambda_1

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from biseparable_sampling import biseparable_statevectors
-from dense_spectra import all_bipartitions, difference_operator, eigen_spectrum
+from dense_spectra import all_bipartitions, difference_operator, eigen_spectrum, to_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -223,10 +223,10 @@ def test_ghz_witness_term_count(n):
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.7, 1.0])
 def test_modified_witnesses_match_dense_oracles(n, lam):
     np.testing.assert_allclose(
-        build_modified_ghz_witness(n, lam).to_matrix(), dense_ghz_witness(n, lam), atol=1e-12
+        to_matrix(build_modified_ghz_witness(n, lam)), dense_ghz_witness(n, lam), atol=1e-12
     )
     np.testing.assert_allclose(
-        build_modified_cluster_witness(n, lam).to_matrix(),
+        to_matrix(build_modified_cluster_witness(n, lam)),
         dense_cluster_witness(n, lam),
         atol=1e-12,
     )
@@ -301,7 +301,7 @@ def test_difference_operator_spectra(family):
             if lam == 1.0:
                 assert expr.terms == ()
                 continue
-            spectrum = eigen_spectrum(expr.to_matrix())
+            spectrum = eigen_spectrum(to_matrix(expr))
             allowed = np.array([m * (1.0 - lam) for m in allowed_multiples])
             gaps = np.min(np.abs(spectrum[:, None] - allowed[None, :]), axis=1)
             assert np.max(gaps) < 1e-9
@@ -315,17 +315,17 @@ def test_difference_operator_psd_on_sharpness_grid():
                 expr = difference_operator(family, n, float(lam))
                 if not expr.terms:
                     continue
-                assert eigen_spectrum(expr.to_matrix())[0] >= -1e-10
+                assert eigen_spectrum(to_matrix(expr))[0] >= -1e-10
 
 
 def test_witness_nonnegative_on_sampled_biseparable_states():
     rng = np.random.default_rng(123)
     for n in (3, 4):
         witnesses = [
-            build_modified_ghz_witness(n, lam).to_matrix()
+            to_matrix(build_modified_ghz_witness(n, lam))
             for lam in (0.0, 0.3, 0.7, 1.0)
         ] + [
-            build_modified_cluster_witness(n, lam).to_matrix()
+            to_matrix(build_modified_cluster_witness(n, lam))
             for lam in (0.0, 0.3, 0.7, 1.0)
         ]
         for part in all_bipartitions(n):
