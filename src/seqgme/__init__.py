@@ -17,6 +17,7 @@ from .densesim import (
     expectation,
     load_density_matrix,
     luders_update,
+    observer_expectations,
     observer_states,
     save_density_matrix,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "load_density_matrix",
     "luders_update",
     "max_detections",
+    "observer_expectations",
     "observer_states",
     "save_density_matrix",
     "stabilizer_expectation",

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .analytic import full_sequence_report
-from .densesim import expectation, observer_states
+from .densesim import observer_expectations
 from .errors import PrecisionError
 from .pauli import DENSE_QUBIT_LIMIT
 from .planner import (
@@ -97,10 +97,10 @@ def cmd_run(config: ExperimentConfig) -> list[dict]:
             raise ValueError(
                 f"dense mode limited to {DENSE_QUBIT_LIMIT} qubits, got {config.n_qubits}"
             )
-        dense_values = [
-            expectation(rho, build_modified_witness(family.witness_family, config.n_qubits, lam))
-            for lam, rho in zip(lambdas, observer_states(family.density_matrix(), lambdas))
-        ]
+        witnesses = (
+            build_modified_witness(family.witness_family, config.n_qubits, lam) for lam in lambdas
+        )
+        dense_values = observer_expectations(family.density_matrix(), lambdas, witnesses)
 
     rows = []
     for index, lam in enumerate(lambdas):

@@ -2,8 +2,8 @@
 
 States are numpy arrays of shape (2^N, 2^N), qubit 1 being the most
 significant tensor factor. The state kernels (validate_density_matrix,
-luders_update, observer_states, channel_closed_form and expectation) take a
-stack of states, shape (..., 2^N, 2^N), and treat each element as a state of
+luders_update, observer_states, observer_expectations, channel_closed_form
+and expectation) take a stack of states, shape (..., 2^N, 2^N), and treat each element as a state of
 its own; a single state is the empty stack. A sharpness is one number for
 every element, or an array that broadcasts to the stack's shape with one value
 per element; an observable is one Pauli sum for every element, or a dense
@@ -22,11 +22,17 @@ that the closed-form layers are checked against. No operator is densified on
 the way: a Pauli sum is evaluated by gathers on its bit masks, one gather
 per distinct X part for the whole stack, with a plan cached per term
 layout, and single-qubit maps act on the target qubit's 2x2 blocks of the
-state. The channel step builds each element's four square-rooted effects
-in one expression from fixed (4, 2, 2) stacks and the two eigenvalues of
-the unsharp x roots, forms the 4x4 superoperator from them, and multiplies
-the target's blocks by it one cache-sized tile at a time (a tile spans the
-whole stack), so its output is its only full-size allocation.
+state.
+
+A chain of observers (luders_update, observer_states, observer_expectations)
+runs in target-major order: each element is a C-contiguous (4, 4^(N-1))
+block whose axis 0 is the target's (row bit, column bit). A channel step
+builds each element's four square-rooted effects in one expression from
+fixed (4, 2, 2) stacks and the two eigenvalues of the unsharp x roots, forms
+the 4x4 superoperator from them, and is one BLAS product per element. A
+chain copies its start state into that order once; observer_expectations
+gathers the witness rows there in place, and the others convert each state
+they hand out back to the (2^N, 2^N) layout.
 
 Validation costs O(d^2) for the states a chain meets: they have rank at most
 4, so from dimension 128 on a pivoted partial Cholesky of at most 4 steps
@@ -61,9 +67,8 @@ IMAG_TOL = 1e-10
 # the rows gathered for a block of distinct X parts and the per-term block
 # indexed from them (8 MiB of float64, 16 MiB of complex128).
 _GATHER_ELEMENTS = 1 << 20
-# Side of the square tiles of the Hermiticity check, row count of the
-# certificate's row tiles, and square root of the entries of one channel-step
-# tile, so that no full-size temporary is made.
+# Side of the square tiles of the Hermiticity check and row count of the
+# certificate's row tiles, so that neither makes a full-size temporary.
 _TILE = 128
 # Pivot steps of the low-rank positivity certificate. Every Kraus operator
 # acts on one qubit, so a chain started from a pure state stays inside
@@ -309,6 +314,35 @@ def _sqrt_effects(sharpness) -> np.ndarray:
     return hi * _ROOTS_HI + lo * _ROOTS_LO + _ROOTS_FIXED
 
 
+def _to_target_major(rho: np.ndarray, n: int, target: int) -> np.ndarray:
+    """A copy of rho, or of each element of a stack, in target-major order.
+
+    The copy is C-contiguous, of shape (count, 4, 4^(n-1)) for a stack of
+    count elements (1 for a single state). Axis 1 is the target qubit's (row
+    bit, column bit); along axis 2 the other qubits' row index, times 2^(n-1),
+    plus their column index. It is a new array even at n = 1, where that order
+    is rho's own, so writing it never writes rho.
+    """
+    dim = rho.shape[-1]
+    blocks = _target_blocks(rho.reshape(-1, dim, dim), n, target)
+    count, a, _, b = blocks.shape[:4]
+    out = np.empty((count, 4, dim * dim // 4), dtype=rho.dtype)
+    # (a, row bit, b, a', column bit, b') -> (row bit, column bit, a, b, a', b')
+    out.reshape(count, 2, 2, a, b, a, b)[...] = blocks.transpose(0, 2, 5, 1, 3, 4, 6)
+    return out
+
+
+def _from_target_major(state: np.ndarray, stack: tuple, n: int, target: int) -> np.ndarray:
+    """The states of _to_target_major's order as a new (*stack, 2^n, 2^n) array."""
+    dim = 1 << n
+    out = np.empty((*stack, dim, dim), dtype=state.dtype)
+    blocks = _target_blocks(out.reshape(-1, dim, dim), n, target)
+    count, a, _, b = blocks.shape[:4]
+    # (row bit, column bit, a, b, a', b') -> (a, row bit, b, a', column bit, b')
+    blocks[...] = state.reshape(count, 2, 2, a, b, a, b).transpose(0, 3, 1, 4, 5, 2, 6)
+    return out
+
+
 def luders_update(rho: np.ndarray, sharpness, target: int | None = None) -> np.ndarray:
     """One sequential observer's unselective update on the target qubit.
 
@@ -316,54 +350,55 @@ def luders_update(rho: np.ndarray, sharpness, target: int | None = None) -> np.n
     sharpness lambda and a sharp two-outcome z measurement; each branch updates
     the state with the square roots of its effects. Default target is the last
     qubit. Trace is preserved. The input must be a valid density matrix, or a
-    stack of them with one sharpness or one per element.
+    stack of them with one sharpness or one per element. The step runs on a
+    target-major copy of rho, and its result comes back as a new array.
     """
     rho = _as_state(rho)
     n = n_qubits_of(rho)
     lam = _sharpnesses(sharpness, rho.shape[:-2])
     validate_density_matrix(rho)
-    return _observer_step(rho, n, lam, n - 1 if target is None else target)
+    t = n - 1 if target is None else target
+    state = _observer_step(_to_target_major(rho, n, t), lam)
+    return _from_target_major(state, rho.shape[:-2], n, t)
 
 
-def _observer_step(rho: np.ndarray, n: int, sharpness, target: int) -> np.ndarray:
-    """luders_update without the checks of its input state and sharpness.
+def _observer_step(state: np.ndarray, sharpness) -> np.ndarray:
+    """luders_update of states in target-major order, without its checks.
 
-    The four maps K rho K^dagger add up to the 4x4 superoperator sum_K K (x) conj(K),
-    which acts on the (row bit, column bit) pair of the target qubit. It is
-    real, so the result has rho's dtype. It is applied in tiles of about
-    _TILE^2 entries per element: a tile takes some values of the qubits before
-    the target (axis 0 of the blocks) or, when there are too few of those, some
-    values of the qubits after it (axis 2), with the target's two rows and
-    every column, in every element of the stack. Each element's tile is
-    transposed to a (4, m) operand, multiplied by its superoperator (one BLAS
-    product per element) and written into its block of the output, so the
-    output is the only full-size array made. Every entry is the same 4-term sum
-    as in one whole-matrix product.
+    The four maps K rho K^dagger add up to the 4x4 superoperator
+    sum_K K (x) conj(K), which acts on the (row bit, column bit) pair of the
+    target qubit: axis 1 of state. It is real, so the result has the state's
+    dtype. Each element is one BLAS product of its superoperator and its
+    (4, 4^(n-1)) block, into a new array of the same order.
     """
-    dim = rho.shape[-1]
-    out = np.empty(rho.shape, dtype=rho.dtype)
-    # The stack as one leading axis; a single state is a stack of one.
-    blocks = _target_blocks(rho.reshape(-1, dim, dim), n, target)
-    out_blocks = _target_blocks(out.reshape(-1, dim, dim), n, target)
     # An unsharp x pair and a sharp z pair, applied with equal setting weight.
     # The roots are real, so conj(K) is K.
     roots = _sqrt_effects(sharpness)
     # Halving is exact, so folding the channel's 1/2 in here changes no bit.
     superop = (np.einsum("...kab,...kcd->...acbd", roots, roots) / 2.0).reshape(-1, 4, 4)
-    a, _, b = blocks.shape[1:4]
-    # blocks[:, i, :, j] is the target's two rows at one (i, j): 2 * 2^n entries.
-    pairs = max(1, _TILE * _TILE // (2 * dim))
-    span_j = min(b, pairs)
-    span_i = max(1, pairs // b)
-    for i in range(0, a, span_i):
-        for j in range(0, b, span_j):
-            tile = blocks[:, i:i + span_i, :, j:j + span_j]
-            count, tile_a, _, tile_b = tile.shape[:4]
-            operand = tile.transpose(0, 2, 5, 1, 3, 4, 6).reshape(count, 4, -1)
-            result = np.matmul(superop, operand).reshape(count, 2, 2, tile_a, tile_b, a, b)
-            # (row bit, column bit, a, b, a', b') -> (a, row bit, b, a', column bit, b')
-            out_blocks[:, i:i + span_i, :, j:j + span_j] = result.transpose(0, 3, 1, 4, 5, 2, 6)
-    return out
+    return np.matmul(superop, state)
+
+
+def _chain(state: np.ndarray, sharpnesses):
+    """Yield state, in target-major order, then its update by each sharpness
+    in turn. A step makes a new array and drops the one before, so no more
+    than the caller's state and its update are alive at once."""
+    yield state
+    for lam in sharpnesses:
+        state = _observer_step(state, lam)
+        yield state
+
+
+def _checked_chain(rho1, sharpnesses, target):
+    """observer_states' checks: rho1 as a state, its qubit count, each
+    observer's sharpness and the target, with the target range-checked."""
+    rho = _as_state(rho1)
+    n = n_qubits_of(rho)
+    lambdas = [_sharpnesses(lam, rho.shape[:-2]) for lam in sharpnesses]
+    validate_density_matrix(rho)
+    t = n - 1 if target is None else target
+    _target_blocks(rho, n, t)  # range-checks the target
+    return rho, n, lambdas, t
 
 
 def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
@@ -372,22 +407,49 @@ def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
     rho1 may be a stack, with each observer's sharpness one number or one per
     element. Every sharpness, the target and rho1 are checked before the first
     state is yielded; rho1 is validated once, since each update maps a density
-    matrix to a density matrix. The update after the last observer is never
-    computed.
+    matrix to a density matrix. The chain runs in target-major order, entered
+    once, and each later state is yielded as a new array in rho1's layout. The
+    update after the last observer is never computed.
     """
-    rho = _as_state(rho1)
+    rho, n, lambdas, t = _checked_chain(rho1, sharpnesses, target)
     del rho1  # hold no reference to the caller's array past the first step
-    n = n_qubits_of(rho)
-    lambdas = [_sharpnesses(lam, rho.shape[:-2]) for lam in sharpnesses]
-    validate_density_matrix(rho)
-    t = n - 1 if target is None else target
-    _target_blocks(rho, n, t)  # range-checks the target
     if not lambdas:
         return
     yield rho
-    for lam in lambdas[:-1]:
-        rho = _observer_step(rho, n, lam, t)
-        yield rho
+    if len(lambdas) == 1:
+        return
+    stack = rho.shape[:-2]
+    states = _chain(_to_target_major(rho, n, t), lambdas[:-1])
+    del rho
+    next(states)  # rho1 again, already yielded
+    for state in states:
+        yield _from_target_major(state, stack, n, t)
+
+
+def observer_expectations(rho1: np.ndarray, sharpnesses, observables, target: int | None = None):
+    """Each observer's Tr[rho_k O_k]: observer k's state against observables[k].
+
+    The result, its checks and their order are bit for bit those of
+    [expectation(s, o) for s, o in zip(observer_states(rho1, sharpnesses,
+    target), observables)], on a single state or a stack. The chain stays in
+    target-major order, and a Pauli sum's rows are gathered there in place:
+    only a dense observable's state is taken back to rho1's layout.
+    """
+    rho, n, lambdas, t = _checked_chain(rho1, sharpnesses, target)
+    del rho1  # hold no reference to the caller's array past the conversion
+    if not lambdas:
+        return []
+    stack = rho.shape[:-2]
+    states = _chain(_to_target_major(rho, n, t), lambdas[:-1])
+    del rho
+    positions = _positions(n, t)
+    values = []
+    for state, obs in zip(states, observables):
+        if isinstance(obs, (PauliString, OperatorExpr)):
+            values.append(_pauli_expectation(state, stack, n, obs, positions))
+        else:
+            values.append(expectation(_from_target_major(state, stack, n, t), obs))
+    return values
 
 
 def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -> np.ndarray:
@@ -441,9 +503,35 @@ def _gather_plan(n: int, layout: tuple[tuple[int, int], ...]):
     return y_phases, order, np.array(parts, dtype=np.int64), np.array(part_of), negative
 
 
-def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr):
-    """Tr[rho * P] without building P's matrix, for one state (d, d) or each
-    element of a stack (count, d, d).
+# Offset vectors kept, one pair per (n, target): every target and the
+# (2^n, 2^n) layout of each n up to 10 qubits, 32 KiB at most each.
+_POSITIONS_CACHE_SIZE = 66
+
+
+@functools.lru_cache(maxsize=_POSITIONS_CACHE_SIZE)
+def _positions(n: int, target: int | None):
+    """Offsets (row_pos, col_pos) of an n-qubit state's entries: entry (j, l)
+    is at flat offset row_pos[j] + col_pos[l]. With no target the layout is
+    (2^n, 2^n), row_pos[j] = j * 2^n and col_pos[l] = l; with one, it is
+    _to_target_major's order about that (range-checked) target."""
+    rows = np.arange(1 << n, dtype=np.int64)
+    if target is None:
+        offsets = rows << n, rows
+    else:
+        low = n - 1 - target  # the target's bit in a basis index
+        bit = (rows >> low) & 1
+        rest = (rows >> (low + 1) << low) | (rows & ((1 << low) - 1))
+        span = 1 << (2 * n - 2)
+        offsets = (2 * span) * bit + (rest << (n - 1)), span * bit + rest
+    for offset in offsets:
+        offset.flags.writeable = False  # shared by every caller of the cache
+    return offsets
+
+
+def _pauli_sum_trace(states: np.ndarray, expr: OperatorExpr, positions) -> np.ndarray:
+    """Tr[rho * P] of each element of a stack without building P's matrix:
+    states has one flat row of entries per element, laid out as positions
+    says; the result has one complex value per element.
 
     The only nonzero entries of a term P with masks (f, z) and phase c are
     <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
@@ -455,21 +543,17 @@ def _pauli_sum_trace(rho: np.ndarray, expr: OperatorExpr):
     together hold at most _GATHER_ELEMENTS entries over all elements (a
     stack too large for two rows of each is split). Each term's sum is a row
     sum of a 2-D array, and the terms are added by fsum, so an element's
-    value is bit for bit that of its own call.
+    value is bit for bit that of its own call, in either layout.
     """
-    single = rho.ndim == 2
     layout = tuple(map(_MASKS, expr.terms))
     if not layout:
-        return 0j if single else np.zeros(len(rho), dtype=complex)
-    y_phases, order, parts, part_of, negative = _gather_plan(
-        rho.shape[-1].bit_length() - 1, layout
-    )
-    per_term = _term_traces(rho, parts, part_of, negative).reshape(-1, len(layout))
+        return np.zeros(len(states), dtype=complex)
+    y_phases, order, parts, part_of, negative = _gather_plan(expr.n_qubits, layout)
+    per_term = _term_traces(states, positions, parts, part_of, negative)
     # Each term's coefficient times the phase of its Y letters.
     phases = np.array([t.coeff * y for t, y in zip(expr.terms, y_phases)])[order]
     # Each element's products in a call of their own shape, as alone.
-    out = np.array([_fsum(row * phases) for row in per_term])
-    return out[0] if single else out
+    return np.array([_fsum(row * phases) for row in per_term])
 
 
 def _fsum(values: np.ndarray) -> complex:
@@ -477,29 +561,30 @@ def _fsum(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
-def _term_traces(rho: np.ndarray, parts, part_of, negative) -> np.ndarray:
-    """sum_j rho[j, j ^ f] * (-1)^popcount(j & z) of each planned term, for one
-    state or each element of a stack; shape (..., terms), complex."""
-    dim = rho.shape[-1]
-    count = 1 if rho.ndim == 2 else len(rho)
+def _term_traces(states: np.ndarray, positions, parts, part_of, negative) -> np.ndarray:
+    """sum_j rho[j, j ^ f] * (-1)^popcount(j & z) of each planned term, for
+    each element of a stack of flat states; shape (count, terms), complex."""
+    row_pos, col_pos = positions
+    dim = len(row_pos)
+    count = len(states)
     # Two rows of every element must fit the budget: split a larger stack.
     split = max(1, _GATHER_ELEMENTS // (2 * dim))
     if count > split:
         return np.concatenate([
-            _term_traces(rho[i:i + split], parts, part_of, negative)
+            _term_traces(states[i:i + split], positions, parts, part_of, negative)
             for i in range(0, count, split)
         ])
-    rows = np.arange(dim, dtype=np.int64)
-    per_term = np.empty((*rho.shape[:-2], len(part_of)), dtype=complex)
+    per_term = np.empty((count, len(part_of)), dtype=complex)
     # Rows held at once: at most half of them parts' rows, the rest terms'.
     budget = max(2, _GATHER_ELEMENTS // (dim * count))
     for first in range(0, len(parts), budget // 2):
         chunk = parts[first:first + budget // 2]
-        columns = rows ^ chunk[:, None]
-        if rho.ndim == 2:
-            part_rows = rho[rows, columns]
-        else:  # take, unlike rho[:, rows, columns], returns C-ordered rows
-            part_rows = np.take(rho.reshape(count, -1), rows * dim + columns, axis=1)
+        # Column offsets are xor-linear, col_pos[j ^ f] = col_pos[j] ^ col_pos[f],
+        # since each layout keeps the bits of a column index in fields of their own.
+        offsets = col_pos ^ col_pos[chunk][:, None]
+        offsets += row_pos
+        # take returns C-ordered rows: (count, parts, dim).
+        part_rows = np.take(states, offsets, axis=1)
         step = budget - len(chunk)
         lo, hi = part_of.searchsorted([first, first + len(chunk)])
         # With one term per part, term t's row is part_rows[t - lo]: a view.
@@ -508,16 +593,38 @@ def _term_traces(rho: np.ndarray, parts, part_of, negative) -> np.ndarray:
             stop = min(start + step, hi)
             block = slice(start, stop)
             if one_to_one:
-                gathered = part_rows[..., start - lo:stop - lo, :]
+                signed = part_rows[:, start - lo:stop - lo]
             else:
-                gathered = np.take(part_rows, part_of[block] - first, axis=-2)
-            signed = np.where(negative[block], -gathered, gathered)
+                signed = np.take(part_rows, part_of[block] - first, axis=1)
+            # Signed in place: a row taken in place belongs to this term alone.
+            np.negative(signed, out=signed, where=negative[block])
             # Sums of C-ordered rows: numpy adds each row pairwise, in the same
             # order whatever the number of rows, where a strided row would be
             # added in sequence.
             flat = np.ascontiguousarray(signed).reshape(-1, dim)
-            per_term[..., block] = flat.sum(axis=1).reshape(signed.shape[:-1])
+            per_term[:, block] = flat.sum(axis=1).reshape(signed.shape[:-1])
     return per_term
+
+
+def _pauli_expectation(states: np.ndarray, stack: tuple, n: int, obs, positions):
+    """expectation of a Pauli sum (or string) on flat states laid out as
+    positions says, one per element of the stack."""
+    if isinstance(obs, PauliString):
+        obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
+    if obs.n_qubits != n:
+        raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
+    if not obs.is_hermitian():
+        raise ValidationError("observable has non-real Pauli coefficients")
+    flat = states.reshape(len(states), -1)
+    return _real_part(_pauli_sum_trace(flat, obs, positions).reshape(stack))
+
+
+def _real_part(value: np.ndarray):
+    """An expectation's real part, a float for a single state, after checking
+    that its imaginary residue is below IMAG_TOL."""
+    residue = value.imag
+    _refuse(abs(residue) >= IMAG_TOL, ValidationError, "expectation has imaginary residue {}", residue)
+    return value.real if value.ndim else float(value.real)
 
 
 def expectation(rho: np.ndarray, obs):
@@ -531,33 +638,23 @@ def expectation(rho: np.ndarray, obs):
     """
     rho = _as_state(rho)
     n = n_qubits_of(rho)
-    if isinstance(obs, PauliString):
-        obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
-    if isinstance(obs, OperatorExpr):
-        if obs.n_qubits != n:
-            raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
-        if not obs.is_hermitian():
-            raise ValidationError("observable has non-real Pauli coefficients")
-        stack = rho.shape[:-2]
-        states = rho.reshape(-1, *rho.shape[-2:]) if stack else rho
-        value = np.asarray(_pauli_sum_trace(states, obs)).reshape(stack)
-    else:
-        dense = _as_state(obs)
-        try:
-            matched = dense.shape[-2:] == rho.shape[-2:]
-            np.broadcast_shapes(dense.shape[:-2], rho.shape[:-2])
-        except ValueError:
-            matched = False
-        if not matched:
-            raise DimensionError(f"observable shape {dense.shape} vs state {rho.shape}")
-        asymmetric = _max_asymmetry(dense) > HERMITICITY_TOL
-        _refuse(asymmetric, ValidationError, "observable is not Hermitian")
-        # Row sums, then a running sum of them: the order of additions of one
-        # matrix's einsum("ij,ji->"), whatever the stacks' layout.
-        value = np.cumsum(np.einsum("...ij,...ji->...i", rho, dense), axis=-1)[..., -1]
-    residue = value.imag
-    _refuse(abs(residue) >= IMAG_TOL, ValidationError, "expectation has imaginary residue {}", residue)
-    return value.real if value.ndim else float(value.real)
+    if isinstance(obs, (PauliString, OperatorExpr)):
+        dim = rho.shape[-1]
+        states = rho.reshape(-1, dim * dim)
+        return _pauli_expectation(states, rho.shape[:-2], n, obs, _positions(n, None))
+    dense = _as_state(obs)
+    try:
+        matched = dense.shape[-2:] == rho.shape[-2:]
+        np.broadcast_shapes(dense.shape[:-2], rho.shape[:-2])
+    except ValueError:
+        matched = False
+    if not matched:
+        raise DimensionError(f"observable shape {dense.shape} vs state {rho.shape}")
+    asymmetric = _max_asymmetry(dense) > HERMITICITY_TOL
+    _refuse(asymmetric, ValidationError, "observable is not Hermitian")
+    # Row sums, then a running sum of them: the order of additions of one
+    # matrix's einsum("ij,ji->"), whatever the stacks' layout.
+    return _real_part(np.cumsum(np.einsum("...ij,...ji->...i", rho, dense), axis=-1)[..., -1])
 
 
 def save_density_matrix(path, rho: np.ndarray) -> None:

@@ -113,10 +113,25 @@ class _StabilizerBasis:
                 raise ValidationError("generators and expression act on different qubit counts")
             if g.coeff not in (1.0, -1.0):
                 raise ValidationError(f"generator {g} has a coefficient other than +-1")
+        # Only strings that share a qubit can anticommute: test those pairs,
+        # in (i, j) order, so the first failing pair is the one named.
+        on_qubit: dict[int, list[int]] = {}
         for i, g in enumerate(generators):
-            for h in generators[i + 1 :]:
-                if not commutes(g, h):
-                    raise ValidationError(f"generators do not commute: {g} vs {h}")
+            support = g.x_mask | g.z_mask
+            while support:
+                low = support & -support
+                on_qubit.setdefault(low, []).append(i)
+                support ^= low
+        pairs = {
+            (i, j)
+            for members in on_qubit.values()
+            for k, i in enumerate(members)
+            for j in members[k + 1 :]
+        }
+        for i, j in sorted(pairs):
+            g, h = generators[i], generators[j]
+            if not commutes(g, h):
+                raise ValidationError(f"generators do not commute: {g} vs {h}")
         self.n = n
         # (x mask, z mask, number of Y letters, coefficient) per generator.
         self.masks = [

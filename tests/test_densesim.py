@@ -697,9 +697,9 @@ def test_non_numeric_states_are_rejected_at_the_boundary(entry, rho, match):
         _STATE_ENTRY_POINTS[entry](rho)
 
 
-# The tiled channel step and the per-X-part gather against whole-matrix oracles.
+# The channel step and the per-X-part gather against whole-matrix oracles.
 def whole_matrix_step(rho, lam, target):
-    """The update as one tensordot over the whole matrix: no tiles."""
+    """The update as one tensordot over the whole matrix."""
     n = densesim.n_qubits_of(rho)
     blocks = densesim._target_blocks(rho, n, target)
     roots = np.array(package_roots(lam))
@@ -708,23 +708,33 @@ def whole_matrix_step(rho, lam, target):
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
 
 
-# 128 tiles a power-of-two matrix evenly; 37 leaves a ragged last tile on
-# both axes. From n = 8 on a 128 tile holds fewer row pairs than the qubits
-# after an early target give, so those targets are tiled along axis 2.
+def target_major_step(rho, lam, target):
+    """luders_update's arithmetic without its checks: into target-major
+    order, one step, and back."""
+    n = densesim.n_qubits_of(rho)
+    state = densesim._observer_step(densesim._to_target_major(rho, n, target), lam)
+    return densesim._from_target_major(state, rho.shape[:-2], n, target)
+
+
+# The step itself has no tiles. The checks luders_update runs first do: the
+# Hermiticity sweep and the certificate's row sweep, where 128 tiles a
+# power-of-two matrix evenly and 37 leaves a ragged last tile.
 @pytest.mark.parametrize("tile", [128, 37])
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_tiled_channel_step_matches_the_whole_matrix_product(tile, n, real):
     rng = np.random.default_rng(n)
     dim = 1 << n
-    g = rng.standard_normal((dim, dim))
+    # Rank 4, as in a chain from a pure state, so the certificate decides.
+    g = rng.standard_normal((dim, 4))
     if not real:
-        g = g + 1j * rng.standard_normal((dim, dim))
-    rho = (g + g.conj().T) / 2
+        g = g + 1j * rng.standard_normal((dim, 4))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
     bound = 4 * np.finfo(float).eps * np.max(np.abs(rho))
     with mock.patch.object(densesim, "_TILE", tile):
         for target in range(n):
-            step = densesim._observer_step(rho, n, 0.3, target)
+            step = luders_update(rho, 0.3, target)
             assert step.dtype == rho.dtype
             assert np.max(np.abs(step - whole_matrix_step(rho, 0.3, target))) <= bound
 
@@ -747,8 +757,9 @@ def per_root_step(rho, lam, target):
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
 
 
-# Up to 6 qubits the step is one tile, so it must equal the reference bit for bit.
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+# The step is that whole-matrix product at every size, so it must equal it bit
+# for bit.
+@pytest.mark.parametrize("n", range(1, DENSE_QUBIT_LIMIT + 1))
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_channel_step_is_bit_identical_to_per_root_arithmetic(n, real):
     rho = random_density(np.random.default_rng(n), n)
@@ -756,16 +767,16 @@ def test_channel_step_is_bit_identical_to_per_root_arithmetic(n, real):
         rho = rho.real.copy()
     for lam in (0.0, 1e-300, 0.3, 0.999, 1.0):
         for target in range(n):
-            step = densesim._observer_step(rho, n, lam, target)
+            step = target_major_step(rho, lam, target)
             assert step.dtype == rho.dtype
             assert np.array_equal(step, per_root_step(rho, lam, target))
 
 
 def test_channel_step_allocates_only_its_output():
-    rho = StateFamily("cluster", 10).density_matrix()
+    state = densesim._to_target_major(StateFamily("cluster", 10).density_matrix(), 10, 9)
     tracemalloc.start()
     try:
-        out = densesim._observer_step(rho, 10, 0.3, 9)
+        out = densesim._observer_step(state, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -811,14 +822,15 @@ def shared_x_part_sums(draw):
 
 
 class GatherCountingState(np.ndarray):
-    """A state that counts the rows gathered from it by (rows, columns) index arrays."""
+    """Flat states that count the rows gathered from them: take's index
+    array holds one row of offsets per gathered row."""
 
     rows_gathered = 0
 
-    def __getitem__(self, index):
-        if isinstance(index, tuple) and all(isinstance(i, np.ndarray) for i in index):
-            GatherCountingState.rows_gathered += np.broadcast_shapes(*(i.shape for i in index))[0]
-        return super().__getitem__(index)
+    def take(self, indices, *args, **kwargs):
+        GatherCountingState.rows_gathered += np.shape(indices)[0]
+        # A plain array: what is taken from the gathered rows is not counted.
+        return super().take(indices, *args, **kwargs).view(np.ndarray)
 
 
 @PROPERTY_SETTINGS
@@ -849,7 +861,8 @@ def test_expectation_with_shared_x_parts_matches_per_term_gathers(
     with mock.patch.object(densesim, "_GATHER_ELEMENTS", rows_at_once * dim):
         assert expectation(rho, expr) == per_term_gather_trace(rho, expr)
         GatherCountingState.rows_gathered = 0
-        densesim._pauli_sum_trace(rho.view(GatherCountingState), expr)
+        flat = rho.reshape(1, -1).view(GatherCountingState)
+        densesim._pauli_sum_trace(flat, expr, densesim._positions(expr.n_qubits, None))
     # One row rho[j, j ^ f] per distinct X part f.
     assert GatherCountingState.rows_gathered == len({term.x_mask for term in expr.terms})
 

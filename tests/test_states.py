@@ -2,6 +2,7 @@
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,6 +252,40 @@ def test_stabilizer_expectation_rejects_non_commuting_generators():
     for _ in range(2):
         with pytest.raises(ValidationError, match="do not commute"):
             stabilizer_expectation(PauliString("YII"), gens)
+
+
+def first_anticommuting_pair(gens):
+    """The first (i, j), i < j, in lexicographic order whose strings anticommute."""
+    for i, g in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            if not commutes(g, gens[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("family", ["ghz", "cluster"])
+def test_commutation_is_tested_only_on_pairs_that_share_a_qubit(family):
+    n = 1000
+    gens = tuple(stabilizer_generators(family, n))
+    with mock.patch.object(states, "commutes", wraps=commutes) as spy:
+        states._StabilizerBasis(gens, n)
+    assert 0 < spy.call_count <= 3 * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_non_commuting_set_names_its_first_pair(data):
+    n = data.draw(st.integers(2, 6))
+    letters = st.text("IXYZ", min_size=n, max_size=n)
+    words = data.draw(st.lists(letters, min_size=n, max_size=n))
+    gens = tuple(PauliString(word) for word in words)
+    first = first_anticommuting_pair(gens)
+    if first is None:
+        return
+    i, j = first
+    with pytest.raises(ValidationError) as raised:
+        states._StabilizerBasis(gens, n)
+    assert str(raised.value) == f"generators do not commute: {gens[i]} vs {gens[j]}"
 
 
 def test_stabilizer_expectation_rejects_too_few_generators():
