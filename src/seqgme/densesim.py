@@ -56,13 +56,12 @@ from .errors import (
     ValidationError,
     check_sharpness,
 )
-from .pauli import _PHASES, DENSE_QUBIT_LIMIT, PAULI_MATRICES, OperatorExpr, PauliString
+from .pauli import _PHASES, DENSE_QUBIT_LIMIT, IMAG_TOL, PAULI_MATRICES, OperatorExpr, PauliString
 
 DENSITY_TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 # Accumulated floating error over repeated channel applications.
 EIGENVALUE_FLOOR = -1e-10
-IMAG_TOL = 1e-10
 # Entries of rho gathered at once by a Pauli-sum expectation, counting both
 # the rows gathered for a block of distinct X parts and the per-term block
 # indexed from them (8 MiB of float64, 16 MiB of complex128).
@@ -353,11 +352,7 @@ def luders_update(rho: np.ndarray, sharpness, target: int | None = None) -> np.n
     stack of them with one sharpness or one per element. The step runs on a
     target-major copy of rho, and its result comes back as a new array.
     """
-    rho = _as_state(rho)
-    n = n_qubits_of(rho)
-    lam = _sharpnesses(sharpness, rho.shape[:-2])
-    validate_density_matrix(rho)
-    t = n - 1 if target is None else target
+    rho, n, (lam,), t = _checked_chain(rho, [sharpness], target)
     state = _observer_step(_to_target_major(rho, n, t), lam)
     return _from_target_major(state, rho.shape[:-2], n, t)
 
@@ -390,8 +385,9 @@ def _chain(state: np.ndarray, sharpnesses):
 
 
 def _checked_chain(rho1, sharpnesses, target):
-    """observer_states' checks: rho1 as a state, its qubit count, each
-    observer's sharpness and the target, with the target range-checked."""
+    """The checks of luders_update, observer_states and observer_expectations,
+    in order: rho1 as a state, its qubit count, each observer's sharpness,
+    rho1 as a density matrix and the target's range."""
     rho = _as_state(rho1)
     n = n_qubits_of(rho)
     lambdas = [_sharpnesses(lam, rho.shape[:-2]) for lam in sharpnesses]

@@ -5,7 +5,8 @@ most significant tensor factor. Each string also carries the integer masks of
 its X part and Z part, in the tableau style of Aaronson and Gottesman
 (arXiv:quant-ph/0406196): the letter Y = i·X·Z sets both bits of its qubit.
 Products are an xor of the masks plus a popcount phase tracked as an exact
-power of i, so stabilizer expansions never accumulate phase noise.
+power of i, so stabilizer expansions never accumulate phase noise; all products
+use `_mask_product`, and all commutation checks `_anticommuting_pair`.
 
 A sum built from stabilizer projectors (a witness) is made from the factored
 form constant·I + Σ_j w_j·Π_{S in class j}(I + S)/2 and expands its terms
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -30,6 +32,8 @@ PAULI_LETTERS = "IXYZ"
 DENSE_QUBIT_LIMIT = 10
 # Largest |imaginary part| of a coefficient in a sum taken as Hermitian.
 HERMITIAN_IMAG_TOL = 1e-12
+# Largest |imaginary part| of an expectation value taken as real.
+IMAG_TOL = 1e-10
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -106,16 +110,6 @@ class PauliString:
         _set_z_mask(out, z_mask)
         return out
 
-    @classmethod
-    def from_ops(cls, n_qubits: int, ops: dict[int, str], coeff: complex = 1.0) -> "PauliString":
-        """Build a string acting with `ops[qubit]` on the given 0-based qubits."""
-        letters = ["I"] * n_qubits
-        for qubit, letter in ops.items():
-            if not 0 <= qubit < n_qubits:
-                raise ValueError(f"qubit {qubit} outside 0..{n_qubits - 1}")
-            letters[qubit] = letter
-        return cls("".join(letters), coeff)
-
     @property
     def n_qubits(self) -> int:
         return len(self.letters)
@@ -140,6 +134,24 @@ def commutes(a: PauliString, b: PauliString) -> bool:
         raise DimensionError(f"size mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
     clashes = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
     return clashes % 2 == 0
+
+
+def _anticommuting_pair(strings: Sequence[PauliString]) -> tuple[PauliString, PauliString] | None:
+    """The first anticommuting (strings[i], strings[j]), i < j, in (i, j)
+    order, or None. Only pairs that share a qubit can anticommute, so only
+    those, found by indexing each string under its support, are tested."""
+    on_qubit: dict[int, list[int]] = {}
+    for i, g in enumerate(strings):
+        support = g.x_mask | g.z_mask
+        while support:
+            low = support & -support
+            on_qubit.setdefault(low, []).append(i)
+            support ^= low
+    pairs = {pair for members in on_qubit.values() for pair in combinations(members, 2)}
+    for i, j in sorted(pairs):
+        if not commutes(strings[i], strings[j]):
+            return strings[i], strings[j]
+    return None
 
 
 class _ProjectorForm(NamedTuple):
@@ -187,7 +199,6 @@ class OperatorExpr:
     @classmethod
     def from_terms(cls, n_qubits: int, terms: Iterable[PauliString]) -> "OperatorExpr":
         merged: dict[tuple[int, int], complex] = {}
-        letters: dict[tuple[int, int], str] = {}
         for term in terms:
             if len(term.letters) != n_qubits:
                 raise DimensionError(
@@ -195,24 +206,13 @@ class OperatorExpr:
                 )
             key = (term.x_mask, term.z_mask)
             merged[key] = merged.get(key, 0.0) + term.coeff
-            letters[key] = term.letters
-        return cls._from_merged(n_qubits, merged, letters)
+        return cls._from_merged(n_qubits, merged)
 
     @classmethod
-    def _from_merged(
-        cls,
-        n_qubits: int,
-        merged: dict[tuple[int, int], complex],
-        letters: dict[tuple[int, int], str] | None = None,
-    ) -> "OperatorExpr":
+    def _from_merged(cls, n_qubits: int, merged: dict[tuple[int, int], complex]) -> "OperatorExpr":
         """The canonical sum of coefficients keyed by (x mask, z mask)."""
         kept = [
-            PauliString._from_masks(
-                letters[x, z] if letters is not None else _letters_of(n_qubits, x, z),
-                coeff,
-                x,
-                z,
-            )
+            PauliString._from_masks(_letters_of(n_qubits, x, z), coeff, x, z)
             for (x, z), coeff in merged.items()
             if coeff != 0
         ]
@@ -257,9 +257,10 @@ class OperatorExpr:
 def expand_projector_product(
     generators: Sequence[PauliString], n_qubits: int | None = None
 ) -> OperatorExpr:
-    """Expand the product of (I + S)/2 over the generators.
+    """Expand the product of (I + S)/2 over the generators, in order.
 
-    The result has one term per generator subset, each weighted 1/2^q.
+    Each factor is a two-term sum multiplied in by OperatorExpr's product, so
+    the result has one term per generator subset, each weighted 1/2^q.
     Generators must commute pairwise for the product to be well defined.
     """
     if n_qubits is None:
@@ -269,20 +270,14 @@ def expand_projector_product(
     for g in generators:
         if g.n_qubits != n_qubits:
             raise DimensionError("generators act on different qubit counts")
-    for i, a in enumerate(generators):
-        for b in generators[i + 1 :]:
-            if not commutes(a, b):
-                raise AlgebraError(f"generators do not commute: {a} vs {b}")
-    # Each factor (I + g)/2 keeps every term and adds its product with g.
-    merged: dict[tuple[int, int], complex] = {(0, 0): 1.0 + 0.0j}
+    pair = _anticommuting_pair(generators)
+    if pair is not None:
+        raise AlgebraError("generators do not commute: {} vs {}".format(*pair))
+    half = PauliString("I" * n_qubits, 0.5)
+    product = OperatorExpr.identity(n_qubits)
     for g in generators:
-        step: dict[tuple[int, int], complex] = {}
-        for (x, z), coeff in merged.items():
-            step[x, z] = step.get((x, z), 0.0) + coeff * 0.5
-            px, pz, power = _mask_product(x, z, g.x_mask, g.z_mask)
-            step[px, pz] = step.get((px, pz), 0.0) + coeff * g.coeff * _PHASES[power] * 0.5
-        merged = step
-    return OperatorExpr._from_merged(n_qubits, merged)
+        product = product * OperatorExpr.from_terms(n_qubits, [half, g.with_coeff(g.coeff * 0.5)])
+    return product
 
 
 def _format_coeff(c: complex) -> str:

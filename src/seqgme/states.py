@@ -21,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, _ProjectorForm, commutes
+from .pauli import (
+    DENSE_QUBIT_LIMIT,
+    IMAG_TOL,
+    OperatorExpr,
+    PauliString,
+    _anticommuting_pair,
+    _mask_product,
+    _ProjectorForm,
+)
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -70,18 +78,15 @@ def _verified_generators(family: str, n: int) -> tuple[PauliString, ...]:
     if n < 3:
         raise CapacityError(f"generators are defined on 3 or more qubits, got {n}")
     if family == "ghz":
-        gens = [PauliString("X" * n)]
-        gens += [PauliString.from_ops(n, {m - 2: "Z", m - 1: "Z"}) for m in range(2, n + 1)]
+        words = ["X" * n]
+        words += ["I" * m + "ZZ" + "I" * (n - m - 2) for m in range(n - 1)]
     elif family == "cluster":
-        gens = [PauliString.from_ops(n, {0: "X", 1: "Z"})]
-        gens += [
-            PauliString.from_ops(n, {m - 2: "Z", m - 1: "X", m: "Z"})
-            for m in range(2, n)
-        ]
-        gens.append(PauliString.from_ops(n, {n - 2: "Z", n - 1: "X"}))
+        words = ["XZ" + "I" * (n - 2)]
+        words += ["I" * m + "ZXZ" + "I" * (n - m - 3) for m in range(n - 2)]
+        words.append("I" * (n - 2) + "ZX")
     else:
         raise ValueError(f"unknown stabilizer family {family!r}")
-    gens = tuple(gens)
+    gens = tuple(map(PauliString, words))
     _stabilizer_basis(gens, n)  # validates them, and keeps the basis
     return gens
 
@@ -93,6 +98,18 @@ def _keep(cache: dict, key, value):
     cache[key] = value
 
 
+def _reduce(rows: dict[int, tuple[int, int]], vector: int, subset: int) -> tuple[int, int]:
+    """Clear leading bits that the echelon rows, leading bit -> (row, subset),
+    cover; the remainder and the subset xored with the subsets used."""
+    while vector:
+        row = rows.get(vector.bit_length() - 1)
+        if row is None:
+            break
+        vector ^= row[0]
+        subset ^= row[1]
+    return vector, subset
+
+
 class _StabilizerBasis:
     """The generators of a stabilizer state factored into a GF(2) echelon basis.
 
@@ -102,7 +119,7 @@ class _StabilizerBasis:
     `factors` maps the masks of each group string already factored to its
     (generator subset, sign), so it holds at most 2^n entries; strings outside
     the group are not stored. `forms` keeps _factored_expectation's λ-free
-    pieces.
+    pieces, and `generators` the strings that `factor` multiplies.
     """
 
     def __init__(self, generators: tuple[PauliString, ...], n: int) -> None:
@@ -113,65 +130,34 @@ class _StabilizerBasis:
                 raise ValidationError("generators and expression act on different qubit counts")
             if g.coeff not in (1.0, -1.0):
                 raise ValidationError(f"generator {g} has a coefficient other than +-1")
-        # Only strings that share a qubit can anticommute: test those pairs,
-        # in (i, j) order, so the first failing pair is the one named.
-        on_qubit: dict[int, list[int]] = {}
-        for i, g in enumerate(generators):
-            support = g.x_mask | g.z_mask
-            while support:
-                low = support & -support
-                on_qubit.setdefault(low, []).append(i)
-                support ^= low
-        pairs = {
-            (i, j)
-            for members in on_qubit.values()
-            for k, i in enumerate(members)
-            for j in members[k + 1 :]
-        }
-        for i, j in sorted(pairs):
-            g, h = generators[i], generators[j]
-            if not commutes(g, h):
-                raise ValidationError(f"generators do not commute: {g} vs {h}")
+        pair = _anticommuting_pair(generators)
+        if pair is not None:
+            raise ValidationError("generators do not commute: {} vs {}".format(*pair))
         self.n = n
-        # (x mask, z mask, number of Y letters, coefficient) per generator.
-        self.masks = [
-            (g.x_mask, g.z_mask, (g.x_mask & g.z_mask).bit_count(), g.coeff.real)
-            for g in generators
-        ]
+        self.generators = generators
         self.rows: dict[int, tuple[int, int]] = {}
         for i, g in enumerate(generators):
-            vector, subset = self._reduce(g.x_mask << n | g.z_mask, 1 << i)
+            vector, subset = _reduce(self.rows, g.x_mask << n | g.z_mask, 1 << i)
             if not vector:
                 raise ValidationError(f"generator {g} is a product of the ones before it")
             self.rows[vector.bit_length() - 1] = (vector, subset)
         self.factors: dict[tuple[int, int], tuple[int, float]] = {}
         self.forms: dict[int, tuple] = {}
 
-    def _reduce(self, vector: int, subset: int) -> tuple[int, int]:
-        """Clear leading bits that rows cover; the remainder and the subset used."""
-        while vector:
-            row = self.rows.get(vector.bit_length() - 1)
-            if row is None:
-                break
-            vector ^= row[0]
-            subset ^= row[1]
-        return vector, subset
-
     def factor(self, term: PauliString) -> tuple[int, float] | None:
         """(subset, sign) with +-term's string equal to sign times the product
         of the subset's generators, or None when it is not in the group.
 
-        The generators of the subset are multiplied in order as masks: each
-        step moves the running product's Z part past the generator's X part,
-        a factor (-1)^popcount(z & x), and the Y counts convert from
-        X^x·Z^z form back to letters. A member's factors are kept in
-        `factors`.
+        The generators of the subset are multiplied in order by
+        pauli._mask_product, whose powers of i add up to the phase of the
+        product in letters form; the coefficients give the rest of the sign.
+        A member's factors are kept in `factors`, so this runs once per member.
         """
         key = term.x_mask, term.z_mask
         found = self.factors.get(key)
         if found is not None:
             return found
-        remainder, subset = self._reduce(term.x_mask << self.n | term.z_mask, 0)
+        remainder, subset = _reduce(self.rows, term.x_mask << self.n | term.z_mask, 0)
         if remainder:
             return None
         factors = subset
@@ -181,12 +167,10 @@ class _StabilizerBasis:
         while factors:
             low = factors & -factors
             factors ^= low
-            gx, gz, y_count, coeff = self.masks[low.bit_length() - 1]
-            power += y_count + 2 * (z & gx).bit_count()
-            x ^= gx
-            z ^= gz
-            sign *= coeff
-        power -= (x & z).bit_count()
+            g = self.generators[low.bit_length() - 1]
+            x, z, step = _mask_product(x, z, g.x_mask, g.z_mask)
+            power += step
+            sign *= g.coeff.real
         if (x, z) != key or power % 2:
             raise ValidationError("GF(2) solution does not reproduce the term")
         found = self.factors[key] = subset, -sign if power % 4 else sign
@@ -246,7 +230,7 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
         real_parts.append(value.real)
         imag_parts.append(value.imag)
     total_imag = math.fsum(imag_parts)
-    if abs(total_imag) >= 1e-10:
+    if abs(total_imag) >= IMAG_TOL:
         raise ValidationError(f"expectation has imaginary residue {total_imag}")
     return math.fsum(real_parts)
 

@@ -30,7 +30,7 @@ from .densesim import (
 )
 from .errors import ValidationError
 from .pauli import PAULI_MATRICES, PauliString
-from .states import StateFamily, stabilizer_generators, syndrome_spectrum
+from .states import StateFamily, _reduce, stabilizer_generators, syndrome_spectrum
 from .witness import build_modified_witness
 
 SUITE_NAMES = ("channel", "recursion", "psd", "biseparable", "oracle")
@@ -263,15 +263,11 @@ def _schmidt_weight(generators: list[PauliString], cut: int) -> float:
     quant-ph/0406168): the reduced state is maximally mixed on 2^r states.
     """
     n = generators[0].n_qubits
-    rows: dict[int, int] = {}  # leading bit -> echelon row
+    rows: dict[int, tuple[int, int]] = {}  # leading bit -> echelon row, no subset
     for g in generators:
-        vector = (g.x_mask & cut) << n | (g.z_mask & cut)
-        while vector:
-            row = rows.get(vector.bit_length() - 1)
-            if row is None:
-                rows[vector.bit_length() - 1] = vector
-                break
-            vector ^= row
+        vector, _ = _reduce(rows, (g.x_mask & cut) << n | (g.z_mask & cut), 0)
+        if vector:
+            rows[vector.bit_length() - 1] = vector, 0
     return 2.0 ** -(len(rows) - cut.bit_count())
 
 

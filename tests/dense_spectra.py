@@ -8,7 +8,11 @@ The difference operator W(λ) - λ·W(1), whose spectrum `verify psd` reads as
 W(λ)'s spectrum less λ times W(1)'s, is built here by operator algebra.
 `to_matrix` writes a Pauli sum as a dense matrix, and `statevector_action`
 applies a string to a statevector, so the tests can check the package's
-GF(2) and gather routes against explicit linear algebra.
+GF(2) and gather routes against explicit linear algebra. `from_ops` builds a
+string from a map of qubits to letters, and `reference_projector_product`
+expands a product of projectors (I + S)/2 with its own dict-merge loop, as a
+reference for `expand_projector_product`; `term_bits` gives a sum's exact
+bits for comparing two expansions.
 """
 
 from itertools import combinations
@@ -23,7 +27,7 @@ from seqgme.errors import (
     ValidationError,
     check_sharpness,
 )
-from seqgme.pauli import _PHASES, DENSE_QUBIT_LIMIT, OperatorExpr, PauliString
+from seqgme.pauli import _PHASES, DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, _mask_product
 from seqgme.witness import build_modified_witness
 
 # Largest column norm of op @ V - V * w that eigen_spectrum accepts.
@@ -107,3 +111,31 @@ def to_matrix(expr: OperatorExpr) -> np.ndarray:
         parity = np.bitwise_count(columns & z_mask) & 1
         out[columns ^ x_mask, columns] += np.where(parity, -phase, phase)
     return out
+
+
+def from_ops(n_qubits: int, ops: dict[int, str], coeff: complex = 1.0) -> PauliString:
+    """The string acting with ops[qubit] on the given 0-based qubits, I elsewhere."""
+    letters = ["I"] * n_qubits
+    for qubit, letter in ops.items():
+        letters[qubit] = letter
+    return PauliString("".join(letters), coeff)
+
+
+def reference_projector_product(generators, n_qubits: int) -> OperatorExpr:
+    """The product of (I + g)/2 over the generators, expanded by merging
+    coefficients keyed by masks: each factor keeps every term at half weight
+    and adds its product with g. No commutation check is made."""
+    merged: dict[tuple[int, int], complex] = {(0, 0): 1.0 + 0.0j}
+    for g in generators:
+        step: dict[tuple[int, int], complex] = {}
+        for (x, z), coeff in merged.items():
+            step[x, z] = step.get((x, z), 0.0) + coeff * 0.5
+            px, pz, power = _mask_product(x, z, g.x_mask, g.z_mask)
+            step[px, pz] = step.get((px, pz), 0.0) + coeff * g.coeff * _PHASES[power] * 0.5
+        merged = step
+    return OperatorExpr._from_merged(n_qubits, merged)
+
+
+def term_bits(expr: OperatorExpr) -> list[tuple[str, str, str]]:
+    """Each term's letters and the exact bits of its coefficient, sign of zero included."""
+    return [(t.letters, t.coeff.real.hex(), t.coeff.imag.hex()) for t in expr.terms]

@@ -4,7 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
-from dense_spectra import statevector_action, to_matrix
+from dense_spectra import (
+    from_ops,
+    reference_projector_product,
+    statevector_action,
+    term_bits,
+    to_matrix,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +22,7 @@ from seqgme.pauli import (
     commutes,
     expand_projector_product,
 )
+from seqgme.states import stabilizer_generators
 
 # Independent 2x2 oracle matrices (not imported from the package).
 SIGMA = {
@@ -178,11 +185,64 @@ def test_expand_rejects_noncommuting():
         expand_projector_product([PauliString("XI"), PauliString("ZI")])
 
 
+def assert_expands_as_reference(gens, n):
+    got = expand_projector_product(gens, n_qubits=n)
+    assert term_bits(got) == term_bits(reference_projector_product(gens, n))
+
+
+@pytest.mark.parametrize("family", ["ghz", "cluster"])
+@pytest.mark.parametrize("n", range(3, DENSE_QUBIT_LIMIT + 1))
+def test_expand_is_bitwise_the_reference_on_generator_prefixes(family, n):
+    gens = stabilizer_generators(family, n)
+    for k in range(n + 1):
+        assert_expands_as_reference(gens[:k], n)
+
+
+def test_expand_is_bitwise_the_reference_on_a_dependent_set():
+    # The product ZZI·IZZ·(-ZIZ) is -I, so half the subsets cancel.
+    gens = [PauliString("ZZI"), PauliString("IZZ"), PauliString("ZIZ", -1.0)]
+    assert_expands_as_reference(gens, 3)
+    assert [t.letters for t in expand_projector_product(gens).terms] == []
+
+
+_UNITS = [1.0, -1.0, 1.0j, -1.0j]
+
+
+@st.composite
+def commuting_sets(draw):
+    """Up to 8 pairwise commuting strings on 1..6 qubits, each drawn string
+    kept when it commutes with those kept before it.
+
+    A non-identity string takes a unit or a general coefficient. An identity
+    string takes a unit: its factor (I + c·I)/2 is then one term, whose
+    product with a coefficient a is a·(1 + c)/2 rounded once, where the
+    reference adds a/2 and a·c/2; the two agree exactly for unit c, not
+    for every c.
+    """
+    n = draw(st.integers(1, 6))
+    letters = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    general = st.sampled_from([*_UNITS, 0.0, 0.5, -2.0, 0.3 + 0.4j, 3.7 - 1.1j, -0.6j])
+    kept = []
+    for word in draw(st.lists(letters, max_size=8)):
+        coeffs = st.sampled_from(_UNITS) if word.strip("I") == "" else general
+        string = PauliString(word, draw(coeffs))
+        if all(commutes(string, other) for other in kept):
+            kept.append(string)
+    return n, kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(commuting_sets())
+def test_expand_is_bitwise_the_reference_on_commuting_sets(case):
+    n, gens = case
+    assert_expands_as_reference(gens, n)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_expand_matches_dense_projector_product(n):
     # GHZ-style generator set: X^n plus nearest-neighbour Z pairs.
     gens = [PauliString("X" * n)]
-    gens += [PauliString.from_ops(n, {m - 1: "Z", m: "Z"}) for m in range(1, n)]
+    gens += [from_ops(n, {m - 1: "Z", m: "Z"}) for m in range(1, n)]
     expr = expand_projector_product(gens)
     dense = np.eye(1 << n, dtype=complex)
     for g in gens:
@@ -259,8 +319,6 @@ def test_statevector_action_matches_matrix():
             )
 
 
-def test_from_ops_and_letter_edge_cases():
-    with pytest.raises(ValueError):
-        PauliString.from_ops(3, {3: "X"})
+def test_invalid_letters_are_rejected():
     with pytest.raises(ValueError):
         PauliString("XQ")

@@ -1,21 +1,33 @@
 """State constructors, stabilizer generators, and the GF(2) expectation route."""
 
 import functools
+import hashlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from dense_spectra import statevector_action
+from dense_spectra import from_ops, statevector_action
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from seqgme import states
+from seqgme import pauli, states
 from seqgme.densesim import expectation, validate_density_matrix
-from seqgme.errors import CapacityError, ValidationError
-from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, commutes
-from seqgme.states import StateFamily, stabilizer_expectation, stabilizer_generators
+from seqgme.errors import AlgebraError, CapacityError, ValidationError
+from seqgme.pauli import (
+    DENSE_QUBIT_LIMIT,
+    OperatorExpr,
+    PauliString,
+    commutes,
+    expand_projector_product,
+)
+from seqgme.states import (
+    StateFamily,
+    stabilizer_expectation,
+    stabilizer_generators,
+    syndrome_spectrum,
+)
 from seqgme.witness import build_modified_witness
 
 
@@ -62,7 +74,7 @@ def test_generalized_ghz_reductions_and_correlators():
             2.0 * math.sqrt(alpha * (1.0 - alpha)), abs=1e-12
         )
         for m in range(2, n + 1):
-            zz = PauliString.from_ops(n, {m - 2: "Z", m - 1: "Z"})
+            zz = from_ops(n, {m - 2: "Z", m - 1: "Z"})
             assert expectation(rho, zz) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         StateFamily("gghz", 3, alpha=1.0)
@@ -76,7 +88,7 @@ def test_mixed_ghz_stabilizer_expectations():
         2.0 * p1 * math.sqrt(alpha * (1.0 - alpha)), abs=1e-12
     )
     for m in range(2, n + 1):
-        zz = PauliString.from_ops(n, {m - 2: "Z", m - 1: "Z"})
+        zz = from_ops(n, {m - 2: "Z", m - 1: "Z"})
         assert expectation(rho, zz) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(
         density("mixed", n, alpha=alpha), density("gghz", n, alpha=alpha), atol=1e-15
@@ -111,7 +123,7 @@ def test_cluster_first_stabilizer_expectation():
     for n in (3, 4, 6):
         rho = density("cluster", n)
         validate_density_matrix(rho)
-        xz = PauliString.from_ops(n, {0: "X", 1: "Z"})
+        xz = from_ops(n, {0: "X", 1: "Z"})
         assert expectation(rho, xz) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -119,6 +131,13 @@ def test_stabilizer_generator_letters():
     assert [g.letters for g in stabilizer_generators("ghz", 3)] == ["XXX", "ZZI", "IZZ"]
     assert [g.letters for g in stabilizer_generators("cluster", 3)] == ["XZI", "ZXZ", "IZX"]
     assert stabilizer_generators("cluster", 4)[-1].letters == "IIZX"
+    # Each generator as the qubits it acts on and their letters.
+    for n in range(3, 13):
+        ghz = [PauliString("X" * n)] + [from_ops(n, {m - 1: "Z", m: "Z"}) for m in range(1, n)]
+        cluster = [from_ops(n, {0: "X", 1: "Z"}), from_ops(n, {n - 2: "Z", n - 1: "X"})]
+        cluster[1:1] = [from_ops(n, {m - 1: "Z", m: "X", m + 1: "Z"}) for m in range(1, n - 1)]
+        assert stabilizer_generators("ghz", n) == ghz
+        assert stabilizer_generators("cluster", n) == cluster
     with pytest.raises(ValueError):
         stabilizer_generators("w", 4)
     with pytest.raises(CapacityError):
@@ -162,9 +181,9 @@ def test_printed_cluster_middle_variant_fails_oracle():
         rho = density("cluster", n)
         psi = rho[:, 0] / math.sqrt(rho[0, 0])  # pure, amplitude 2^(-n/2) on |0..0>
         for m in range(2, n):
-            zxx = PauliString.from_ops(n, {m - 2: "Z", m - 1: "X", m: "X"})
+            zxx = from_ops(n, {m - 2: "Z", m - 1: "X", m: "X"})
             assert np.linalg.norm(statevector_action(zxx, psi) - psi) > 1.0
-            zxz = PauliString.from_ops(n, {m - 2: "Z", m - 1: "X", m: "Z"})
+            zxz = from_ops(n, {m - 2: "Z", m - 1: "X", m: "Z"})
             np.testing.assert_allclose(statevector_action(zxz, psi), psi, atol=1e-12)
 
 
@@ -267,9 +286,18 @@ def first_anticommuting_pair(gens):
 def test_commutation_is_tested_only_on_pairs_that_share_a_qubit(family):
     n = 1000
     gens = tuple(stabilizer_generators(family, n))
-    with mock.patch.object(states, "commutes", wraps=commutes) as spy:
+    with mock.patch.object(pauli, "commutes", wraps=commutes) as spy:
         states._StabilizerBasis(gens, n)
     assert 0 < spy.call_count <= 3 * n
+    # One string that anticommutes with the last generator alone, so the
+    # product's check runs through every earlier pair before it fails.
+    extra = PauliString("I" * (n - 1) + ("X" if family == "ghz" else "Z"))
+    assert [commutes(g, extra) for g in gens].count(False) == 1
+    with mock.patch.object(pauli, "commutes", wraps=commutes) as spy:
+        with pytest.raises(AlgebraError) as raised:
+            expand_projector_product([*gens, extra])
+    assert str(raised.value) == f"generators do not commute: {gens[-1]} vs {extra}"
+    assert 0 < spy.call_count <= 4 * n
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,9 +311,14 @@ def test_a_non_commuting_set_names_its_first_pair(data):
     if first is None:
         return
     i, j = first
-    with pytest.raises(ValidationError) as raised:
-        states._StabilizerBasis(gens, n)
-    assert str(raised.value) == f"generators do not commute: {gens[i]} vs {gens[j]}"
+    # The basis and the projector product share one check, each with its error.
+    for check, error in (
+        (states._StabilizerBasis, ValidationError),
+        (expand_projector_product, AlgebraError),
+    ):
+        with pytest.raises(error) as raised:
+            check(gens, n)
+        assert str(raised.value) == f"generators do not commute: {gens[i]} vs {gens[j]}"
 
 
 def test_stabilizer_expectation_rejects_too_few_generators():
@@ -376,6 +409,27 @@ def test_factored_witness_value_is_bitwise_the_term_enumeration():
 @given(st.floats(0.0, 1.0))
 def test_factored_witness_value_is_bitwise_the_term_enumeration_at_random_sharpness(lam):
     _assert_factored_is_enumerated((lam,))
+
+
+# SHA-256 of the .hex() of every stabilizer_expectation, and of the float64
+# bytes of every syndrome_spectrum, taken in the loop order of the test below.
+PINNED_EXPECTATIONS = "9717efbf555ce69b296342a1df7070f76c6e507566a97104dd5a03e9ec56bdff"
+PINNED_SPECTRA = "b35c3757648be174ff353328e3a5b98d382a2311a5d1c3dc208575ebc9332702"
+
+
+def test_witness_values_and_spectra_keep_their_pinned_bits():
+    values, spectra = hashlib.sha256(), hashlib.sha256()
+    for family in ("ghz", "cluster"):
+        for n in (*range(3, 13), 40):
+            gens = stabilizer_generators(family, n)
+            for lam in (0.0, 5e-324, 1e-300, 0.3, 0.7, 1.0):
+                witness = build_modified_witness(family, n, lam)
+                values.update(stabilizer_expectation(witness, gens).hex().encode())
+                if n <= DENSE_QUBIT_LIMIT:
+                    spectrum = syndrome_spectrum(witness, gens)
+                    spectra.update(spectrum.astype("<f8").tobytes())
+    assert values.hexdigest() == PINNED_EXPECTATIONS
+    assert spectra.hexdigest() == PINNED_SPECTRA
 
 
 def test_sums_without_a_usable_factored_form_are_enumerated():

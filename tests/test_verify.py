@@ -9,6 +9,7 @@ from dense_spectra import (
     all_bipartitions,
     difference_operator,
     eigen_spectrum,
+    from_ops,
     reduced_state,
     to_matrix,
 )
@@ -163,7 +164,7 @@ def _off_group_ghz(family, n, sharpness):
     built = build_modified_witness(family, n, sharpness)
     if family != "ghz":
         return built
-    return built + OperatorExpr.from_terms(n, [PauliString.from_ops(n, {0: "Z"}, 0.1)])
+    return built + OperatorExpr.from_terms(n, [from_ops(n, {0: "Z"}, 0.1)])
 
 
 def test_off_group_term_fails_the_psd_and_biseparable_ghz_rows(capsys):

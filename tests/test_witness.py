@@ -5,7 +5,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from biseparable_sampling import biseparable_statevectors
-from dense_spectra import all_bipartitions, difference_operator, eigen_spectrum, to_matrix
+from dense_spectra import (
+    all_bipartitions,
+    difference_operator,
+    eigen_spectrum,
+    term_bits,
+    to_matrix,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -96,11 +102,6 @@ def plain_witness(family, n):
         for c in classes
     )
     return OperatorExpr.identity(n, 3.0) - 2.0 * (first + second)
-
-
-def term_bits(expr):
-    """Each term's letters and the exact bits of its coefficient, sign of zero included."""
-    return [(t.letters, t.coeff.real.hex(), t.coeff.imag.hex()) for t in expr.terms]
 
 
 @settings(max_examples=40, deadline=None)
