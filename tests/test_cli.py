@@ -90,6 +90,99 @@ def test_main_exit_codes_for_bad_config(capsys):
     assert excinfo.value.code == 2
 
 
+RUN_GHZ_3 = ["run", "--state", "ghz", "--N", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        pytest.param(
+            RUN_GHZ_3, "provide exactly one of an explicit schedule or a plan", id="no-schedule"
+        ),
+        pytest.param(
+            RUN_GHZ_3 + ["--lambdas", "0.5", "--plan", "l1=0.1,eps=0.05"],
+            "provide exactly one of an explicit schedule or a plan",
+            id="lambdas-and-plan",
+        ),
+        pytest.param(
+            ["run", "--state", "nope", "--N", "3", "--lambdas", "0.5"],
+            "unknown state family 'nope'",
+            id="unknown-state",
+        ),
+        # The plan text is parsed before the state.
+        pytest.param(
+            ["run", "--state", "nope", "--N", "3", "--plan", "l1"],
+            "malformed plan entry 'l1'",
+            id="unknown-state-malformed-plan",
+        ),
+        pytest.param(
+            RUN_GHZ_3 + ["--plan", "l1=0.1,eps=0.05,bogus=1"],
+            "unknown plan keys ['bogus']",
+            id="unknown-plan-key",
+        ),
+        pytest.param(RUN_GHZ_3 + ["--plan", "eps=0.05"], "plan needs key 'l1'", id="missing-l1"),
+        pytest.param(RUN_GHZ_3 + ["--plan", "l1=0.1"], "plan needs key 'eps'", id="missing-eps"),
+        pytest.param(
+            RUN_GHZ_3 + ["--plan", "l1=x,eps=0.05"], "plan l1=x is not a valid float", id="l1-x"
+        ),
+        pytest.param(
+            RUN_GHZ_3 + ["--plan", "l1=0.1,eps=y"], "plan eps=y is not a valid float", id="eps-y"
+        ),
+        pytest.param(
+            RUN_GHZ_3 + ["--plan", "l1=0.1,eps=0.05,max_k=1e3"],
+            "plan max_k=1e3 is not a valid int",
+            id="max-k-1e3",
+        ),
+        pytest.param(
+            RUN_GHZ_3 + ["--plan", "l1=0.1,l1=0.2,eps=0.05"],
+            "plan key 'l1' is given more than once",
+            id="duplicate-key",
+        ),
+        pytest.param(
+            RUN_GHZ_3 + ["--plan", "l1=0.1,eps=0.05,"],
+            "malformed plan entry ''",
+            id="trailing-comma",
+        ),
+        pytest.param(RUN_GHZ_3 + ["--lambdas", ","], "empty sharpness schedule", id="lambdas-comma"),
+        pytest.param(
+            RUN_GHZ_3 + ["--lambdas", "a"],
+            "--lambdas expects comma-separated numbers, got 'a'",
+            id="lambdas-a",
+        ),
+        pytest.param(
+            ["run", "--state", "ghz", "--N", "2", "--lambdas", "0.5"],
+            "need at least 3 parties, got 2",
+            id="N-2",
+        ),
+        pytest.param(
+            ["run", "--state", "ghz", "--N", "12", "--lambdas", "0.5", "--mode", "both"],
+            "dense mode limited to 10 qubits, got 12",
+            id="N-12-both",
+        ),
+        pytest.param(
+            ["sweep", "--lambda1-grid", "1.5"], "grid value 1.5 outside (0, 1)", id="sweep-1.5"
+        ),
+        pytest.param(["sweep", "--lambda1-grid", ""], "empty lambda_1 grid", id="sweep-empty"),
+        pytest.param(
+            ["sweep", "--lambda1-grid", "0.5", "--cap", "0"],
+            "--cap must be at least 1, got 0",
+            id="sweep-cap-0",
+        ),
+        pytest.param(["plan", "--n", "0"], "n 0 must be >= 1", id="plan-n-0"),
+        pytest.param(
+            ["verify", "psd", "--seed", "-1"],
+            "--seed must be non-negative, got -1",
+            id="verify-seed-minus-1",
+        ),
+    ],
+)
+def test_main_error_paths_exit_2_with_one_exact_message(argv, err, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_main_run_csv_output(capsys):
     code = main(["run", "--state", "ghz", "--N", "3", "--lambdas", "1,1"])
     out = capsys.readouterr().out
