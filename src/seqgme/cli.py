@@ -1,7 +1,11 @@
 """Command-line front end: run detection sequences, sweep, plan, verify.
 
-Output is CSV (with a versioned header comment) or JSON mirroring the same
-rows. Everything is deterministic for a fixed seed and configuration.
+Each subcommand maps its parsed arguments to (rows, columns, header, errors);
+`main` renders the rows as CSV (with a versioned header comment) or as JSON
+mirroring them, writes them to stdout or --out, prints one `error: ...` line
+per reported error and sets the exit status: 0, 1 after reported errors, or
+2 on bad input, with no rows. Everything is deterministic for a fixed seed
+and configuration.
 """
 
 from __future__ import annotations
@@ -9,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .analytic import full_sequence_report
 from .densesim import observer_expectations
@@ -28,6 +31,7 @@ from .witness import build_modified_witness
 
 AGREEMENT_TOL = 1e-9
 
+RUN_MODES = ("analytic", "dense", "both")
 RUN_COLUMNS = (
     "k",
     "lambda_k",
@@ -41,75 +45,58 @@ PLAN_COLUMNS = ("n", "epsilon", "lambda_1", "bracket_low", "bracket_high")
 VERIFY_COLUMNS = ("suite", "check", "passed", "max_residual", "detail")
 
 
-@dataclass
-class ExperimentConfig:
-    """One `run` invocation: which state, which schedule, which engine."""
-
-    state: str
-    n_qubits: int
-    lambdas: tuple[float, ...] | None = None
-    plan: dict | None = None
-    mode: str = "both"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("analytic", "dense", "both"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.lambdas is None) == (self.plan is None):
-            raise ValueError("provide exactly one of an explicit schedule or a plan")
-
-
-def _plan_value(text, key: str, kind: type):
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"plan {key}={text} is not a valid {kind.__name__}") from None
-
-
-def _resolve_schedule(config: ExperimentConfig, family: StateFamily) -> tuple[float, ...]:
-    if config.lambdas is not None:
-        if not config.lambdas:
-            raise ValueError("empty sharpness schedule")
-        return config.lambdas
-    plan = dict(config.plan)
-    try:
-        lambda_1 = _plan_value(plan.pop("l1"), "l1", float)
-        epsilon = _plan_value(plan.pop("eps"), "eps", float)
-    except KeyError as missing:
-        raise ValueError(f"plan needs key {missing}") from None
-    max_k = _plan_value(plan.pop("max_k", DEFAULT_CAP), "max_k", int)
+def _planned_schedule(plan: dict, weight: float) -> tuple[float, ...]:
+    """The schedule a plan {l1, eps[, max_k]} of strings generates for this weight."""
+    plan = {"max_k": DEFAULT_CAP, **plan}
+    args = []
+    for key, kind in (("l1", float), ("eps", float), ("max_k", int)):
+        if key not in plan:
+            raise ValueError(f"plan needs key {key!r}")
+        text = plan.pop(key)
+        try:
+            args.append(kind(text))
+        except ValueError:
+            raise ValueError(f"plan {key}={text} is not a valid {kind.__name__}") from None
     if plan:
         raise ValueError(f"unknown plan keys {sorted(plan)}")
-    return generate_schedule(lambda_1, epsilon, max_k, family.x_string_expectation).values
+    return generate_schedule(*args, weight).values
 
 
-def cmd_run(config: ExperimentConfig) -> list[dict]:
-    """Rows of per-observer witness values for one experiment."""
-    family = StateFamily.parse(config.state, config.n_qubits)
-    lambdas = _resolve_schedule(config, family)
+def cmd_run(state: str, n_qubits: int, lambdas=None, plan=None, mode: str = "both") -> list[dict]:
+    """Rows of per-observer witness values for one experiment.
 
-    analytic_values: list[float] | None = None
-    if config.mode in ("analytic", "both"):
+    `state` is a `--state` label such as "ghz" or "gghz:alpha=0.3". The
+    schedule is either explicit (`lambdas`) or planned: `plan` maps l1, eps
+    and optionally max_k to their text, as `--plan` gives them. `mode` is
+    one of RUN_MODES and names the engines whose columns are filled.
+    """
+    if mode not in RUN_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if (lambdas is None) == (plan is None):
+        raise ValueError("provide exactly one of an explicit schedule or a plan")
+    family = StateFamily.parse(state, n_qubits)
+    if lambdas is None:
+        lambdas = _planned_schedule(plan, family.x_string_expectation)
+    elif not lambdas:
+        raise ValueError("empty sharpness schedule")
+
+    analytic_values = dense_values = [None] * len(lambdas)
+    if mode in ("analytic", "both"):
         analytic_values = [r.witness_value for r in full_sequence_report(family, lambdas)]
-
-    dense_values: list[float] | None = None
-    if config.mode in ("dense", "both"):
-        if config.n_qubits > DENSE_QUBIT_LIMIT:
-            raise ValueError(
-                f"dense mode limited to {DENSE_QUBIT_LIMIT} qubits, got {config.n_qubits}"
-            )
+    if mode in ("dense", "both"):
+        if n_qubits > DENSE_QUBIT_LIMIT:
+            raise ValueError(f"dense mode limited to {DENSE_QUBIT_LIMIT} qubits, got {n_qubits}")
         witnesses = (
-            build_modified_witness(family.witness_family, config.n_qubits, lam) for lam in lambdas
+            build_modified_witness(family.witness_family, n_qubits, lam) for lam in lambdas
         )
         dense_values = observer_expectations(family.density_matrix(), lambdas, witnesses)
 
     rows = []
-    for index, lam in enumerate(lambdas):
-        analytic = analytic_values[index] if analytic_values is not None else None
-        dense = dense_values[index] if dense_values is not None else None
+    for k, (lam, analytic, dense) in enumerate(zip(lambdas, analytic_values, dense_values), 1):
         governing = analytic if analytic is not None else dense
         rows.append(
             {
-                "k": index + 1,
+                "k": k,
                 "lambda_k": lam,
                 "witness_value_analytic": analytic,
                 "witness_value_dense": dense,
@@ -166,17 +153,6 @@ def render_rows(rows: list[dict], columns, header: str, out_format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
-
-
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(item) for item in text.split(",") if item.strip())
@@ -197,38 +173,27 @@ def _parse_plan(text: str) -> dict:
     return plan
 
 
-def _cmd_run(args) -> int:
-    config = ExperimentConfig(
-        state=args.state,
-        n_qubits=args.N,
+def _cmd_run(args):
+    rows = cmd_run(
+        args.state,
+        args.N,
         lambdas=_parse_float_list(args.lambdas, "--lambdas") if args.lambdas else None,
         plan=_parse_plan(args.plan) if args.plan else None,
         mode=args.mode,
     )
-    rows = cmd_run(config)
-    header = (
-        f"seqgme run v1 state={args.state} N={args.N} mode={args.mode} seed={args.seed}"
-    )
-    _emit(render_rows(rows, RUN_COLUMNS, header, args.format), args.out)
-    if config.mode != "both":
-        return 0
-    status = 0
+    header = f"seqgme run v1 state={args.state} N={args.N} mode={args.mode} seed={args.seed}"
+    # Both checks compare only rows that carry both engines' values.
+    errors = []
     gap = run_disagreement(rows)
     if gap > AGREEMENT_TOL:
-        print(f"error: analytic and dense values disagree by {gap:.3e}", file=sys.stderr)
-        status = 1
-    flipped = sign_disagreements(rows)
+        errors.append(f"analytic and dense values disagree by {gap:.3e}")
+    flipped = ", ".join(str(k) for k in sign_disagreements(rows))
     if flipped:
-        print(
-            "error: analytic and dense values have opposite signs at k = "
-            + ", ".join(str(k) for k in flipped),
-            file=sys.stderr,
-        )
-        status = 1
-    return status
+        errors.append(f"analytic and dense values have opposite signs at k = {flipped}")
+    return rows, RUN_COLUMNS, header, errors
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     if args.cap < 1:
         raise ValueError(f"--cap must be at least 1, got {args.cap}")
     grid = _parse_float_list(args.lambda1_grid, "--lambda1-grid")
@@ -237,61 +202,57 @@ def _cmd_sweep(args) -> int:
     for value in grid:
         if not 0.0 < value < 1.0:
             raise ValueError(f"grid value {value} outside (0, 1)")
-    rows, failures = [], []
+    rows, errors = [], []
     for value in grid:
         try:
             count = max_detections(value, args.epsilon, args.cap)
         except PrecisionError as exc:
             # One point that double precision cannot plan leaves the others standing.
             count = None
-            failures.append(f"error: lambda_1={value}: {exc}")
+            errors.append(f"lambda_1={value}: {exc}")
         rows.append({"lambda_1": value, "max_detections": count})
     header = f"seqgme sweep v1 epsilon={args.epsilon} cap={args.cap}"
-    _emit(render_rows(rows, SWEEP_COLUMNS, header, args.format), args.out)
-    for line in failures:
-        print(line, file=sys.stderr)
-    return 1 if failures else 0
+    return rows, SWEEP_COLUMNS, header, errors
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args):
     result = largest_sharpness_for(args.n, args.epsilon)
-    rows = [
-        {
-            "n": args.n,
-            "epsilon": args.epsilon,
-            "lambda_1": result.lambda_1,
-            "bracket_low": result.bracket_low,
-            "bracket_high": result.bracket_high,
-        }
-    ]
-    header = f"seqgme plan v1 n={args.n} epsilon={args.epsilon}"
-    _emit(render_rows(rows, PLAN_COLUMNS, header, args.format), args.out)
-    return 0
+    row = {
+        "n": args.n,
+        "epsilon": args.epsilon,
+        "lambda_1": result.lambda_1,
+        "bracket_low": result.bracket_low,
+        "bracket_high": result.bracket_high,
+    }
+    return [row], PLAN_COLUMNS, f"seqgme plan v1 n={args.n} epsilon={args.epsilon}", []
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    rows = []
-    for suite in suites:
-        for check in run_suite(suite, args.seed):
-            rows.append(
-                {
-                    "suite": check.suite,
-                    "check": check.name,
-                    "passed": check.passed,
-                    "max_residual": check.residual,
-                    "detail": check.detail,
-                }
-            )
+    rows = [
+        {
+            "suite": check.suite,
+            "check": check.name,
+            "passed": check.passed,
+            "max_residual": check.residual,
+            "detail": check.detail,
+        }
+        for suite in suites
+        for check in run_suite(suite, args.seed)
+    ]
     header = f"seqgme verify v1 suites={'+'.join(suites)} seed={args.seed}"
-    _emit(render_rows(rows, VERIFY_COLUMNS, header, args.format), args.out)
-    failed = [row for row in rows if not row["passed"]]
-    if failed:
-        print(f"error: {len(failed)} verification check(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    failed = sum(not row["passed"] for row in rows)
+    errors = [f"{failed} verification check(s) failed"] if failed else []
+    return rows, VERIFY_COLUMNS, header, errors
+
+
+def _finish_subcommand(parser: argparse.ArgumentParser, func) -> None:
+    """Declare the --format and --out every subcommand shares, and bind its function."""
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", help="output file (default stdout)")
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,47 +267,55 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--N", type=int, required=True, help="number of parties (>= 3)")
     run.add_argument("--lambdas", help="explicit comma-separated sharpness schedule")
     run.add_argument("--plan", help="planned schedule, e.g. l1=0.05,eps=0.05[,max_k=K]")
-    run.add_argument("--mode", choices=("analytic", "dense", "both"), default="both")
+    run.add_argument("--mode", choices=RUN_MODES, default="both")
     run.add_argument(
         "--seed", type=int, default=7,
         help="recorded in the output header only: run draws no random numbers",
     )
-    run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--out", help="output file (default stdout)")
-    run.set_defaults(func=_cmd_run)
+    _finish_subcommand(run, _cmd_run)
 
     sweep = sub.add_parser("sweep", help="detection counts over a lambda_1 grid")
     sweep.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sweep.add_argument("--lambda1-grid", required=True, dest="lambda1_grid")
     sweep.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--out")
-    sweep.set_defaults(func=_cmd_sweep)
+    _finish_subcommand(sweep, _cmd_sweep)
 
     plan = sub.add_parser("plan", help="about the largest lambda_1 still reaching n detections")
     plan.add_argument("--n", type=int, required=True)
     plan.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    plan.add_argument("--format", choices=("csv", "json"), default="csv")
-    plan.add_argument("--out")
-    plan.set_defaults(func=_cmd_plan)
+    _finish_subcommand(plan, _cmd_plan)
 
     verify = sub.add_parser("verify", help="run a numerical verification suite")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     verify.add_argument("--seed", type=int, default=7)
-    verify.add_argument("--format", choices=("csv", "json"), default="csv")
-    verify.add_argument("--out")
-    verify.set_defaults(func=_cmd_verify)
+    _finish_subcommand(verify, _cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: write its rows, then one `error: ...` line per
+    error it reports. Exit 0, or 1 after reported errors, or 2 on a
+    ValueError (bad input), with no rows written."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rows, columns, header, errors = args.func(args)
+        text = render_rows(rows, columns, header, args.format)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+        else:
+            sys.stdout.write(text)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        errors, status = [exc], 2
+    else:
+        status = 1 if errors else 0
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -499,12 +499,6 @@ def _gather_plan(n: int, layout: tuple[tuple[int, int], ...]):
     return y_phases, order, np.array(parts, dtype=np.int64), np.array(part_of), negative
 
 
-# Offset vectors kept, one pair per (n, target): every target and the
-# (2^n, 2^n) layout of each n up to 10 qubits, 32 KiB at most each.
-_POSITIONS_CACHE_SIZE = 66
-
-
-@functools.lru_cache(maxsize=_POSITIONS_CACHE_SIZE)
 def _positions(n: int, target: int | None):
     """Offsets (row_pos, col_pos) of an n-qubit state's entries: entry (j, l)
     is at flat offset row_pos[j] + col_pos[l]. With no target the layout is
@@ -512,16 +506,12 @@ def _positions(n: int, target: int | None):
     _to_target_major's order about that (range-checked) target."""
     rows = np.arange(1 << n, dtype=np.int64)
     if target is None:
-        offsets = rows << n, rows
-    else:
-        low = n - 1 - target  # the target's bit in a basis index
-        bit = (rows >> low) & 1
-        rest = (rows >> (low + 1) << low) | (rows & ((1 << low) - 1))
-        span = 1 << (2 * n - 2)
-        offsets = (2 * span) * bit + (rest << (n - 1)), span * bit + rest
-    for offset in offsets:
-        offset.flags.writeable = False  # shared by every caller of the cache
-    return offsets
+        return rows << n, rows
+    low = n - 1 - target  # the target's bit in a basis index
+    bit = (rows >> low) & 1
+    rest = (rows >> (low + 1) << low) | (rows & ((1 << low) - 1))
+    span = 1 << (2 * n - 2)
+    return (2 * span) * bit + (rest << (n - 1)), span * bit + rest
 
 
 def _pauli_sum_trace(states: np.ndarray, expr: OperatorExpr, positions) -> np.ndarray:

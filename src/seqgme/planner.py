@@ -1,9 +1,10 @@
 """Sharpness schedules that let every observer in a sequence detect.
 
 Each lambda_k is placed a factor (1+epsilon) above the detection threshold
-implied by its predecessors, so the corresponding witness value is strictly
-negative by construction. Generation stops once the next value would leave
-(0, 1), which is the point where no admissible sharpness can detect anymore.
+implied by its predecessors, and its witness value, by the closed form that
+`run` prints, must be negative: PrecisionError where (1+epsilon) rounds
+away. Generation stops once the next value would leave (0, 1), which is
+the point where no admissible sharpness can detect anymore.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analytic import loss_step
+from .analytic import _witness_values, loss_step
 from .errors import PrecisionError
 
 DEFAULT_EPSILON = 0.05
@@ -66,6 +67,9 @@ def generate_schedule(
             )
         values.append(lam)
         loss = loss_step(lam, loss)
+    for k, value in enumerate(_witness_values(values, weight), start=1):
+        if not value < 0.0:
+            raise PrecisionError(f"planned observer {k} would not detect at epsilon={epsilon}")
     return SharpnessSchedule(lambda_1, epsilon, tuple(values), terminated, weight)
 
 

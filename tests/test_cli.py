@@ -5,7 +5,7 @@ import json
 import pytest
 
 from seqgme.cli import (
-    ExperimentConfig,
+    RUN_MODES,
     build_parser,
     cmd_run,
     main,
@@ -15,8 +15,7 @@ from seqgme.cli import (
 
 
 def test_run_rows_explicit_schedule():
-    config = ExperimentConfig(state="ghz", n_qubits=3, lambdas=(1.0, 1.0))
-    rows = cmd_run(config)
+    rows = cmd_run(state="ghz", n_qubits=3, lambdas=(1.0, 1.0))
     assert [row["k"] for row in rows] == [1, 2]
     assert rows[0]["witness_value_analytic"] == pytest.approx(-1.0)
     assert rows[0]["detected"] is True
@@ -26,58 +25,57 @@ def test_run_rows_explicit_schedule():
 
 
 def test_run_rows_cluster_single_observer():
-    config = ExperimentConfig(state="cluster", n_qubits=5, lambdas=(0.3,))
-    rows = cmd_run(config)
+    rows = cmd_run(state="cluster", n_qubits=5, lambdas=(0.3,))
     assert rows[0]["witness_value_analytic"] == pytest.approx(-0.3)
     assert rows[0]["witness_value_dense"] == pytest.approx(-0.3, abs=1e-12)
     assert rows[0]["margin"] == pytest.approx(0.3)
 
 
 def test_run_rows_planned_schedule_all_detected():
-    config = ExperimentConfig(
-        state="ghz", n_qubits=4, plan={"l1": "0.05", "eps": "0.05"}, mode="both"
-    )
-    rows = cmd_run(config)
+    rows = cmd_run(state="ghz", n_qubits=4, plan={"l1": "0.05", "eps": "0.05"}, mode="both")
     assert len(rows) >= 2
     assert all(row["detected"] for row in rows)
     assert run_disagreement(rows) < 1e-9
 
 
 def test_run_analytic_mode_skips_dense_and_scales_past_limit():
-    config = ExperimentConfig(state="ghz", n_qubits=24, lambdas=(0.4,), mode="analytic")
-    rows = cmd_run(config)
+    rows = cmd_run(state="ghz", n_qubits=24, lambdas=(0.4,), mode="analytic")
     assert rows[0]["witness_value_dense"] is None
     assert rows[0]["witness_value_analytic"] == pytest.approx(-0.4)
 
 
 def test_run_dense_mode_only():
-    config = ExperimentConfig(state="gghz:alpha=0.3", n_qubits=3, lambdas=(0.5,), mode="dense")
-    rows = cmd_run(config)
+    rows = cmd_run(state="gghz:alpha=0.3", n_qubits=3, lambdas=(0.5,), mode="dense")
     assert rows[0]["witness_value_analytic"] is None
     assert rows[0]["detected"] is True
 
 
 def test_run_mixed_plan_uses_scaled_schedule():
-    config = ExperimentConfig(
+    rows = cmd_run(
         state="mixed:p1=0.8,p2=0.1,p3=0.1,alpha=0.4",
         n_qubits=3,
         plan={"l1": "0.05", "eps": "0.05", "max_k": "6"},
     )
-    rows = cmd_run(config)
     assert all(row["detected"] for row in rows)
     assert run_disagreement(rows) < 1e-9
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(state="ghz", n_qubits=3)  # no schedule source
-    with pytest.raises(ValueError):
-        ExperimentConfig(state="ghz", n_qubits=3, lambdas=(0.5,), plan={"l1": "0.1"})
-    with pytest.raises(ValueError):
-        ExperimentConfig(state="ghz", n_qubits=3, lambdas=(0.5,), mode="fast")
-    config = ExperimentConfig(state="ghz", n_qubits=12, lambdas=(0.5,), mode="dense")
-    with pytest.raises(ValueError):
-        cmd_run(config)
+    with pytest.raises(ValueError, match="exactly one"):
+        cmd_run(state="ghz", n_qubits=3)  # no schedule source
+    with pytest.raises(ValueError, match="exactly one"):
+        cmd_run(state="ghz", n_qubits=3, lambdas=(0.5,), plan={"l1": "0.1"})
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        cmd_run(state="ghz", n_qubits=3, lambdas=(0.5,), mode="fast")
+    with pytest.raises(ValueError, match="dense mode limited to 10 qubits"):
+        cmd_run(state="ghz", n_qubits=12, lambdas=(0.5,), mode="dense")
+
+
+def test_run_modes_are_the_parser_choices(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--help"])
+    assert "--mode {" + ",".join(RUN_MODES) + "}" in capsys.readouterr().out
+    assert RUN_MODES == ("analytic", "dense", "both")
 
 
 def test_main_exit_codes_for_bad_config(capsys):
@@ -418,3 +416,32 @@ def test_sweep_writes_one_error_line_per_failed_point(capsys):
     err = captured.err.splitlines()
     assert [line.split(":")[0] for line in err] == ["error"] * 2
     assert [line.split(":")[1] for line in err] == [" lambda_1=1e-200", " lambda_1=1e-300"]
+
+
+@pytest.mark.parametrize(
+    "argv, epsilon",
+    [
+        pytest.param(["plan", "--n", "5", "--epsilon", "1e-320"], "1e-320", id="plan"),
+        pytest.param(
+            ["run", "--state", "ghz", "--N", "10", "--plan", "l1=0.999,eps=1e-300"],
+            "1e-300",
+            id="run",
+        ),
+    ],
+)
+def test_a_plan_whose_margin_rounds_away_exits_2(argv, epsilon, capsys):
+    # 1 + epsilon == 1, so observer 2's closed-form value would be 0, not negative.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: planned observer 2 would not detect at epsilon={epsilon}\n"
+
+
+def test_sweep_names_each_point_whose_margin_rounds_away(capsys):
+    assert main(["sweep", "--lambda1-grid", "0.5,0.05", "--epsilon", "1e-17"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[2:] == ["0.5,", "0.05,"]
+    assert captured.err.splitlines() == [
+        f"error: lambda_1={value}: planned observer 2 would not detect at epsilon=1e-17"
+        for value in ("0.5", "0.05")
+    ]

@@ -172,8 +172,10 @@ def test_an_out_of_range_target_is_refused_before_any_shift(name, n):
 
 
 def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
-    config = cli.ExperimentConfig("cluster", 10, lambdas=(0.05, 0.06, 0.07, 0.08), mode="dense")
-    cli.cmd_run(config)  # fill the witness, plan and offset caches first
+    config = {
+        "state": "cluster", "n_qubits": 10, "lambdas": (0.05, 0.06, 0.07, 0.08), "mode": "dense"
+    }
+    cli.cmd_run(**config)  # fill the witness and plan caches first
     state_bytes = StateFamily("cluster", 10).density_matrix().nbytes
     tracemalloc.start()
     try:
@@ -186,7 +188,7 @@ def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
         del rho, witness
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        cli.cmd_run(config)
+        cli.cmd_run(**config)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

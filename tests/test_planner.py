@@ -231,3 +231,27 @@ def test_max_detections_never_increases_as_lambda_1_grows(a, b, epsilon):
     # (0, 1) no later; this is why `plan` returns about the largest lambda_1.
     low, high = sorted((a, b))
     assert max_detections(high, epsilon) <= max_detections(low, epsilon)
+
+
+def test_a_schedule_whose_margin_rounds_away_is_refused():
+    # At epsilon = 1e-17, 1 + epsilon == 1: observer 2 sits on its threshold.
+    with pytest.raises(PrecisionError, match="observer 2 would not detect at epsilon=1e-17"):
+        generate_schedule(0.5, 1e-17, 8)
+    # A single planned observer has no threshold to sit on.
+    assert generate_schedule(0.5, 1e-300, 1).values == (0.5,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(1e-6, 1.0, exclude_max=True),
+    st.floats(5e-324, 0.5),
+    st.sampled_from([1.0, mixed_weight(0.8, 0.4), mixed_weight(0.6, 0.1)]),
+)
+def test_every_value_of_a_returned_schedule_is_negative(lambda_1, epsilon, weight):
+    # Where (1 + epsilon) rounds away the planner refuses; what it returns detects.
+    try:
+        values = generate_schedule(lambda_1, epsilon, 12, weight).values
+    except PrecisionError:
+        return
+    for k in range(1, len(values) + 1):
+        assert witness_value(k, values, weight) < 0.0
