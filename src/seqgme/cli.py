@@ -161,8 +161,9 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _parse_plan(text: str) -> dict:
+    """The {key: text} entries of a --plan; empty text is the empty plan."""
     plan = {}
-    for item in text.split(","):
+    for item in text.split(",") if text else ():
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"malformed plan entry {item!r}")
@@ -177,8 +178,9 @@ def _cmd_run(args):
     rows = cmd_run(
         args.state,
         args.N,
-        lambdas=_parse_float_list(args.lambdas, "--lambdas") if args.lambdas else None,
-        plan=_parse_plan(args.plan) if args.plan else None,
+        # An empty flag is still given: "--lambdas=" is an empty schedule.
+        lambdas=None if args.lambdas is None else _parse_float_list(args.lambdas, "--lambdas"),
+        plan=None if args.plan is None else _parse_plan(args.plan),
         mode=args.mode,
     )
     header = f"seqgme run v1 state={args.state} N={args.N} mode={args.mode} seed={args.seed}"

@@ -25,14 +25,17 @@ layout, and single-qubit maps act on the target qubit's 2x2 blocks of the
 state.
 
 A chain of observers (luders_update, observer_states, observer_expectations)
-runs in target-major order: each element is a C-contiguous (4, 4^(N-1))
-block whose axis 0 is the target's (row bit, column bit). A channel step
-builds each element's four square-rooted effects in one expression from
-fixed (4, 2, 2) stacks and the two eigenvalues of the unsharp x roots, forms
-the 4x4 superoperator from them, and is one BLAS product per element. A
-chain copies its start state into that order once; observer_expectations
-gathers the witness rows there in place, and the others convert each state
-they hand out back to the (2^N, 2^N) layout.
+runs in target-major order: each element is a C-contiguous (4, m) block
+whose axis 0 is the target's (row bit, column bit). A channel step builds
+each element's four square-rooted effects in one expression from fixed
+(4, 2, 2) stacks and the two eigenvalues of the unsharp x roots, and forms
+the 4x4 superoperator from them. That superoperator is zero off its diagonal
+and antidiagonal, so a step is two products and one add per real number, and
+an entry's bits do not depend on which other columns the block holds.
+luders_update and observer_states step all 4^(N-1) columns of a copy of the
+state and convert each state they hand out back to the (2^N, 2^N) layout.
+observer_expectations reads its observables first and steps only the columns
+they read, gathered once from rho1; it reads the witness rows there in place.
 
 Validation costs O(d^2) for the states a chain meets: they have rank at most
 4, so from dimension 128 on a pivoted partial Cholesky of at most 4 steps
@@ -44,6 +47,7 @@ are swept in tiles.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from operator import attrgetter
@@ -66,6 +70,9 @@ EIGENVALUE_FLOOR = -1e-10
 # the rows gathered for a block of distinct X parts and the per-term block
 # indexed from them (8 MiB of float64, 16 MiB of complex128).
 _GATHER_ELEMENTS = 1 << 20
+# Entries of a stack that a channel step scales at once for its partner
+# rows, so that the step makes no full-size temporary beside its output.
+_STEP_BLOCK = 1 << 16
 # Side of the square tiles of the Hermiticity check and row count of the
 # certificate's row tiles, so that neither makes a full-size temporary.
 _TILE = 128
@@ -357,21 +364,42 @@ def luders_update(rho: np.ndarray, sharpness, target: int | None = None) -> np.n
     return _from_target_major(state, rho.shape[:-2], n, t)
 
 
-def _observer_step(state: np.ndarray, sharpness) -> np.ndarray:
-    """luders_update of states in target-major order, without its checks.
-
-    The four maps K rho K^dagger add up to the 4x4 superoperator
-    sum_K K (x) conj(K), which acts on the (row bit, column bit) pair of the
-    target qubit: axis 1 of state. It is real, so the result has the state's
-    dtype. Each element is one BLAS product of its superoperator and its
-    (4, 4^(n-1)) block, into a new array of the same order.
-    """
+def _superoperator(sharpness) -> np.ndarray:
+    """The channel's real 4x4 superoperator sum_K K (x) conj(K) / 2, one per
+    sharpness, as a (count, 4, 4) stack over the target's (row bit, column
+    bit) pairs."""
     # An unsharp x pair and a sharp z pair, applied with equal setting weight.
     # The roots are real, so conj(K) is K.
     roots = _sqrt_effects(sharpness)
     # Halving is exact, so folding the channel's 1/2 in here changes no bit.
-    superop = (np.einsum("...kab,...kcd->...acbd", roots, roots) / 2.0).reshape(-1, 4, 4)
-    return np.matmul(superop, state)
+    return (np.einsum("...kab,...kcd->...acbd", roots, roots) / 2.0).reshape(-1, 4, 4)
+
+
+def _observer_step(state: np.ndarray, sharpness) -> np.ndarray:
+    """luders_update of states in target-major order, without its checks.
+
+    The four maps K rho K^dagger add up to _superoperator(sharpness), which
+    acts on the (row bit, column bit) pair of the target qubit: axis 1 of
+    state. Its eight entries off the diagonal and the antidiagonal are exactly
+    0.0 (the x roots' cross terms cancel), so row a of the result mixes only
+    rows a and 3 - a: diag[a] * s[a] + anti[a] * s[3 - a], two rounded
+    products and one add per real number. So an entry has the same bits
+    whichever of a state's columns state holds. The superoperator is real, so
+    the result has the state's dtype. It is a new C-contiguous array of the
+    same order; the partner terms are added into it a column block at a time.
+    """
+    superop = _superoperator(sharpness)
+    rows = np.arange(4)
+    diag = superop[:, rows, rows, None]
+    anti = superop[:, rows, rows[::-1], None]
+    # A complex entry is two reals, each scaled by the same real factor.
+    entries = state.view(np.float64)
+    out = diag * entries
+    width = max(1, _STEP_BLOCK // (4 * max(1, len(entries))))
+    for start in range(0, entries.shape[-1], width):
+        block = slice(start, start + width)
+        out[..., block] += anti * entries[:, ::-1, block]
+    return out.view(state.dtype)
 
 
 def _chain(state: np.ndarray, sharpnesses):
@@ -427,25 +455,76 @@ def observer_expectations(rho1: np.ndarray, sharpnesses, observables, target: in
 
     The result, its checks and their order are bit for bit those of
     [expectation(s, o) for s, o in zip(observer_states(rho1, sharpnesses,
-    target), observables)], on a single state or a stack. The chain stays in
-    target-major order, and a Pauli sum's rows are gathered there in place:
-    only a dense observable's state is taken back to rho1's layout.
+    target), observables)], on a single state or a stack. The observables,
+    as many as there are sharpnesses, are read before the first step, and
+    the chain runs only on the target-major columns their Pauli sums read:
+    the entries (a, j', j' ^ f') of rho1 for each of their X parts f' off
+    the target, gathered once into a (count, 4, parts * 2^(n-1)) array. A
+    step gives those entries the bits of a full step, so each term's row
+    is the one a full state gives. A dense observable reads every entry: with
+    one in the list the chain keeps all columns, and its state is scattered
+    back to rho1's layout.
     """
     rho, n, lambdas, t = _checked_chain(rho1, sharpnesses, target)
-    del rho1  # hold no reference to the caller's array past the conversion
-    if not lambdas:
+    del rho1  # hold no reference to the caller's array past the gather
+    observables = list(itertools.islice(observables, len(lambdas)))
+    if not observables:
         return []
-    stack = rho.shape[:-2]
-    states = _chain(_to_target_major(rho, n, t), lambdas[:-1])
+    stack, dim = rho.shape[:-2], rho.shape[-1]
+    kept = _read_parts(observables, n, t)
+    start = np.take(rho.reshape(-1, dim * dim), _kept_entries(n, t, kept), axis=1)
     del rho
-    positions = _positions(n, t)
+    states = _chain(start, lambdas[:len(observables) - 1])
+    del start
+    positions = _positions(n, t, kept)
     values = []
     for state, obs in zip(states, observables):
         if isinstance(obs, (PauliString, OperatorExpr)):
             values.append(_pauli_expectation(state, stack, n, obs, positions))
         else:
-            values.append(expectation(_from_target_major(state, stack, n, t), obs))
+            full = np.empty((len(state), dim * dim), dtype=state.dtype)
+            full[:, _kept_entries(n, t, kept)] = state
+            values.append(expectation(full.reshape(*stack, dim, dim), obs))
     return values
+
+
+def _without_bit(x, low: int):
+    """Basis indices x with bit low taken out, the bits above it moved down."""
+    return (x >> (low + 1) << low) | (x & ((1 << low) - 1))
+
+
+def _with_bit(x, low: int):
+    """Basis indices x with a 0 put in at bit low: the inverse of _without_bit."""
+    return (x >> low << (low + 1)) | (x & ((1 << low) - 1))
+
+
+def _read_parts(observables, n: int, target: int) -> np.ndarray:
+    """The distinct X parts f', target bit taken out, of every n-qubit Pauli
+    observable, ascending; all 2^(n-1) of them when one observable is dense.
+    An observable on another qubit count reads nothing: its step refuses it."""
+    masks = set()
+    for obs in observables:
+        if isinstance(obs, PauliString):
+            obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
+        elif not isinstance(obs, OperatorExpr):
+            return np.arange(1 << (n - 1), dtype=np.int64)
+        if obs.n_qubits == n:
+            masks.update(term.x_mask for term in obs.terms)
+    # Sorted in Python: np.unique would import numpy.ma on its first call.
+    parts = {_without_bit(mask, n - 1 - target) for mask in masks}
+    return np.array(sorted(parts), dtype=np.int64)
+
+
+def _kept_entries(n: int, target: int, kept: np.ndarray) -> np.ndarray:
+    """Flat offsets in a (2^n, 2^n) state of a chain's kept entries, shape
+    (4, parts * 2^(n-1)): [a, p * 2^(n-1) + j'] is rho[(a_r, j'), (a_c, j' ^
+    kept[p])], with a = 2 a_r + a_c the target's (row bit, column bit)."""
+    low = n - 1 - target
+    rest = _with_bit(np.arange(1 << (n - 1), dtype=np.int64), low)
+    target_bits = np.array([0, 1, 1 << n, (1 << n) + 1], dtype=np.int64) << low
+    columns = rest ^ _with_bit(kept, low)[:, None]
+    offsets = (rest << n) + columns + target_bits[:, None, None]
+    return offsets.reshape(4, -1)
 
 
 def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -> np.ndarray:
@@ -499,19 +578,26 @@ def _gather_plan(n: int, layout: tuple[tuple[int, int], ...]):
     return y_phases, order, np.array(parts, dtype=np.int64), np.array(part_of), negative
 
 
-def _positions(n: int, target: int | None):
-    """Offsets (row_pos, col_pos) of an n-qubit state's entries: entry (j, l)
-    is at flat offset row_pos[j] + col_pos[l]. With no target the layout is
-    (2^n, 2^n), row_pos[j] = j * 2^n and col_pos[l] = l; with one, it is
-    _to_target_major's order about that (range-checked) target."""
+def _positions(n: int, target: int | None, kept=None):
+    """Where an n-qubit state's entries rho[j, j ^ f] lie: a function from an
+    array of X parts f to their flat offsets, one row of 2^n per part, j
+    ascending. With no target the layout is (2^n, 2^n); with one, it is the
+    (4, parts * 2^(n-1)) layout of _kept_entries about that (range-checked)
+    target, holding the X parts kept off it."""
     rows = np.arange(1 << n, dtype=np.int64)
     if target is None:
-        return rows << n, rows
+        return lambda parts: (rows << n) + (rows ^ parts[:, None])
     low = n - 1 - target  # the target's bit in a basis index
     bit = (rows >> low) & 1
-    rest = (rows >> (low + 1) << low) | (rows & ((1 << low) - 1))
-    span = 1 << (2 * n - 2)
-    return (2 * span) * bit + (rest << (n - 1)), span * bit + rest
+    # Row a = 2 * (row bit) + (column bit) of the target's pair is 3 * bit
+    # for a part that keeps the target's bit and 1 + bit for one that flips it.
+    starts = np.stack([3 * bit, 1 + bit]) * (len(kept) << (n - 1)) + _without_bit(rows, low)
+
+    def offsets(parts):
+        column = np.searchsorted(kept, _without_bit(parts, low)) << (n - 1)
+        return starts[(parts >> low) & 1] + column[:, None]
+
+    return offsets
 
 
 def _pauli_sum_trace(states: np.ndarray, expr: OperatorExpr, positions) -> np.ndarray:
@@ -529,7 +615,8 @@ def _pauli_sum_trace(states: np.ndarray, expr: OperatorExpr, positions) -> np.nd
     together hold at most _GATHER_ELEMENTS entries over all elements (a
     stack too large for two rows of each is split). Each term's sum is a row
     sum of a 2-D array, and the terms are added by fsum, so an element's
-    value is bit for bit that of its own call, in either layout.
+    value is bit for bit that of its own call, in either layout of
+    _positions.
     """
     layout = tuple(map(_MASKS, expr.terms))
     if not layout:
@@ -549,9 +636,14 @@ def _fsum(values: np.ndarray) -> complex:
 
 def _term_traces(states: np.ndarray, positions, parts, part_of, negative) -> np.ndarray:
     """sum_j rho[j, j ^ f] * (-1)^popcount(j & z) of each planned term, for
-    each element of a stack of flat states; shape (count, terms), complex."""
-    row_pos, col_pos = positions
-    dim = len(row_pos)
+    each element of a stack of flat states; shape (count, terms), complex.
+
+    positions maps a block of X parts to the offsets of their rows, j
+    ascending, as _positions does for either layout, so a term's row holds
+    the same values in the same order in both. A negative entry is negated
+    by flipping its sign bit, which is what negation does to a float.
+    """
+    dim = negative.shape[1]
     count = len(states)
     # Two rows of every element must fit the budget: split a larger stack.
     split = max(1, _GATHER_ELEMENTS // (2 * dim))
@@ -565,12 +657,8 @@ def _term_traces(states: np.ndarray, positions, parts, part_of, negative) -> np.
     budget = max(2, _GATHER_ELEMENTS // (dim * count))
     for first in range(0, len(parts), budget // 2):
         chunk = parts[first:first + budget // 2]
-        # Column offsets are xor-linear, col_pos[j ^ f] = col_pos[j] ^ col_pos[f],
-        # since each layout keeps the bits of a column index in fields of their own.
-        offsets = col_pos ^ col_pos[chunk][:, None]
-        offsets += row_pos
         # take returns C-ordered rows: (count, parts, dim).
-        part_rows = np.take(states, offsets, axis=1)
+        part_rows = np.take(states, positions(chunk), axis=1)
         step = budget - len(chunk)
         lo, hi = part_of.searchsorted([first, first + len(chunk)])
         # With one term per part, term t's row is part_rows[t - lo]: a view.
@@ -582,8 +670,10 @@ def _term_traces(states: np.ndarray, positions, parts, part_of, negative) -> np.
                 signed = part_rows[:, start - lo:stop - lo]
             else:
                 signed = np.take(part_rows, part_of[block] - first, axis=1)
-            # Signed in place: a row taken in place belongs to this term alone.
-            np.negative(signed, out=signed, where=negative[block])
+            # Signed in place, by flipping sign bits: a row taken in place
+            # belongs to this term alone. A complex entry flips both halves.
+            flips = np.left_shift(negative[block], 63, dtype=np.uint64)
+            signed.view(np.uint64).reshape(*signed.shape, -1)[...] ^= flips[..., None]
             # Sums of C-ordered rows: numpy adds each row pairwise, in the same
             # order whatever the number of rows, where a strided row would be
             # added in sequence.

@@ -142,6 +142,14 @@ RUN_GHZ_3 = ["run", "--state", "ghz", "--N", "3"]
             id="trailing-comma",
         ),
         pytest.param(RUN_GHZ_3 + ["--lambdas", ","], "empty sharpness schedule", id="lambdas-comma"),
+        # An empty flag is given all the same.
+        pytest.param(
+            RUN_GHZ_3 + ["--plan=", "--lambdas", "0.5"],
+            "provide exactly one of an explicit schedule or a plan",
+            id="empty-plan-and-lambdas",
+        ),
+        pytest.param(RUN_GHZ_3 + ["--lambdas="], "empty sharpness schedule", id="lambdas-empty"),
+        pytest.param(RUN_GHZ_3 + ["--plan="], "plan needs key 'l1'", id="plan-empty"),
         pytest.param(
             RUN_GHZ_3 + ["--lambdas", "a"],
             "--lambdas expects comma-separated numbers, got 'a'",

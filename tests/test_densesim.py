@@ -741,7 +741,9 @@ def test_tiled_channel_step_matches_the_whole_matrix_product(tile, n, real):
 
 def per_root_step(rho, lam, target):
     """The update with every root built on its own by 2x2 arithmetic,
-    hi * P+ + lo * P- and lo * P+ + hi * P-, as one whole-matrix product."""
+    hi * P+ + lo * P- and lo * P+ + hi * P-, and each real number of the
+    result as two rounded products and one add: row a of the superoperator
+    meets only rows a and 3 - a of the target's (row bit, column bit)."""
     n = densesim.n_qubits_of(rho)
     roots = []
     for sigma, sharpness in ((SX, lam), (SZ, 1.0)):
@@ -753,12 +755,19 @@ def per_root_step(rho, lam, target):
     superop = (np.einsum("kab,kcd->acbd", roots, roots.conj()) / 2.0).reshape(4, 4)
     a, b = 1 << target, 1 << (n - 1 - target)
     operand = rho.reshape(a, 2, b, a, 2, b).transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
-    out = np.dot(superop, operand).reshape(2, 2, a, b, a, b)
+    out = np.empty_like(operand)
+    halves = [(operand.real, out.real)]
+    if np.iscomplexobj(operand):
+        halves.append((operand.imag, out.imag))
+    for part, into in halves:
+        for row in range(4):
+            into[row] = superop[row, row] * part[row] + superop[row, 3 - row] * part[3 - row]
+    out = out.reshape(2, 2, a, b, a, b)
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
 
 
-# The step is that whole-matrix product at every size, so it must equal it bit
-# for bit.
+# The step is that per-entry arithmetic at every size, so it must equal it
+# bit for bit.
 @pytest.mark.parametrize("n", range(1, DENSE_QUBIT_LIMIT + 1))
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_channel_step_is_bit_identical_to_per_root_arithmetic(n, real):
@@ -769,7 +778,7 @@ def test_channel_step_is_bit_identical_to_per_root_arithmetic(n, real):
         for target in range(n):
             step = target_major_step(rho, lam, target)
             assert step.dtype == rho.dtype
-            assert np.array_equal(step, per_root_step(rho, lam, target))
+            assert step.tobytes() == per_root_step(rho, lam, target).tobytes()
 
 
 def test_channel_step_allocates_only_its_output():
@@ -782,6 +791,50 @@ def test_channel_step_allocates_only_its_output():
         tracemalloc.stop()
     assert out.nbytes == 8 << 20
     assert peak <= out.nbytes + (1 << 20)
+
+
+# The sharpnesses named in the contract, the subnormal and the exact ends
+# among them, and one per element of a stack.
+SUPEROPERATOR_SHARPNESSES = (
+    0.0, 5e-324, 1e-300, 0.3, 0.999, 1.0, np.array([[0.0, 5e-324, 1e-300], [0.3, 0.999, 1.0]])
+)
+
+
+@pytest.mark.parametrize("sharpness", SUPEROPERATOR_SHARPNESSES, ids=repr)
+def test_the_superoperator_mixes_each_row_only_with_its_partner(sharpness):
+    superop = densesim._superoperator(sharpness)
+    rows = np.arange(4)
+    off_pair = np.ones((4, 4), dtype=bool)
+    off_pair[rows, rows] = off_pair[rows, rows[::-1]] = False
+    off = superop[:, off_pair]
+    assert off.shape == (np.size(sharpness), 8)
+    # Exactly +0.0: the x roots' cross terms cancel.
+    assert off.tobytes() == np.zeros_like(off).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, DENSE_QUBIT_LIMIT + 1))
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_a_step_on_some_columns_equals_those_columns_of_the_full_step(n, real):
+    rng = np.random.default_rng(n)
+    count = 2 if n <= 8 else 1
+    shape = (count, 4, 4 ** (n - 1))
+    state = rng.standard_normal(shape)
+    if not real:
+        state = state + 1j * rng.standard_normal(shape)
+    width = shape[-1]
+    subsets = (
+        [width - 1],
+        np.arange(1, width, 2),
+        # Out of order, with repeats, as a chain's kept columns need not be.
+        rng.integers(0, width, size=max(1, width // 7)),
+    )
+    for lam in (0.3, rng.choice([0.0, 5e-324, 0.999, 1.0], size=count)):
+        full = densesim._observer_step(state, lam)
+        assert full.dtype == state.dtype
+        for columns in subsets:
+            # A chain's states are C-contiguous, as take makes them.
+            part = densesim._observer_step(np.ascontiguousarray(state[..., columns]), lam)
+            assert part.tobytes() == np.ascontiguousarray(full[..., columns]).tobytes()
 
 
 def per_term_gather_trace(rho, expr):

@@ -1,12 +1,15 @@
 """The dense observer chain in target-major order: observer_expectations
 against the per-state calls it replaces, and the caller's arrays."""
 
+import itertools
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from dense_spectra import to_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgme import cli, densesim
 from seqgme.densesim import (
@@ -16,7 +19,7 @@ from seqgme.densesim import (
     observer_states,
 )
 from seqgme.errors import DimensionError
-from seqgme.pauli import DENSE_QUBIT_LIMIT, PauliString
+from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString
 from seqgme.states import StateFamily
 from seqgme.witness import build_modified_witness
 
@@ -103,9 +106,68 @@ def test_chain_values_stop_at_the_shorter_of_the_two_lists():
     assert bits(observer_expectations(rho, SCHEDULE, observables[:2])) == bits(
         state_loop(rho, SCHEDULE, observables[:2])
     )
-    # A generator of observables is read as the chain advances.
+    # A generator of observables is read up front, as far as there are sharpnesses.
     lazy = (obs for obs in observables)
     assert bits(observer_expectations(rho, SCHEDULE, lazy)) == bits(replay(rho, SCHEDULE, observables))
+
+
+def test_an_endless_generator_of_observables_is_read_once_per_sharpness():
+    family = StateFamily("ghz", 4)
+    rho = family.density_matrix()
+    witness = build_modified_witness("ghz", 4, 0.3)
+    values = observer_expectations(rho, SCHEDULE[:3], itertools.repeat(witness))
+    assert bits(values) == bits(replay(rho, SCHEDULE[:3], [witness] * 3))
+
+
+@st.composite
+def pauli_chains(draw):
+    """A random state on 1..5 qubits, or a stack of 2..3, real or complex; a
+    target; 1..4 sharpnesses, each one number or one per element; and a
+    Hermitian Pauli sum per observer, some of whose X parts come in pairs
+    that differ only on the target bit."""
+    n = draw(st.integers(1, 5))
+    target = draw(st.integers(0, n - 1))
+    count = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 1 << n
+    g = rng.standard_normal((count, dim, dim))
+    if draw(st.booleans()):
+        g = g + 1j * rng.standard_normal((count, dim, dim))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    if count == 1:
+        rho = rho[0]
+    sharpness = st.sampled_from(SHARPNESSES) | st.floats(0.0, 1.0)
+    lambdas = []
+    for _ in range(draw(st.integers(1, 4))):
+        if count > 1 and draw(st.booleans()):
+            lambdas.append(np.array(draw(st.lists(sharpness, min_size=count, max_size=count))))
+        else:
+            lambdas.append(draw(sharpness))
+    masks = st.integers(0, dim - 1)
+    target_bit = 1 << (n - 1 - target)
+    letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    observables = []
+    for _ in lambdas:
+        terms = []
+        for x_part in draw(st.lists(masks, min_size=1, max_size=8)):
+            pair = (x_part, x_part ^ target_bit) if draw(st.booleans()) else (x_part,)
+            for x in pair:
+                z = draw(masks)
+                word = "".join(
+                    letters[(x >> (n - 1 - q)) & 1, (z >> (n - 1 - q)) & 1] for q in range(n)
+                )
+                terms.append(PauliString(word, draw(st.floats(-2.0, 2.0, allow_nan=False))))
+        observables.append(OperatorExpr.from_terms(n, terms))
+    return rho, lambdas, observables, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=pauli_chains())
+def test_chain_values_of_random_pauli_sums_equal_the_replay_bit_for_bit(chain):
+    rho, lambdas, observables, target = chain
+    values = observer_expectations(rho, lambdas, observables, target)
+    assert bits(values) == bits(replay(rho, lambdas, observables, target))
 
 
 def test_a_bad_observable_fails_as_in_the_state_loop():
@@ -177,10 +239,18 @@ def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
     }
     cli.cmd_run(**config)  # fill the witness and plan caches first
     state_bytes = StateFamily("cluster", 10).density_matrix().nbytes
+    witness = build_modified_witness("cluster", 10, 0.05)
+    # The chain keeps, on the last qubit (bit 0 of a mask), the 2^9 entries
+    # of each target pair for every X part off it: a compact state.
+    parts = len({term.x_mask >> 1 for term in witness.terms})
+    compact_bytes = 4 * parts * (1 << 9) * 8
     tracemalloc.start()
     try:
         rho = StateFamily("cluster", 10).density_matrix()
-        witness = build_modified_witness("cluster", 10, 0.05)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        densesim.validate_density_matrix(rho)
+        validation = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         expectation(rho, witness)
@@ -193,5 +263,7 @@ def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
     finally:
         tracemalloc.stop()
     assert state_bytes == 8 << 20
-    # Room for the rows, the witnesses and the other small objects of a run.
-    assert peak <= 2 * state_bytes + gather_block + (256 << 10)
+    assert 8 * compact_bytes < state_bytes
+    # rho, and beside it either its validation's tiles, or two compact states
+    # and one gather block; room for the rows and the other small objects.
+    assert peak <= state_bytes + max(validation, 2 * compact_bytes + gather_block) + (256 << 10)
