@@ -89,7 +89,7 @@ def cmd_run(state: str, n_qubits: int, lambdas=None, plan=None, mode: str = "bot
         witnesses = (
             build_modified_witness(family.witness_family, n_qubits, lam) for lam in lambdas
         )
-        dense_values = observer_expectations(family.density_matrix(), lambdas, witnesses)
+        dense_values = observer_expectations(family, lambdas, witnesses)
 
     rows = []
     for k, (lam, analytic, dense) in enumerate(zip(lambdas, analytic_values, dense_values), 1):

@@ -31,11 +31,13 @@ each element's four square-rooted effects in one expression from fixed
 (4, 2, 2) stacks and the two eigenvalues of the unsharp x roots, and forms
 the 4x4 superoperator from them. That superoperator is zero off its diagonal
 and antidiagonal, so a step is two products and one add per real number, and
-an entry's bits do not depend on which other columns the block holds.
-luders_update and observer_states step all 4^(N-1) columns of a copy of the
-state and convert each state they hand out back to the (2^N, 2^N) layout.
-observer_expectations reads its observables first and steps only the columns
-they read, gathered once from rho1; it reads the witness rows there in place.
+an entry's bits do not depend on which other columns the block holds. A step
+overwrites its state, so a chain holds one. luders_update and observer_states
+step all 4^(N-1) columns of a copy of the state and convert each state they
+hand out back to the (2^N, 2^N) layout. observer_expectations reads its
+observables first and steps only the columns they read, gathered once from
+rho1 or, for a StateFamily, read from its closed-form entries with no matrix
+built or validated; it reads the witness rows there in place.
 
 Validation costs O(d^2) for the states a chain meets: they have rank at most
 4, so from dimension 128 on a pivoted partial Cholesky of at most 4 steps
@@ -60,7 +62,9 @@ from .errors import (
     ValidationError,
     check_sharpness,
 )
-from .pauli import _PHASES, DENSE_QUBIT_LIMIT, IMAG_TOL, PAULI_MATRICES, OperatorExpr, PauliString
+from .pauli import _PHASES, DENSE_QUBIT_LIMIT, HERMITIAN_IMAG_TOL, IMAG_TOL, PAULI_MATRICES
+from .pauli import OperatorExpr, PauliString
+from .states import StateFamily
 
 DENSITY_TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -68,11 +72,12 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 # Entries of rho gathered at once by a Pauli-sum expectation, counting both
 # the rows gathered for a block of distinct X parts and the per-term block
-# indexed from them (8 MiB of float64, 16 MiB of complex128).
-_GATHER_ELEMENTS = 1 << 20
+# indexed from them (256 KiB of float64): from 2^16 on, a `run` at N = 9 or
+# 10 gave thousands of heap pages back to the kernel and faulted them in again.
+_GATHER_ELEMENTS = 1 << 15
 # Entries of a stack that a channel step scales at once for its partner
-# rows, so that the step makes no full-size temporary beside its output.
-_STEP_BLOCK = 1 << 16
+# rows: the in-place step's only temporary.
+_STEP_BLOCK = 1 << 15
 # Side of the square tiles of the Hermiticity check and row count of the
 # certificate's row tiles, so that neither makes a full-size temporary.
 _TILE = 128
@@ -302,11 +307,18 @@ def _factorises(matrix: np.ndarray) -> bool:
     return True
 
 
+def _checked_target(n: int, target: int | None) -> int:
+    """The target qubit, the last one when None, after a range check."""
+    target = n - 1 if target is None else target
+    if not 0 <= target < n:
+        raise ValueError(f"target qubit {target} outside 0..{n - 1}")
+    return target
+
+
 def _target_blocks(rho: np.ndarray, n: int, target: int) -> np.ndarray:
     """rho as (..., a, 2, b, a, 2, b): the last six axes of each matrix, of
     which the 2s are the target qubit's row and column bit."""
-    if not 0 <= target < n:
-        raise ValueError(f"target qubit {target} outside 0..{n - 1}")
+    target = _checked_target(n, target)
     a, b = 1 << target, 1 << (n - 1 - target)
     return rho.reshape(*rho.shape[:-2], a, 2, b, a, 2, b)
 
@@ -376,7 +388,7 @@ def _superoperator(sharpness) -> np.ndarray:
 
 
 def _observer_step(state: np.ndarray, sharpness) -> np.ndarray:
-    """luders_update of states in target-major order, without its checks.
+    """luders_update of states in target-major order, without its checks, in place.
 
     The four maps K rho K^dagger add up to _superoperator(sharpness), which
     acts on the (row bit, column bit) pair of the target qubit: axis 1 of
@@ -385,8 +397,8 @@ def _observer_step(state: np.ndarray, sharpness) -> np.ndarray:
     rows a and 3 - a: diag[a] * s[a] + anti[a] * s[3 - a], two rounded
     products and one add per real number. So an entry has the same bits
     whichever of a state's columns state holds. The superoperator is real, so
-    the result has the state's dtype. It is a new C-contiguous array of the
-    same order; the partner terms are added into it a column block at a time.
+    the result has the state's dtype. state is overwritten a column block at
+    a time, after that block's partner terms are formed, and returned.
     """
     superop = _superoperator(sharpness)
     rows = np.arange(4)
@@ -394,22 +406,13 @@ def _observer_step(state: np.ndarray, sharpness) -> np.ndarray:
     anti = superop[:, rows, rows[::-1], None]
     # A complex entry is two reals, each scaled by the same real factor.
     entries = state.view(np.float64)
-    out = diag * entries
     width = max(1, _STEP_BLOCK // (4 * max(1, len(entries))))
     for start in range(0, entries.shape[-1], width):
-        block = slice(start, start + width)
-        out[..., block] += anti * entries[:, ::-1, block]
-    return out.view(state.dtype)
-
-
-def _chain(state: np.ndarray, sharpnesses):
-    """Yield state, in target-major order, then its update by each sharpness
-    in turn. A step makes a new array and drops the one before, so no more
-    than the caller's state and its update are alive at once."""
-    yield state
-    for lam in sharpnesses:
-        state = _observer_step(state, lam)
-        yield state
+        block = entries[..., start:start + width]
+        partner = anti * block[:, ::-1]
+        block *= diag
+        block += partner
+    return state
 
 
 def _checked_chain(rho1, sharpnesses, target):
@@ -420,9 +423,7 @@ def _checked_chain(rho1, sharpnesses, target):
     n = n_qubits_of(rho)
     lambdas = [_sharpnesses(lam, rho.shape[:-2]) for lam in sharpnesses]
     validate_density_matrix(rho)
-    t = n - 1 if target is None else target
-    _target_blocks(rho, n, t)  # range-checks the target
-    return rho, n, lambdas, t
+    return rho, n, lambdas, _checked_target(n, target)
 
 
 def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
@@ -443,47 +444,60 @@ def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
     if len(lambdas) == 1:
         return
     stack = rho.shape[:-2]
-    states = _chain(_to_target_major(rho, n, t), lambdas[:-1])
+    state = _to_target_major(rho, n, t)
     del rho
-    next(states)  # rho1 again, already yielded
-    for state in states:
-        yield _from_target_major(state, stack, n, t)
+    for lam in lambdas[:-1]:
+        yield _from_target_major(_observer_step(state, lam), stack, n, t)
 
 
-def observer_expectations(rho1: np.ndarray, sharpnesses, observables, target: int | None = None):
+def observer_expectations(rho1, sharpnesses, observables, target: int | None = None):
     """Each observer's Tr[rho_k O_k]: observer k's state against observables[k].
 
     The result, its checks and their order are bit for bit those of
     [expectation(s, o) for s, o in zip(observer_states(rho1, sharpnesses,
-    target), observables)], on a single state or a stack. The observables,
-    as many as there are sharpnesses, are read before the first step, and
-    the chain runs only on the target-major columns their Pauli sums read:
-    the entries (a, j', j' ^ f') of rho1 for each of their X parts f' off
-    the target, gathered once into a (count, 4, parts * 2^(n-1)) array. A
-    step gives those entries the bits of a full step, so each term's row
-    is the one a full state gives. A dense observable reads every entry: with
-    one in the list the chain keeps all columns, and its state is scattered
-    back to rho1's layout.
+    target), observables)], on a single state or a stack. rho1 may also be a
+    StateFamily, whose density_matrix() then gives the same bits but is never
+    built: its constructor checked it, and only the sharpnesses and then the
+    target are checked here. The observables, as many as there are
+    sharpnesses, are read before the first step, and the chain runs only on
+    the target-major columns their Pauli sums read: the entries (a, j',
+    j' ^ f') of rho1 for each of their X parts f' off the target, gathered
+    once (from StateFamily.entries for a family) into a (count, 4, parts *
+    2^(n-1)) array. A step gives those entries the bits of a full step, so
+    each term's row is the one a full state gives. A dense observable reads
+    every entry: with one in the list the chain keeps all columns, and its
+    state is scattered back to rho1's layout.
     """
-    rho, n, lambdas, t = _checked_chain(rho1, sharpnesses, target)
+    if isinstance(rho1, StateFamily):
+        n, stack = rho1.n_qubits, ()
+        lambdas = [_sharpnesses(lam, stack) for lam in sharpnesses]
+        rho, t = rho1, _checked_target(n, target)
+    else:
+        rho, n, lambdas, t = _checked_chain(rho1, sharpnesses, target)
+        stack = rho.shape[:-2]
     del rho1  # hold no reference to the caller's array past the gather
     observables = list(itertools.islice(observables, len(lambdas)))
     if not observables:
         return []
-    stack, dim = rho.shape[:-2], rho.shape[-1]
+    dim = 1 << n
     kept = _read_parts(observables, n, t)
-    start = np.take(rho.reshape(-1, dim * dim), _kept_entries(n, t, kept), axis=1)
-    del rho
-    states = _chain(start, lambdas[:len(observables) - 1])
-    del start
+    rows, cols = _kept_entries(n, t, kept)
+    if isinstance(rho, StateFamily):
+        state = rho.entries(rows, cols).reshape(1, 4, -1)
+    else:
+        state = np.take(rho.reshape(-1, dim * dim), ((rows << n) + cols).reshape(4, -1), axis=1)
+    del rho, rows, cols
     positions = _positions(n, t, kept)
     values = []
-    for state, obs in zip(states, observables):
+    for k, obs in enumerate(observables):
+        if k:  # the observer before updates the one state array in place
+            _observer_step(state, lambdas[k - 1])
         if isinstance(obs, (PauliString, OperatorExpr)):
             values.append(_pauli_expectation(state, stack, n, obs, positions))
         else:
+            rows, cols = _kept_entries(n, t, kept)
             full = np.empty((len(state), dim * dim), dtype=state.dtype)
-            full[:, _kept_entries(n, t, kept)] = state
+            full[:, ((rows << n) + cols).reshape(4, -1)] = state
             values.append(expectation(full.reshape(*stack, dim, dim), obs))
     return values
 
@@ -515,16 +529,15 @@ def _read_parts(observables, n: int, target: int) -> np.ndarray:
     return np.array(sorted(parts), dtype=np.int64)
 
 
-def _kept_entries(n: int, target: int, kept: np.ndarray) -> np.ndarray:
-    """Flat offsets in a (2^n, 2^n) state of a chain's kept entries, shape
-    (4, parts * 2^(n-1)): [a, p * 2^(n-1) + j'] is rho[(a_r, j'), (a_c, j' ^
-    kept[p])], with a = 2 a_r + a_c the target's (row bit, column bit)."""
+def _kept_entries(n: int, target: int, kept: np.ndarray):
+    """The rows and columns in a (2^n, 2^n) state of a chain's kept entries,
+    int64 arrays that broadcast to (2, 2, parts, 2^(n-1)): [a_r, a_c, p, j']
+    is the entry ((a_r, j'), (a_c, j' ^ kept[p])), with (a_r, a_c) the
+    target's (row bit, column bit)."""
     low = n - 1 - target
     rest = _with_bit(np.arange(1 << (n - 1), dtype=np.int64), low)
-    target_bits = np.array([0, 1, 1 << n, (1 << n) + 1], dtype=np.int64) << low
-    columns = rest ^ _with_bit(kept, low)[:, None]
-    offsets = (rest << n) + columns + target_bits[:, None, None]
-    return offsets.reshape(4, -1)
+    bit = np.array([[0], [1]], dtype=np.int64) << low
+    return rest + bit[:, None, None], (rest ^ _with_bit(kept, low)[:, None]) + bit[:, None]
 
 
 def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -> np.ndarray:
@@ -537,7 +550,7 @@ def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -
     rho = _as_state(rho)
     n = n_qubits_of(rho)
     lam = _sharpnesses(sharpness, rho.shape[:-2])
-    blocks = _target_blocks(rho, n, n - 1 if target is None else target)
+    blocks = _target_blocks(rho, n, target)
     # One factor per element, broadcast over its six block axes.
     s = np.reshape(np.sqrt(1.0 - lam * lam), np.shape(lam) + (1,) * 6)
     z_rho_z = blocks.copy()
@@ -548,34 +561,34 @@ def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -
     return out.reshape(rho.shape)
 
 
-_MASKS = attrgetter("x_mask", "z_mask")
+_FIELDS = attrgetter("x_mask", "z_mask", "coeff")
 # Gather plans kept, one per term layout; a plan's parity table holds one
 # byte per term and basis state (513 KiB for the 513-term witness at N = 10).
 _PLAN_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _gather_plan(n: int, layout: tuple[tuple[int, int], ...]):
-    """How to gather a Pauli sum whose terms have these (x, z) masks.
+def _gather_plan(n: int, xs: tuple[int, ...], zs: tuple[int, ...]):
+    """How to gather a Pauli sum whose terms have these X and Z masks.
 
-    The power of i that each term's Y letters put in its phase (in term
-    order; a string with masks (x, z) is i^popcount(x & z)·X^x·Z^z), the order of the terms by X part
-    (each part's terms form one run, so part_of ascends), the distinct X
-    parts, each ordered term's part, and the bool table
+    The order of the terms by X part (each part's terms form one run, so
+    part_of ascends), the power of i that each ordered term's Y letters put
+    in its phase (a string with masks (x, z) is i^popcount(x & z)·X^x·Z^z),
+    the distinct X parts, each ordered term's part, and the bool table
     (-1)^popcount(j & z) == -1 of each ordered term and basis state j.
     """
-    y_phases = tuple(_PHASES[(x & z).bit_count() % 4] for x, z in layout)
-    order = sorted(range(len(layout)), key=lambda t: layout[t][0])
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    y_phases = np.array([_PHASES[(xs[t] & zs[t]).bit_count() % 4] for t in order])
     parts, part_of = [], []
     for t in order:
-        if not parts or layout[t][0] != parts[-1]:
-            parts.append(layout[t][0])
+        if not parts or xs[t] != parts[-1]:
+            parts.append(xs[t])
         part_of.append(len(parts) - 1)
     rows = np.arange(1 << n, dtype=np.int64)
-    signs = np.array([layout[t][1] for t in order], dtype=np.int64)
+    signs = np.array([zs[t] for t in order], dtype=np.int64)
     negative = (np.bitwise_count(rows & signs[:, None]) & 1).astype(bool)
     order = np.array(order)
-    return y_phases, order, np.array(parts, dtype=np.int64), np.array(part_of), negative
+    return order, y_phases, np.array(parts, dtype=np.int64), np.array(part_of), negative
 
 
 def _positions(n: int, target: int | None, kept=None):
@@ -616,17 +629,21 @@ def _pauli_sum_trace(states: np.ndarray, expr: OperatorExpr, positions) -> np.nd
     stack too large for two rows of each is split). Each term's sum is a row
     sum of a 2-D array, and the terms are added by fsum, so an element's
     value is bit for bit that of its own call, in either layout of
-    _positions.
+    _positions. The terms' masks and coefficients are read in one walk, and
+    a coefficient with an imaginary part is refused before any gather.
     """
-    layout = tuple(map(_MASKS, expr.terms))
-    if not layout:
+    if not expr.terms:
         return np.zeros(len(states), dtype=complex)
-    y_phases, order, parts, part_of, negative = _gather_plan(expr.n_qubits, layout)
+    xs, zs, coeffs = zip(*map(_FIELDS, expr.terms))
+    coeffs = np.array(coeffs, dtype=complex)
+    if not (abs(coeffs.imag) <= HERMITIAN_IMAG_TOL).all():
+        raise ValidationError("observable has non-real Pauli coefficients")
+    order, y_phases, parts, part_of, negative = _gather_plan(expr.n_qubits, xs, zs)
     per_term = _term_traces(states, positions, parts, part_of, negative)
-    # Each term's coefficient times the phase of its Y letters.
-    phases = np.array([t.coeff * y for t, y in zip(expr.terms, y_phases)])[order]
+    # Each term's coefficient times the phase of its Y letters, exactly.
+    phases = coeffs[order] * y_phases
     # Each element's products in a call of their own shape, as alone.
-    return np.array([_fsum(row * phases) for row in per_term])
+    return np.array([_fsum(row * phases) for row in per_term], dtype=complex)
 
 
 def _fsum(values: np.ndarray) -> complex:
@@ -654,7 +671,7 @@ def _term_traces(states: np.ndarray, positions, parts, part_of, negative) -> np.
         ])
     per_term = np.empty((count, len(part_of)), dtype=complex)
     # Rows held at once: at most half of them parts' rows, the rest terms'.
-    budget = max(2, _GATHER_ELEMENTS // (dim * count))
+    budget = max(2, _GATHER_ELEMENTS // (dim * max(1, count)))
     for first in range(0, len(parts), budget // 2):
         chunk = parts[first:first + budget // 2]
         # take returns C-ordered rows: (count, parts, dim).
@@ -672,8 +689,8 @@ def _term_traces(states: np.ndarray, positions, parts, part_of, negative) -> np.
                 signed = np.take(part_rows, part_of[block] - first, axis=1)
             # Signed in place, by flipping sign bits: a row taken in place
             # belongs to this term alone. A complex entry flips both halves.
-            flips = np.left_shift(negative[block], 63, dtype=np.uint64)
-            signed.view(np.uint64).reshape(*signed.shape, -1)[...] ^= flips[..., None]
+            flips = np.left_shift(negative[block], 63, dtype=np.uint64)[..., None]
+            signed.view(np.uint64).reshape(*signed.shape, signed.itemsize // 8)[...] ^= flips
             # Sums of C-ordered rows: numpy adds each row pairwise, in the same
             # order whatever the number of rows, where a strided row would be
             # added in sequence.
@@ -689,9 +706,7 @@ def _pauli_expectation(states: np.ndarray, stack: tuple, n: int, obs, positions)
         obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
     if obs.n_qubits != n:
         raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
-    if not obs.is_hermitian():
-        raise ValidationError("observable has non-real Pauli coefficients")
-    flat = states.reshape(len(states), -1)
+    flat = states.reshape(len(states), math.prod(states.shape[1:]))
     return _real_part(_pauli_sum_trace(flat, obs, positions).reshape(stack))
 
 

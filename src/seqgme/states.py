@@ -1,9 +1,11 @@
 """Initial states: GHZ-type and linear cluster families plus their stabilizers.
 
 `StateFamily.density_matrix` builds every family as a real (float64) density
-matrix, since each has real amplitudes. `stabilizer_generators` checks each
-family's generators by GF(2) algebra at every N and keeps the echelon basis
-that check builds. `stabilizer_expectation` evaluates Pauli sums on
+matrix, since each has real amplitudes: `StateFamily.entries` on the full
+grid, which gives any other entries with the bits they have there.
+`stabilizer_generators` checks each family's generators by GF(2) algebra at
+every N and keeps the echelon basis that check builds.
+`stabilizer_expectation` evaluates Pauli sums on
 stabilizer states from that basis without any dense matrix, which is the
 "symbolic" route the dense simulator is cross-checked against (a built
 witness from its factored form at any N, any other sum term by term), and
@@ -379,25 +381,34 @@ class StateFamily:
             return 1.0
         return 2.0 * self.p1 * math.sqrt(self.alpha * (1.0 - self.alpha))
 
+    def entries(self, rows, cols) -> np.ndarray:
+        """rho[rows, cols] for integer index arrays that broadcast together:
+        (p1·psi[r]·psi[c] + p2·[r = c = 0] + p3·[r = c = last]) times 1/total,
+        on the family's real amplitudes psi, with GHZ's corners exactly 1/2.
+        An entry's bits do not depend on which others are asked for, so
+        density_matrix is this on the full grid. The parameters were checked
+        at construction."""
+        n, last = self.n_qubits, (1 << self.n_qubits) - 1
+        if self.kind == "ghz":
+            return 0.5 * (((rows == 0) | (rows == last)) & ((cols == 0) | (cols == last)))
+        psi = _cluster_amplitudes(n) if self.kind == "cluster" else _ghz_amplitudes(n, self.alpha)
+        out = psi[rows] * psi[cols]
+        if self.kind != "mixed":  # weights (1, 0, 0) would change no bit
+            return out
+        # The generalized GHZ state mixed with the two classical extremes, times
+        # the reciprocal, which is how numpy divides a complex array by a real
+        # scalar: the entries equal those of the same state built complex.
+        out *= self.p1
+        np.add(out, self.p2, out=out, where=(rows == 0) & (cols == 0))
+        np.add(out, self.p3, out=out, where=(rows == last) & (cols == last))
+        out *= 1.0 / (self.p1 + self.p2 + self.p3)
+        return out
+
     def density_matrix(self) -> np.ndarray:
-        """The family's real density matrix; at most DENSE_QUBIT_LIMIT qubits."""
+        """The family's real density matrix, entries on the full grid; at most
+        DENSE_QUBIT_LIMIT qubits."""
         n = self.n_qubits
         if n > DENSE_QUBIT_LIMIT:
             raise CapacityError(f"{n} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
-        if self.kind == "ghz":
-            # The four corner entries exactly 1/2.
-            rho = np.zeros((1 << n, 1 << n))
-            rho[np.ix_([0, -1], [0, -1])] = 0.5
-            return rho
-        psi = _cluster_amplitudes(n) if self.kind == "cluster" else _ghz_amplitudes(n, self.alpha)
-        if self.kind != "mixed":
-            return np.outer(psi, psi)
-        # The generalized GHZ state mixed with the two classical extremes.
-        total = self.p1 + self.p2 + self.p3
-        rho = self.p1 * np.outer(psi, psi)
-        rho[0, 0] += self.p2
-        rho[-1, -1] += self.p3
-        # Times the reciprocal, which is how numpy divides a complex array by a
-        # real scalar: the entries equal those of the same state built complex.
-        rho *= 1.0 / total
-        return rho
+        index = np.arange(1 << n)
+        return self.entries(index[:, None], index)

@@ -98,6 +98,47 @@ def test_a_stack_with_one_sharpness_per_element_equals_its_elements(n, real):
             assert bits(alone) == bits([value[i] for value in values])
 
 
+@pytest.mark.parametrize("label", FAMILIES)
+@pytest.mark.parametrize("n", range(3, DENSE_QUBIT_LIMIT + 1))
+def test_a_family_gives_the_values_of_its_density_matrix_on_every_target(label, n):
+    family = StateFamily.parse(label, n)
+    rho = family.density_matrix()
+    observables = witnesses(family, SCHEDULE)
+    for target in (None, *range(n)):
+        values = observer_expectations(family, SCHEDULE, observables, target)
+        expected = observer_expectations(rho, SCHEDULE, observables, target)
+        assert [value.hex() for value in values] == [value.hex() for value in expected]
+        assert all(type(value) is float for value in values)
+
+
+@pytest.mark.parametrize(
+    "lambdas, target",
+    [
+        ([0.5, 1.5], None),
+        ([0.5, float("nan")], 0),
+        ([0.5, [0.1, 0.2]], None),
+        ([0.5, 0.5], 3),
+        ([0.5], -1),
+        # Both at fault: the sharpness is named, as for a matrix.
+        ([1.5], 7),
+    ],
+    ids=["sharpness", "nan", "per-element", "target", "negative-target", "both"],
+)
+def test_a_family_is_refused_as_its_density_matrix_is(lambdas, target):
+    family = StateFamily("cluster", 3)
+    observable = PauliString("ZZZ")
+    refusals = []
+    for rho1 in (family, family.density_matrix()):
+        with (
+            mock.patch.object(densesim, "_observer_step") as step,
+            pytest.raises(ValueError) as caught,
+        ):
+            observer_expectations(rho1, lambdas, itertools.repeat(observable), target)
+        step.assert_not_called()
+        refusals.append((type(caught.value), str(caught.value)))
+    assert refusals[0] == refusals[1]
+
+
 def test_chain_values_stop_at_the_shorter_of_the_two_lists():
     family = StateFamily("ghz", 4)
     rho = family.density_matrix()
@@ -249,10 +290,6 @@ def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
         rho = StateFamily("cluster", 10).density_matrix()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        densesim.validate_density_matrix(rho)
-        validation = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
         expectation(rho, witness)
         gather_block = tracemalloc.get_traced_memory()[1] - base
         del rho, witness
@@ -264,6 +301,30 @@ def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
         tracemalloc.stop()
     assert state_bytes == 8 << 20
     assert 8 * compact_bytes < state_bytes
-    # rho, and beside it either its validation's tiles, or two compact states
-    # and one gather block; room for the rows and the other small objects.
-    assert peak <= state_bytes + max(validation, 2 * compact_bytes + gather_block) + (256 << 10)
+    bound = 2 * compact_bytes + gather_block + (256 << 10)
+    assert bound < state_bytes
+    # No rho: two compact states' worth (the state and the family's entries
+    # as they are made) and one gather block; room for the rows and the other
+    # small objects.
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("label", FAMILIES)
+def test_run_builds_and_validates_no_density_matrix(label):
+    family = StateFamily.parse(label, DENSE_QUBIT_LIMIT)
+    lambdas = (0.05, 0.3, 1.0)
+    expected = observer_expectations(family.density_matrix(), lambdas, witnesses(family, lambdas))
+    cli.cmd_run(label, DENSE_QUBIT_LIMIT, lambdas=lambdas, mode="dense")  # fill the caches
+    tracemalloc.start()
+    try:
+        with (
+            mock.patch.object(StateFamily, "density_matrix", side_effect=AssertionError),
+            mock.patch.object(densesim, "validate_density_matrix", side_effect=AssertionError),
+        ):
+            rows = cli.cmd_run(label, DENSE_QUBIT_LIMIT, lambdas=lambdas, mode="both")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row["witness_value_dense"].hex() for row in rows] == [value.hex() for value in expected]
+    # Less than one (2^N, 2^N) float64 array was ever allocated at once.
+    assert peak < 8 << (2 * DENSE_QUBIT_LIMIT)

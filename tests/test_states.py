@@ -532,6 +532,57 @@ def test_density_matrix_is_real(text):
         np.testing.assert_array_equal(rho, np.outer(psi, psi))
 
 
+def outer_product_density(family):
+    """The family's density matrix built as an outer product, with the
+    mixture's weights added to the corners and scaled by the reciprocal of
+    their total: the construction StateFamily.entries replaced."""
+    n = family.n_qubits
+    if family.kind == "ghz":
+        rho = np.zeros((1 << n, 1 << n))
+        rho[np.ix_([0, -1], [0, -1])] = 0.5
+        return rho
+    if family.kind == "cluster":
+        psi = states._cluster_amplitudes(n)
+    else:
+        psi = states._ghz_amplitudes(n, family.alpha)
+    rho = family.p1 * np.outer(psi, psi)
+    rho[0, 0] += family.p2
+    rho[-1, -1] += family.p3
+    rho *= 1.0 / (family.p1 + family.p2 + family.p3)
+    return rho
+
+
+ENTRY_FAMILIES = (
+    "ghz",
+    "cluster",
+    "gghz:alpha=0.3",
+    "gghz:alpha=1e-300",
+    "mixed:p1=0.8,p2=0.1,p3=0.1,alpha=0.4",
+    "mixed:p1=0.7,p2=0.0,p3=0.3000000001,alpha=0.9",
+)
+
+
+@pytest.mark.parametrize("label", ENTRY_FAMILIES)
+@pytest.mark.parametrize("n", range(3, DENSE_QUBIT_LIMIT + 1))
+def test_entries_are_the_outer_product_density_bit_for_bit(label, n):
+    family = StateFamily.parse(label, n)
+    reference = outer_product_density(family).view(np.uint64)
+    index = np.arange(1 << n)
+    full = family.entries(index[:, None], index)
+    assert full.dtype == np.float64
+    assert np.array_equal(full.view(np.uint64), reference)
+    assert np.array_equal(family.density_matrix().view(np.uint64), reference)
+    # Any entries, in any order and shape, have the bits they have in the grid.
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, 1 << n, size=(3, 1, 40))
+    cols = rng.integers(0, 1 << n, size=(5, 40))
+    cols[0, :4] = [0, index[-1], 0, index[-1]]
+    rows[0, 0, :4] = [0, 0, index[-1], index[-1]]
+    picked = family.entries(rows, cols)
+    assert picked.shape == (3, 5, 40)
+    assert np.array_equal(picked.view(np.uint64), reference[rows, cols])
+
+
 @pytest.mark.parametrize("field", ["alpha", "p1", "p2", "p3"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_state_family_rejects_non_finite_parameters(field, value):
