@@ -1,9 +1,11 @@
 """Exact algebra for N-qubit Pauli strings and weighted sums of them.
 
-Strings are words over {I, X, Y, Z}; qubit 1 is the leftmost letter and the
-most significant tensor factor. Each string also carries the integer masks of
-its X part and Z part, in the tableau style of Aaronson and Gottesman
-(arXiv:quant-ph/0406196): the letter Y = i·X·Z sets both bits of its qubit.
+A string is stored as the integer masks of its X part and Z part, in the
+tableau style of Aaronson and Gottesman (arXiv:quant-ph/0406196), with qubit 1
+the most significant bit and tensor factor; Y = i·X·Z sets both bits of its
+qubit. Its letters, a word over {I, X, Y, Z} with qubit 1 leftmost, are parsed
+by the constructor and otherwise computed from the masks, for str, repr and
+the canonical term order.
 Products are an xor of the masks plus a popcount phase tracked as an exact
 power of i, so stabilizer expansions never accumulate phase noise; all products
 use `_mask_product`, and all commutation checks `_anticommuting_pair`.
@@ -37,8 +39,8 @@ IMAG_TOL = 1e-10
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
-# Letter -> bit of the X mask (X, Y) and of the Z mask (Z, Y), read once at
-# construction; qubit 1 is the most significant bit.
+# Letter -> bit of the X mask (X, Y) and of the Z mask (Z, Y), read by the
+# constructor; qubit 1 is the most significant bit.
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 # Hex digit x + 2z of one qubit -> its letter (see _letters_of).
@@ -79,52 +81,51 @@ def _mask_product(ax: int, az: int, bx: int, bz: int) -> tuple[int, int, int]:
     return x, z, power % 4
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PauliString:
-    """A scalar multiple of a tensor product of single-qubit Paulis."""
+    """A scalar multiple of a tensor product of single-qubit Paulis, kept as masks."""
 
-    letters: str
-    coeff: complex = 1.0 + 0.0j
-    x_mask: int = field(init=False, repr=False, compare=False)
-    z_mask: int = field(init=False, repr=False, compare=False)
+    n_qubits: int
+    x_mask: int
+    z_mask: int
+    coeff: complex
 
-    def __post_init__(self) -> None:
-        if not self.letters:
-            raise ValueError("PauliString needs at least one qubit")
-        if self.letters.strip(PAULI_LETTERS):
-            bad = set(self.letters) - set(PAULI_LETTERS)
-            raise ValueError(f"invalid Pauli letters: {sorted(bad)}")
-        _set_coeff(self, complex(self.coeff))
-        _set_x_mask(self, int(self.letters.translate(_X_BITS), 2))
-        _set_z_mask(self, int(self.letters.translate(_Z_BITS), 2))
+    def __init__(self, letters: str, coeff: complex = 1.0) -> None:
+        if not isinstance(letters, str) or not letters or letters.strip(PAULI_LETTERS):
+            raise ValueError(f"Pauli letters must be a nonempty word over IXYZ, got {letters!r}")
+        _set_n_qubits(self, len(letters))
+        _set_x_mask(self, int(letters.translate(_X_BITS), 2))
+        _set_z_mask(self, int(letters.translate(_Z_BITS), 2))
+        _set_coeff(self, complex(coeff))
 
     @classmethod
-    def _from_masks(
-        cls, letters: str, coeff: complex, x_mask: int, z_mask: int
-    ) -> "PauliString":
-        """Build from parts already known to agree, skipping the letter parse."""
+    def _from_masks(cls, n_qubits: int, x_mask: int, z_mask: int, coeff: complex) -> "PauliString":
+        """Build from masks below 2^n_qubits and a complex coeff, unchecked."""
         out = object.__new__(cls)
-        _set_letters(out, letters)
-        _set_coeff(out, coeff)
+        _set_n_qubits(out, n_qubits)
         _set_x_mask(out, x_mask)
         _set_z_mask(out, z_mask)
+        _set_coeff(out, coeff)
         return out
 
     @property
-    def n_qubits(self) -> int:
-        return len(self.letters)
+    def letters(self) -> str:
+        return _letters_of(self.n_qubits, self.x_mask, self.z_mask)
 
     def with_coeff(self, coeff: complex) -> "PauliString":
-        return PauliString._from_masks(self.letters, complex(coeff), self.x_mask, self.z_mask)
+        return PauliString._from_masks(self.n_qubits, self.x_mask, self.z_mask, complex(coeff))
 
     def __str__(self) -> str:
         return f"{_format_coeff(self.coeff)}·{self.letters}"
 
+    def __repr__(self) -> str:
+        return f"PauliString(letters={self.letters!r}, coeff={self.coeff!r})"
+
 
 # The slots' own setters, for writes the frozen dataclass's __setattr__
 # refuses; cheaper than object.__setattr__.
-_set_letters, _set_coeff, _set_x_mask, _set_z_mask = (
-    PauliString.__dict__[name].__set__ for name in ("letters", "coeff", "x_mask", "z_mask")
+_set_n_qubits, _set_x_mask, _set_z_mask, _set_coeff = (
+    PauliString.__dict__[name].__set__ for name in PauliString.__slots__
 )
 
 
@@ -145,7 +146,7 @@ def _anticommuting_pair(strings: Sequence[PauliString]) -> tuple[PauliString, Pa
         support = g.x_mask | g.z_mask
         while support:
             low = support & -support
-            on_qubit.setdefault(low, []).append(i)
+            on_qubit.setdefault(low.bit_length(), []).append(i)
             support ^= low
     pairs = {pair for members in on_qubit.values() for pair in combinations(members, 2)}
     for i, j in sorted(pairs):
@@ -171,8 +172,8 @@ class _ProjectorForm(NamedTuple):
 class OperatorExpr:
     """Canonical sum of Pauli strings over a fixed number of qubits.
 
-    Terms are merged by letters, zero coefficients dropped, and the remainder
-    sorted lexicographically, so equal operators compare equal. `factored`
+    Terms are merged by masks, zero coefficients dropped, and the remainder
+    sorted by letters, so equal operators compare equal. `factored`
     is the _ProjectorForm the terms expand, when the builder knows it; ==
     and hash ignore it, and every arithmetic result goes without it. A sum
     made by `_deferred` expands its terms when first read (as == and hash do).
@@ -200,10 +201,8 @@ class OperatorExpr:
     def from_terms(cls, n_qubits: int, terms: Iterable[PauliString]) -> "OperatorExpr":
         merged: dict[tuple[int, int], complex] = {}
         for term in terms:
-            if len(term.letters) != n_qubits:
-                raise DimensionError(
-                    f"term on {term.n_qubits} qubits in a {n_qubits}-qubit sum"
-                )
+            if term.n_qubits != n_qubits:
+                raise DimensionError(f"term on {term.n_qubits} qubits in a {n_qubits}-qubit sum")
             key = (term.x_mask, term.z_mask)
             merged[key] = merged.get(key, 0.0) + term.coeff
         return cls._from_merged(n_qubits, merged)
@@ -211,11 +210,7 @@ class OperatorExpr:
     @classmethod
     def _from_merged(cls, n_qubits: int, merged: dict[tuple[int, int], complex]) -> "OperatorExpr":
         """The canonical sum of coefficients keyed by (x mask, z mask)."""
-        kept = [
-            PauliString._from_masks(_letters_of(n_qubits, x, z), coeff, x, z)
-            for (x, z), coeff in merged.items()
-            if coeff != 0
-        ]
+        kept = [PauliString._from_masks(n_qubits, x, z, c) for (x, z), c in merged.items() if c != 0]
         kept.sort(key=attrgetter("letters"))
         return cls(n_qubits, tuple(kept))
 

@@ -61,8 +61,10 @@ def _cluster_amplitudes(n: int) -> np.ndarray:
 def stabilizer_generators(family: str, n: int) -> list[PauliString]:
     """Stabilizer generators of the family's n-qubit state, checked by GF(2).
 
-    For the cluster chain the interior generators are Z(m-1) X(m) Z(m+1).
-    The set is checked, as in stabilizer_expectation, to be n independent,
+    GHZ has X..X and Z(m) Z(m+1); the cluster chain has X(1) Z(2),
+    Z(m-1) X(m) Z(m+1) and Z(n-1) X(n). Each is built straight from its masks,
+    with no letters, so the n strings take O(n) integer operations. The set
+    is checked, as in stabilizer_expectation, to be n independent,
     pairwise commuting strings with coefficients +-1, so that it fixes one
     state; the check's basis is kept for these strings. Each call returns a
     fresh list of the same strings.
@@ -79,16 +81,15 @@ _BASIS_CACHE_SIZE = 64
 def _verified_generators(family: str, n: int) -> tuple[PauliString, ...]:
     if n < 3:
         raise CapacityError(f"generators are defined on 3 or more qubits, got {n}")
+    # (x mask, z mask) per generator, qubit 1 the most significant bit.
+    full = (1 << n) - 1
     if family == "ghz":
-        words = ["X" * n]
-        words += ["I" * m + "ZZ" + "I" * (n - m - 2) for m in range(n - 1)]
+        masks = [(full, 0)] + [(0, 3 << m) for m in range(n - 2, -1, -1)]
     elif family == "cluster":
-        words = ["XZ" + "I" * (n - 2)]
-        words += ["I" * m + "ZXZ" + "I" * (n - m - 3) for m in range(n - 2)]
-        words.append("I" * (n - 2) + "ZX")
+        masks = [(x, (x << 1 | x >> 1) & full) for x in (1 << m for m in range(n - 1, -1, -1))]
     else:
         raise ValueError(f"unknown stabilizer family {family!r}")
-    gens = tuple(map(PauliString, words))
+    gens = tuple(PauliString._from_masks(n, x, z, 1.0 + 0.0j) for x, z in masks)
     _stabilizer_basis(gens, n)  # validates them, and keeps the basis
     return gens
 

@@ -20,10 +20,13 @@ once into W(0)'s and Ẇ's terms, and a witness writes each slope times λ in.
 from __future__ import annotations
 
 import functools
+from operator import attrgetter
 
 from .errors import CapacityError, check_sharpness
 from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, _ProjectorForm, expand_projector_product
 from .states import stabilizer_generators
+
+_MASKS = attrgetter("x_mask", "z_mask")
 
 
 def build_modified_ghz_witness(n: int, sharpness: float) -> OperatorExpr:
@@ -99,5 +102,5 @@ def _expansion(family: str, n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
     fixed = OperatorExpr.identity(n, 3.0) - host - 2.0 * rest
     slope = -1.0 * (host * OperatorExpr.from_terms(n, [s]))
     terms = (fixed + slope).terms
-    sloped = {term.letters for term in slope.terms}
-    return fixed.terms, terms, tuple(i for i, t in enumerate(terms) if t.letters in sloped)
+    sloped = set(map(_MASKS, slope.terms))
+    return fixed.terms, terms, tuple(i for i, t in enumerate(terms) if _MASKS(t) in sloped)

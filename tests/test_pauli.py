@@ -1,6 +1,7 @@
 """Pauli string algebra: multiplication phases, expansions, dense conversion."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from seqgme.pauli import (
     DENSE_QUBIT_LIMIT,
     OperatorExpr,
     PauliString,
+    _format_coeff,
+    _letters_of,
     commutes,
     expand_projector_product,
 )
@@ -320,5 +323,48 @@ def test_statevector_action_matches_matrix():
 
 
 def test_invalid_letters_are_rejected():
-    with pytest.raises(ValueError):
-        PauliString("XQ")
+    for bad in ("XQ", ["X", "Z"], 5, "", "xz", "X Z"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            PauliString(bad)
+
+
+def oracle_letters(n, x_mask, z_mask):
+    """Qubit q's letter from bit n - 1 - q of each mask, one qubit at a time."""
+    bits = [((x_mask >> (n - 1 - q)) & 1, (z_mask >> (n - 1 - q)) & 1) for q in range(n)]
+    return "".join({(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[b] for b in bits)
+
+
+_COEFFS = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mask_strings(draw):
+    """(n, [(x mask, z mask, coeff)]) on 1..12 qubits, distinct masks."""
+    n = draw(st.integers(1, 12))
+    mask = st.integers(0, (1 << n) - 1)
+    terms = st.tuples(mask, mask, _COEFFS)
+    return n, draw(st.lists(terms, min_size=1, max_size=12, unique_by=lambda t: t[:2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_strings())
+def test_letters_and_masks_are_one_representation(case):
+    n, terms = case
+    for x, z, c in terms:
+        letters = oracle_letters(n, x, z)
+        built = PauliString._from_masks(n, x, z, c)
+        parsed = PauliString(_letters_of(n, x, z), c)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert built.letters == letters and PauliString(letters).letters == letters
+        assert str(built) == f"{_format_coeff(c)}·{letters}"
+        assert repr(built) == f"PauliString(letters={letters!r}, coeff={c!r})"
+        assert not hasattr(built, "__dict__")
+    expr = OperatorExpr.from_terms(n, [PauliString._from_masks(n, x, z, c) for x, z, c in terms])
+    kept = sorted(oracle_letters(n, x, z) for x, z, c in terms if c != 0)
+    assert [t.letters for t in expr.terms] == kept
+
+
+def test_a_string_stores_its_masks_and_coefficient_only():
+    assert PauliString.__slots__ == ("n_qubits", "x_mask", "z_mask", "coeff")
+    assert repr(PauliString("XYZ", -0.5)) == "PauliString(letters='XYZ', coeff=(-0.5+0j))"
+    assert str(PauliString("XYZ", -0.5j)) == "-0.5i·XYZ"

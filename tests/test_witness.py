@@ -204,6 +204,25 @@ def test_witness_values_beyond_the_dense_limit_are_the_closed_form(family, n):
             build_modified_witness(family, n, 0.5).terms
 
 
+@pytest.mark.parametrize("family", ["ghz", "cluster"])
+def test_ten_thousand_parties_from_closed_form_masks(family):
+    n = 10_000
+    gens = stabilizer_generators(family, n)
+    masks = [(g.x_mask, g.z_mask) for g in gens]
+    full = (1 << n) - 1
+    if family == "ghz":
+        # X..X, then ZZ on qubits m and m + 1 (qubit 1 the most significant bit).
+        assert masks == [(full, 0)] + [(0, 3 << (n - m - 1)) for m in range(1, n)]
+    else:
+        # XZ, then ZXZ centred on qubit m, then ZX.
+        interior = [(1 << (n - m), 5 << (n - m - 1)) for m in range(2, n)]
+        assert masks == [(1 << (n - 1), 1 << (n - 2)), *interior, (1, 2)]
+    assert all(g.n_qubits == n and g.coeff == 1.0 for g in gens)
+    for lam in (0.0, 0.37, 1.0):
+        value = stabilizer_expectation(build_modified_witness(family, n, lam), gens)
+        assert value == full_sequence_report(family, [lam])[0].witness_value
+
+
 def test_ghz3_witness_terms():
     expr = build_modified_ghz_witness(3, 1.0)
     assert {t.letters: t.coeff for t in expr.terms} == {
