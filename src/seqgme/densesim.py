@@ -39,11 +39,9 @@ observables first and steps only the columns they read, gathered once from
 rho1 or, for a StateFamily, read from its closed-form entries with no matrix
 built or validated; it reads the witness rows there in place.
 
-Validation costs O(d^2) for the states a chain meets: they have rank at most
-4, so from dimension 128 on a pivoted partial Cholesky of at most 4 steps
-plus a Gershgorin bound on its residual proves positivity. Only when that
-cannot decide does a full Cholesky (and then eigvalsh) run. Large matrices
-are swept in tiles.
+Validation decides positivity on one path at every size: a Cholesky
+factorisation of the whole stack in the state's dtype, O(d^3) per element,
+and eigvalsh only where it fails. A chain validates its start state once.
 """
 
 from __future__ import annotations
@@ -78,19 +76,6 @@ _GATHER_ELEMENTS = 1 << 15
 # Entries of a stack that a channel step scales at once for its partner
 # rows: the in-place step's only temporary.
 _STEP_BLOCK = 1 << 15
-# Side of the square tiles of the Hermiticity check and row count of the
-# certificate's row tiles, so that neither makes a full-size temporary.
-_TILE = 128
-# Pivot steps of the low-rank positivity certificate. Every Kraus operator
-# acts on one qubit, so a chain started from a pure state stays inside
-# span{E_a|psi>} for the four Paulis E_a on the target: rank at most 4. (The
-# GHZ mixture lives on span{|0..0>, |1..1>}, rank at most 2.)
-_CERTIFICATE_RANK = 4
-# Smallest dimension at which the certificate is tried. Below it LAPACK's
-# Cholesky costs less than the pivot steps and the sweep, and full-rank states
-# (verify's random ones) would waste them.
-_CERTIFICATE_MIN_DIM = 128
-
 # Eigenprojectors (I + sigma)/2 and (I - sigma)/2 of the x and z settings,
 # both real, so the channel maps a real state to a real state.
 _PROJECTORS = {
@@ -176,112 +161,38 @@ def _sharpnesses(sharpness, stack: tuple[int, ...]):
     return lam
 
 
-def _adjoint(x: np.ndarray) -> np.ndarray:
-    """x^dagger of each matrix of a stack, as a view of x when x is real."""
-    return x.conj().swapaxes(-1, -2) if x.dtype.kind == "c" else x.swapaxes(-1, -2)
-
-
 def _max_asymmetry(x: np.ndarray):
-    """max |x_ij - conj(x_ji)| of each matrix of a stack, NaN if it has a NaN entry.
-
-    A matrix larger than one tile is swept tile pair by tile pair, (i, j)
-    against (j, i)^dagger, so no full-size temporary is made; the maximum is
-    the same.
-    """
-    dim = x.shape[-1]
-    if dim <= _TILE:
-        return np.abs(x - _adjoint(x)).max(axis=(-2, -1))
-    return np.max([
-        np.abs(
-            x[..., i:i + _TILE, j:j + _TILE] - _adjoint(x[..., j:j + _TILE, i:i + _TILE])
-        ).max(axis=(-2, -1))
-        for i in range(0, dim, _TILE)
-        for j in range(i, dim, _TILE)
-    ], axis=0)
-
-
-def _certified_low_rank(rho: np.ndarray, asymmetry: float) -> bool:
-    """True when rho's smallest eigenvalue is proven to be >= EIGENVALUE_FLOOR.
-
-    A pivoted partial Cholesky, always on the largest remaining diagonal
-    entry, takes at most _CERTIFICATE_RANK steps and stops once every
-    remaining diagonal entry is at most |EIGENVALUE_FLOOR|. That writes
-    rho = L L^dagger + S with L L^dagger PSD, so lambda_min(rho) >=
-    lambda_min(S) >= -max_i sum_j |S_ij| (Gershgorin). Each row sum is
-    bounded from above by the computed one plus its rounding,
-    (r + 2) * eps * (sum_j |rho_ij| + (|L| |L|^T)_i) after r steps, plus
-    dim * asymmetry for the Hermitian matrix that the Cholesky and eigvalsh
-    read off rho's lower triangle. The rows are swept in tiles. A False
-    proves nothing; it costs O(r * dim^2), against dim^3 for a Cholesky.
-    """
-    dim = rho.shape[0]
-    limit = -EIGENVALUE_FLOOR
-    factor = np.zeros((dim, _CERTIFICATE_RANK), dtype=rho.dtype)
-    remaining = rho.diagonal().real.copy()
-    rank = 0
-    while remaining.max() > limit:
-        if rank == _CERTIFICATE_RANK:
-            return False
-        pivot = int(np.argmax(remaining))
-        # Columns not yet filled are zero and add exact zeros; keeping the
-        # full width also keeps the sweep's product a BLAS gemm at rank 1.
-        column = rho[:, pivot] - factor @ factor[pivot].conj()
-        factor[:, rank] = column / math.sqrt(remaining[pivot])
-        remaining -= np.abs(factor[:, rank]) ** 2
-        rank += 1
-    factor_h = factor.conj().T
-    magnitude = np.abs(factor)
-    slack = (rank + 2) * np.finfo(np.float64).eps
-    margin = slack * (magnitude @ magnitude.sum(axis=0)) + dim * asymmetry
-    for start in range(0, dim, _TILE):
-        rows = rho[start:start + _TILE]
-        residual = rows - factor[start:start + _TILE] @ factor_h
-        bound = (
-            np.abs(residual).sum(axis=1)
-            + slack * np.abs(rows).sum(axis=1)
-            + margin[start:start + _TILE]
-        )
-        if bound.max() > limit:
-            return False
-    return True
+    """max |x_ij - conj(x_ji)| of each matrix of a stack, NaN if it has a NaN
+    entry. A real array's conj() is the array itself, not a copy."""
+    return np.abs(x - x.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def validate_density_matrix(rho) -> None:
     """Raise ValidationError unless rho, or each matrix of a stack, is
     Hermitian, unit trace, and PSD.
 
-    Positivity means a smallest eigenvalue of at least EIGENVALUE_FLOOR. From
-    dimension _CERTIFICATE_MIN_DIM on, a low-rank certificate is tried first:
-    at most 4 pivoted Cholesky steps plus a Gershgorin bound on what they
-    leave, O(dim^2) work that proves positivity of every state of rank at
-    most 4. That covers each family and every state a one-qubit chain
-    reaches from it: from a pure state, or from the GHZ mixture on
-    span{|0..0>, |1..1>}, the chain stays in a span of dimension 4. When the
-    certificate cannot decide for some element, and always below that size,
-    a Cholesky factorisation of rho - EIGENVALUE_FLOOR * I succeeds exactly
-    when positivity holds, up to rounding of order 1e-13; only when it fails
-    does the full spectrum decide, and name the offending eigenvalue. The
-    factorisation runs in rho's own dtype, so a real state pays for a real
-    one. A stack is checked as a whole, and when it fails, each element in
-    turn decides as it would alone. An element repeated along a zero-stride
-    (broadcast) stack axis is checked once, as the first of its copies, so
-    an error names the index that the materialized stack's error names.
+    Positivity means a smallest eigenvalue of at least EIGENVALUE_FLOOR. It
+    is decided on one path at every size: a Cholesky factorisation of rho -
+    EIGENVALUE_FLOOR * I succeeds exactly when positivity holds, up to
+    rounding of order 1e-13, and only when it fails does the full spectrum
+    decide, and name the offending eigenvalue. The factorisation runs in
+    rho's own dtype, so a real state pays for a real one. A stack is checked
+    as a whole, and when it fails, each element in turn decides as it would
+    alone. An element repeated along a zero-stride (broadcast) stack axis is
+    checked once, as the first of its copies, so an error names the index
+    that the materialized stack's error names.
     """
     rho = _as_state(rho)
     n_qubits_of(rho)
     rho = rho[tuple(slice(0, 1) if step == 0 else slice(None) for step in rho.strides[:-2])]
     finite = np.isfinite(rho).all(axis=(-2, -1))
     _refuse(~finite, ValidationError, "density matrix has a NaN or infinite entry")
-    asymmetry = _max_asymmetry(rho)
-    _refuse(asymmetry > HERMITICITY_TOL, ValidationError, "density matrix is not Hermitian")
+    asymmetric = _max_asymmetry(rho) > HERMITICITY_TOL
+    _refuse(asymmetric, ValidationError, "density matrix is not Hermitian")
     trace = rho.trace(axis1=-2, axis2=-1)
     wrong_trace = abs(trace - 1.0) > DENSITY_TRACE_TOL
     _refuse(wrong_trace, ValidationError, "density matrix trace {} is not 1", trace)
     stack, dim = rho.shape[:-2], rho.shape[-1]
-    if dim >= _CERTIFICATE_MIN_DIM and all(
-        _certified_low_rank(rho[i], asymmetry[i]) for i in np.ndindex(stack)
-    ):
-        return
     shifted = rho.copy()
     shifted.reshape(-1, dim * dim)[:, ::dim + 1] -= EIGENVALUE_FLOOR  # the diagonals, as a view
     try:

@@ -249,19 +249,13 @@ class OperatorExpr:
         return all(abs(t.coeff.imag) <= HERMITIAN_IMAG_TOL for t in self.terms)
 
 
-def expand_projector_product(
-    generators: Sequence[PauliString], n_qubits: int | None = None
-) -> OperatorExpr:
+def expand_projector_product(generators: Sequence[PauliString], n_qubits: int) -> OperatorExpr:
     """Expand the product of (I + S)/2 over the generators, in order.
 
     Each factor is a two-term sum multiplied in by OperatorExpr's product, so
     the result has one term per generator subset, each weighted 1/2^q.
     Generators must commute pairwise for the product to be well defined.
     """
-    if n_qubits is None:
-        if not generators:
-            raise ValueError("empty generator list needs an explicit n_qubits")
-        n_qubits = generators[0].n_qubits
     for g in generators:
         if g.n_qubits != n_qubits:
             raise DimensionError("generators act on different qubit counts")

@@ -22,6 +22,8 @@ DEFAULT_CAP = 64
 # Below this lambda_1 the second-step threshold scales like lambda_1^2 and
 # quickly leaves the range of double precision.
 _FEASIBILITY_FLOOR = 1e-120
+# Relative width at which largest_sharpness_for stops bisecting.
+_BISECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,14 @@ class PlanResult(NamedTuple):
     detections: int
 
 
-def largest_sharpness_for(n: int, epsilon: float, tol: float = 1e-9) -> PlanResult:
+def largest_sharpness_for(n: int, epsilon: float) -> PlanResult:
     """About the largest lambda_1 whose schedule reaches n detections, by bisection.
 
     The returned value is the low end of the final bracket (guaranteed to
     reach n); the high end is the smallest probed value that failed, at most
-    tol * low above it, so the result is accurate relative to its size. When
-    every admissible lambda_1 works the bracket degenerates to the upper end.
+    _BISECTION_TOL * low above it, so the result is accurate relative to its
+    size. When every admissible lambda_1 works the bracket degenerates to the
+    upper end.
     """
     if n < 1:
         raise ValueError(f"n {n} must be >= 1")
@@ -99,7 +102,7 @@ def largest_sharpness_for(n: int, epsilon: float, tol: float = 1e-9) -> PlanResu
     def reaches(lam1: float) -> bool:
         return max_detections(lam1, epsilon, cap=n) >= n
 
-    high = 1.0 - tol
+    high = 1.0 - _BISECTION_TOL
     if reaches(high):
         return PlanResult(high, high, 1.0, n)
     low = 0.5
@@ -111,7 +114,7 @@ def largest_sharpness_for(n: int, epsilon: float, tol: float = 1e-9) -> PlanResu
                 f"no lambda_1 above {_FEASIBILITY_FLOOR} reaches {n} detections "
                 f"at double precision (epsilon={epsilon})"
             )
-    while high - low > tol * low:
+    while high - low > _BISECTION_TOL * low:
         mid = (low + high) / 2.0
         if reaches(mid):
             low = mid

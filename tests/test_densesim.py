@@ -469,8 +469,7 @@ def test_channel_rejects_out_of_range_target(n):
 def test_psd_gate_decides_like_eigvalsh(n, offset, rank, seed, real):
     # Plant the smallest eigenvalue just below or above the floor, or at 0,
     # in a real state (a real Cholesky decides) or a complex one. Besides it
-    # the state has `rank` positive eigenvalues (all the others when None),
-    # so from 7 qubits on the low-rank states meet the pivoted certificate.
+    # the state has `rank` positive eigenvalues (all the others when None).
     rng = np.random.default_rng(seed)
     dim = 1 << n
     positive = dim - 1 if rank is None else min(rank, dim - 1)
@@ -512,20 +511,18 @@ def _complex_pure_state(n, seed):
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 10])
-def test_low_rank_states_are_certified_without_cholesky(n):
+def test_low_rank_states_are_accepted(n):
     # Every family has rank <= 2, and a one-qubit chain from a pure state or
-    # from the GHZ mixture stays at rank <= 4, so from dimension 128 on the
-    # pivoted certificate decides alone; the complex chain catches a residual
-    # taken against L L^T instead of L L^dagger.
+    # from the GHZ mixture stays at rank <= 4: states whose zero eigenvalues
+    # the shifted Cholesky must not mistake for negative ones, real and (the
+    # random pure chain) complex.
     starts = [StateFamily.parse(label, n).density_matrix() for label in FAMILY_LABELS]
     chains = [starts[0], starts[1], starts[3], _complex_pure_state(n, seed=n)]
-    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor:
-        for rho in starts:
+    for rho in starts:
+        validate_density_matrix(rho)
+    for start in chains:
+        for rho in observer_states(start, CHAIN_SHARPNESSES):
             validate_density_matrix(rho)
-        for start in chains:
-            for rho in observer_states(start, CHAIN_SHARPNESSES):
-                validate_density_matrix(rho)
-    assert factor.call_count == 0
 
 
 def test_states_the_certificate_cannot_decide_reach_cholesky():
@@ -546,13 +543,12 @@ def test_states_the_certificate_cannot_decide_reach_cholesky():
 
 
 def _floor_state(excess):
-    """|+>^8<+|^8 - t (sigma sigma^T - diag(sigma^2)), every entry exact.
+    """|+>^8<+|^8 - t (sigma sigma^T - diag(sigma^2)), every entry exact, and
+    -253 t, its smallest eigenvalue.
 
     sigma is 0 at indices 0 and 1, alternates +-1 elsewhere and is orthogonal
-    to |+>^8, so it is an eigenvector with eigenvalue -253 t. The single pivot
-    step takes column 0, which carries no coherence, so it leaves exactly the
-    coherence term, whose rows sum to 253 t without rounding: t is the
-    multiple of 2^-60 that puts 253 t at |EIGENVALUE_FLOOR| - excess.
+    to |+>^8, so it is an eigenvector with eigenvalue -253 t: t is the
+    multiple of 2^-60 that puts -253 t at EIGENVALUE_FLOOR + excess.
     """
     dim = 256
     units = round((-EIGENVALUE_FLOOR - excess) / 253 * 2.0**60)
@@ -560,21 +556,29 @@ def _floor_state(excess):
     sigma = np.zeros(dim)
     sigma[2:] = np.tile([1.0, -1.0], (dim - 2) // 2)
     coherence = -t * (np.outer(sigma, sigma) - np.diag(sigma**2))
-    return np.full((dim, dim), 1.0 / dim) + coherence, 253 * t
+    return np.full((dim, dim), 1.0 / dim) + coherence, -253 * t
 
 
-@pytest.mark.parametrize("excess, certified", [(5e-11, True), (2e-16, False), (-1e-11, False)])
-def test_certificate_keeps_a_rounding_margin_below_the_floor(excess, certified):
-    # Each row's residual sums to exactly 253 t, so the decision rests on the
-    # rounding margin: a residual within it of the floor, or past the floor,
-    # is left to the Cholesky gate.
-    rho, row_sum = _floor_state(excess)
-    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-row_sum, abs=1e-15)
-    assert densesim._certified_low_rank(rho, 0.0) is certified
+@pytest.mark.parametrize("excess", [5e-11, 2e-16, -1e-11])
+def test_psd_gate_decides_like_eigvalsh_at_the_floor(excess):
+    # A dimension-256 state whose smallest eigenvalue sits just above the
+    # floor, within rounding of it, or below it: the Cholesky gate, and
+    # eigvalsh where it fails, accept exactly the states above the floor and
+    # name the eigenvalue of the others.
+    rho, planted = _floor_state(excess)
+    lowest = float(np.linalg.eigvalsh(rho)[0])
+    assert lowest == pytest.approx(planted, abs=1e-15)
+    assert (lowest >= EIGENVALUE_FLOOR) == (excess > 0)
+    if excess > 0:
+        validate_density_matrix(rho)
+    else:
+        with pytest.raises(ValidationError) as excinfo:
+            validate_density_matrix(rho)
+        assert str(excinfo.value) == f"density matrix has negative eigenvalue {lowest}"
 
 
 @pytest.mark.parametrize("n", [1, 5, 7, 9])
-def test_tiled_hermiticity_gate_matches_the_whole_matrix(n):
+def test_hermiticity_gate_finds_one_perturbed_entry(n):
     rng = np.random.default_rng(n)
     dim = 1 << n
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -717,23 +721,23 @@ def target_major_step(rho, lam, target):
     return densesim._from_target_major(state, rho.shape[:-2], n, target)
 
 
-# The step itself has no tiles. The checks luders_update runs first do: the
-# Hermiticity sweep and the certificate's row sweep, where 128 tiles a
-# power-of-two matrix evenly and 37 leaves a ragged last tile.
+# tile patches the step's column-block budget: 128 gives blocks of 32 columns,
+# which split the power-of-two column count evenly, and 37 gives blocks of 9,
+# which leave a ragged last block.
 @pytest.mark.parametrize("tile", [128, 37])
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_tiled_channel_step_matches_the_whole_matrix_product(tile, n, real):
     rng = np.random.default_rng(n)
     dim = 1 << n
-    # Rank 4, as in a chain from a pure state, so the certificate decides.
+    # Rank 4, as in a chain from a pure state.
     g = rng.standard_normal((dim, 4))
     if not real:
         g = g + 1j * rng.standard_normal((dim, 4))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     bound = 4 * np.finfo(float).eps * np.max(np.abs(rho))
-    with mock.patch.object(densesim, "_TILE", tile):
+    with mock.patch.object(densesim, "_STEP_BLOCK", tile):
         for target in range(n):
             step = luders_update(rho, 0.3, target)
             assert step.dtype == rho.dtype

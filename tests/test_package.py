@@ -46,3 +46,44 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used_names(tree)
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private names (_x, not __x__) that the module's top-level
+    statements define by assignment, def or class."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads: loaded names, attributes (a module's
+    private name read as module._x) and names imported from a module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_every_private_module_name_is_read():
+    # A private constant or helper that no source module reads any more, say
+    # a knob left behind when the code using it went, is dead code.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SOURCE_DIR.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert unread == []

@@ -168,7 +168,7 @@ def test_commutes():
 
 
 def test_expand_single_generator():
-    expr = expand_projector_product([PauliString("ZZ")])
+    expr = expand_projector_product([PauliString("ZZ")], n_qubits=2)
     assert expr.terms == (PauliString("II", 0.5), PauliString("ZZ", 0.5))
 
 
@@ -178,14 +178,14 @@ def test_expand_empty_is_identity():
 
 
 def test_expand_ghz3_z_generators():
-    expr = expand_projector_product([PauliString("ZZI"), PauliString("IZZ")])
+    expr = expand_projector_product([PauliString("ZZI"), PauliString("IZZ")], n_qubits=3)
     expected = {"III": 0.25, "ZZI": 0.25, "IZZ": 0.25, "ZIZ": 0.25}
     assert {t.letters: t.coeff for t in expr.terms} == expected
 
 
 def test_expand_rejects_noncommuting():
     with pytest.raises(AlgebraError):
-        expand_projector_product([PauliString("XI"), PauliString("ZI")])
+        expand_projector_product([PauliString("XI"), PauliString("ZI")], n_qubits=2)
 
 
 def assert_expands_as_reference(gens, n):
@@ -205,7 +205,7 @@ def test_expand_is_bitwise_the_reference_on_a_dependent_set():
     # The product ZZI·IZZ·(-ZIZ) is -I, so half the subsets cancel.
     gens = [PauliString("ZZI"), PauliString("IZZ"), PauliString("ZIZ", -1.0)]
     assert_expands_as_reference(gens, 3)
-    assert [t.letters for t in expand_projector_product(gens).terms] == []
+    assert [t.letters for t in expand_projector_product(gens, n_qubits=3).terms] == []
 
 
 _UNITS = [1.0, -1.0, 1.0j, -1.0j]
@@ -246,7 +246,7 @@ def test_expand_matches_dense_projector_product(n):
     # GHZ-style generator set: X^n plus nearest-neighbour Z pairs.
     gens = [PauliString("X" * n)]
     gens += [from_ops(n, {m - 1: "Z", m: "Z"}) for m in range(1, n)]
-    expr = expand_projector_product(gens)
+    expr = expand_projector_product(gens, n_qubits=n)
     dense = np.eye(1 << n, dtype=complex)
     for g in gens:
         dense = dense @ (np.eye(1 << n) + kron_oracle(g.letters)) / 2.0

@@ -295,7 +295,7 @@ def test_commutation_is_tested_only_on_pairs_that_share_a_qubit(family):
     assert [commutes(g, extra) for g in gens].count(False) == 1
     with mock.patch.object(pauli, "commutes", wraps=commutes) as spy:
         with pytest.raises(AlgebraError) as raised:
-            expand_projector_product([*gens, extra])
+            expand_projector_product([*gens, extra], n_qubits=n)
     assert str(raised.value) == f"generators do not commute: {gens[-1]} vs {extra}"
     assert 0 < spy.call_count <= 4 * n
 
