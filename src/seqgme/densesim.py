@@ -37,7 +37,11 @@ step all 4^(N-1) columns of a copy of the state and convert each state they
 hand out back to the (2^N, 2^N) layout. observer_expectations reads its
 observables first and steps only the columns they read, gathered once from
 rho1 or, for a StateFamily, read from its closed-form entries with no matrix
-built or validated; it reads the witness rows there in place.
+built or validated; it reads the witness rows there in place. The verify
+oracle's chain (_last_observer_values) runs the same columns for a stack of
+(StateFamily, schedule) rows whose schedules differ in length: sorted longest
+first, each step updates in place the prefix of rows that have an observer
+after it, and only the state each row's last observer sees is read.
 
 Validation decides positivity on one path at every size: a Cholesky
 factorisation of the whole stack in the state's dtype, O(d^3) per element,
@@ -411,6 +415,62 @@ def observer_expectations(rho1, sharpnesses, observables, target: int | None = N
             full[:, ((rows << n) + cols).reshape(4, -1)] = state
             values.append(expectation(full.reshape(*stack, dim, dim), obs))
     return values
+
+
+def _last_observer_values(rows, observables, target: int | None = None) -> np.ndarray:
+    """Each Pauli sum's value on the state each row's last observer sees.
+
+    A row is a (start StateFamily, schedule) pair; the starts share a qubit
+    count, and the schedules, of one or more sharpnesses, may differ in
+    length. The result has shape (len(observables), len(rows)), rows in the
+    caller's order, and each value has the bits of expectation(last state of
+    observer_states(start.density_matrix(), schedule, target), obs). Before
+    the first step each row's start and schedule are checked, then every
+    sharpness, and an error names the caller's row. The rows run as one
+    target-major stack of the columns the observables read, each distinct
+    start's entries read once from StateFamily.entries, longest schedule
+    first, so step j updates in place the prefix of rows with an observer
+    after it.
+    """
+    starts, schedules = zip(*rows)
+    n = starts[0].n_qubits
+    lengths = [len(schedule) for schedule in schedules]
+    table = np.zeros((len(rows), max(lengths)))  # the sharpnesses, 0 past a schedule's end
+    for row, (start, schedule) in enumerate(rows):
+        if start.n_qubits != n:
+            raise DimensionError(_named((row,), f"state on {start.n_qubits} qubits, not {n}"))
+        if not lengths[row]:
+            raise ValueError(_named((row,), "empty schedule"))
+        table[row, : lengths[row]] = schedule
+    bad = ~((table >= 0.0) & (table <= 1.0))
+    if bad.any():
+        row, col = divmod(int(bad.argmax()), table.shape[1])
+        raise ValueError(_named((row,), f"sharpness {table[row, col]} outside [0, 1]"))
+    t = _checked_target(n, target)
+    order, prefixes = _ragged_prefixes(lengths)
+    kept = _read_parts(observables, n, t)
+    entry_rows, entry_cols = _kept_entries(n, t, kept)
+    distinct = {}  # each distinct start's index, in order of first appearance
+    picks = np.array([distinct.setdefault(start, len(distinct)) for start in starts])
+    entries = np.stack([start.entries(entry_rows, entry_cols).reshape(4, -1) for start in distinct])
+    state = entries[picks[order]]
+    table = table[order]
+    del entries, entry_rows, entry_cols
+    for j, count in enumerate(prefixes):
+        _observer_step(state[:count], table[:count, j])
+    positions = _positions(n, t, kept)
+    values = np.empty((len(observables), len(rows)))
+    for k, obs in enumerate(observables):
+        values[k, order] = _pauli_expectation(state, (len(rows),), n, obs, positions)
+    return values
+
+
+def _ragged_prefixes(lengths: list[int]) -> tuple[list[int], list[int]]:
+    """The rows longest first, ties in the caller's order, and for each step
+    j = 0, 1, ... the number of them, a prefix, with an observer after step j:
+    those with more than j + 1 sharpnesses."""
+    order = sorted(range(len(lengths)), key=lambda row: -lengths[row])
+    return order, [sum(length > j + 1 for length in lengths) for j in range(max(lengths) - 1)]
 
 
 def _without_bit(x, low: int):

@@ -8,7 +8,9 @@ Schmidt weight off a GF(2) cut rank, so they build no dense matrix.
 Every witness comes from this module's `build_modified_witness`. A witness
 is affine in the sharpness, W(λ) = (1 - λ)·W(0) + λ·W(1): `biseparable`
 checks that form on built witnesses, and `oracle` evaluates only W(0) and
-W(1) and combines their values.
+W(1), on the state each schedule's last observer sees, and combines their
+values. The oracle's chains start from each family's closed-form entries,
+so it builds no density matrix of a family.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .analytic import full_sequence_report, witness_value, z_factor
 from .densesim import (
+    _last_observer_values,
     channel_closed_form,
     expectation,
     load_density_matrix,
@@ -64,7 +67,8 @@ def _random_densities(parts: np.ndarray) -> np.ndarray:
     """The density matrix g g^dagger / Tr of each complex Gaussian g in parts."""
     g = _complex_stack(parts)
     rho = g @ g.conj().swapaxes(-1, -2)
-    return rho / rho.trace(axis1=-2, axis2=-1)[..., None, None]
+    rho /= rho.trace(axis1=-2, axis2=-1)[..., None, None]
+    return rho
 
 
 def verify_channel(seed: int) -> list[CheckResult]:
@@ -81,7 +85,7 @@ def verify_channel(seed: int) -> list[CheckResult]:
     for _ in range(_CHANNEL_TRIALS):
         n = int(rng.integers(1, 5))
         rng.standard_normal(out=parts[n][len(drawn[n])])
-        drawn[n].append((float(rng.uniform()), int(rng.integers(n))))
+        drawn[n].append((rng.random(), int(rng.integers(n))))
     worst_gap = 0.0
     worst_trace = 0.0
     lowest_eigenvalue = 0.0
@@ -331,13 +335,13 @@ def verify_biseparable(seed: int) -> list[CheckResult]:
 def verify_oracle(seed: int) -> list[CheckResult]:
     """Closed forms vs dense simulation, plus state-file round trip.
 
-    The random schedules are drawn in order. For each qubit count, the chain
-    runs once per observer count k, on a (family, schedule) stack of copies
-    of both families' start states, broadcast, so each start state is
-    validated once. Each family's last states go into one stack, which meets
-    W(0) and W(1) in one expectation call each: the value at the last
-    sharpness λ is (1 - λ)·<W(0)> + λ·<W(1)>. The mixed grid's nine states
-    run as one stack, with two calls per observer.
+    The random schedules are drawn in order. For each qubit count and family,
+    one chain runs every schedule drawn at that count as a row from the
+    family's start state, longest schedule first, in place, and meets W(0)
+    and W(1) on the state each row's last observer sees: the value at the
+    last sharpness λ is (1 - λ)·<W(0)> + λ·<W(1)>. The mixed grid runs as one
+    more chain, with each prefix of observers 1..4 of each grid point's
+    schedule as its own row.
     """
     rng = np.random.default_rng(seed)
     worst = {"ghz": 0.0, "cluster": 0.0}
@@ -354,21 +358,13 @@ def verify_oracle(seed: int) -> list[CheckResult]:
             formulas_identical = False
         drawn[n].append((lambdas, analytic))
     for n, schedules in drawn.items():
-        rows_of = {}  # k -> the rows of its schedules, in draw order
-        for row, (lambdas, _) in enumerate(schedules):
-            rows_of.setdefault(len(lambdas), []).append(row)
         last = np.array([lambdas[-1] for lambdas, _ in schedules])
         analytic = np.array([value for _, value in schedules])
-        starts = np.stack([StateFamily(family, n).density_matrix() for family in worst])
-        finals = np.empty((len(worst), len(schedules), *starts.shape[1:]), dtype=starts.dtype)
-        for rows in rows_of.values():
-            copies = np.broadcast_to(starts[:, None], (len(worst), len(rows), *starts.shape[1:]))
-            lambdas = np.array([schedules[row][0] for row in rows])
-            *_, finals[:, rows] = observer_states(copies, lambdas.T)
-        for family, family_finals in zip(worst, finals):
-            v0, v1 = (
-                expectation(family_finals, build_modified_witness(family, n, lam)) for lam in (0, 1)
-            )
+        for family in worst:
+            start = StateFamily(family, n)
+            witnesses = [build_modified_witness(family, n, lam) for lam in (0, 1)]
+            rows = [(start, lambdas) for lambdas, _ in schedules]
+            v0, v1 = _last_observer_values(rows, witnesses)
             dense = (1.0 - last) * v0 + last * v1
             worst[family] = max(worst[family], float(np.abs(dense - analytic).max()))
 
@@ -380,18 +376,19 @@ def verify_oracle(seed: int) -> list[CheckResult]:
         for alpha in (0.1, 0.25, 0.5)
     ]
     (witness_family,) = {family.witness_family for family in mixed}
-    w0, w1 = (build_modified_witness(witness_family, 3, lam) for lam in (0, 1))
+    witnesses = [build_modified_witness(witness_family, 3, lam) for lam in (0, 1)]
     lambdas = np.array([rng.uniform(size=4) for _ in mixed])
     reports = [full_sequence_report(family, lams) for family, lams in zip(mixed, lambdas)]
-    chain = observer_states(np.stack([family.density_matrix() for family in mixed]), lambdas.T)
-    for k, rhos in enumerate(chain):
-        lam = lambdas[:, k]
-        values = (1.0 - lam) * expectation(rhos, w0) + lam * expectation(rhos, w1)
-        for report, dense in zip(reports, values.tolist()):
-            analytic = report[k].witness_value
-            worst_mixed = max(worst_mixed, abs(dense - analytic))
-            if (analytic < 0) != (dense < 0) and abs(analytic) > 1e-9:
-                signs_agree = False
+    # Observers 1..4 of each grid point: one row per prefix of its schedule.
+    rows = [(family, lams[:k]) for family, lams in zip(mixed, lambdas) for k in range(1, 5)]
+    v0, v1 = _last_observer_values(rows, witnesses)
+    lam = lambdas.ravel()  # each row's last sharpness, in the rows' order
+    values = (1.0 - lam) * v0 + lam * v1
+    analytic = [step.witness_value for report in reports for step in report]
+    for dense, expected in zip(values.tolist(), analytic):
+        worst_mixed = max(worst_mixed, abs(dense - expected))
+        if (expected < 0) != (dense < 0) and abs(expected) > 1e-9:
+            signs_agree = False
 
     rho = _random_densities(rng.standard_normal((2, 8, 8)))
     handle, path = tempfile.mkstemp(suffix=".json")

@@ -328,3 +328,72 @@ def test_run_builds_and_validates_no_density_matrix(label):
     assert [row["witness_value_dense"].hex() for row in rows] == [value.hex() for value in expected]
     # Less than one (2^N, 2^N) float64 array was ever allocated at once.
     assert peak < 8 << (2 * DENSE_QUBIT_LIMIT)
+
+
+# _last_observer_values: ragged schedules, one in-place stack, longest first.
+def last_value(start, schedule, obs, target=None):
+    *_, last = observer_states(start.density_matrix(), schedule, target)
+    return expectation(last, obs)
+
+
+def ragged_rows(n, seed):
+    """Twelve rows on n qubits: the four families, each start repeated, with
+    schedules of 1..6 sharpnesses, several of length 1, in no length order."""
+    starts = [StateFamily.parse(label, n) for label in FAMILIES]
+    rng = np.random.default_rng(seed)
+    lengths = (2, 1, 6, 1, 3, 5, 1, 4, 6, 2, 1, 3)
+    rows = []
+    for i, length in enumerate(lengths):
+        schedule = rng.uniform(size=length)
+        schedule[rng.random(length) < 0.3] = rng.choice(SHARPNESSES)
+        rows.append((starts[i % len(starts)], schedule))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("target", [None, 0, 1])
+def test_ragged_rows_give_each_last_observers_values_bit_for_bit(n, target):
+    rows = ragged_rows(n, seed=n)
+    observables = [*witnesses(StateFamily("ghz", n), (0.0, 1.0)), build_modified_witness("cluster", n, 0.3)]
+    values = densesim._last_observer_values(rows, observables, target)
+    assert values.shape == (len(observables), len(rows))
+    for k, obs in enumerate(observables):
+        expected = [last_value(start, schedule, obs, target) for start, schedule in rows]
+        assert [value.hex() for value in values[k].tolist()] == [value.hex() for value in expected]
+
+
+@pytest.mark.parametrize("label", FAMILIES)
+@pytest.mark.parametrize("schedule", [(0.3,), SCHEDULE], ids=["one-observer", "six-observers"])
+def test_a_one_row_stack_gives_its_last_observers_values(label, schedule):
+    start = StateFamily.parse(label, 4)
+    observables = witnesses(start, (0.0, 1.0))
+    values = densesim._last_observer_values([(start, schedule)], observables)
+    expected = [last_value(start, schedule, obs) for obs in observables]
+    assert [value.hex() for value in values[:, 0].tolist()] == [value.hex() for value in expected]
+
+
+@pytest.mark.parametrize(
+    "rows, target, error, message",
+    [
+        # Row 1 runs first once sorted; the message names the caller's row.
+        ([(0.5,), (0.1, 0.2, 1.5)], None, ValueError, "stack element 1: sharpness 1.5 outside [0, 1]"),
+        ([(0.5,), (0.1,), (float("nan"), 0.2)], None, ValueError, "stack element 2: sharpness nan outside [0, 1]"),
+        ([(0.5,), ()], None, ValueError, "stack element 1: empty schedule"),
+        ([(0.5,), (0.5, 0.5)], 3, ValueError, "target qubit 3 outside 0..2"),
+    ],
+    ids=["sharpness", "nan", "empty", "target"],
+)
+def test_ragged_rows_are_refused_before_any_step(rows, target, error, message):
+    start = StateFamily("ghz", 3)
+    with (
+        mock.patch.object(densesim, "_observer_step", side_effect=AssertionError),
+        pytest.raises(error) as caught,
+    ):
+        densesim._last_observer_values([(start, row) for row in rows], witnesses(start, (0.5,)), target)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_ragged_rows_on_two_qubit_counts_are_refused():
+    rows = [(StateFamily("ghz", 3), (0.5,)), (StateFamily("ghz", 4), (0.5,))]
+    with pytest.raises(DimensionError, match=r"^stack element 1: state on 4 qubits, not 3$"):
+        densesim._last_observer_values(rows, [PauliString("XXX")])

@@ -186,11 +186,23 @@ def test_spectral_suites_use_no_dense_matrix_and_the_oracle_stacks_its_traces():
     with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError) as solve:
         assert all(row.passed for row in verify_psd(seed=3) + verify_biseparable(seed=3))
     assert solve.call_count == 0
-    # W(0) and W(1) once each per (n, family), 2 * 4 * 2, and per observer of
-    # the mixed grid, 2 * 4; one call per schedule made 436.
-    with mock.patch.object(verify, "expectation", wraps=densesim.expectation) as evaluate:
+    # One ragged chain per (n, family), from the family's entries, and one
+    # for the prefixes of the mixed grid's schedules: no state in rho's
+    # layout. Chains per (n, k) group made 24 expectation calls.
+    with (
+        mock.patch.object(verify, "observer_states", side_effect=AssertionError),
+        mock.patch.object(StateFamily, "density_matrix", side_effect=AssertionError),
+        mock.patch.object(
+            verify, "_last_observer_values", wraps=densesim._last_observer_values
+        ) as chain,
+    ):
         assert all(row.passed for row in verify_oracle(seed=3))
-    assert evaluate.call_count == 24
+    rows = [call.args[0] for call in chain.call_args_list]
+    families = [(family, n) for n in range(3, 7) for family in ("ghz", "cluster")]
+    assert [(row[0][0].kind, row[0][0].n_qubits) for row in rows] == [*families, ("mixed", 3)]
+    assert all(len({start for start, _ in family_rows}) == 1 for family_rows in rows[:-1])
+    assert sum(len(family_rows) for family_rows in rows[:-1]) == 2 * verify._ORACLE_SCHEDULES
+    assert len(rows[-1]) == 9 * 4
 
 
 @pytest.mark.parametrize("family", ["ghz", "cluster"])
@@ -238,3 +250,33 @@ def test_syndrome_spectrum_refuses_more_than_the_dense_limit_of_entries():
     n = DENSE_QUBIT_LIMIT + 1
     with pytest.raises(CapacityError, match=f"{n} qubits exceeds dense limit"):
         syndrome_spectrum(OperatorExpr.identity(n), stabilizer_generators("ghz", n))
+
+
+# The real function, which the mutants call while the module's is patched.
+_ragged_prefixes = densesim._ragged_prefixes
+
+
+def _unsorted(lengths):
+    """_ragged_prefixes without the sort: the caller's order, the same prefixes."""
+    _, prefixes = _ragged_prefixes(lengths)
+    return list(range(len(lengths))), prefixes
+
+
+def _short_prefixes(lengths):
+    """_ragged_prefixes with each step's prefix one row short."""
+    order, prefixes = _ragged_prefixes(lengths)
+    return order, [count - 1 for count in prefixes]
+
+
+def _long_prefixes(lengths):
+    """_ragged_prefixes with each step's prefix one row long, where there is one."""
+    order, prefixes = _ragged_prefixes(lengths)
+    return order, [min(count + 1, len(lengths)) for count in prefixes]
+
+
+@pytest.mark.parametrize("mutant", [_unsorted, _short_prefixes, _long_prefixes])
+def test_a_chain_stepping_the_wrong_rows_fails_the_oracle(mutant):
+    with mock.patch.object(densesim, "_ragged_prefixes", mutant):
+        oracle = {result.name: result for result in verify_oracle(seed=3)}
+    assert not oracle["ghz closed form matches dense simulation"].passed
+    assert not oracle["mixed-family closed form matches dense simulation"].passed
