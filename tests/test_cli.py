@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -300,6 +301,72 @@ def test_run_at_a_subnormal_sharpness_reports_its_exact_value(capsys):
     assert main(["run", "--state", "ghz", "--N", "3", "--lambdas", "5e-324", "--mode", "dense"]) == 0
     row = capsys.readouterr().out.splitlines()[2]
     assert row == "1,4.94065645841e-324,,-4.94065645841e-324,true,4.94065645841e-324"
+
+
+def _call(argv, capsys):
+    """Exit status, stdout and stderr of one `main` call, SystemExit included."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def test_repeated_main_calls_share_one_parser_and_keep_no_state(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    out_file = tmp_path / "run.json"
+    run = ["run", "--state", "ghz", "--N", "3", "--lambdas", "0.5,0.2"]
+    sequence = [
+        run + ["--seed", "11", "--format", "json", "--out", str(out_file)],
+        run,
+        ["verify", "psd", "--seed", "3"],
+        ["verify", "psd"],
+        ["verify", "everything"],
+        ["plan", "--n", "6"],
+    ]
+    alone = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        alone.append(_call(argv, capsys))
+    alone_json = out_file.read_text()
+    out_file.unlink()
+
+    build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "seqgme":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    together = [_call(argv, capsys) for argv in sequence]
+    assert len(built) == 1
+    assert together == alone
+    assert out_file.read_text() == alone_json
+    statuses = [status for status, _, _ in together]
+    assert statuses == [0, 0, 0, 0, 2, 0]
+    assert together[0][1] == "" and json.loads(alone_json)[0]["k"] == 1
+    # No --format, --out or --seed value carries over to the next call.
+    assert together[1][1].startswith("# seqgme run v1 state=ghz N=3 mode=both seed=7\nk,")
+    assert together[3][1].startswith("# seqgme verify v1 suites=psd seed=7\n")
+    assert "invalid choice: 'everything'" in together[4][2]
+
+
+def test_help_follows_the_terminal_width_at_each_call(monkeypatch, capsys):
+    shared = build_parser()
+    helps = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps[columns] = _call(["run", "--help"], capsys)
+        with pytest.raises(SystemExit):
+            build_parser.__wrapped__().parse_args(["run", "--help"])
+        assert helps[columns] == (0, capsys.readouterr().out, "")
+    assert build_parser() is shared
+    assert helps["60"] != helps["120"]
+    assert max(len(line) for line in helps["60"][1].splitlines()) <= 60
 
 
 def test_parser_has_all_subcommands():
