@@ -160,8 +160,11 @@ def render_rows(rows: list[dict], columns, header: str, out_format: str) -> str:
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated list: none if every entry is blank."""
+    if not text.replace(",", "").strip():
+        return ()
     try:
-        return tuple(float(item) for item in text.split(",") if item.strip())
+        return tuple(float(item) for item in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
 

@@ -19,29 +19,29 @@ Kraus operator of the channel is real, so a real state stays real along a
 chain, and the Cholesky gate, the channel steps and the gathers run on half
 the bytes of a complex state. Everything here is the brute-force reference
 that the closed-form layers are checked against. No operator is densified on
-the way: a Pauli sum is evaluated by gathers on its bit masks, one gather
-per distinct X part for the whole stack, with a plan cached per term
-layout, and single-qubit maps act on the target qubit's 2x2 blocks of the
-state.
+the way: a Pauli sum is evaluated on the rows rho[j, j ^ f] of its distinct
+X parts f, j ascending, with a plan cached per term layout, and
+single-qubit maps act on the target qubit's (row bit, column bit) pairs.
 
-A chain of observers (luders_update, observer_states, observer_expectations)
-runs in target-major order: each element is a C-contiguous (4, m) block
-whose axis 0 is the target's (row bit, column bit). A channel step builds
-each element's four square-rooted effects in one expression from fixed
-(4, 2, 2) stacks and the two eigenvalues of the unsharp x roots, and forms
-the 4x4 superoperator from them. That superoperator is zero off its diagonal
-and antidiagonal, so a step is two products and one add per real number, and
-an entry's bits do not depend on which other columns the block holds. A step
-overwrites its state, so a chain holds one. luders_update and observer_states
-step all 4^(N-1) columns of a copy of the state and convert each state they
-hand out back to the (2^N, 2^N) layout. observer_expectations reads its
-observables first and steps only the columns they read, gathered once from
-rho1 or, for a StateFamily, read from its closed-form entries with no matrix
-built or validated; it reads the witness rows there in place. The verify
-oracle's chain (_last_observer_values) runs the same columns for a stack of
-(StateFamily, schedule) rows whose schedules differ in length: sorted longest
-first, each step updates in place the prefix of rows that have an observer
-after it, and only the state each row's last observer sees is read.
+A channel step builds each element's four square-rooted effects in one
+expression from fixed (4, 2, 2) stacks and the two eigenvalues of the
+unsharp x roots, and forms the 4x4 superoperator from them. That
+superoperator is zero off its diagonal and antidiagonal, so a step updates
+each entry from itself and its partner across the target's pair: two
+products and one add per real number (_pair_update), whose bits do not
+depend on which other entries the array holds. A step overwrites its state,
+so a chain holds one. luders_update and observer_states run in target-major
+order, where each element is a C-contiguous (4, m) block whose axis 0 is
+the target's (row bit, column bit); they step all 4^(N-1) columns of a copy
+of the state and convert each state they hand out back to the (2^N, 2^N)
+layout. observer_expectations reads its observables first and holds only
+the part rows their sums read, a (count, parts, 2^N) array read once from
+rho1 or, for a StateFamily, from its closed-form entries with no matrix
+built or validated. The verify oracle's chain (_last_observer_values) runs
+the same rows for a stack of (StateFamily, schedule) rows whose schedules
+differ in length: sorted longest first, each step updates in place the
+prefix of rows that have an observer after it, and only the state each
+row's last observer sees is read.
 
 Validation decides positivity on one path at every size: a Cholesky
 factorisation of the whole stack in the state's dtype, O(d^3) per element,
@@ -72,13 +72,13 @@ DENSITY_TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 # Accumulated floating error over repeated channel applications.
 EIGENVALUE_FLOOR = -1e-10
-# Entries of rho gathered at once by a Pauli-sum expectation, counting both
-# the rows gathered for a block of distinct X parts and the per-term block
-# indexed from them (256 KiB of float64): from 2^16 on, a `run` at N = 9 or
-# 10 gave thousands of heap pages back to the kernel and faulted them in again.
+# Entries a Pauli-sum read holds besides its state (256 KiB of float64): a
+# term block taken from a chain's rows, or a full state's block of X parts'
+# rows and its term block. From 2^16 on, a `run` at N = 9 or 10 gave
+# thousands of heap pages back to the kernel and faulted them in again.
 _GATHER_ELEMENTS = 1 << 15
-# Entries of a stack that a channel step scales at once for its partner
-# rows: the in-place step's only temporary.
+# Real numbers of a stack that a channel step updates at once (columns, or
+# whole part rows): its partner terms are the in-place step's only temporary.
 _STEP_BLOCK = 1 << 15
 # Eigenprojectors (I + sigma)/2 and (I - sigma)/2 of the x and z settings,
 # both real, so the channel maps a real state to a real state.
@@ -302,32 +302,62 @@ def _superoperator(sharpness) -> np.ndarray:
     return (np.einsum("...kab,...kcd->...acbd", roots, roots) / 2.0).reshape(-1, 4, 4)
 
 
-def _observer_step(state: np.ndarray, sharpness) -> np.ndarray:
-    """luders_update of states in target-major order, without its checks, in place.
+def _observer_step(state: np.ndarray, sharpness, parts=None, low: int = 0) -> np.ndarray:
+    """One observer's update of a chain's states, without its checks, in place.
 
     The four maps K rho K^dagger add up to _superoperator(sharpness), which
-    acts on the (row bit, column bit) pair of the target qubit: axis 1 of
-    state. Its eight entries off the diagonal and the antidiagonal are exactly
-    0.0 (the x roots' cross terms cancel), so row a of the result mixes only
-    rows a and 3 - a: diag[a] * s[a] + anti[a] * s[3 - a], two rounded
-    products and one add per real number. So an entry has the same bits
-    whichever of a state's columns state holds. The superoperator is real, so
-    the result has the state's dtype. state is overwritten a column block at
-    a time, after that block's partner terms are formed, and returned.
+    acts on the target's (row bit, column bit) pair a. Its eight entries off
+    the diagonal and the antidiagonal are exactly 0.0 (the x roots' cross
+    terms cancel), so pair a of the result mixes only pairs a and 3 - a
+    (_pair_update), and an entry has the same bits whatever else state
+    holds. With parts None, state is target-major, (count, 4, m), and row a's
+    partner is row 3 - a. Otherwise row p of state, (count, len(parts), 2^n),
+    is rho[j, j ^ parts[p]], j ascending, and entry j's partner is entry
+    j ^ (1 << low), low being the target's bit: the pairs are (0, 3) when
+    parts[p] keeps that bit and (1, 2) when it flips it. The superoperator
+    is real, so the result has the state's dtype. state is overwritten a
+    block of at most _STEP_BLOCK real numbers at a time (columns, or whole
+    part rows), after that block's partner terms are formed, and returned.
     """
     superop = _superoperator(sharpness)
-    rows = np.arange(4)
-    diag = superop[:, rows, rows, None]
-    anti = superop[:, rows, rows[::-1], None]
     # A complex entry is two reals, each scaled by the same real factor.
     entries = state.view(np.float64)
-    width = max(1, _STEP_BLOCK // (4 * max(1, len(entries))))
-    for start in range(0, entries.shape[-1], width):
-        block = entries[..., start:start + width]
-        partner = anti * block[:, ::-1]
-        block *= diag
-        block += partner
+    if parts is None:
+        coeffs = _pair_coefficients(superop, np.arange(2), 3)
+        width = max(1, _STEP_BLOCK // (4 * max(1, len(entries))))
+        for start in range(0, entries.shape[-1], width):
+            block = entries[..., start:start + width]
+            _pair_update(block[:, :2], block[:, :1:-1], *coeffs)
+        return state
+    coeffs = _pair_coefficients(superop, (parts >> low) & 1, 4)
+    half = state.shape[-1] >> (low + 1)
+    pairs = entries.reshape(*entries.shape[:2], half, 2, entries.shape[-1] // (2 * half))
+    height = max(1, _STEP_BLOCK // max(1, len(entries) * entries.shape[-1]))
+    for start in range(0, len(parts), height):
+        rows = slice(start, start + height)
+        block = pairs[:, rows]
+        _pair_update(block[..., 0, :], block[..., 1, :], *(c[:, rows] for c in coeffs))
     return state
+
+
+def _pair_coefficients(superop: np.ndarray, pair: np.ndarray, ndim: int):
+    """The superoperator's diag[a], anti[a], diag[3 - a] and anti[3 - a] for
+    each pair a in pair, shaped (count, len(pair), 1, ...) to broadcast
+    against ndim-dimensional blocks of partner entries."""
+    partner = 3 - pair
+    pad = (...,) + (None,) * (ndim - 2)
+    pairs = ((pair, pair), (pair, partner), (partner, partner), (partner, pair))
+    return [superop[:, a, b][pad] for a, b in pairs]
+
+
+def _pair_update(lo, hi, d_lo, a_lo, d_hi, a_hi) -> None:
+    """lo, hi = d_lo * lo + a_lo * hi, d_hi * hi + a_hi * lo, in place: two
+    rounded products and one add per real number."""
+    from_hi, from_lo = a_lo * hi, a_hi * lo
+    lo *= d_lo
+    lo += from_hi
+    hi *= d_hi
+    hi += from_lo
 
 
 def _checked_chain(rho1, sharpnesses, target):
@@ -374,14 +404,14 @@ def observer_expectations(rho1, sharpnesses, observables, target: int | None = N
     StateFamily, whose density_matrix() then gives the same bits but is never
     built: its constructor checked it, and only the sharpnesses and then the
     target are checked here. The observables, as many as there are
-    sharpnesses, are read before the first step, and the chain runs only on
-    the target-major columns their Pauli sums read: the entries (a, j',
-    j' ^ f') of rho1 for each of their X parts f' off the target, gathered
-    once (from StateFamily.entries for a family) into a (count, 4, parts *
-    2^(n-1)) array. A step gives those entries the bits of a full step, so
-    each term's row is the one a full state gives. A dense observable reads
-    every entry: with one in the list the chain keeps all columns, and its
-    state is scattered back to rho1's layout.
+    sharpnesses, are read before the first step, and the chain holds and
+    steps only the rows their Pauli sums read: rho1[j, j ^ f], j ascending,
+    for each of their distinct X parts f, read once (from StateFamily.entries
+    for a family) into a (count, parts, 2^n) array. A step gives those
+    entries the bits of a full step, so each term's row is the one a full
+    state gives. A dense observable reads every entry: with one in the list
+    the chain holds all 2^n parts, and its state is scattered back to rho1's
+    layout.
     """
     if isinstance(rho1, StateFamily):
         n, stack = rho1.n_qubits, ()
@@ -394,26 +424,19 @@ def observer_expectations(rho1, sharpnesses, observables, target: int | None = N
     observables = list(itertools.islice(observables, len(lambdas)))
     if not observables:
         return []
-    dim = 1 << n
-    kept = _read_parts(observables, n, t)
-    rows, cols = _kept_entries(n, t, kept)
-    if isinstance(rho, StateFamily):
-        state = rho.entries(rows, cols).reshape(1, 4, -1)
-    else:
-        state = np.take(rho.reshape(-1, dim * dim), ((rows << n) + cols).reshape(4, -1), axis=1)
-    del rho, rows, cols
-    positions = _positions(n, t, kept)
+    parts = _read_parts(observables, n)
+    state = _part_rows(rho, n, parts)
+    del rho
     values = []
     for k, obs in enumerate(observables):
         if k:  # the observer before updates the one state array in place
-            _observer_step(state, lambdas[k - 1])
+            _observer_step(state, lambdas[k - 1], parts, n - 1 - t)
         if isinstance(obs, (PauliString, OperatorExpr)):
-            values.append(_pauli_expectation(state, stack, n, obs, positions))
+            values.append(_pauli_expectation(state, stack, n, obs, parts))
         else:
-            rows, cols = _kept_entries(n, t, kept)
-            full = np.empty((len(state), dim * dim), dtype=state.dtype)
-            full[:, ((rows << n) + cols).reshape(4, -1)] = state
-            values.append(expectation(full.reshape(*stack, dim, dim), obs))
+            full = np.empty((len(state), 1 << 2 * n), dtype=state.dtype)
+            full[:, _offsets(n, parts)] = state
+            values.append(expectation(full.reshape(*stack, 1 << n, 1 << n), obs))
     return values
 
 
@@ -427,10 +450,9 @@ def _last_observer_values(rows, observables, target: int | None = None) -> np.nd
     observer_states(start.density_matrix(), schedule, target), obs). Before
     the first step each row's start and schedule are checked, then every
     sharpness, and an error names the caller's row. The rows run as one
-    target-major stack of the columns the observables read, each distinct
-    start's entries read once from StateFamily.entries, longest schedule
-    first, so step j updates in place the prefix of rows with an observer
-    after it.
+    stack of the part rows the observables read, each distinct start's rows
+    read once from StateFamily.entries, longest schedule first, so step j
+    updates in place the prefix of rows with an observer after it.
     """
     starts, schedules = zip(*rows)
     n = starts[0].n_qubits
@@ -448,20 +470,18 @@ def _last_observer_values(rows, observables, target: int | None = None) -> np.nd
         raise ValueError(_named((row,), f"sharpness {table[row, col]} outside [0, 1]"))
     t = _checked_target(n, target)
     order, prefixes = _ragged_prefixes(lengths)
-    kept = _read_parts(observables, n, t)
-    entry_rows, entry_cols = _kept_entries(n, t, kept)
+    parts = _read_parts(observables, n)
     distinct = {}  # each distinct start's index, in order of first appearance
     picks = np.array([distinct.setdefault(start, len(distinct)) for start in starts])
-    entries = np.stack([start.entries(entry_rows, entry_cols).reshape(4, -1) for start in distinct])
+    entries = np.concatenate([_part_rows(start, n, parts) for start in distinct])
     state = entries[picks[order]]
     table = table[order]
-    del entries, entry_rows, entry_cols
+    del entries
     for j, count in enumerate(prefixes):
-        _observer_step(state[:count], table[:count, j])
-    positions = _positions(n, t, kept)
+        _observer_step(state[:count], table[:count, j], parts, n - 1 - t)
     values = np.empty((len(observables), len(rows)))
     for k, obs in enumerate(observables):
-        values[k, order] = _pauli_expectation(state, (len(rows),), n, obs, positions)
+        values[k, order] = _pauli_expectation(state, (len(rows),), n, obs, parts)
     return values
 
 
@@ -473,42 +493,38 @@ def _ragged_prefixes(lengths: list[int]) -> tuple[list[int], list[int]]:
     return order, [sum(length > j + 1 for length in lengths) for j in range(max(lengths) - 1)]
 
 
-def _without_bit(x, low: int):
-    """Basis indices x with bit low taken out, the bits above it moved down."""
-    return (x >> (low + 1) << low) | (x & ((1 << low) - 1))
-
-
-def _with_bit(x, low: int):
-    """Basis indices x with a 0 put in at bit low: the inverse of _without_bit."""
-    return (x >> low << (low + 1)) | (x & ((1 << low) - 1))
-
-
-def _read_parts(observables, n: int, target: int) -> np.ndarray:
-    """The distinct X parts f', target bit taken out, of every n-qubit Pauli
-    observable, ascending; all 2^(n-1) of them when one observable is dense.
-    An observable on another qubit count reads nothing: its step refuses it."""
+def _read_parts(observables, n: int) -> np.ndarray:
+    """The distinct X parts of every n-qubit Pauli observable, ascending; all
+    2^n of them when one observable is dense. An observable on another qubit
+    count reads nothing: its step refuses it."""
     masks = set()
     for obs in observables:
         if isinstance(obs, PauliString):
             obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
         elif not isinstance(obs, OperatorExpr):
-            return np.arange(1 << (n - 1), dtype=np.int64)
+            return np.arange(1 << n, dtype=np.int64)
         if obs.n_qubits == n:
             masks.update(term.x_mask for term in obs.terms)
     # Sorted in Python: np.unique would import numpy.ma on its first call.
-    parts = {_without_bit(mask, n - 1 - target) for mask in masks}
-    return np.array(sorted(parts), dtype=np.int64)
+    return np.array(sorted(masks), dtype=np.int64)
 
 
-def _kept_entries(n: int, target: int, kept: np.ndarray):
-    """The rows and columns in a (2^n, 2^n) state of a chain's kept entries,
-    int64 arrays that broadcast to (2, 2, parts, 2^(n-1)): [a_r, a_c, p, j']
-    is the entry ((a_r, j'), (a_c, j' ^ kept[p])), with (a_r, a_c) the
-    target's (row bit, column bit)."""
-    low = n - 1 - target
-    rest = _with_bit(np.arange(1 << (n - 1), dtype=np.int64), low)
-    bit = np.array([[0], [1]], dtype=np.int64) << low
-    return rest + bit[:, None, None], (rest ^ _with_bit(kept, low)[:, None]) + bit[:, None]
+def _offsets(n: int, parts: np.ndarray) -> np.ndarray:
+    """The flat offsets in a (2^n, 2^n) state of rho[j, j ^ f] for each X
+    part f: one row of 2^n per part, j ascending."""
+    rows = np.arange(1 << n, dtype=np.int64)
+    return (rows << n) + (rows ^ parts[:, None])
+
+
+def _part_rows(rho, n: int, parts: np.ndarray) -> np.ndarray:
+    """The rows rho[j, j ^ f], j ascending, of each X part f, as a new
+    (count, parts, 2^n) array: gathered from a stack of states, flat or
+    (..., 2^n, 2^n), or read from a StateFamily's entries (count 1)."""
+    if isinstance(rho, StateFamily):
+        # 32-bit indices: the columns are as many as the rows read.
+        rows = np.arange(1 << n, dtype=np.int32)
+        return rho.entries(rows, np.bitwise_xor(rows, parts[:, None], dtype=np.int32))[None]
+    return np.take(rho.reshape(-1, 1 << 2 * n), _offsets(n, parts), axis=1)
 
 
 def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -> np.ndarray:
@@ -533,7 +549,7 @@ def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -
 
 
 _FIELDS = attrgetter("x_mask", "z_mask", "coeff")
-# Gather plans kept, one per term layout; a plan's parity table holds one
+# Gather plans kept, one per term layout; a plan's sign table holds one
 # byte per term and basis state (513 KiB for the 513-term witness at N = 10).
 _PLAN_CACHE_SIZE = 16
 
@@ -545,8 +561,8 @@ def _gather_plan(n: int, xs: tuple[int, ...], zs: tuple[int, ...]):
     The order of the terms by X part (each part's terms form one run, so
     part_of ascends), the power of i that each ordered term's Y letters put
     in its phase (a string with masks (x, z) is i^popcount(x & z)·X^x·Z^z),
-    the distinct X parts, each ordered term's part, and the bool table
-    (-1)^popcount(j & z) == -1 of each ordered term and basis state j.
+    the distinct X parts, each ordered term's part, and the int8 table
+    (-1)^popcount(j & z) of each ordered term and basis state j.
     """
     order = sorted(range(len(xs)), key=xs.__getitem__)
     y_phases = np.array([_PHASES[(xs[t] & zs[t]).bit_count() % 4] for t in order])
@@ -556,52 +572,28 @@ def _gather_plan(n: int, xs: tuple[int, ...], zs: tuple[int, ...]):
             parts.append(xs[t])
         part_of.append(len(parts) - 1)
     rows = np.arange(1 << n, dtype=np.int64)
-    signs = np.array([zs[t] for t in order], dtype=np.int64)
-    negative = (np.bitwise_count(rows & signs[:, None]) & 1).astype(bool)
+    masks = np.array([zs[t] for t in order], dtype=np.int64)
+    signs = 1 - 2 * (np.bitwise_count(rows & masks[:, None]) & 1).astype(np.int8)
     order = np.array(order)
-    return order, y_phases, np.array(parts, dtype=np.int64), np.array(part_of), negative
+    return order, y_phases, np.array(parts, dtype=np.int64), np.array(part_of), signs
 
 
-def _positions(n: int, target: int | None, kept=None):
-    """Where an n-qubit state's entries rho[j, j ^ f] lie: a function from an
-    array of X parts f to their flat offsets, one row of 2^n per part, j
-    ascending. With no target the layout is (2^n, 2^n); with one, it is the
-    (4, parts * 2^(n-1)) layout of _kept_entries about that (range-checked)
-    target, holding the X parts kept off it."""
-    rows = np.arange(1 << n, dtype=np.int64)
-    if target is None:
-        return lambda parts: (rows << n) + (rows ^ parts[:, None])
-    low = n - 1 - target  # the target's bit in a basis index
-    bit = (rows >> low) & 1
-    # Row a = 2 * (row bit) + (column bit) of the target's pair is 3 * bit
-    # for a part that keeps the target's bit and 1 + bit for one that flips it.
-    starts = np.stack([3 * bit, 1 + bit]) * (len(kept) << (n - 1)) + _without_bit(rows, low)
-
-    def offsets(parts):
-        column = np.searchsorted(kept, _without_bit(parts, low)) << (n - 1)
-        return starts[(parts >> low) & 1] + column[:, None]
-
-    return offsets
-
-
-def _pauli_sum_trace(states: np.ndarray, expr: OperatorExpr, positions) -> np.ndarray:
-    """Tr[rho * P] of each element of a stack without building P's matrix:
-    states has one flat row of entries per element, laid out as positions
-    says; the result has one complex value per element.
+def _pauli_sum_trace(states: np.ndarray, expr: OperatorExpr, kept=None) -> np.ndarray:
+    """Tr[rho * P] of each element of a stack without building P's matrix;
+    one complex value per element. states is a flat (count, 4^n) stack of
+    full states when kept is None, and otherwise a chain's part rows,
+    (count, len(kept), 2^n), whose row p is rho[j, j ^ kept[p]].
 
     The only nonzero entries of a term P with masks (f, z) and phase c are
     <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
     c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z). Terms share few X parts f
-    (a GHZ witness has two), so the row rho[j, j ^ f] is gathered once per
-    distinct f, and each term indexes its part's row (or, when every part has
-    one term, its rows are the parts' rows in place). Parts are gathered, and
-    terms summed, a block at a time; the parts' rows and the terms' block
-    together hold at most _GATHER_ELEMENTS entries over all elements (a
-    stack too large for two rows of each is split). Each term's sum is a row
-    sum of a 2-D array, and the terms are added by fsum, so an element's
-    value is bit for bit that of its own call, in either layout of
-    _positions. The terms' masks and coefficients are read in one walk, and
-    a coefficient with an imaginary part is refused before any gather.
+    (a GHZ witness has two), so a full state's row rho[j, j ^ f] is gathered
+    once per distinct f, and each term takes its part's row from there or
+    from the chain's rows. Each term's sum is a row sum of a 2-D array, and
+    the terms are added by fsum, so an element's value is bit for bit that
+    of its own call, from either layout. The terms' masks and coefficients
+    are read in one walk, and a coefficient with an imaginary part is
+    refused before any gather.
     """
     if not expr.terms:
         return np.zeros(len(states), dtype=complex)
@@ -609,8 +601,8 @@ def _pauli_sum_trace(states: np.ndarray, expr: OperatorExpr, positions) -> np.nd
     coeffs = np.array(coeffs, dtype=complex)
     if not (abs(coeffs.imag) <= HERMITIAN_IMAG_TOL).all():
         raise ValidationError("observable has non-real Pauli coefficients")
-    order, y_phases, parts, part_of, negative = _gather_plan(expr.n_qubits, xs, zs)
-    per_term = _term_traces(states, positions, parts, part_of, negative)
+    order, y_phases, parts, part_of, signs = _gather_plan(expr.n_qubits, xs, zs)
+    per_term = _term_traces(states, expr.n_qubits, parts, part_of, signs, kept)
     # Each term's coefficient times the phase of its Y letters, exactly.
     phases = coeffs[order] * y_phases
     # Each element's products in a call of their own shape, as alone.
@@ -622,63 +614,65 @@ def _fsum(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
-def _term_traces(states: np.ndarray, positions, parts, part_of, negative) -> np.ndarray:
+def _term_traces(states, n: int, parts, part_of, signs, kept=None) -> np.ndarray:
     """sum_j rho[j, j ^ f] * (-1)^popcount(j & z) of each planned term, for
-    each element of a stack of flat states; shape (count, terms), complex.
+    each element of a stack in either layout of _pauli_sum_trace; shape
+    (count, terms), complex.
 
-    positions maps a block of X parts to the offsets of their rows, j
-    ascending, as _positions does for either layout, so a term's row holds
-    the same values in the same order in both. A negative entry is negated
-    by flipping its sign bit, which is what negation does to a float.
+    A full state's rows are gathered a block of parts at a time; the parts'
+    rows and the terms' block together hold at most _GATHER_ELEMENTS entries
+    over all elements (a stack too large for two rows of each is split). A
+    chain's terms take its rows a block of _GATHER_ELEMENTS entries at a time.
     """
-    dim = negative.shape[1]
+    dim = signs.shape[1]
     count = len(states)
     # Two rows of every element must fit the budget: split a larger stack.
     split = max(1, _GATHER_ELEMENTS // (2 * dim))
     if count > split:
         return np.concatenate([
-            _term_traces(states[i:i + split], positions, parts, part_of, negative)
+            _term_traces(states[i:i + split], n, parts, part_of, signs, kept)
             for i in range(0, count, split)
         ])
     per_term = np.empty((count, len(part_of)), dtype=complex)
-    # Rows held at once: at most half of them parts' rows, the rest terms'.
     budget = max(2, _GATHER_ELEMENTS // (dim * max(1, count)))
+    if kept is not None:
+        _signed_sums(states, kept.searchsorted(parts)[part_of], signs, budget, per_term)
+        return per_term
     for first in range(0, len(parts), budget // 2):
         chunk = parts[first:first + budget // 2]
-        # take returns C-ordered rows: (count, parts, dim).
-        part_rows = np.take(states, positions(chunk), axis=1)
-        step = budget - len(chunk)
         lo, hi = part_of.searchsorted([first, first + len(chunk)])
-        # With one term per part, term t's row is part_rows[t - lo]: a view.
-        one_to_one = hi - lo == len(chunk)
-        for start in range(lo, hi, step):
-            stop = min(start + step, hi)
-            block = slice(start, stop)
-            if one_to_one:
-                signed = part_rows[:, start - lo:stop - lo]
-            else:
-                signed = np.take(part_rows, part_of[block] - first, axis=1)
-            # Signed in place, by flipping sign bits: a row taken in place
-            # belongs to this term alone. A complex entry flips both halves.
-            flips = np.left_shift(negative[block], 63, dtype=np.uint64)[..., None]
-            signed.view(np.uint64).reshape(*signed.shape, signed.itemsize // 8)[...] ^= flips
-            # Sums of C-ordered rows: numpy adds each row pairwise, in the same
-            # order whatever the number of rows, where a strided row would be
-            # added in sequence.
-            flat = np.ascontiguousarray(signed).reshape(-1, dim)
-            per_term[:, block] = flat.sum(axis=1).reshape(signed.shape[:-1])
+        rows = _part_rows(states, n, chunk)
+        terms = slice(lo, hi)
+        _signed_sums(rows, part_of[terms] - first, signs[terms], budget - len(chunk), per_term[:, terms])
     return per_term
 
 
-def _pauli_expectation(states: np.ndarray, stack: tuple, n: int, obs, positions):
-    """expectation of a Pauli sum (or string) on flat states laid out as
-    positions says, one per element of the stack."""
+def _signed_sums(rows: np.ndarray, index, signs, step: int, out: np.ndarray) -> None:
+    """out[:, t] = sum_j rows[:, index[t], j] * signs[t, j] for part rows of
+    shape (count, parts, 2^n), step terms at a time."""
+    dim = rows.shape[-1]
+    for start in range(0, len(index), step):
+        block = slice(start, start + step)
+        # take copies, so signing the terms' rows never writes rows.
+        signed = np.take(rows, index[block], axis=1)
+        # Each float64 half times +-1, as a negation does: a complex times
+        # (-1+0j) adds a 0.0 * x term, which can turn a -0.0 into +0.0.
+        halves = signed.view(np.float64).reshape(*signed.shape, signed.itemsize // 8)
+        halves *= signs[block, :, None]
+        # Sums of C-ordered rows: numpy adds each row pairwise, in the same
+        # order whatever the number of rows, where a strided row would be
+        # added in sequence.
+        out[:, block] = signed.reshape(-1, dim).sum(axis=1).reshape(signed.shape[:-1])
+
+
+def _pauli_expectation(states: np.ndarray, stack: tuple, n: int, obs, kept=None):
+    """expectation of a Pauli sum (or string) on states in either layout of
+    _pauli_sum_trace, one per element of the stack."""
     if isinstance(obs, PauliString):
         obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
     if obs.n_qubits != n:
         raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
-    flat = states.reshape(len(states), math.prod(states.shape[1:]))
-    return _real_part(_pauli_sum_trace(flat, obs, positions).reshape(stack))
+    return _real_part(_pauli_sum_trace(states, obs, kept).reshape(stack))
 
 
 def _real_part(value: np.ndarray):
@@ -701,9 +695,8 @@ def expectation(rho: np.ndarray, obs):
     rho = _as_state(rho)
     n = n_qubits_of(rho)
     if isinstance(obs, (PauliString, OperatorExpr)):
-        dim = rho.shape[-1]
-        states = rho.reshape(-1, dim * dim)
-        return _pauli_expectation(states, rho.shape[:-2], n, obs, _positions(n, None))
+        states = rho.reshape(-1, rho.shape[-1] ** 2)
+        return _pauli_expectation(states, rho.shape[:-2], n, obs)
     dense = _as_state(obs)
     try:
         matched = dense.shape[-2:] == rho.shape[-2:]

@@ -156,6 +156,22 @@ RUN_GHZ_3 = ["run", "--state", "ghz", "--N", "3"]
             "--lambdas expects comma-separated numbers, got 'a'",
             id="lambdas-a",
         ),
+        # A blank entry among numbers is refused, not skipped.
+        pytest.param(
+            RUN_GHZ_3 + ["--lambdas", "0.5,,0.3"],
+            "--lambdas expects comma-separated numbers, got '0.5,,0.3'",
+            id="lambdas-empty-entry",
+        ),
+        pytest.param(
+            RUN_GHZ_3 + ["--lambdas", " ,0.5"],
+            "--lambdas expects comma-separated numbers, got ' ,0.5'",
+            id="lambdas-leading-blank",
+        ),
+        pytest.param(
+            ["sweep", "--lambda1-grid", "0.5,"],
+            "--lambda1-grid expects comma-separated numbers, got '0.5,'",
+            id="sweep-trailing-comma",
+        ),
         pytest.param(
             ["run", "--state", "ghz", "--N", "2", "--lambdas", "0.5"],
             "need at least 3 parties, got 2",

@@ -833,7 +833,7 @@ def test_a_step_on_some_columns_equals_those_columns_of_the_full_step(n, real):
     subsets = (
         [width - 1],
         np.arange(1, width, 2),
-        # Out of order, with repeats, as a chain's kept columns need not be.
+        # Out of order, with repeats: an entry's bits do not depend on its neighbours.
         rng.integers(0, width, size=max(1, width // 7)),
     )
     for lam in (0.3, rng.choice([0.0, 5e-324, 0.999, 1.0], size=count)):
@@ -844,6 +844,28 @@ def test_a_step_on_some_columns_equals_those_columns_of_the_full_step(n, real):
             # A chain's states are C-contiguous, as take makes them.
             part = densesim._observer_step(np.ascontiguousarray(state[..., columns]), lam)
             assert part.tobytes() == np.ascontiguousarray(full[..., columns]).tobytes()
+
+
+# block patches the step's budget: None keeps it, and 37 steps one part row
+# at a time.
+@pytest.mark.parametrize("block", [None, 37])
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_a_step_on_part_rows_equals_those_rows_of_the_full_step(block, n, real):
+    rng = np.random.default_rng(n)
+    rho = random_density(rng, n)
+    if real:
+        rho = rho.real.copy()
+    # Some X parts, out of order, with repeats, and both values of each bit.
+    parts = rng.integers(0, 1 << n, size=min(1 << n, 9))
+    budget = densesim._STEP_BLOCK if block is None else block
+    with mock.patch.object(densesim, "_STEP_BLOCK", budget):
+        for target in range(n):
+            for lam in (0.3, 1.0):
+                state = densesim._part_rows(rho, n, parts)
+                densesim._observer_step(state, lam, parts, n - 1 - target)
+                full = luders_update(rho, lam, target)
+                assert state.tobytes() == densesim._part_rows(full, n, parts).tobytes()
 
 
 def per_term_gather_trace(rho, expr):
@@ -924,7 +946,7 @@ def test_expectation_with_shared_x_parts_matches_per_term_gathers(
         assert expectation(rho, expr) == per_term_gather_trace(rho, expr)
         GatherCountingState.rows_gathered = 0
         flat = rho.reshape(1, -1).view(GatherCountingState)
-        densesim._pauli_sum_trace(flat, expr, densesim._positions(expr.n_qubits, None))
+        densesim._pauli_sum_trace(flat, expr)
     # One row rho[j, j ^ f] per distinct X part f.
     assert GatherCountingState.rows_gathered == len({term.x_mask for term in expr.terms})
 

@@ -265,13 +265,13 @@ def test_an_out_of_range_target_is_refused_before_any_shift(name, n):
     rho = np.eye(1 << n) / (1 << n)
     with (
         mock.patch.object(densesim, "_observer_step") as step,
-        mock.patch.object(densesim, "_positions") as positions,
+        mock.patch.object(densesim, "_part_rows") as part_rows,
     ):
         for target in (-1, -n - 1, n, n + 5):
             with pytest.raises(ValueError, match=rf"target qubit {target} outside 0\.\.{n - 1}$"):
                 chain(rho, [0.5, 0.5], target)
     step.assert_not_called()
-    positions.assert_not_called()
+    part_rows.assert_not_called()
 
 
 def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
@@ -281,10 +281,10 @@ def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
     cli.cmd_run(**config)  # fill the witness and plan caches first
     state_bytes = StateFamily("cluster", 10).density_matrix().nbytes
     witness = build_modified_witness("cluster", 10, 0.05)
-    # The chain keeps, on the last qubit (bit 0 of a mask), the 2^9 entries
-    # of each target pair for every X part off it: a compact state.
-    parts = len({term.x_mask >> 1 for term in witness.terms})
-    compact_bytes = 4 * parts * (1 << 9) * 8
+    # The chain holds the row rho[j, j ^ f] of 2^10 entries for each
+    # distinct X part f that the witnesses read: a compact state.
+    parts = len({term.x_mask for term in witness.terms})
+    compact_bytes = parts * (1 << 10) * 8
     tracemalloc.start()
     try:
         rho = StateFamily("cluster", 10).density_matrix()
