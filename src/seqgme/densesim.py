@@ -19,9 +19,11 @@ Kraus operator of the channel is real, so a real state stays real along a
 chain, and the Cholesky gate, the channel steps and the gathers run on half
 the bytes of a complex state. Everything here is the brute-force reference
 that the closed-form layers are checked against. No operator is densified on
-the way: a Pauli sum is evaluated on the rows rho[j, j ^ f] of its distinct
-X parts f, j ascending, with a plan cached per term layout, and
-single-qubit maps act on the target qubit's (row bit, column bit) pairs.
+the way: a Pauli sum is read on one path, from the part rows rho[j, j ^ f]
+of its distinct X parts f, j ascending, with a plan cached per term layout.
+expectation gathers those rows from a full state, and the chains hold and
+step them. Single-qubit maps act on the target qubit's (row bit, column
+bit) pairs.
 
 A channel step builds each element's four square-rooted effects in one
 expression from fixed (4, 2, 2) stacks and the two eigenvalues of the
@@ -54,7 +56,7 @@ import functools
 import itertools
 import json
 import math
-from operator import attrgetter
+import operator
 
 import numpy as np
 
@@ -72,10 +74,10 @@ DENSITY_TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 # Accumulated floating error over repeated channel applications.
 EIGENVALUE_FLOOR = -1e-10
-# Entries a Pauli-sum read holds besides its state (256 KiB of float64): a
-# term block taken from a chain's rows, or a full state's block of X parts'
-# rows and its term block. From 2^16 on, a `run` at N = 9 or 10 gave
-# thousands of heap pages back to the kernel and faulted them in again.
+# Entries of the one term block that a Pauli-sum read takes from its part
+# rows at a time (256 KiB of float64), counted over the stack; a block holds
+# at least one term. From 2^16 on, a `run` at N = 9 or 10 gave thousands of
+# heap pages back to the kernel and faulted them in again.
 _GATHER_ELEMENTS = 1 << 15
 # Real numbers of a stack that a channel step updates at once (columns, or
 # whole part rows): its partner terms are the in-place step's only temporary.
@@ -223,8 +225,14 @@ def _factorises(matrix: np.ndarray) -> bool:
 
 
 def _checked_target(n: int, target: int | None) -> int:
-    """The target qubit, the last one when None, after a range check."""
-    target = n - 1 if target is None else target
+    """The target qubit, the last one when None, after a type and range
+    check: any integer type is taken, a float is refused, even 1.0."""
+    if target is None:
+        return n - 1
+    try:
+        target = operator.index(target)
+    except TypeError:
+        raise ValueError(f"target qubit {target!r} is not an integer") from None
     if not 0 <= target < n:
         raise ValueError(f"target qubit {target} outside 0..{n - 1}")
     return target
@@ -513,7 +521,9 @@ def _offsets(n: int, parts: np.ndarray) -> np.ndarray:
     """The flat offsets in a (2^n, 2^n) state of rho[j, j ^ f] for each X
     part f: one row of 2^n per part, j ascending."""
     rows = np.arange(1 << n, dtype=np.int64)
-    return (rows << n) + (rows ^ parts[:, None])
+    offsets = rows ^ parts[:, None]
+    offsets += rows << n  # in place: the gather holds one offsets array
+    return offsets
 
 
 def _part_rows(rho, n: int, parts: np.ndarray) -> np.ndarray:
@@ -548,65 +558,57 @@ def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -
     return out.reshape(rho.shape)
 
 
-_FIELDS = attrgetter("x_mask", "z_mask", "coeff")
-# Gather plans kept, one per term layout; a plan's sign table holds one
-# byte per term and basis state (513 KiB for the 513-term witness at N = 10).
+_FIELDS = operator.attrgetter("x_mask", "z_mask", "coeff")
+# Plans kept, one per term layout; a plan's sign table holds one byte per
+# term and basis state (513 KiB for the 513-term witness at N = 10).
 _PLAN_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _gather_plan(n: int, xs: tuple[int, ...], zs: tuple[int, ...]):
-    """How to gather a Pauli sum whose terms have these X and Z masks.
-
-    The order of the terms by X part (each part's terms form one run, so
-    part_of ascends), the power of i that each ordered term's Y letters put
+    """How to read a Pauli sum whose terms have these X and Z masks, in the
+    terms' order: each term's X part, the power of i that its Y letters put
     in its phase (a string with masks (x, z) is i^popcount(x & z)·X^x·Z^z),
-    the distinct X parts, each ordered term's part, and the int8 table
-    (-1)^popcount(j & z) of each ordered term and basis state j.
+    and the int8 table (-1)^popcount(j & z) of each term and basis state j.
     """
-    order = sorted(range(len(xs)), key=xs.__getitem__)
-    y_phases = np.array([_PHASES[(xs[t] & zs[t]).bit_count() % 4] for t in order])
-    parts, part_of = [], []
-    for t in order:
-        if not parts or xs[t] != parts[-1]:
-            parts.append(xs[t])
-        part_of.append(len(parts) - 1)
-    rows = np.arange(1 << n, dtype=np.int64)
-    masks = np.array([zs[t] for t in order], dtype=np.int64)
-    signs = 1 - 2 * (np.bitwise_count(rows & masks[:, None]) & 1).astype(np.int8)
-    order = np.array(order)
-    return order, y_phases, np.array(parts, dtype=np.int64), np.array(part_of), signs
+    y_phases = np.array([_PHASES[(x & z).bit_count() % 4] for x, z in zip(xs, zs)])
+    masks = np.array(zs, dtype=np.int64)[:, None]
+    signs = 1 - 2 * (np.bitwise_count(np.arange(1 << n) & masks) & 1).astype(np.int8)
+    return np.array(xs, dtype=np.int64), y_phases, signs
 
 
-def _pauli_sum_trace(states: np.ndarray, expr: OperatorExpr, kept=None) -> np.ndarray:
-    """Tr[rho * P] of each element of a stack without building P's matrix;
-    one complex value per element. states is a flat (count, 4^n) stack of
-    full states when kept is None, and otherwise a chain's part rows,
-    (count, len(kept), 2^n), whose row p is rho[j, j ^ kept[p]].
+def _pauli_expectation(rows: np.ndarray, stack: tuple, n: int, obs, parts: np.ndarray):
+    """expectation of a Pauli sum (or string) on each element of a stack,
+    from its part rows and without building the sum's matrix. rows, of shape
+    (count, len(parts), 2^n), holds row p = rho[j, j ^ parts[p]], j
+    ascending, and parts holds every X part of obs's terms.
 
     The only nonzero entries of a term P with masks (f, z) and phase c are
     <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
-    c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z). Terms share few X parts f
-    (a GHZ witness has two), so a full state's row rho[j, j ^ f] is gathered
-    once per distinct f, and each term takes its part's row from there or
-    from the chain's rows. Each term's sum is a row sum of a 2-D array, and
-    the terms are added by fsum, so an element's value is bit for bit that
-    of its own call, from either layout. The terms' masks and coefficients
-    are read in one walk, and a coefficient with an imaginary part is
-    refused before any gather.
+    c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z): each term takes its
+    part's row. Each term's sum is a row sum of a 2-D array, and the terms
+    are added by fsum, so an element's value is bit for bit that of its own
+    call, whatever the terms' order. The terms' masks and coefficients are
+    read in one walk, and a coefficient with an imaginary part is refused
+    before any term is summed.
     """
-    if not expr.terms:
-        return np.zeros(len(states), dtype=complex)
-    xs, zs, coeffs = zip(*map(_FIELDS, expr.terms))
+    if isinstance(obs, PauliString):
+        obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
+    if obs.n_qubits != n:
+        raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
+    if not obs.terms:
+        return _real_part(np.zeros(stack, dtype=complex))
+    xs, zs, coeffs = zip(*map(_FIELDS, obs.terms))
     coeffs = np.array(coeffs, dtype=complex)
     if not (abs(coeffs.imag) <= HERMITIAN_IMAG_TOL).all():
         raise ValidationError("observable has non-real Pauli coefficients")
-    order, y_phases, parts, part_of, signs = _gather_plan(expr.n_qubits, xs, zs)
-    per_term = _term_traces(states, expr.n_qubits, parts, part_of, signs, kept)
+    x_parts, y_phases, signs = _gather_plan(n, xs, zs)
+    per_term = _term_traces(rows, parts.searchsorted(x_parts), signs)
     # Each term's coefficient times the phase of its Y letters, exactly.
-    phases = coeffs[order] * y_phases
+    phases = coeffs * y_phases
     # Each element's products in a call of their own shape, as alone.
-    return np.array([_fsum(row * phases) for row in per_term], dtype=complex)
+    traces = np.array([_fsum(row * phases) for row in per_term], dtype=complex)
+    return _real_part(traces.reshape(stack))
 
 
 def _fsum(values: np.ndarray) -> complex:
@@ -614,43 +616,16 @@ def _fsum(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
-def _term_traces(states, n: int, parts, part_of, signs, kept=None) -> np.ndarray:
-    """sum_j rho[j, j ^ f] * (-1)^popcount(j & z) of each planned term, for
-    each element of a stack in either layout of _pauli_sum_trace; shape
-    (count, terms), complex.
+def _term_traces(rows: np.ndarray, index: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """sum_j rows[:, index[t], j] * signs[t, j] of each term t, for part rows
+    of shape (count, parts, 2^n); shape (count, terms), complex.
 
-    A full state's rows are gathered a block of parts at a time; the parts'
-    rows and the terms' block together hold at most _GATHER_ELEMENTS entries
-    over all elements (a stack too large for two rows of each is split). A
-    chain's terms take its rows a block of _GATHER_ELEMENTS entries at a time.
+    The terms take their rows a block at a time, a block holding at most
+    _GATHER_ELEMENTS entries over all elements, and at least one term.
     """
-    dim = signs.shape[1]
-    count = len(states)
-    # Two rows of every element must fit the budget: split a larger stack.
-    split = max(1, _GATHER_ELEMENTS // (2 * dim))
-    if count > split:
-        return np.concatenate([
-            _term_traces(states[i:i + split], n, parts, part_of, signs, kept)
-            for i in range(0, count, split)
-        ])
-    per_term = np.empty((count, len(part_of)), dtype=complex)
-    budget = max(2, _GATHER_ELEMENTS // (dim * max(1, count)))
-    if kept is not None:
-        _signed_sums(states, kept.searchsorted(parts)[part_of], signs, budget, per_term)
-        return per_term
-    for first in range(0, len(parts), budget // 2):
-        chunk = parts[first:first + budget // 2]
-        lo, hi = part_of.searchsorted([first, first + len(chunk)])
-        rows = _part_rows(states, n, chunk)
-        terms = slice(lo, hi)
-        _signed_sums(rows, part_of[terms] - first, signs[terms], budget - len(chunk), per_term[:, terms])
-    return per_term
-
-
-def _signed_sums(rows: np.ndarray, index, signs, step: int, out: np.ndarray) -> None:
-    """out[:, t] = sum_j rows[:, index[t], j] * signs[t, j] for part rows of
-    shape (count, parts, 2^n), step terms at a time."""
-    dim = rows.shape[-1]
+    count, dim = len(rows), rows.shape[-1]
+    per_term = np.empty((count, len(index)), dtype=complex)
+    step = max(1, _GATHER_ELEMENTS // (dim * max(1, count)))
     for start in range(0, len(index), step):
         block = slice(start, start + step)
         # take copies, so signing the terms' rows never writes rows.
@@ -662,17 +637,9 @@ def _signed_sums(rows: np.ndarray, index, signs, step: int, out: np.ndarray) -> 
         # Sums of C-ordered rows: numpy adds each row pairwise, in the same
         # order whatever the number of rows, where a strided row would be
         # added in sequence.
-        out[:, block] = signed.reshape(-1, dim).sum(axis=1).reshape(signed.shape[:-1])
-
-
-def _pauli_expectation(states: np.ndarray, stack: tuple, n: int, obs, kept=None):
-    """expectation of a Pauli sum (or string) on states in either layout of
-    _pauli_sum_trace, one per element of the stack."""
-    if isinstance(obs, PauliString):
-        obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
-    if obs.n_qubits != n:
-        raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
-    return _real_part(_pauli_sum_trace(states, obs, kept).reshape(stack))
+        per_term[:, block] = signed.reshape(-1, dim).sum(axis=1).reshape(signed.shape[:-1])
+        del signed, halves  # the next block's take is the only one held
+    return per_term
 
 
 def _real_part(value: np.ndarray):
@@ -695,8 +662,8 @@ def expectation(rho: np.ndarray, obs):
     rho = _as_state(rho)
     n = n_qubits_of(rho)
     if isinstance(obs, (PauliString, OperatorExpr)):
-        states = rho.reshape(-1, rho.shape[-1] ** 2)
-        return _pauli_expectation(states, rho.shape[:-2], n, obs)
+        parts = _read_parts([obs], n)
+        return _pauli_expectation(_part_rows(rho, n, parts), rho.shape[:-2], n, obs, parts)
     dense = _as_state(obs)
     try:
         matched = dense.shape[-2:] == rho.shape[-2:]

@@ -905,18 +905,6 @@ def shared_x_part_sums(draw):
     return OperatorExpr.from_terms(n, terms)
 
 
-class GatherCountingState(np.ndarray):
-    """Flat states that count the rows gathered from them: take's index
-    array holds one row of offsets per gathered row."""
-
-    rows_gathered = 0
-
-    def take(self, indices, *args, **kwargs):
-        GatherCountingState.rows_gathered += np.shape(indices)[0]
-        # A plain array: what is taken from the gathered rows is not counted.
-        return super().take(indices, *args, **kwargs).view(np.ndarray)
-
-
 @PROPERTY_SETTINGS
 @given(
     expr=shared_x_part_sums(),
@@ -940,15 +928,17 @@ def test_expectation_with_shared_x_parts_matches_per_term_gathers(
     rho = random_density(rng, expr.n_qubits)
     if real:
         rho = rho.real
-    # A budget of a few rows splits the parts and the terms into several blocks.
+    # A budget of a few rows splits the terms into several blocks.
     dim = rho.shape[0]
-    with mock.patch.object(densesim, "_GATHER_ELEMENTS", rows_at_once * dim):
+    with (
+        mock.patch.object(densesim, "_GATHER_ELEMENTS", rows_at_once * dim),
+        mock.patch.object(densesim, "_part_rows", wraps=densesim._part_rows) as part_rows,
+    ):
         assert expectation(rho, expr) == per_term_gather_trace(rho, expr)
-        GatherCountingState.rows_gathered = 0
-        flat = rho.reshape(1, -1).view(GatherCountingState)
-        densesim._pauli_sum_trace(flat, expr)
-    # One row rho[j, j ^ f] per distinct X part f.
-    assert GatherCountingState.rows_gathered == len({term.x_mask for term in expr.terms})
+    # One gather, of one row rho[j, j ^ f] per distinct X part f.
+    part_rows.assert_called_once()
+    parts = part_rows.call_args.args[2]
+    assert parts.tolist() == sorted({term.x_mask for term in expr.terms})
 
 
 @st.composite
@@ -978,7 +968,7 @@ def pauli_sum_stacks(draw):
 def test_stacked_pauli_sum_traces_equal_their_per_element_calls(stack, rows_at_once):
     rho, expr = stack
     own = [expectation(one, expr) for one in rho]
-    # A budget of a few rows in all splits the parts, the terms and the stack.
+    # A budget of a few rows in all splits the terms, down to one at a time.
     budget = densesim._GATHER_ELEMENTS if rows_at_once is None else rows_at_once * rho.shape[-1]
     with mock.patch.object(densesim, "_GATHER_ELEMENTS", budget):
         assert expectation(rho, expr).tolist() == own

@@ -2,6 +2,7 @@
 against the per-state calls it replaces, and the caller's arrays."""
 
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from seqgme import cli, densesim
 from seqgme.densesim import (
+    channel_closed_form,
     expectation,
     luders_update,
     observer_expectations,
@@ -227,7 +229,11 @@ def _chain_functions():
         observables = [PauliString("Z" * densesim.n_qubits_of(rho))] * len(lambdas)
         return observer_expectations(rho, lambdas, observables, target)
 
+    # channel_closed_form is no chain, but it takes a target as they do.
     return {
+        "channel_closed_form": lambda rho, lambdas, target: [
+            channel_closed_form(rho, lambdas[0], target)
+        ],
         "luders_update": lambda rho, lambdas, target: [luders_update(rho, lambdas[0], target)],
         "observer_states": lambda rho, lambdas, target: list(observer_states(rho, lambdas, target)),
         "observer_expectations": expectations,
@@ -267,11 +273,41 @@ def test_an_out_of_range_target_is_refused_before_any_shift(name, n):
         mock.patch.object(densesim, "_observer_step") as step,
         mock.patch.object(densesim, "_part_rows") as part_rows,
     ):
-        for target in (-1, -n - 1, n, n + 5):
+        for lambdas, target in itertools.product(([0.5], [0.5, 0.5]), (-1, -n - 1, n, n + 5)):
             with pytest.raises(ValueError, match=rf"target qubit {target} outside 0\.\.{n - 1}$"):
-                chain(rho, [0.5, 0.5], target)
+                chain(rho, lambdas, target)
+        # A float is no qubit index, even an integral one in range.
+        floats = (0.5, 1.5, 0.0, np.float64(0.0))
+        for lambdas, target in itertools.product(([0.5], [0.5, 0.5]), floats):
+            message = rf"target qubit {re.escape(repr(target))} is not an integer$"
+            with pytest.raises(ValueError, match=message):
+                chain(rho, lambdas, target)
     step.assert_not_called()
     part_rows.assert_not_called()
+
+
+@pytest.mark.parametrize("target", [0.5, 1.0, np.float64(1.0)])
+def test_a_family_chain_refuses_a_float_target(target):
+    family = StateFamily("ghz", 3)
+    observables = [PauliString("ZZZ")] * 2
+    message = rf"target qubit {re.escape(repr(target))} is not an integer$"
+    for lambdas in ([0.5], [0.5, 0.5]):
+        with pytest.raises(ValueError, match=message):
+            observer_expectations(family, lambdas, observables, target)
+    with pytest.raises(ValueError, match=message):
+        densesim._last_observer_values([(family, [0.5, 0.5])], observables[:1], target)
+
+
+@pytest.mark.parametrize("name", sorted(_chain_functions()))
+def test_a_numpy_integer_target_is_that_qubit(name):
+    chain = _chain_functions()[name]
+    rho = np.diag([0.5, 0.25, 0.125, 0.125]).astype(float)
+    rho[0, 3] = rho[3, 0] = 0.1
+    for target in range(2):
+        expected = [np.asarray(value).tobytes() for value in chain(rho, [0.3, 0.9], target)]
+        for integer in (np.int64, np.uint8):
+            values = chain(rho, [0.3, 0.9], integer(target))
+            assert [np.asarray(value).tobytes() for value in values] == expected
 
 
 def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
@@ -285,14 +321,10 @@ def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
     # distinct X part f that the witnesses read: a compact state.
     parts = len({term.x_mask for term in witness.terms})
     compact_bytes = parts * (1 << 10) * 8
+    # A term block: at most _GATHER_ELEMENTS float64 entries.
+    gather_block = densesim._GATHER_ELEMENTS * 8
     tracemalloc.start()
     try:
-        rho = StateFamily("cluster", 10).density_matrix()
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        expectation(rho, witness)
-        gather_block = tracemalloc.get_traced_memory()[1] - base
-        del rho, witness
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         cli.cmd_run(**config)
@@ -307,6 +339,27 @@ def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
     # as they are made) and one gather block; room for the rows and the other
     # small objects.
     assert peak <= bound
+
+
+@pytest.mark.parametrize("label", ["ghz", "cluster"])
+def test_a_full_state_read_holds_its_part_rows_and_one_term_block(label):
+    rho = StateFamily(label, 10).density_matrix()
+    witness = build_modified_witness(label, 10, 0.05)
+    expectation(rho, witness)  # fill the plan cache first
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        expectation(rho, witness)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # One row of 2^10 float64 entries per distinct X part, gathered by as
+    # many int64 offsets, which are freed before the first term block.
+    rows_bytes = len({term.x_mask for term in witness.terms}) * (1 << 10) * 8
+    term_block = densesim._GATHER_ELEMENTS * 8
+    # Slack for numpy's 64 KiB cast buffer and the per-term values.
+    assert peak <= rows_bytes + max(rows_bytes, term_block) + (192 << 10)
 
 
 @pytest.mark.parametrize("label", FAMILIES)
