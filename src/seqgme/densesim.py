@@ -21,17 +21,21 @@ the bytes of a complex state. Everything here is the brute-force reference
 that the closed-form layers are checked against. No operator is densified on
 the way: a Pauli sum is read on one path, from the part rows rho[j, j ^ f]
 of its distinct X parts f, j ascending, with a plan cached per term layout.
-expectation gathers those rows from a full state, and the chains hold and
-step them. Single-qubit maps act on the target qubit's (row bit, column
-bit) pairs.
+Each row is folded by its terms' shared Z prefixes, a Walsh-Hadamard pass
+pruned to them, until each term has a node of its own, whose remaining
+entries are signed and summed (_term_traces). expectation gathers those
+rows from a full state, and the chains hold and step them. Single-qubit
+maps act on the target qubit's (row bit, column bit) pairs.
 
 A channel step builds each element's four square-rooted effects in one
 expression from fixed (4, 2, 2) stacks and the two eigenvalues of the
 unsharp x roots, and forms the 4x4 superoperator from them. That
 superoperator is zero off its diagonal and antidiagonal, so a step updates
 each entry from itself and its partner across the target's pair: two
-products and one add per real number (_pair_update), whose bits do not
-depend on which other entries the array holds. A step overwrites its state,
+products and one add per real number, whose bits do not depend on which
+other entries the array holds. It is also symmetric under a <-> 3 - a,
+so on part rows both entries of a pair take the same two factors, and the
+products run over whole rows. A step overwrites its state,
 so a chain holds one. luders_update and observer_states run in target-major
 order, where each element is a C-contiguous (4, m) block whose axis 0 is
 the target's (row bit, column bit); they step all 4^(N-1) columns of a copy
@@ -316,46 +320,58 @@ def _observer_step(state: np.ndarray, sharpness, parts=None, low: int = 0) -> np
     The four maps K rho K^dagger add up to _superoperator(sharpness), which
     acts on the target's (row bit, column bit) pair a. Its eight entries off
     the diagonal and the antidiagonal are exactly 0.0 (the x roots' cross
-    terms cancel), so pair a of the result mixes only pairs a and 3 - a
-    (_pair_update), and an entry has the same bits whatever else state
-    holds. With parts None, state is target-major, (count, 4, m), and row a's
-    partner is row 3 - a. Otherwise row p of state, (count, len(parts), 2^n),
-    is rho[j, j ^ parts[p]], j ascending, and entry j's partner is entry
+    terms cancel), so pair a of the result mixes only pairs a and 3 - a:
+    two rounded products and one add per real number, and an entry has the
+    same bits whatever else state holds. With parts None, state is
+    target-major, (count, 4, m), and row a's partner is row 3 - a
+    (_pair_update). Otherwise row p of state, (count, len(parts), 2^n), is
+    rho[j, j ^ parts[p]], j ascending, and entry j's partner is entry
     j ^ (1 << low), low being the target's bit: the pairs are (0, 3) when
     parts[p] keeps that bit and (1, 2) when it flips it. The superoperator
-    is real, so the result has the state's dtype. state is overwritten a
-    block of at most _STEP_BLOCK real numbers at a time (columns, or whole
-    part rows), after that block's partner terms are formed, and returned.
+    is symmetric under a <-> 3 - a, bit for bit, so both entries of a pair
+    take the same diagonal and antidiagonal factor, and a part row is
+    stepped by two products over whole rows and one add of each entry's
+    partner product: the same products and add as _pair_update's, without
+    its stride-2 products. The superoperator is real, so the result has the
+    state's dtype. state is overwritten a block of at most _STEP_BLOCK real
+    numbers at a time (columns, or whole part rows), after that block's
+    partner terms are formed, and returned.
     """
     superop = _superoperator(sharpness)
     # A complex entry is two reals, each scaled by the same real factor.
     entries = state.view(np.float64)
     if parts is None:
-        coeffs = _pair_coefficients(superop, np.arange(2), 3)
+        coeffs = _pair_coefficients(superop)
         width = max(1, _STEP_BLOCK // (4 * max(1, len(entries))))
         for start in range(0, entries.shape[-1], width):
             block = entries[..., start:start + width]
             _pair_update(block[:, :2], block[:, :1:-1], *coeffs)
         return state
-    coeffs = _pair_coefficients(superop, (parts >> low) & 1, 4)
+    pair = (parts >> low) & 1
+    diag = superop[:, pair, pair][..., None, None, None]
+    anti = superop[:, pair, 3 - pair][..., None, None, None]
     half = state.shape[-1] >> (low + 1)
     pairs = entries.reshape(*entries.shape[:2], half, 2, entries.shape[-1] // (2 * half))
     height = max(1, _STEP_BLOCK // max(1, len(entries) * entries.shape[-1]))
     for start in range(0, len(parts), height):
         rows = slice(start, start + height)
         block = pairs[:, rows]
-        _pair_update(block[..., 0, :], block[..., 1, :], *(c[:, rows] for c in coeffs))
+        # At the last target partners are neighbours, and numpy's stride-2
+        # products are about twice as slow per entry as these.
+        partner = block * anti[:, rows]
+        block *= diag[:, rows]
+        block[..., 0, :] += partner[..., 1, :]
+        block[..., 1, :] += partner[..., 0, :]
     return state
 
 
-def _pair_coefficients(superop: np.ndarray, pair: np.ndarray, ndim: int):
+def _pair_coefficients(superop: np.ndarray):
     """The superoperator's diag[a], anti[a], diag[3 - a] and anti[3 - a] for
-    each pair a in pair, shaped (count, len(pair), 1, ...) to broadcast
-    against ndim-dimensional blocks of partner entries."""
-    partner = 3 - pair
-    pad = (...,) + (None,) * (ndim - 2)
+    target-major rows a = 0, 1, shaped (count, 2, 1) to broadcast against
+    blocks of their entries."""
+    pair, partner = np.arange(2), np.arange(3, 1, -1)
     pairs = ((pair, pair), (pair, partner), (partner, partner), (partner, pair))
-    return [superop[:, a, b][pad] for a, b in pairs]
+    return [superop[:, a, b][..., None] for a, b in pairs]
 
 
 def _pair_update(lo, hi, d_lo, a_lo, d_hi, a_hi) -> None:
@@ -559,22 +575,45 @@ def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -
 
 
 _FIELDS = operator.attrgetter("x_mask", "z_mask", "coeff")
-# Plans kept, one per term layout; a plan's sign table holds one byte per
-# term and basis state (513 KiB for the 513-term witness at N = 10).
+# Plans kept, one per term layout. A plan holds a few numbers per term and
+# per fold node, and 2^(N-k) signs per term: 35 KiB for the 513-term GHZ
+# witness at N = 10 (k = 9), where a sign per term and basis state took
+# 525 KiB, and 66 KiB for the 63-term cluster witness (k = 0).
 _PLAN_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _gather_plan(n: int, xs: tuple[int, ...], zs: tuple[int, ...]):
-    """How to read a Pauli sum whose terms have these X and Z masks, in the
-    terms' order: each term's X part, the power of i that its Y letters put
-    in its phase (a string with masks (x, z) is i^popcount(x & z)·X^x·Z^z),
-    and the int8 table (-1)^popcount(j & z) of each term and basis state j.
+    """How _term_traces reads a Pauli sum whose terms have these X and Z
+    masks, in the terms' order.
+
+    The fold depth k is the smallest level at which terms with different
+    masks have different keys (x, z >> (n - k)). The nodes of level 0 are
+    the sum's distinct X parts, ascending (the heads); those of level
+    l = 1..k are the level's distinct keys, ascending, and node (x, prefix)
+    is its parent (x, prefix >> 1) folded on the Z bit prefix & 1. The plan
+    holds the heads; per level each node's parent index and fold sign, +1
+    for bit 0 and -1 for bit 1, shaped (nodes, 1); each term's node at
+    level k; the power of i that its Y letters put in its phase (a string
+    with masks (x, z) is i^popcount(x & z)·X^x·Z^z); and the int8 table
+    (-1)^popcount(j & z) of each term and remaining entry j < 2^(n - k).
     """
+    masks = set(zip(xs, zs))
+    heads = sorted(set(xs))
+    nodes = {(x, 0): i for i, x in enumerate(heads)}
+    levels = []
+    while len(nodes) < len(masks):
+        keys = sorted({(x, z >> (n - len(levels) - 1)) for x, z in masks})
+        parents = np.array([nodes[x, prefix >> 1] for x, prefix in keys], dtype=np.int64)
+        flips = np.array([1.0 - 2.0 * (prefix & 1) for _, prefix in keys])[:, None]
+        levels.append((parents, flips))
+        nodes = {key: i for i, key in enumerate(keys)}
+    depth = len(levels)
+    leaves = np.array([nodes[x, z >> (n - depth)] for x, z in zip(xs, zs)], dtype=np.int64)
     y_phases = np.array([_PHASES[(x & z).bit_count() % 4] for x, z in zip(xs, zs)])
-    masks = np.array(zs, dtype=np.int64)[:, None]
-    signs = 1 - 2 * (np.bitwise_count(np.arange(1 << n) & masks) & 1).astype(np.int8)
-    return np.array(xs, dtype=np.int64), y_phases, signs
+    tail = np.arange(1 << (n - depth)) & np.array(zs, dtype=np.int64)[:, None]
+    signs = 1 - 2 * (np.bitwise_count(tail) & 1).astype(np.int8)
+    return np.array(heads, dtype=np.int64), tuple(levels), leaves, y_phases, signs
 
 
 def _pauli_expectation(rows: np.ndarray, stack: tuple, n: int, obs, parts: np.ndarray):
@@ -585,12 +624,12 @@ def _pauli_expectation(rows: np.ndarray, stack: tuple, n: int, obs, parts: np.nd
 
     The only nonzero entries of a term P with masks (f, z) and phase c are
     <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
-    c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z): each term takes its
-    part's row. Each term's sum is a row sum of a 2-D array, and the terms
-    are added by fsum, so an element's value is bit for bit that of its own
-    call, whatever the terms' order. The terms' masks and coefficients are
-    read in one walk, and a coefficient with an imaginary part is refused
-    before any term is summed.
+    c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z): each term reads its
+    part's row, folded by _term_traces. The terms are added by fsum, so an
+    element's value is bit for bit that of its own call, whatever the
+    terms' order. The terms' masks and coefficients are read in one walk,
+    and a coefficient with an imaginary part is refused before any term is
+    summed.
     """
     if isinstance(obs, PauliString):
         obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
@@ -602,8 +641,10 @@ def _pauli_expectation(rows: np.ndarray, stack: tuple, n: int, obs, parts: np.nd
     coeffs = np.array(coeffs, dtype=complex)
     if not (abs(coeffs.imag) <= HERMITIAN_IMAG_TOL).all():
         raise ValidationError("observable has non-real Pauli coefficients")
-    x_parts, y_phases, signs = _gather_plan(n, xs, zs)
-    per_term = _term_traces(rows, parts.searchsorted(x_parts), signs)
+    heads, levels, leaves, y_phases, signs = _gather_plan(n, xs, zs)
+    # The heads' rows, or None when they are all of rows, in order.
+    index = None if len(heads) == len(parts) else parts.searchsorted(heads)
+    per_term = _term_traces(rows, index, levels, leaves, signs)
     # Each term's coefficient times the phase of its Y letters, exactly.
     phases = coeffs * y_phases
     # Each element's products in a call of their own shape, as alone.
@@ -616,20 +657,34 @@ def _fsum(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
-def _term_traces(rows: np.ndarray, index: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """sum_j rows[:, index[t], j] * signs[t, j] of each term t, for part rows
-    of shape (count, parts, 2^n); shape (count, terms), complex.
+def _term_traces(rows: np.ndarray, index, levels, leaves: np.ndarray, signs: np.ndarray):
+    """sum_j rows[:, p_t, j] * (-1)^popcount(j & z_t) of each term t of a
+    _gather_plan, for part rows of shape (count, parts, 2^n), where index
+    gives the row p of each of the plan's heads (None: head p is row p);
+    shape (count, terms), complex.
 
-    The terms take their rows a block at a time, a block holding at most
-    _GATHER_ELEMENTS entries over all elements, and at least one term.
+    A term's trace is its part row folded k levels by its own Z bits, top
+    bit first, then the row sum of the signed remainder of 2^(n - k)
+    entries. A fold halves a row into its first and second halves, lo and
+    hi, and keeps lo + hi where the bit is 0 and lo - hi where it is 1.
+    Terms that share an X part and their Z masks' top l bits share their
+    first l folds, so a GHZ witness's 2^(n-1) + 1 terms on 2 parts cost
+    about k adds per entry of a part row, not one per term, and a sum
+    whose X parts are all distinct (k = 0) is only signed and summed. The
+    remainders are taken a block at a time, a block holding at most
+    _GATHER_ELEMENTS entries over all elements and at least one term.
     """
-    count, dim = len(rows), rows.shape[-1]
+    nodes = rows
+    for parents, flips in levels:
+        nodes, index = _fold(nodes, parents if index is None else index[parents], flips), None
+    index = leaves if index is None else index[leaves]
+    count, dim = len(nodes), nodes.shape[-1]
     per_term = np.empty((count, len(index)), dtype=complex)
     step = max(1, _GATHER_ELEMENTS // (dim * max(1, count)))
     for start in range(0, len(index), step):
         block = slice(start, start + step)
         # take copies, so signing the terms' rows never writes rows.
-        signed = np.take(rows, index[block], axis=1)
+        signed = np.take(nodes, index[block], axis=1)
         # Each float64 half times +-1, as a negation does: a complex times
         # (-1+0j) adds a 0.0 * x term, which can turn a -0.0 into +0.0.
         halves = signed.view(np.float64).reshape(*signed.shape, signed.itemsize // 8)
@@ -640,6 +695,22 @@ def _term_traces(rows: np.ndarray, index: np.ndarray, signs: np.ndarray) -> np.n
         per_term[:, block] = signed.reshape(-1, dim).sum(axis=1).reshape(signed.shape[:-1])
         del signed, halves  # the next block's take is the only one held
     return per_term
+
+
+def _fold(nodes: np.ndarray, parents: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """One fold level of _term_traces: lo + flips * hi of each row parents
+    of nodes, (count, rows, 2 * half), lo and hi being the row's halves;
+    shape (count, len(parents), half).
+
+    A complex row's halves are the halves of its float64 view, so a fold is
+    one exact product by +-1 and one add per real number, and adding -hi is
+    bit for bit subtracting hi.
+    """
+    halves = np.take(nodes.view(np.float64), parents, axis=1)
+    width = halves.shape[-1] >> 1
+    folded = halves[..., width:] * flips
+    folded += halves[..., :width]
+    return folded.view(nodes.dtype)
 
 
 def _real_part(value: np.ndarray):

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -820,6 +821,18 @@ def test_the_superoperator_mixes_each_row_only_with_its_partner(sharpness):
     assert off.tobytes() == np.zeros_like(off).tobytes()
 
 
+# The part-row step gives both entries of a pair the same two factors, so
+# pair a's row of the superoperator must be pair 3 - a's, reversed.
+@pytest.mark.parametrize(
+    "sharpness",
+    SUPEROPERATOR_SHARPNESSES + (np.random.default_rng(0).uniform(size=10**5),),
+    ids=lambda lam: f"{np.size(lam)} uniform" if np.size(lam) > 6 else repr(lam),
+)
+def test_the_superoperator_is_symmetric_under_the_pair_swap(sharpness):
+    superop = densesim._superoperator(sharpness)
+    assert superop.tobytes() == np.ascontiguousarray(superop[:, ::-1, ::-1]).tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, DENSE_QUBIT_LIMIT + 1))
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_a_step_on_some_columns_equals_those_columns_of_the_full_step(n, real):
@@ -868,15 +881,33 @@ def test_a_step_on_part_rows_equals_those_rows_of_the_full_step(block, n, real):
                 assert state.tobytes() == densesim._part_rows(full, n, parts).tobytes()
 
 
+def fold_depth(expr) -> int:
+    """The smallest level k at which the terms' keys (x, z >> (n - k)) are
+    pairwise distinct."""
+    n = expr.n_qubits
+    masks = [(term.x_mask, term.z_mask) for term in expr.terms]
+    for k in range(n + 1):
+        if len({(x, z >> (n - k)) for x, z in masks}) == len(masks):
+            return k
+    raise AssertionError("a sum's terms have distinct masks")
+
+
 def per_term_gather_trace(rho, expr):
-    """Tr[rho * expr] with one gather of rho[j, j ^ f] for every term."""
+    """Tr[rho * expr] with one gather of rho[j, j ^ f] for every term, that
+    row folded fold_depth(expr) times by the term's own Z bits, top bit
+    first (first half plus or minus second half), and the signed remainder
+    summed."""
+    n, k = expr.n_qubits, fold_depth(expr)
     rows = np.arange(rho.shape[0])
     sums, phases = [], []
     for term in expr.terms:
         flip, sign, phase = bit_masks(term)
-        gathered = rho[rows, rows ^ flip]
-        parity = np.bitwise_count(rows & sign) & 1
-        sums.append(np.where(parity, -gathered, gathered).sum())
+        row = rho[rows, rows ^ flip]
+        for level in range(k):
+            lo, hi = np.split(row, 2)
+            row = lo - hi if (sign >> (n - 1 - level)) & 1 else lo + hi
+        parity = np.bitwise_count(np.arange(len(row)) & sign) & 1
+        sums.append(np.where(parity, -row, row).sum())
         phases.append(phase)
     per_term = np.array(sums, dtype=complex) * np.array(phases, dtype=complex)
     return math.fsum(per_term.real.tolist())
@@ -921,6 +952,15 @@ def shared_x_part_sums(draw):
     real=False,
     seed=3,
 )
+# Two terms on one X part that differ in the last Z bit only: each is
+# folded down to one entry, and a row sum of its four entries gave another
+# last bit.
+@example(
+    expr=OperatorExpr.from_terms(2, [PauliString("II"), PauliString("IZ")]),
+    rows_at_once=2,
+    real=False,
+    seed=0,
+)
 def test_expectation_with_shared_x_parts_matches_per_term_gathers(
     expr, rows_at_once, real, seed
 ):
@@ -928,10 +968,10 @@ def test_expectation_with_shared_x_parts_matches_per_term_gathers(
     rho = random_density(rng, expr.n_qubits)
     if real:
         rho = rho.real
-    # A budget of a few rows splits the terms into several blocks.
-    dim = rho.shape[0]
+    # A budget of a few remainders splits the terms into several blocks.
+    remainder = rho.shape[0] >> fold_depth(expr)
     with (
-        mock.patch.object(densesim, "_GATHER_ELEMENTS", rows_at_once * dim),
+        mock.patch.object(densesim, "_GATHER_ELEMENTS", rows_at_once * remainder),
         mock.patch.object(densesim, "_part_rows", wraps=densesim._part_rows) as part_rows,
     ):
         assert expectation(rho, expr) == per_term_gather_trace(rho, expr)
@@ -939,6 +979,43 @@ def test_expectation_with_shared_x_parts_matches_per_term_gathers(
     part_rows.assert_called_once()
     parts = part_rows.call_args.args[2]
     assert parts.tolist() == sorted({term.x_mask for term in expr.terms})
+
+
+def exact_trace(rho, expr) -> Fraction:
+    """Tr[rho * expr] in exact rational arithmetic: the real part of each
+    term's phase times its signed part row, on the row's real or imaginary
+    half as the phase's power of i is even or odd."""
+    rows = np.arange(rho.shape[0])
+    total = Fraction(0)
+    for term in expr.terms:
+        flip, sign, _ = bit_masks(term)
+        row = rho[rows, rows ^ flip]
+        power = (flip & sign).bit_count() % 4
+        half = np.real(row) if power % 2 == 0 else np.imag(row)
+        signs = 1 - 2 * (np.bitwise_count(rows & sign).astype(int) & 1)
+        entries = sum(Fraction(float(v)) * int(s) for v, s in zip(half, signs))
+        total += Fraction(term.coeff.real) * (1 if power in (0, 3) else -1) * entries
+    return total
+
+
+@PROPERTY_SETTINGS
+@given(expr=shared_x_part_sums(), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_a_folded_read_is_within_its_rounding_bound_of_the_exact_trace(expr, real, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, expr.n_qubits)
+    if real:
+        rho = rho.real
+    n, k = expr.n_qubits, fold_depth(expr)
+    rows = np.arange(rho.shape[0])
+    weight = sum(abs(term.coeff) * np.abs(rho[rows, rows ^ term.x_mask]).sum() for term in expr.terms)
+    # Each real number of a term's row takes part in k folds and, in any
+    # summation order, at most 2^(n - k) - 1 adds of its remainder; one more
+    # rounding each for the coefficient's product and for fsum. That is
+    # n + 2 roundings when k >= n - 1, as in a GHZ witness. A subnormal
+    # coefficient's product can lose half a subnormal step.
+    depth = k + (1 << (n - k)) + 1
+    bound = depth * 2.0**-53 * weight + len(expr.terms) * 2.0**-1074
+    assert abs(Fraction(expectation(rho, expr)) - exact_trace(rho, expr)) <= bound
 
 
 @st.composite

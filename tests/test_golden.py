@@ -39,6 +39,12 @@ CASES = {
     "run_gghz_n6": ["run", "--state", "gghz:alpha=0.3", "--N", "6", "--plan", PLAN],
     "run_ghz_n10": ["run", "--state", "ghz", "--N", "10", "--plan", PLAN, "--mode", "both"],
     "run_cluster_n10": ["run", "--state", "cluster", "--N", "10", "--plan", PLAN, "--mode", "both"],
+    # A GHZ witness on a mixed state at the largest dense size: its terms
+    # share two X parts, so its dense column pins the bits of the folded read.
+    "run_mixed_n10": [
+        "run", "--state", "mixed:p1=0.8,p2=0.1,p3=0.1,alpha=0.4", "--N", "10", "--plan", PLAN,
+        "--mode", "both",
+    ],
 }
 
 

@@ -362,6 +362,32 @@ def test_a_full_state_read_holds_its_part_rows_and_one_term_block(label):
     assert peak <= rows_bytes + max(rows_bytes, term_block) + (192 << 10)
 
 
+def test_a_ghz_read_holds_a_small_plan_and_peaks_below_its_state():
+    n = 10
+    rho = StateFamily("ghz", n).density_matrix()
+    witness = build_modified_witness("ghz", n, 0.05)
+    xs, zs = zip(*((term.x_mask, term.z_mask) for term in witness.terms))
+    expectation(rho, witness)  # numpy's first calls, then a cold plan
+    densesim._gather_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        densesim._gather_plan(n, xs, zs)
+        plan_bytes = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        expectation(rho, witness)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 513 terms on 2 X parts fold 9 levels: the plan holds a few entries per
+    # term, not a sign per term and basis state (525 KiB), and the read holds
+    # its two part rows, their offsets and two fold levels, not a term block.
+    assert len(witness.terms) == 513
+    assert plan_bytes <= 64 << 10
+    assert peak <= 128 << 10
+
+
 @pytest.mark.parametrize("label", FAMILIES)
 def test_run_builds_and_validates_no_density_matrix(label):
     family = StateFamily.parse(label, DENSE_QUBIT_LIMIT)
