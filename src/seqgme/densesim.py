@@ -70,7 +70,7 @@ from .errors import (
     ValidationError,
     check_sharpness,
 )
-from .pauli import _PHASES, DENSE_QUBIT_LIMIT, HERMITIAN_IMAG_TOL, IMAG_TOL, PAULI_MATRICES
+from .pauli import _PHASES, DENSE_QUBIT_LIMIT, IMAG_TOL, PAULI_MATRICES
 from .pauli import OperatorExpr, PauliString
 from .states import StateFamily
 
@@ -518,9 +518,9 @@ def _ragged_prefixes(lengths: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _read_parts(observables, n: int) -> np.ndarray:
-    """The distinct X parts of every n-qubit Pauli observable, ascending; all
-    2^n of them when one observable is dense. An observable on another qubit
-    count reads nothing: its step refuses it."""
+    """The distinct X parts of every n-qubit Pauli observable, ascending, from
+    its x mask column; all 2^n of them when one observable is dense. An
+    observable on another qubit count reads nothing: its step refuses it."""
     masks = set()
     for obs in observables:
         if isinstance(obs, PauliString):
@@ -528,7 +528,7 @@ def _read_parts(observables, n: int) -> np.ndarray:
         elif not isinstance(obs, OperatorExpr):
             return np.arange(1 << n, dtype=np.int64)
         if obs.n_qubits == n:
-            masks.update(term.x_mask for term in obs.terms)
+            masks.update(obs.columns()[0])
     # Sorted in Python: np.unique would import numpy.ma on its first call.
     return np.array(sorted(masks), dtype=np.int64)
 
@@ -545,12 +545,21 @@ def _offsets(n: int, parts: np.ndarray) -> np.ndarray:
 def _part_rows(rho, n: int, parts: np.ndarray) -> np.ndarray:
     """The rows rho[j, j ^ f], j ascending, of each X part f, as a new
     (count, parts, 2^n) array: gathered from a stack of states, flat or
-    (..., 2^n, 2^n), or read from a StateFamily's entries (count 1)."""
+    (..., 2^n, 2^n), a block of parts at a time, or read from a
+    StateFamily's entries (count 1)."""
     if isinstance(rho, StateFamily):
         # 32-bit indices: the columns are as many as the rows read.
         rows = np.arange(1 << n, dtype=np.int32)
         return rho.entries(rows, np.bitwise_xor(rows, parts[:, None], dtype=np.int32))[None]
-    return np.take(rho.reshape(-1, 1 << 2 * n), _offsets(n, parts), axis=1)
+    flat = rho.reshape(-1, 1 << 2 * n)
+    out = np.empty((len(flat), len(parts), 1 << n), dtype=flat.dtype)
+    # At most _GATHER_ELEMENTS int64 offsets at once, not one per entry read.
+    height = max(1, _GATHER_ELEMENTS >> n)
+    for start in range(0, len(parts), height):
+        block = slice(start, start + height)
+        # The offsets are in range, and "clip" lets take write out directly.
+        np.take(flat, _offsets(n, parts[block]), axis=1, out=out[:, block], mode="clip")
+    return out
 
 
 def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -> np.ndarray:
@@ -574,7 +583,6 @@ def channel_closed_form(rho: np.ndarray, sharpness, target: int | None = None) -
     return out.reshape(rho.shape)
 
 
-_FIELDS = operator.attrgetter("x_mask", "z_mask", "coeff")
 # Plans kept, one per term layout. A plan holds a few numbers per term and
 # per fold node, and 2^(N-k) signs per term: 35 KiB for the 513-term GHZ
 # witness at N = 10 (k = 9), where a sign per term and basis state took
@@ -627,19 +635,18 @@ def _pauli_expectation(rows: np.ndarray, stack: tuple, n: int, obs, parts: np.nd
     c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z): each term reads its
     part's row, folded by _term_traces. The terms are added by fsum, so an
     element's value is bit for bit that of its own call, whatever the
-    terms' order. The terms' masks and coefficients are read in one walk,
-    and a coefficient with an imaginary part is refused before any term is
-    summed.
+    terms' order. The masks and coefficients are obs.columns(), so no term
+    is walked here (a built witness's are never made), and a sum that is
+    not is_hermitian is refused before any term is summed.
     """
     if isinstance(obs, PauliString):
         obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
     if obs.n_qubits != n:
         raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
-    if not obs.terms:
+    xs, zs, coeffs = obs.columns()
+    if not xs:
         return _real_part(np.zeros(stack, dtype=complex))
-    xs, zs, coeffs = zip(*map(_FIELDS, obs.terms))
-    coeffs = np.array(coeffs, dtype=complex)
-    if not (abs(coeffs.imag) <= HERMITIAN_IMAG_TOL).all():
+    if not obs.is_hermitian():
         raise ValidationError("observable has non-real Pauli coefficients")
     heads, levels, leaves, y_phases, signs = _gather_plan(n, xs, zs)
     # The heads' rows, or None when they are all of rows, in order.

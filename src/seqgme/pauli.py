@@ -13,7 +13,9 @@ use `_mask_product`, and all commutation checks `_anticommuting_pair`.
 A sum built from stabilizer projectors (a witness) is made from the factored
 form constant·I + Σ_j w_j·Π_{S in class j}(I + S)/2 and expands its terms
 when first read; `states.stabilizer_expectation` evaluates that form in one
-sign lookup per generator, so it never expands them.
+sign lookup per generator, so it never expands them. A sum's masks and
+coefficients are also read as columns (`OperatorExpr.columns`), which a
+built witness takes from its builder without expanding its terms.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ HERMITIAN_IMAG_TOL = 1e-12
 IMAG_TOL = 1e-10
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_FIELDS = attrgetter("x_mask", "z_mask", "coeff")
 
 # Letter -> bit of the X mask (X, Y) and of the Z mask (Z, Y), read by the
 # constructor; qubit 1 is the most significant bit.
@@ -176,7 +179,8 @@ class OperatorExpr:
     sorted by letters, so equal operators compare equal. `factored`
     is the _ProjectorForm the terms expand, when the builder knows it; ==
     and hash ignore it, and every arithmetic result goes without it. A sum
-    made by `_deferred` expands its terms when first read (as == and hash do).
+    made by `_deferred` expands its terms when first read (as == and hash do),
+    and takes its columns from its builder, so reading them expands nothing.
     """
 
     n_qubits: int
@@ -184,17 +188,20 @@ class OperatorExpr:
     factored: _ProjectorForm | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def _deferred(cls, n_qubits: int, factored: _ProjectorForm, expand: Callable) -> "OperatorExpr":
-        """The sum whose canonical terms expand() returns, called when first read."""
+    def _deferred(
+        cls, n_qubits: int, factored: _ProjectorForm, expand: Callable, args: tuple
+    ) -> "OperatorExpr":
+        """The sum whose canonical terms expand(*args, False) returns and whose
+        columns() expand(*args, True) returns, each called when first read."""
         out = object.__new__(cls)
-        out.__dict__.update(n_qubits=n_qubits, factored=factored, _expand=expand)
+        out.__dict__.update(n_qubits=n_qubits, factored=factored, _expand=expand, _args=args)
         return out
 
     def __getattr__(self, name: str):
         # Reached only for attributes the instance lacks, as a deferred sum's terms.
         if name != "terms" or "_expand" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        terms = self.__dict__["terms"] = self._expand()
+        terms = self.__dict__["terms"] = self._expand(*self._args, False)
         return terms
 
     @classmethod
@@ -245,8 +252,31 @@ class OperatorExpr:
     def __rmul__(self, scalar) -> "OperatorExpr":
         return self * scalar
 
+    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+        """The terms' x masks, z masks and complex coefficients, in term order.
+
+        Made once per sum, from the terms or, for a deferred sum, by its
+        builder; the coefficient array is read-only, as builders share it.
+        """
+        found = self.__dict__.get("_columns")
+        if found is None:
+            expand = self.__dict__.get("_expand")
+            found = expand(*self._args, True) if expand else _columns_of(self.terms)
+            self.__dict__["_columns"] = found
+        return found
+
     def is_hermitian(self) -> bool:
-        return all(abs(t.coeff.imag) <= HERMITIAN_IMAG_TOL for t in self.terms)
+        """Whether no coefficient has an imaginary part above
+        HERMITIAN_IMAG_TOL in magnitude; a NaN coefficient makes it False."""
+        return bool((abs(self.columns()[2].imag) <= HERMITIAN_IMAG_TOL).all())
+
+
+def _columns_of(terms: Sequence[PauliString]) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """OperatorExpr.columns of these terms, walked once."""
+    xs, zs, coeffs = zip(*map(_FIELDS, terms)) if terms else ((), (), ())
+    coeffs = np.array(coeffs, dtype=complex)
+    coeffs.flags.writeable = False
+    return xs, zs, coeffs
 
 
 def expand_projector_product(generators: Sequence[PauliString], n_qubits: int) -> OperatorExpr:

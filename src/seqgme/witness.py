@@ -15,12 +15,18 @@ generators weighted -2 with λ on S alone (Tóth and Gühne, PRL 94, 060501),
 which `states.stabilizer_expectation` evaluates at any N. Its terms are made
 when first read, up to DENSE_QUBIT_LIMIT qubits: each (family, N) is expanded
 once into W(0)'s and Ẇ's terms, and a witness writes each slope times λ in.
+Its columns (`OperatorExpr.columns`), which the dense reads take, come from
+that expansion's columns, kept per (family, N): the same mask tuples for
+every λ and one product of the slopes by λ, so a chain of witnesses makes
+no Pauli string.
 """
 
 from __future__ import annotations
 
 import functools
 from operator import attrgetter
+
+import numpy as np
 
 from .errors import CapacityError, check_sharpness
 from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, _ProjectorForm, expand_projector_product
@@ -57,7 +63,12 @@ def _fill(family: str, n: int, sharpness: float) -> OperatorExpr:
     # their exact sum; above DENSE_QUBIT_LIMIT no terms exist, and λ is kept.
     carried = unit * lam / unit if n <= DENSE_QUBIT_LIMIT else lam
     form = _ProjectorForm(form.constant, form.classes, carried)
-    return OperatorExpr._deferred(n, form, functools.partial(_terms, family, n, lam))
+    return OperatorExpr._deferred(n, form, _expanded, (family, n, lam))
+
+
+def _expanded(family: str, n: int, lam: float, columns: bool):
+    """_columns(family, n, lam) if columns, else _terms(family, n, lam)."""
+    return (_columns if columns else _terms)(family, n, lam)
 
 
 def _terms(family: str, n: int, lam: float) -> tuple:
@@ -69,6 +80,19 @@ def _terms(family: str, n: int, lam: float) -> tuple:
     for i in sloped:
         filled[i] = filled[i].with_coeff(filled[i].coeff * lam)
     return tuple(filled) if filled[sloped[0]].coeff else fixed
+
+
+def _columns(family: str, n: int, lam: float) -> tuple:
+    """The columns of _terms(family, n, lam), by its rule and with its bits:
+    numpy's complex128 times float64 is (a·λ - b·0, a·0 + b·λ), as CPython's
+    complex times float is up to 3.13."""
+    fixed, (xs, zs, coeffs), sloped = _expansion_columns(family, n)
+    coeffs = coeffs.copy()
+    coeffs[sloped] *= lam
+    if not coeffs[sloped[0]]:
+        return fixed
+    coeffs.flags.writeable = False
+    return xs, zs, coeffs
 
 
 # The last 64 valid (family, n) pairs are kept, as in states._verified_generators.
@@ -104,3 +128,11 @@ def _expansion(family: str, n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
     terms = (fixed + slope).terms
     sloped = set(map(_MASKS, slope.terms))
     return fixed.terms, terms, tuple(i for i, t in enumerate(terms) if _MASKS(t) in sloped)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _expansion_columns(family: str, n: int) -> tuple[tuple, tuple, np.ndarray]:
+    """The columns of _expansion's W(0) and of its W(0) + Ẇ, and the positions
+    of Ẇ's terms."""
+    fixed, terms, sloped = _expansion(family, n)
+    return OperatorExpr(n, fixed).columns(), OperatorExpr(n, terms).columns(), np.array(sloped)

@@ -12,7 +12,8 @@ GF(2) and gather routes against explicit linear algebra. `from_ops` builds a
 string from a map of qubits to letters, and `reference_projector_product`
 expands a product of projectors (I + S)/2 with its own dict-merge loop, as a
 reference for `expand_projector_product`; `term_bits` gives a sum's exact
-bits for comparing two expansions.
+bits for comparing two expansions, and `column_bits` and `term_columns` the
+bits of its columns, as `OperatorExpr.columns` gives them and as its terms do.
 """
 
 from itertools import combinations
@@ -139,3 +140,19 @@ def reference_projector_product(generators, n_qubits: int) -> OperatorExpr:
 def term_bits(expr: OperatorExpr) -> list[tuple[str, str, str]]:
     """Each term's letters and the exact bits of its coefficient, sign of zero included."""
     return [(t.letters, t.coeff.real.hex(), t.coeff.imag.hex()) for t in expr.terms]
+
+
+def column_bits(expr: OperatorExpr) -> tuple[list[int], list[int], list[tuple[str, str]]]:
+    """expr.columns() as its masks and the exact bits of each coefficient."""
+    xs, zs, coeffs = expr.columns()
+    return list(xs), list(zs), [(c.real.hex(), c.imag.hex()) for c in coeffs.tolist()]
+
+
+def term_columns(expr: OperatorExpr) -> tuple[list[int], list[int], list[tuple[str, str]]]:
+    """The same, walked from expr's terms."""
+    terms = expr.terms
+    return (
+        [t.x_mask for t in terms],
+        [t.z_mask for t in terms],
+        [(t.coeff.real.hex(), t.coeff.imag.hex()) for t in terms],
+    )

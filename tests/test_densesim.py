@@ -240,6 +240,14 @@ def test_expectation_rejects_bad_observables():
         expectation(rho, PauliString("XX"))
 
 
+@pytest.mark.parametrize("imag", [1.0, 2e-12, float("nan")])
+def test_a_pauli_read_refuses_non_real_coefficients(imag):
+    expr = OperatorExpr.from_terms(3, [PauliString("III"), PauliString("XXX", complex(0.5, imag))])
+    for call in (lambda: expectation(ghz3(), expr), lambda: observer_expectations(ghz3(), [0.3], [expr])):
+        with pytest.raises(ValidationError, match="^observable has non-real Pauli coefficients$"):
+            call()
+
+
 def test_eigen_spectrum_identity_and_rejection():
     np.testing.assert_allclose(eigen_spectrum(np.eye(4, dtype=complex)), np.ones(4))
     bad = np.zeros((4, 4), dtype=complex)

@@ -45,6 +45,11 @@ CASES = {
         "run", "--state", "mixed:p1=0.8,p2=0.1,p3=0.1,alpha=0.4", "--N", "10", "--plan", PLAN,
         "--mode", "both",
     ],
+    # Edge sharpnesses of the dense read: a subnormal and a tiny slope, and
+    # λ = 0, whose witness columns are W(0)'s.
+    "run_ghz_n10_edge": [
+        "run", "--state", "ghz", "--N", "10", "--mode", "dense", "--lambdas", "5e-324,0.3,1e-300,1,0",
+    ],
 }
 
 

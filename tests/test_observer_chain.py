@@ -12,7 +12,7 @@ from dense_spectra import to_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgme import cli, densesim
+from seqgme import cli, densesim, witness
 from seqgme.densesim import (
     channel_closed_form,
     expectation,
@@ -23,6 +23,7 @@ from seqgme.densesim import (
 from seqgme.errors import DimensionError
 from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString
 from seqgme.states import StateFamily
+from seqgme.verify import verify_oracle
 from seqgme.witness import build_modified_witness
 
 FAMILIES = ("ghz", "cluster", "gghz:alpha=0.3", "mixed:p1=0.8,p2=0.1,p3=0.1,alpha=0.4")
@@ -310,6 +311,50 @@ def test_a_numpy_integer_target_is_that_qubit(name):
             assert [np.asarray(value).tobytes() for value in values] == expected
 
 
+# The largest sizes of the benchmark's dense runs, with eight observers.
+BUILT_CHAINS = (("ghz", 9), ("cluster", 10))
+EIGHT = (0.02, 0.03, 5e-324, 0.05, 0.0, 0.3, 1e-300, 1.0)
+
+
+def never_made(*args, **kwargs):
+    raise AssertionError("a Pauli string or a witness's terms were made")
+
+
+@pytest.mark.parametrize("label, n", BUILT_CHAINS)
+def test_a_chain_of_built_witnesses_makes_no_pauli_string(label, n):
+    family = StateFamily(label, n)
+    expected = observer_expectations(family, EIGHT, witnesses(family, EIGHT))  # fill the caches
+    with (
+        mock.patch.object(witness, "_terms", side_effect=never_made),
+        mock.patch.object(PauliString, "_from_masks", side_effect=never_made),
+        mock.patch.object(PauliString, "__init__", never_made),
+    ):
+        observables = witnesses(family, EIGHT)
+        values = observer_expectations(family, EIGHT, observables)
+    assert bits(values) == bits(expected)
+    assert all("terms" not in vars(w) for w in observables)
+
+
+@pytest.mark.parametrize("label, n", BUILT_CHAINS)
+def test_a_chain_reads_copied_terms_as_it_reads_built_witnesses(label, n):
+    # A from_terms copy has no factored form and takes its columns from its terms.
+    family = StateFamily(label, n)
+    built = witnesses(family, EIGHT)
+    copies = [OperatorExpr.from_terms(n, w.terms) for w in built]
+    assert all(copy.factored is None for copy in copies)
+    assert bits(observer_expectations(family, EIGHT, copies)) == bits(
+        observer_expectations(family, EIGHT, witnesses(family, EIGHT))
+    )
+
+
+def test_the_oracle_expands_no_witness():
+    expected = repr(verify_oracle(seed=3))
+    with mock.patch.object(witness, "_terms", side_effect=never_made):
+        results = verify_oracle(seed=3)
+    assert repr(results) == expected
+    assert all(result.passed for result in results)
+
+
 def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
     config = {
         "state": "cluster", "n_qubits": 10, "lambdas": (0.05, 0.06, 0.07, 0.08), "mode": "dense"
@@ -354,12 +399,14 @@ def test_a_full_state_read_holds_its_part_rows_and_one_term_block(label):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # One row of 2^10 float64 entries per distinct X part, gathered by as
-    # many int64 offsets, which are freed before the first term block.
+    # One row of 2^10 float64 entries per distinct X part, gathered a block
+    # of parts at a time by at most _GATHER_ELEMENTS int64 offsets, then read
+    # one term block of at most _GATHER_ELEMENTS float64 entries at a time.
+    # Offsets for every row at once (cluster: 504 KiB) would exceed it.
     rows_bytes = len({term.x_mask for term in witness.terms}) * (1 << 10) * 8
-    term_block = densesim._GATHER_ELEMENTS * 8
+    block = densesim._GATHER_ELEMENTS * 8
     # Slack for numpy's 64 KiB cast buffer and the per-term values.
-    assert peak <= rows_bytes + max(rows_bytes, term_block) + (192 << 10)
+    assert peak <= rows_bytes + block + (192 << 10)
 
 
 def test_a_ghz_read_holds_a_small_plan_and_peaks_below_its_state():

@@ -2,19 +2,23 @@
 
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from dense_spectra import (
+    column_bits,
     from_ops,
     reference_projector_product,
     statevector_action,
     term_bits,
+    term_columns,
     to_matrix,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqgme import pauli
 from seqgme.errors import AlgebraError, CapacityError, DimensionError
 from seqgme.pauli import (
     DENSE_QUBIT_LIMIT,
@@ -292,6 +296,58 @@ def complex_pauli_sums(draw):
     coeffs = st.builds(complex, _COEFF_PARTS, _COEFF_PARTS)
     terms = draw(st.lists(st.tuples(letters, coeffs), min_size=0, max_size=16))
     return OperatorExpr.from_terms(n, [PauliString(w, c) for w, c in terms])
+
+
+COLUMN_CASES = {
+    "from_terms": OperatorExpr.from_terms(
+        4, [PauliString("XZIZ", 0.25), PauliString("IIII", -1.5), PauliString("YYII", 0.5j)]
+    ),
+    "product": OperatorExpr.from_terms(3, [PauliString("XYZ", -0.0), PauliString("ZZI", 2.0)])
+    * OperatorExpr.from_terms(3, [PauliString("YIX", 0.5), PauliString("IZZ", -1e-300)]),
+    "wrapped string": OperatorExpr.from_terms(2, [PauliString("YX", -0.75)]),
+    "empty": OperatorExpr(3, ()),
+    "cancelled": OperatorExpr.identity(2) - OperatorExpr.identity(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_CASES))
+def test_columns_are_the_terms_masks_and_coefficients(name):
+    expr = COLUMN_CASES[name]
+    xs, zs, coeffs = expr.columns()
+    assert type(xs) is tuple and type(zs) is tuple
+    assert coeffs.dtype == np.complex128 and coeffs.shape == (len(expr.terms),)
+    assert column_bits(expr) == term_columns(expr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(expr=complex_pauli_sums())
+def test_columns_of_any_sum_are_its_terms_bit_for_bit(expr):
+    assert column_bits(expr) == term_columns(expr)
+
+
+def test_columns_are_made_once_and_refuse_writes():
+    expr = OperatorExpr.from_terms(2, [PauliString("XZ", 0.5), PauliString("ZZ", -1.0)])
+    with mock.patch.object(pauli, "_columns_of", wraps=pauli._columns_of) as walk:
+        first = expr.columns()
+        assert expr.columns() is first
+        assert expr.is_hermitian()
+    assert walk.call_count == 1
+    xs, _, coeffs = first
+    with pytest.raises(ValueError, match="read-only"):
+        coeffs[0] = 0.0
+    with pytest.raises(TypeError):
+        xs[0] = 0
+    # The columns are not fields: equality and hashing are the terms'.
+    assert expr == OperatorExpr.from_terms(2, [PauliString("ZZ", -1.0), PauliString("XZ", 0.5)])
+
+
+@pytest.mark.parametrize(
+    "coeff, hermitian",
+    [(1.0, True), (1.0 + 1e-12j, True), (1.0 - 2e-12j, False), (complex(1.0, float("nan")), False)],
+)
+def test_is_hermitian_reads_the_coefficient_column(coeff, hermitian):
+    expr = OperatorExpr.from_terms(2, [PauliString("II"), PauliString("XY", coeff)])
+    assert expr.is_hermitian() is hermitian
 
 
 @settings(max_examples=80, deadline=None)

@@ -245,6 +245,13 @@ def test_syndrome_spectrum_names_a_term_outside_the_group():
     assert values.tolist() == [2.0, -2.0] * 4
 
 
+@pytest.mark.parametrize("imag", [2e-12, float("nan")])
+def test_syndrome_spectrum_refuses_non_real_coefficients(imag):
+    expr = OperatorExpr.from_terms(3, [PauliString("XZI", complex(1.0, imag))])
+    with pytest.raises(ValidationError, match="^operator has non-real Pauli coefficients$"):
+        syndrome_spectrum(expr, stabilizer_generators("cluster", 3))
+
+
 def test_syndrome_spectrum_refuses_more_than_the_dense_limit_of_entries():
     # 2^N entries; checked before the generators or terms are read.
     n = DENSE_QUBIT_LIMIT + 1

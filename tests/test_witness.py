@@ -7,9 +7,11 @@ import pytest
 from biseparable_sampling import biseparable_statevectors
 from dense_spectra import (
     all_bipartitions,
+    column_bits,
     difference_operator,
     eigen_spectrum,
     term_bits,
+    term_columns,
     to_matrix,
 )
 from hypothesis import example, given, settings
@@ -177,6 +179,36 @@ def test_a_built_witness_cannot_be_told_from_its_eager_sum(family):
             eager = OperatorExpr(n, (w0 + (w1 - w0) * lam).terms)
             for name, probe in probes.items():
                 assert probe(build_modified_witness(family, n, lam)) == probe(eager), (n, lam, name)
+
+
+# Both ends, subnormal and tiny slopes, and sharpnesses with inexact products.
+COLUMN_SHARPNESSES = (0.0, 5e-324, 1e-320, 1e-300, 1e-30, 0.03, 0.3, 0.7, 1.0, 0.123456789)
+
+
+@pytest.mark.parametrize("family", ["ghz", "cluster"])
+def test_a_built_witness_columns_are_its_terms_bit_for_bit(family):
+    for n in range(3, DENSE_QUBIT_LIMIT + 1):
+        for lam in COLUMN_SHARPNESSES:
+            built = build_modified_witness(family, n, lam)
+            with mock.patch.object(witness, "_terms", side_effect=AssertionError("expanded")):
+                columns = column_bits(built)
+            assert "terms" not in vars(built)
+            assert columns == term_columns(built), (n, lam)
+
+
+def test_witness_columns_share_their_masks_and_refuse_writes():
+    first, second, w0, again = (
+        build_modified_witness("cluster", 6, lam) for lam in (0.3, 0.7, 0.0, 0.0)
+    )
+    xs, zs, coeffs = first.columns()
+    assert second.columns()[:2] == (xs, zs)
+    assert second.columns()[0] is xs and second.columns()[1] is zs
+    # W(0)'s columns are one object for every witness that falls back to them.
+    assert w0.columns() is again.columns()
+    for array in (coeffs, w0.columns()[2]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert column_bits(first) == term_columns(first)
 
 
 def test_stabilizer_evaluation_never_expands_a_built_witness():
