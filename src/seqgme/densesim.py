@@ -557,7 +557,9 @@ def _part_rows(rho, n: int, parts: np.ndarray) -> np.ndarray:
     height = max(1, _GATHER_ELEMENTS >> n)
     for start in range(0, len(parts), height):
         block = slice(start, start + height)
-        # The offsets are in range, and "clip" lets take write out directly.
+        # The offsets are in range, and "clip" lets take write a contiguous
+        # block (one state, or one block) directly; a stack's block of parts
+        # is strided, so take fills a copy of it and writes that back.
         np.take(flat, _offsets(n, parts[block]), axis=1, out=out[:, block], mode="clip")
     return out
 

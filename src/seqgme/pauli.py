@@ -189,10 +189,11 @@ class OperatorExpr:
 
     @classmethod
     def _deferred(
-        cls, n_qubits: int, factored: _ProjectorForm, expand: Callable, args: tuple
+        cls, n_qubits: int, factored: _ProjectorForm, expand: tuple[Callable, Callable], args: tuple
     ) -> "OperatorExpr":
-        """The sum whose canonical terms expand(*args, False) returns and whose
-        columns() expand(*args, True) returns, each called when first read."""
+        """The sum whose columns() expand[1](*args) returns and whose
+        canonical terms expand[0](columns(), *args) returns, each called
+        when first read."""
         out = object.__new__(cls)
         out.__dict__.update(n_qubits=n_qubits, factored=factored, _expand=expand, _args=args)
         return out
@@ -201,7 +202,7 @@ class OperatorExpr:
         # Reached only for attributes the instance lacks, as a deferred sum's terms.
         if name != "terms" or "_expand" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        terms = self.__dict__["terms"] = self._expand(*self._args, False)
+        terms = self.__dict__["terms"] = self._expand[0](self.columns(), *self._args)
         return terms
 
     @classmethod
@@ -261,7 +262,7 @@ class OperatorExpr:
         found = self.__dict__.get("_columns")
         if found is None:
             expand = self.__dict__.get("_expand")
-            found = expand(*self._args, True) if expand else _columns_of(self.terms)
+            found = expand[1](*self._args) if expand else _columns_of(self.terms)
             self.__dict__["_columns"] = found
         return found
 

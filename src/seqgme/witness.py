@@ -12,13 +12,13 @@ product (H = I for GHZ), so the witness is affine in λ:
 with R the other class's product (Gühne and Tóth, Phys. Rep. 474, 1).
 A build makes the factored form, the constant 3 and the two classes of
 generators weighted -2 with λ on S alone (Tóth and Gühne, PRL 94, 060501),
-which `states.stabilizer_expectation` evaluates at any N. Its terms are made
+which `states.stabilizer_expectation` evaluates at any N. Its columns
+(`OperatorExpr.columns`), which the dense reads take, and its terms are made
 when first read, up to DENSE_QUBIT_LIMIT qubits: each (family, N) is expanded
-once into W(0)'s and Ẇ's terms, and a witness writes each slope times λ in.
-Its columns (`OperatorExpr.columns`), which the dense reads take, come from
-that expansion's columns, kept per (family, N): the same mask tuples for
-every λ and one product of the slopes by λ, so a chain of witnesses makes
-no Pauli string.
+once into W(0)'s and Ẇ's terms and their columns, and a witness's columns
+are those columns with the slopes times λ: the same mask tuples for every λ,
+so a chain of witnesses makes no Pauli string. Its terms, when read, take
+their coefficients from its columns, so both hold the same bits.
 """
 
 from __future__ import annotations
@@ -63,29 +63,14 @@ def _fill(family: str, n: int, sharpness: float) -> OperatorExpr:
     # their exact sum; above DENSE_QUBIT_LIMIT no terms exist, and λ is kept.
     carried = unit * lam / unit if n <= DENSE_QUBIT_LIMIT else lam
     form = _ProjectorForm(form.constant, form.classes, carried)
-    return OperatorExpr._deferred(n, form, _expanded, (family, n, lam))
-
-
-def _expanded(family: str, n: int, lam: float, columns: bool):
-    """_columns(family, n, lam) if columns, else _terms(family, n, lam)."""
-    return (_columns if columns else _terms)(family, n, lam)
-
-
-def _terms(family: str, n: int, lam: float) -> tuple:
-    """W(0) + λ·Ẇ's canonical terms. Every slope has the same magnitude, so
-    either all of Ẇ's terms stay or, when that magnitude times λ is zero
-    (λ = 0, or an underflow), all drop out, as a canonical sum drops zeros."""
-    fixed, terms, sloped = _expansion(family, n)
-    filled = list(terms)
-    for i in sloped:
-        filled[i] = filled[i].with_coeff(filled[i].coeff * lam)
-    return tuple(filled) if filled[sloped[0]].coeff else fixed
+    return OperatorExpr._deferred(n, form, _EXPAND, (family, n, lam))
 
 
 def _columns(family: str, n: int, lam: float) -> tuple:
-    """The columns of _terms(family, n, lam), by its rule and with its bits:
-    numpy's complex128 times float64 is (a·λ - b·0, a·0 + b·λ), as CPython's
-    complex times float is up to 3.13."""
+    """The columns of W(0) + λ·Ẇ's canonical terms: each slope times λ, on a
+    copy. Every slope has the same magnitude, so either all of Ẇ's terms stay
+    or, when that magnitude times λ is zero (λ = 0, or an underflow), all
+    drop out, as a canonical sum drops zeros, and W(0)'s columns are returned."""
     fixed, (xs, zs, coeffs), sloped = _expansion_columns(family, n)
     coeffs = coeffs.copy()
     coeffs[sloped] *= lam
@@ -93,6 +78,24 @@ def _columns(family: str, n: int, lam: float) -> tuple:
         return fixed
     coeffs.flags.writeable = False
     return xs, zs, coeffs
+
+
+def _terms(columns: tuple, family: str, n: int, lam: float) -> tuple:
+    """W(0) + λ·Ẇ's canonical terms, with the coefficients of its columns,
+    _columns(family, n, lam), so terms and columns hold the same bits."""
+    fixed, terms, sloped = _expansion(family, n)
+    fixed_columns, _, at = _expansion_columns(family, n)
+    if columns is fixed_columns:
+        return fixed
+    filled = list(terms)
+    for i, coeff in zip(sloped, columns[2][at].tolist()):
+        filled[i] = filled[i].with_coeff(coeff)
+    return tuple(filled)
+
+
+# A built witness's terms, made from its columns, and its columns, each
+# from (family, n, λ).
+_EXPAND = (_terms, _columns)
 
 
 # The last 64 valid (family, n) pairs are kept, as in states._verified_generators.

@@ -325,7 +325,7 @@ def test_a_chain_of_built_witnesses_makes_no_pauli_string(label, n):
     family = StateFamily(label, n)
     expected = observer_expectations(family, EIGHT, witnesses(family, EIGHT))  # fill the caches
     with (
-        mock.patch.object(witness, "_terms", side_effect=never_made),
+        mock.patch.object(witness, "_EXPAND", (never_made, witness._columns)),
         mock.patch.object(PauliString, "_from_masks", side_effect=never_made),
         mock.patch.object(PauliString, "__init__", never_made),
     ):
@@ -349,7 +349,7 @@ def test_a_chain_reads_copied_terms_as_it_reads_built_witnesses(label, n):
 
 def test_the_oracle_expands_no_witness():
     expected = repr(verify_oracle(seed=3))
-    with mock.patch.object(witness, "_terms", side_effect=never_made):
+    with mock.patch.object(witness, "_EXPAND", (never_made, witness._columns)):
         results = verify_oracle(seed=3)
     assert repr(results) == expected
     assert all(result.passed for result in results)
