@@ -43,11 +43,14 @@ of the state and convert each state they hand out back to the (2^N, 2^N)
 layout. observer_expectations reads its observables first and holds only
 the part rows their sums read, a (count, parts, 2^N) array read once from
 rho1 or, for a StateFamily, from its closed-form entries with no matrix
-built or validated. The verify oracle's chain (_last_observer_values) runs
-the same rows for a stack of (StateFamily, schedule) rows whose schedules
-differ in length: sorted longest first, each step updates in place the
-prefix of rows that have an observer after it, and only the state each
-row's last observer sees is read.
+built or validated. It reads a block of observers at a time: consecutive
+sums with one term layout, as the built witnesses of one (family, N) have,
+fold their stacked snapshots in one pass with one plan. The verify
+oracle's chain (_last_observer_values) runs the same rows for a stack of
+(StateFamily, schedule) rows whose schedules differ in length: sorted
+longest first, each step updates in place the prefix of rows that have an
+observer after it, and only the state each row's last observer sees is
+read. Both chains build every step's superoperator in one call.
 
 Validation decides positivity on one path at every size: a Cholesky
 factorisation of the whole stack in the state's dtype, O(d^3) per element,
@@ -71,7 +74,7 @@ from .errors import (
     check_sharpness,
 )
 from .pauli import _PHASES, DENSE_QUBIT_LIMIT, IMAG_TOL, PAULI_MATRICES
-from .pauli import OperatorExpr, PauliString
+from .pauli import OperatorExpr, PauliString, _real_coefficients
 from .states import StateFamily
 
 DENSITY_TRACE_TOL = 1e-12
@@ -80,8 +83,10 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 # Entries of the one term block that a Pauli-sum read takes from its part
 # rows at a time (256 KiB of float64), counted over the stack; a block holds
-# at least one term. From 2^16 on, a `run` at N = 9 or 10 gave thousands of
-# heap pages back to the kernel and faulted them in again.
+# at least one term. It also bounds the snapshots of part rows that a chain
+# stacks for one read of a block of observers, a block holding at least one.
+# From 2^16 on, a `run` at N = 9 or 10 gave thousands of heap pages back to
+# the kernel and faulted them in again.
 _GATHER_ELEMENTS = 1 << 15
 # Real numbers of a stack that a channel step updates at once (columns, or
 # whole part rows): its partner terms are the in-place step's only temporary.
@@ -299,7 +304,7 @@ def luders_update(rho: np.ndarray, sharpness, target: int | None = None) -> np.n
     target-major copy of rho, and its result comes back as a new array.
     """
     rho, n, (lam,), t = _checked_chain(rho, [sharpness], target)
-    state = _observer_step(_to_target_major(rho, n, t), lam)
+    state = _observer_step(_to_target_major(rho, n, t), _superoperator(lam))
     return _from_target_major(state, rho.shape[:-2], n, t)
 
 
@@ -314,11 +319,12 @@ def _superoperator(sharpness) -> np.ndarray:
     return (np.einsum("...kab,...kcd->...acbd", roots, roots) / 2.0).reshape(-1, 4, 4)
 
 
-def _observer_step(state: np.ndarray, sharpness, parts=None, low: int = 0) -> np.ndarray:
+def _observer_step(state: np.ndarray, superop: np.ndarray, parts=None, low: int = 0) -> np.ndarray:
     """One observer's update of a chain's states, without its checks, in place.
 
-    The four maps K rho K^dagger add up to _superoperator(sharpness), which
-    acts on the target's (row bit, column bit) pair a. Its eight entries off
+    The four maps K rho K^dagger add up to superop, the (1 or count, 4, 4)
+    _superoperator of the observer's sharpness, which acts on the target's
+    (row bit, column bit) pair a. Its eight entries off
     the diagonal and the antidiagonal are exactly 0.0 (the x roots' cross
     terms cancel), so pair a of the result mixes only pairs a and 3 - a:
     two rounded products and one add per real number, and an entry has the
@@ -337,7 +343,6 @@ def _observer_step(state: np.ndarray, sharpness, parts=None, low: int = 0) -> np
     numbers at a time (columns, or whole part rows), after that block's
     partner terms are formed, and returned.
     """
-    superop = _superoperator(sharpness)
     # A complex entry is two reals, each scaled by the same real factor.
     entries = state.view(np.float64)
     if parts is None:
@@ -416,7 +421,7 @@ def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
     state = _to_target_major(rho, n, t)
     del rho
     for lam in lambdas[:-1]:
-        yield _from_target_major(_observer_step(state, lam), stack, n, t)
+        yield _from_target_major(_observer_step(state, _superoperator(lam)), stack, n, t)
 
 
 def observer_expectations(rho1, sharpnesses, observables, target: int | None = None):
@@ -433,8 +438,13 @@ def observer_expectations(rho1, sharpnesses, observables, target: int | None = N
     for each of their distinct X parts f, read once (from StateFamily.entries
     for a family) into a (count, parts, 2^n) array. A step gives those
     entries the bits of a full step, so each term's row is the one a full
-    state gives. A dense observable reads every entry: with one in the list
-    the chain holds all 2^n parts, and its state is scattered back to rho1's
+    state gives. Every step's superoperator comes from one _superoperator
+    call. The reads go in blocks of consecutive observers whose Pauli sums
+    share one term layout (_layout_run): each one's rows are copied into one
+    (block, count, parts, 2^n) stack of at most _GATHER_ELEMENTS entries and
+    read by one _pauli_expectations call; a block of one reads the live
+    state. A dense observable reads every entry: with one in the list the
+    chain holds all 2^n parts, and its state is scattered back to rho1's
     layout.
     """
     if isinstance(rho1, StateFamily):
@@ -451,16 +461,32 @@ def observer_expectations(rho1, sharpnesses, observables, target: int | None = N
     parts = _read_parts(observables, n)
     state = _part_rows(rho, n, parts)
     del rho
+    # Every step's superoperator from one call: (steps, count, 4, 4).
+    table = np.array([np.broadcast_to(lam, stack) for lam in lambdas[:len(observables) - 1]])
+    table = table.reshape(len(observables) - 1, math.prod(stack))
+    superops = _superoperator(table).reshape(*table.shape, 4, 4)
+    # The most observers whose rows a block stacks: _GATHER_ELEMENTS entries.
+    most = max(1, _GATHER_ELEMENTS // max(1, state.size))
+    low = n - 1 - t
     values = []
-    for k, obs in enumerate(observables):
+    while len(values) < len(observables):
+        k = len(values)
         if k:  # the observer before updates the one state array in place
-            _observer_step(state, lambdas[k - 1], parts, n - 1 - t)
-        if isinstance(obs, (PauliString, OperatorExpr)):
-            values.append(_pauli_expectation(state, stack, n, obs, parts))
-        else:
+            _observer_step(state, superops[k - 1], parts, low)
+        block = _layout_run(observables[k:k + most])
+        if not block:  # a dense observable
             full = np.empty((len(state), 1 << 2 * n), dtype=state.dtype)
             full[:, _offsets(n, parts)] = state
-            values.append(expectation(full.reshape(*stack, 1 << n, 1 << n), obs))
+            values.append(expectation(full.reshape(*stack, 1 << n, 1 << n), observables[k]))
+            continue
+        rows = state  # a block of one reads the live state
+        if len(block) > 1:
+            rows = np.empty((len(block), *state.shape), dtype=state.dtype)
+            rows[0] = state
+            for i in range(1, len(block)):
+                rows[i] = _observer_step(state, superops[k + i - 1], parts, low)
+            rows = rows.reshape(len(block) * len(state), *state.shape[1:])
+        values += _pauli_expectations(rows, stack, n, block, parts)
     return values
 
 
@@ -476,7 +502,8 @@ def _last_observer_values(rows, observables, target: int | None = None) -> np.nd
     sharpness, and an error names the caller's row. The rows run as one
     stack of the part rows the observables read, each distinct start's rows
     read once from StateFamily.entries, longest schedule first, so step j
-    updates in place the prefix of rows with an observer after it.
+    updates in place the prefix of rows with an observer after it. Every
+    step's superoperator comes from one _superoperator call.
     """
     starts, schedules = zip(*rows)
     n = starts[0].n_qubits
@@ -499,13 +526,14 @@ def _last_observer_values(rows, observables, target: int | None = None) -> np.nd
     picks = np.array([distinct.setdefault(start, len(distinct)) for start in starts])
     entries = np.concatenate([_part_rows(start, n, parts) for start in distinct])
     state = entries[picks[order]]
-    table = table[order]
+    table = table[order, :-1]
     del entries
+    superops = _superoperator(table).reshape(*table.shape, 4, 4)
     for j, count in enumerate(prefixes):
-        _observer_step(state[:count], table[:count, j], parts, n - 1 - t)
+        _observer_step(state[:count], superops[:count, j], parts, n - 1 - t)
     values = np.empty((len(observables), len(rows)))
     for k, obs in enumerate(observables):
-        values[k, order] = _pauli_expectation(state, (len(rows),), n, obs, parts)
+        values[k, order] = _pauli_expectations(state, (len(rows),), n, [_as_sum(obs)], parts)[0]
     return values
 
 
@@ -517,20 +545,44 @@ def _ragged_prefixes(lengths: list[int]) -> tuple[list[int], list[int]]:
     return order, [sum(length > j + 1 for length in lengths) for j in range(max(lengths) - 1)]
 
 
+def _as_sum(obs) -> OperatorExpr | None:
+    """A Pauli observable as a sum, a string as a sum of one; None for a
+    dense observable."""
+    if isinstance(obs, PauliString):
+        return OperatorExpr.from_terms(obs.n_qubits, [obs])
+    return obs if isinstance(obs, OperatorExpr) else None
+
+
 def _read_parts(observables, n: int) -> np.ndarray:
     """The distinct X parts of every n-qubit Pauli observable, ascending, from
-    its x mask column; all 2^n of them when one observable is dense. An
-    observable on another qubit count reads nothing: its step refuses it."""
-    masks = set()
-    for obs in observables:
-        if isinstance(obs, PauliString):
-            obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
-        elif not isinstance(obs, OperatorExpr):
+    its x mask column, each distinct column read once; all 2^n of them when
+    one observable is dense. An observable on another qubit count reads
+    nothing: its step refuses it."""
+    columns = {}
+    for obs in map(_as_sum, observables):
+        if obs is None:
             return np.arange(1 << n, dtype=np.int64)
         if obs.n_qubits == n:
-            masks.update(obs.columns()[0])
+            xs = obs.columns()[0]
+            columns[id(xs)] = xs
     # Sorted in Python: np.unique would import numpy.ma on its first call.
-    return np.array(sorted(masks), dtype=np.int64)
+    return np.array(sorted(set().union(*columns.values())), dtype=np.int64)
+
+
+def _layout_run(observables) -> list[OperatorExpr]:
+    """The leading Pauli observables, as sums, that share the first one's
+    term layout: its qubit count and x and z mask columns, as every built
+    witness of one (family, N) does; none when the first is dense."""
+    run = []
+    for obs in map(_as_sum, observables):
+        if obs is None:
+            break
+        layout = obs.n_qubits, *obs.columns()[:2]
+        if run and layout != shared:
+            break
+        shared = layout
+        run.append(obs)
+    return run
 
 
 def _offsets(n: int, parts: np.ndarray) -> np.ndarray:
@@ -608,57 +660,67 @@ def _gather_plan(n: int, xs: tuple[int, ...], zs: tuple[int, ...]):
     with masks (x, z) is i^popcount(x & z)·X^x·Z^z); and the int8 table
     (-1)^popcount(j & z) of each term and remaining entry j < 2^(n - k).
     """
-    masks = set(zip(xs, zs))
+    # Node (x, prefix) of level l is the int x << l | prefix: it sorts as the
+    # pair does, its parent is key >> 1 and its fold bit key & 1, and a
+    # term's masks are its key at level n. So no tuple is made per term or
+    # node, which a tuple free list would keep past the call.
+    terms = [x << n | z for x, z in zip(xs, zs)]
+    distinct = len(set(terms))
     heads = sorted(set(xs))
-    nodes = {(x, 0): i for i, x in enumerate(heads)}
+    nodes = {x: i for i, x in enumerate(heads)}
     levels = []
-    while len(nodes) < len(masks):
-        keys = sorted({(x, z >> (n - len(levels) - 1)) for x, z in masks})
-        parents = np.array([nodes[x, prefix >> 1] for x, prefix in keys], dtype=np.int64)
-        flips = np.array([1.0 - 2.0 * (prefix & 1) for _, prefix in keys])[:, None]
+    while len(nodes) < distinct:
+        keys = sorted({term >> (n - len(levels) - 1) for term in terms})
+        parents = np.array([nodes[key >> 1] for key in keys], dtype=np.int64)
+        flips = 1.0 - 2.0 * np.array([key & 1 for key in keys])[:, None]
         levels.append((parents, flips))
         nodes = {key: i for i, key in enumerate(keys)}
     depth = len(levels)
-    leaves = np.array([nodes[x, z >> (n - depth)] for x, z in zip(xs, zs)], dtype=np.int64)
+    leaves = np.array([nodes[term >> (n - depth)] for term in terms], dtype=np.int64)
     y_phases = np.array([_PHASES[(x & z).bit_count() % 4] for x, z in zip(xs, zs)])
     tail = np.arange(1 << (n - depth)) & np.array(zs, dtype=np.int64)[:, None]
     signs = 1 - 2 * (np.bitwise_count(tail) & 1).astype(np.int8)
     return np.array(heads, dtype=np.int64), tuple(levels), leaves, y_phases, signs
 
 
-def _pauli_expectation(rows: np.ndarray, stack: tuple, n: int, obs, parts: np.ndarray):
-    """expectation of a Pauli sum (or string) on each element of a stack,
-    from its part rows and without building the sum's matrix. rows, of shape
-    (count, len(parts), 2^n), holds row p = rho[j, j ^ parts[p]], j
-    ascending, and parts holds every X part of obs's terms.
+def _pauli_expectations(rows: np.ndarray, stack: tuple, n: int, sums, parts: np.ndarray) -> list:
+    """expectation of each of a _layout_run of Pauli sums on each element of
+    a stack, from the part rows of its own states and without building any
+    sum's matrix. rows, of shape (len(sums) * count, len(parts), 2^n), holds
+    sum i's states at i * count + e, row p of each being rho[j, j ^ parts[p]],
+    j ascending, and parts holds every X part of the sums' terms.
 
     The only nonzero entries of a term P with masks (f, z) and phase c are
     <j ^ f|P|j> = c * (-1)^popcount(j & z), so Tr[rho * P] is
     c * sum_j rho[j, j ^ f] * (-1)^popcount(j & z): each term reads its
-    part's row, folded by _term_traces. The terms are added by fsum, so an
-    element's value is bit for bit that of its own call, whatever the
-    terms' order. The masks and coefficients are obs.columns(), so no term
-    is walked here (a built witness's are never made), and a sum that is
-    not is_hermitian is refused before any term is summed.
+    part's row, folded by _term_traces, one call and one plan for the run.
+    Each sum's terms are added by fsum, so an element's value is bit for bit
+    that of its own call, whatever the terms' order. The masks and
+    coefficients are the sums' columns(), so no term is walked here (a built
+    witness's are never made). The sums are checked in order, each before
+    its value: its qubit count, shared by the run, then is_hermitian's rule,
+    applied to the run's coefficient columns at once.
     """
-    if isinstance(obs, PauliString):
-        obs = OperatorExpr.from_terms(obs.n_qubits, [obs])
-    if obs.n_qubits != n:
-        raise DimensionError(f"observable on {obs.n_qubits} qubits, state on {n}")
-    xs, zs, coeffs = obs.columns()
+    if sums[0].n_qubits != n:
+        raise DimensionError(f"observable on {sums[0].n_qubits} qubits, state on {n}")
+    xs, zs, _ = sums[0].columns()
     if not xs:
-        return _real_part(np.zeros(stack, dtype=complex))
-    if not obs.is_hermitian():
-        raise ValidationError("observable has non-real Pauli coefficients")
+        return [_real_part(np.zeros(stack, dtype=complex)) for _ in sums]
     heads, levels, leaves, y_phases, signs = _gather_plan(n, xs, zs)
     # The heads' rows, or None when they are all of rows, in order.
     index = None if len(heads) == len(parts) else parts.searchsorted(heads)
-    per_term = _term_traces(rows, index, levels, leaves, signs)
-    # Each term's coefficient times the phase of its Y letters, exactly.
-    phases = coeffs * y_phases
-    # Each element's products in a call of their own shape, as alone.
-    traces = np.array([_fsum(row * phases) for row in per_term], dtype=complex)
-    return _real_part(traces.reshape(stack))
+    per_term = _term_traces(rows, index, levels, leaves, signs).reshape(len(sums), -1, len(xs))
+    coeffs = np.array([obs.columns()[2] for obs in sums])
+    values = []
+    for own, coeff, hermitian in zip(per_term, coeffs, _real_coefficients(coeffs)):
+        if not hermitian:
+            raise ValidationError("observable has non-real Pauli coefficients")
+        # Each term's coefficient times the phase of its Y letters, exactly.
+        phases = coeff * y_phases
+        # Each element's products in a call of their own shape, as alone.
+        traces = np.array([_fsum(row * phases) for row in own], dtype=complex)
+        values.append(_real_part(traces.reshape(stack)))
+    return values
 
 
 def _fsum(values: np.ndarray) -> complex:
@@ -743,7 +805,8 @@ def expectation(rho: np.ndarray, obs):
     n = n_qubits_of(rho)
     if isinstance(obs, (PauliString, OperatorExpr)):
         parts = _read_parts([obs], n)
-        return _pauli_expectation(_part_rows(rho, n, parts), rho.shape[:-2], n, obs, parts)
+        rows = _part_rows(rho, n, parts)
+        return _pauli_expectations(rows, rho.shape[:-2], n, [_as_sum(obs)], parts)[0]
     dense = _as_state(obs)
     try:
         matched = dense.shape[-2:] == rho.shape[-2:]

@@ -269,7 +269,13 @@ class OperatorExpr:
     def is_hermitian(self) -> bool:
         """Whether no coefficient has an imaginary part above
         HERMITIAN_IMAG_TOL in magnitude; a NaN coefficient makes it False."""
-        return bool((abs(self.columns()[2].imag) <= HERMITIAN_IMAG_TOL).all())
+        return bool(_real_coefficients(self.columns()[2]))
+
+
+def _real_coefficients(coeffs: np.ndarray):
+    """Whether each coefficient column of a stack (..., terms) has no
+    imaginary part above HERMITIAN_IMAG_TOL in magnitude, NaN failing."""
+    return (abs(coeffs.imag) <= HERMITIAN_IMAG_TOL).all(axis=-1)
 
 
 def _columns_of(terms: Sequence[PauliString]) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:

@@ -147,20 +147,21 @@ class _StabilizerBasis:
         self.factors: dict[tuple[int, int], tuple[int, float]] = {}
         self.forms: dict[int, tuple] = {}
 
-    def factor(self, term: PauliString) -> tuple[int, float] | None:
-        """(subset, sign) with +-term's string equal to sign times the product
-        of the subset's generators, or None when it is not in the group.
+    def factor(self, x_mask: int, z_mask: int) -> tuple[int, float] | None:
+        """(subset, sign) with the string of these masks equal to sign times
+        the product of the subset's generators, or None when it is not +- a
+        member of the group.
 
         The generators of the subset are multiplied in order by
         pauli._mask_product, whose powers of i add up to the phase of the
         product in letters form; the coefficients give the rest of the sign.
         A member's factors are kept in `factors`, so this runs once per member.
         """
-        key = term.x_mask, term.z_mask
+        key = x_mask, z_mask
         found = self.factors.get(key)
         if found is not None:
             return found
-        remainder, subset = _reduce(self.rows, term.x_mask << self.n | term.z_mask, 0)
+        remainder, subset = _reduce(self.rows, x_mask << self.n | z_mask, 0)
         if remainder:
             return None
         factors = subset
@@ -226,7 +227,7 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
     real_parts: list[float] = []
     imag_parts: list[float] = []
     for term in expr.terms:
-        found = basis.factor(term)
+        found = basis.factor(term.x_mask, term.z_mask)
         if found is None:
             continue
         value = term.coeff * found[1]
@@ -255,7 +256,10 @@ def _factored_expectation(form: _ProjectorForm, basis: _StabilizerBasis) -> floa
     if found is None:
         (weight, _), *others = form.classes
         (sloped, *host), *rest = signs = [
-            [member[1] * g.coeff.real if (member := basis.factor(g)) else 0.0 for g in gens]
+            [
+                member[1] * g.coeff.real if (member := basis.factor(g.x_mask, g.z_mask)) else 0.0
+                for g in gens
+            ]
             for _, gens in form.classes
         ]
         half = weight / 2.0 * all(sign > 0 for sign in host)
@@ -278,7 +282,10 @@ def syndrome_spectrum(expr: OperatorExpr, generators: list[PauliString]) -> np.n
     A term c·sign·prod_{m in subset} S_m contributes
     c·sign·prod_{m in subset} (-1)^(b_m) at b, so the spectrum is one
     Walsh-Hadamard transform of the coefficients placed at their subsets.
-    The generators are checked as for stabilizer_expectation; n <= DENSE_QUBIT_LIMIT.
+    The terms are read from expr.columns(), so a built witness's strings are
+    never made; the string of a term outside the group is made for its
+    message alone. The generators are checked as for stabilizer_expectation;
+    n <= DENSE_QUBIT_LIMIT.
     """
     n = expr.n_qubits
     if n > DENSE_QUBIT_LIMIT:
@@ -287,12 +294,14 @@ def syndrome_spectrum(expr: OperatorExpr, generators: list[PauliString]) -> np.n
         raise ValidationError("operator has non-real Pauli coefficients")
     basis = _stabilizer_basis(generators, n)
     spectrum = np.zeros(1 << n)
-    for term in expr.terms:
-        found = basis.factor(term)
+    xs, zs, coeffs = expr.columns()
+    for x, z, coeff in zip(xs, zs, coeffs.tolist()):
+        found = basis.factor(x, z)
         if found is None:
+            term = PauliString._from_masks(n, x, z, coeff)
             raise ValidationError(f"term {term} is outside the stabilizer group")
         subset, sign = found
-        spectrum[subset] += term.coeff.real * sign
+        spectrum[subset] += coeff.real * sign
     # One butterfly per generator bit h, in place: (a, b) -> (a + b, a - b).
     for h in range(n):
         pairs = spectrum.reshape(-1, 2, 1 << h)

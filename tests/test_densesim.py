@@ -243,7 +243,13 @@ def test_expectation_rejects_bad_observables():
 @pytest.mark.parametrize("imag", [1.0, 2e-12, float("nan")])
 def test_a_pauli_read_refuses_non_real_coefficients(imag):
     expr = OperatorExpr.from_terms(3, [PauliString("III"), PauliString("XXX", complex(0.5, imag))])
-    for call in (lambda: expectation(ghz3(), expr), lambda: observer_expectations(ghz3(), [0.3], [expr])):
+    # A real sum of the same layout: the chain reads both in one block.
+    real = OperatorExpr.from_terms(3, [PauliString("III"), PauliString("XXX", 0.5)])
+    for call in (
+        lambda: expectation(ghz3(), expr),
+        lambda: observer_expectations(ghz3(), [0.3], [expr]),
+        lambda: observer_expectations(ghz3(), [0.3, 0.3], [real, expr]),
+    ):
         with pytest.raises(ValidationError, match="^observable has non-real Pauli coefficients$"):
             call()
 
@@ -726,7 +732,9 @@ def target_major_step(rho, lam, target):
     """luders_update's arithmetic without its checks: into target-major
     order, one step, and back."""
     n = densesim.n_qubits_of(rho)
-    state = densesim._observer_step(densesim._to_target_major(rho, n, target), lam)
+    state = densesim._observer_step(
+        densesim._to_target_major(rho, n, target), densesim._superoperator(lam)
+    )
     return densesim._from_target_major(state, rho.shape[:-2], n, target)
 
 
@@ -799,7 +807,7 @@ def test_channel_step_allocates_only_its_output():
     state = densesim._to_target_major(StateFamily("cluster", 10).density_matrix(), 10, 9)
     tracemalloc.start()
     try:
-        out = densesim._observer_step(state, 0.3)
+        out = densesim._observer_step(state, densesim._superoperator(0.3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -841,6 +849,18 @@ def test_the_superoperator_is_symmetric_under_the_pair_swap(sharpness):
     assert superop.tobytes() == np.ascontiguousarray(superop[:, ::-1, ::-1]).tobytes()
 
 
+# A chain builds every step's superoperator in one call, so an element of a
+# stacked build must be the build for its sharpness alone.
+@pytest.mark.parametrize("length", [1, 2, 7, 8])
+def test_a_stacked_superoperator_is_one_build_per_sharpness(length):
+    edges = [0.0, 5e-324, 1e-300, 1e-30, 0.3, 0.999, 1.0]
+    sharpnesses = np.array(edges + list(np.random.default_rng(length).uniform(size=10**4)))
+    alone = [densesim._superoperator(lam).tobytes() for lam in sharpnesses]
+    for start in range(0, len(sharpnesses), length):
+        stacked = densesim._superoperator(sharpnesses[start:start + length])
+        assert [element.tobytes() for element in stacked] == alone[start:start + length]
+
+
 @pytest.mark.parametrize("n", range(1, DENSE_QUBIT_LIMIT + 1))
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_a_step_on_some_columns_equals_those_columns_of_the_full_step(n, real):
@@ -859,11 +879,12 @@ def test_a_step_on_some_columns_equals_those_columns_of_the_full_step(n, real):
     )
     for lam in (0.3, rng.choice([0.0, 5e-324, 0.999, 1.0], size=count)):
         # The step overwrites its argument: give it a copy.
-        full = densesim._observer_step(state.copy(), lam)
+        superop = densesim._superoperator(lam)
+        full = densesim._observer_step(state.copy(), superop)
         assert full.dtype == state.dtype
         for columns in subsets:
             # A chain's states are C-contiguous, as take makes them.
-            part = densesim._observer_step(np.ascontiguousarray(state[..., columns]), lam)
+            part = densesim._observer_step(np.ascontiguousarray(state[..., columns]), superop)
             assert part.tobytes() == np.ascontiguousarray(full[..., columns]).tobytes()
 
 
@@ -884,7 +905,8 @@ def test_a_step_on_part_rows_equals_those_rows_of_the_full_step(block, n, real):
         for target in range(n):
             for lam in (0.3, 1.0):
                 state = densesim._part_rows(rho, n, parts)
-                densesim._observer_step(state, lam, parts, n - 1 - target)
+                superop = densesim._superoperator(lam)
+                densesim._observer_step(state, superop, parts, n - 1 - target)
                 full = luders_update(rho, lam, target)
                 assert state.tobytes() == densesim._part_rows(full, n, parts).tobytes()
 

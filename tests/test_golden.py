@@ -50,6 +50,13 @@ CASES = {
     "run_ghz_n10_edge": [
         "run", "--state", "ghz", "--N", "10", "--mode", "dense", "--lambdas", "5e-324,0.3,1e-300,1,0",
     ],
+    # One chain read in blocks of observers that share a term layout: λ = 0
+    # takes W(0)'s columns, a block of its own, and 5e-324 keeps its
+    # subnormal slope, so it shares a block with 0.2 and 1.
+    "run_gghz_n6_edge": [
+        "run", "--state", "gghz:alpha=0.3", "--N", "6", "--mode", "both",
+        "--lambdas", "0.3,0,0.2,5e-324,1",
+    ],
 }
 
 

@@ -355,6 +355,54 @@ def test_the_oracle_expands_no_witness():
     assert all(result.passed for result in results)
 
 
+# Block reads: consecutive observers whose sums share one term layout are
+# folded together, and the layout changes where a witness drops its slope.
+@settings(max_examples=40, deadline=None)
+@given(
+    label=st.sampled_from(FAMILIES),
+    n=st.integers(3, DENSE_QUBIT_LIMIT),
+    where=st.sampled_from(["last", "first", "middle"]),
+    schedule=st.lists(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=8
+    ),
+)
+def test_a_chain_read_in_blocks_equals_the_per_observer_replay(label, n, where, schedule):
+    family = StateFamily.parse(label, n)
+    target = {"last": None, "first": 0, "middle": n // 2}[where]
+    values = observer_expectations(family, schedule, witnesses(family, schedule), target)
+    expected = replay(family.density_matrix(), schedule, witnesses(family, schedule), target)
+    assert bits(values) == bits(expected)
+
+
+STEADY = (0.02, 0.03, 0.04, 0.05, 0.06, 0.3, 0.7, 1.0)
+
+
+@pytest.mark.parametrize(
+    "label, n, schedule, reads",
+    [
+        # 8 x 2 part rows of 512 entries fit one block of _GATHER_ELEMENTS.
+        ("ghz", 9, STEADY, 1),
+        # W(0) at lambda = 0 has no X..X term: a block of one between two.
+        ("ghz", 9, EIGHT, 3),
+        # 63 part rows of 1024 entries exceed a block: each observer alone.
+        ("cluster", 10, STEADY, 8),
+    ],
+)
+def test_a_chain_folds_each_block_once_and_builds_its_superoperators_once(
+    label, n, schedule, reads
+):
+    family = StateFamily(label, n)
+    observables = witnesses(family, schedule)
+    with (
+        mock.patch.object(densesim, "_term_traces", wraps=densesim._term_traces) as traces,
+        mock.patch.object(densesim, "_superoperator", wraps=densesim._superoperator) as build,
+    ):
+        values = observer_expectations(family, schedule, observables)
+    assert traces.call_count == reads
+    assert build.call_count == 1
+    assert bits(values) == bits(replay(family.density_matrix(), schedule, observables))
+
+
 def test_the_cli_chain_holds_two_states_and_one_gather_at_once():
     config = {
         "state": "cluster", "n_qubits": 10, "lambdas": (0.05, 0.06, 0.07, 0.08), "mode": "dense"

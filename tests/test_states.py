@@ -350,7 +350,9 @@ def test_stabilizer_expectation_rejects_non_unit_coefficients():
 def _fresh_expectation(expr, gens):
     """<expr> from a basis built for this call alone, with no factored members."""
     basis = states._StabilizerBasis(tuple(gens), expr.n_qubits)
-    values = [t.coeff * found[1] for t in expr.terms if (found := basis.factor(t))]
+    values = [
+        t.coeff * found[1] for t in expr.terms if (found := basis.factor(t.x_mask, t.z_mask))
+    ]
     total_imag = math.fsum(v.imag for v in values)
     if abs(total_imag) >= 1e-10:
         raise ValidationError(f"expectation has imaginary residue {total_imag}")

@@ -14,7 +14,7 @@ from dense_spectra import (
     to_matrix,
 )
 
-from seqgme import densesim, verify
+from seqgme import densesim, verify, witness
 from seqgme.cli import main
 from seqgme.errors import CapacityError, ValidationError
 from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, expand_projector_product
@@ -180,6 +180,19 @@ def test_off_group_term_fails_the_psd_and_biseparable_ghz_rows(capsys):
         assert row.residual == 1.0
     # The fourth failure is the oracle's mixed row: <Z_1> = p1 (2 alpha - 1) there.
     assert capsys.readouterr().err == "error: 4 verification check(s) failed\n"
+
+
+def never_made(*args, **kwargs):
+    raise AssertionError("a witness's terms were made")
+
+
+def test_the_spectral_suites_expand_no_witness():
+    # syndrome_spectrum reads a built witness's columns, never its terms.
+    expected = repr(verify_psd(seed=3) + verify_biseparable(seed=3))
+    with mock.patch.object(witness, "_EXPAND", (never_made, witness._columns)):
+        results = verify_psd(seed=3) + verify_biseparable(seed=3)
+    assert repr(results) == expected
+    assert all(result.passed for result in results)
 
 
 def test_spectral_suites_use_no_dense_matrix_and_the_oracle_stacks_its_traces():
