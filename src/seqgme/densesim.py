@@ -6,12 +6,14 @@ luders_update, observer_states, observer_expectations, channel_closed_form
 and expectation) take a stack of states, shape (..., 2^N, 2^N), and treat each element as a state of
 its own; a single state is the empty stack. A sharpness is one number for
 every element, or an array that broadcasts to the stack's shape with one value
-per element; an observable is one Pauli sum for every element, or a dense
-stack that broadcasts against the states. Each element's result is bit for
-bit the result of its own call. An error in a stack names the first element
-at fault ("stack element 3: ..."); for a single state the message has no such
-prefix. So callers with many small states, such as the verify suites, pay
-each numpy call's fixed cost once per stack, not once per state.
+per element; an observable is one Pauli sum for every element, or, for
+expectation, a dense stack that broadcasts against the states (the chain
+observer_expectations reads Pauli sums and strings only). Each element's
+result is bit for bit the result of its own call. An error in a stack names
+the first element at fault ("stack element 3: ..."); for a single state the
+message has no such prefix. So callers with many small states, such as the
+verify suites, pay each numpy call's fixed cost once per stack, not once per
+state.
 
 A state keeps its own dtype: a real state stays float64 and a complex one
 complex128 (integer and narrower float input is widened to float64). Every
@@ -427,25 +429,26 @@ def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
 def observer_expectations(rho1, sharpnesses, observables, target: int | None = None):
     """Each observer's Tr[rho_k O_k]: observer k's state against observables[k].
 
-    The result, its checks and their order are bit for bit those of
-    [expectation(s, o) for s, o in zip(observer_states(rho1, sharpnesses,
-    target), observables)], on a single state or a stack. rho1 may also be a
-    StateFamily, whose density_matrix() then gives the same bits but is never
-    built: its constructor checked it, and only the sharpnesses and then the
-    target are checked here. The observables, as many as there are
-    sharpnesses, are read before the first step, and the chain holds and
-    steps only the rows their Pauli sums read: rho1[j, j ^ f], j ascending,
-    for each of their distinct X parts f, read once (from StateFamily.entries
-    for a family) into a (count, parts, 2^n) array. A step gives those
-    entries the bits of a full step, so each term's row is the one a full
-    state gives. Every step's superoperator comes from one _superoperator
+    The observables are Pauli sums or strings. The result, its checks and
+    their order are bit for bit those of [expectation(s, o) for s, o in
+    zip(observer_states(rho1, sharpnesses, target), observables)], on a
+    single state or a stack; that pairing is also how a chain of dense
+    observables is read, since a dense observable here is refused with a
+    TypeError naming its type, after rho1's checks and before any step. rho1
+    may also be a StateFamily, whose density_matrix() then gives the same
+    bits but is never built: its constructor checked it, and only the
+    sharpnesses and then the target are checked here. The observables, as
+    many as there are sharpnesses, are read before the first step, and the
+    chain holds and steps only the rows their sums read: rho1[j, j ^ f], j
+    ascending, for each of their distinct X parts f, read once (from
+    StateFamily.entries for a family) into a (count, parts, 2^n) array. A
+    step gives those entries the bits of a full step, so each term's row is
+    the one a full state gives. Every step's superoperator comes from one _superoperator
     call. The reads go in blocks of consecutive observers whose Pauli sums
     share one term layout (_layout_run): each one's rows are copied into one
     (block, count, parts, 2^n) stack of at most _GATHER_ELEMENTS entries and
     read by one _pauli_expectations call; a block of one reads the live
-    state. A dense observable reads every entry: with one in the list the
-    chain holds all 2^n parts, and its state is scattered back to rho1's
-    layout.
+    state.
     """
     if isinstance(rho1, StateFamily):
         n, stack = rho1.n_qubits, ()
@@ -455,7 +458,7 @@ def observer_expectations(rho1, sharpnesses, observables, target: int | None = N
         rho, n, lambdas, t = _checked_chain(rho1, sharpnesses, target)
         stack = rho.shape[:-2]
     del rho1  # hold no reference to the caller's array past the gather
-    observables = list(itertools.islice(observables, len(lambdas)))
+    observables = [_as_sum(obs) for obs in itertools.islice(observables, len(lambdas))]
     if not observables:
         return []
     parts = _read_parts(observables, n)
@@ -474,11 +477,6 @@ def observer_expectations(rho1, sharpnesses, observables, target: int | None = N
         if k:  # the observer before updates the one state array in place
             _observer_step(state, superops[k - 1], parts, low)
         block = _layout_run(observables[k:k + most])
-        if not block:  # a dense observable
-            full = np.empty((len(state), 1 << 2 * n), dtype=state.dtype)
-            full[:, _offsets(n, parts)] = state
-            values.append(expectation(full.reshape(*stack, 1 << n, 1 << n), observables[k]))
-            continue
         rows = state  # a block of one reads the live state
         if len(block) > 1:
             rows = np.empty((len(block), *state.shape), dtype=state.dtype)
@@ -521,6 +519,7 @@ def _last_observer_values(rows, observables, target: int | None = None) -> np.nd
         raise ValueError(_named((row,), f"sharpness {table[row, col]} outside [0, 1]"))
     t = _checked_target(n, target)
     order, prefixes = _ragged_prefixes(lengths)
+    observables = [_as_sum(obs) for obs in observables]
     parts = _read_parts(observables, n)
     distinct = {}  # each distinct start's index, in order of first appearance
     picks = np.array([distinct.setdefault(start, len(distinct)) for start in starts])
@@ -533,7 +532,7 @@ def _last_observer_values(rows, observables, target: int | None = None) -> np.nd
         _observer_step(state[:count], superops[:count, j], parts, n - 1 - t)
     values = np.empty((len(observables), len(rows)))
     for k, obs in enumerate(observables):
-        values[k, order] = _pauli_expectations(state, (len(rows),), n, [_as_sum(obs)], parts)[0]
+        values[k, order] = _pauli_expectations(state, (len(rows),), n, [obs], parts)[0]
     return values
 
 
@@ -545,23 +544,22 @@ def _ragged_prefixes(lengths: list[int]) -> tuple[list[int], list[int]]:
     return order, [sum(length > j + 1 for length in lengths) for j in range(max(lengths) - 1)]
 
 
-def _as_sum(obs) -> OperatorExpr | None:
-    """A Pauli observable as a sum, a string as a sum of one; None for a
-    dense observable."""
+def _as_sum(obs) -> OperatorExpr:
+    """A Pauli observable as a sum, a string as a sum of one; TypeError,
+    naming its type, for any other observable."""
     if isinstance(obs, PauliString):
         return OperatorExpr.from_terms(obs.n_qubits, [obs])
-    return obs if isinstance(obs, OperatorExpr) else None
+    if not isinstance(obs, OperatorExpr):
+        raise TypeError(f"observable of type {type(obs).__name__} is not a Pauli sum or string")
+    return obs
 
 
-def _read_parts(observables, n: int) -> np.ndarray:
-    """The distinct X parts of every n-qubit Pauli observable, ascending, from
-    its x mask column, each distinct column read once; all 2^n of them when
-    one observable is dense. An observable on another qubit count reads
-    nothing: its step refuses it."""
+def _read_parts(sums, n: int) -> np.ndarray:
+    """The distinct X parts of every n-qubit Pauli sum, ascending, from its x
+    mask column, each distinct column read once. A sum on another qubit count
+    reads nothing: its step refuses it."""
     columns = {}
-    for obs in map(_as_sum, observables):
-        if obs is None:
-            return np.arange(1 << n, dtype=np.int64)
+    for obs in sums:
         if obs.n_qubits == n:
             xs = obs.columns()[0]
             columns[id(xs)] = xs
@@ -569,29 +567,18 @@ def _read_parts(observables, n: int) -> np.ndarray:
     return np.array(sorted(set().union(*columns.values())), dtype=np.int64)
 
 
-def _layout_run(observables) -> list[OperatorExpr]:
-    """The leading Pauli observables, as sums, that share the first one's
-    term layout: its qubit count and x and z mask columns, as every built
-    witness of one (family, N) does; none when the first is dense."""
+def _layout_run(sums) -> list[OperatorExpr]:
+    """The leading Pauli sums that share the first one's term layout: its
+    qubit count and x and z mask columns, as every built witness of one
+    (family, N) does."""
     run = []
-    for obs in map(_as_sum, observables):
-        if obs is None:
-            break
+    for obs in sums:
         layout = obs.n_qubits, *obs.columns()[:2]
         if run and layout != shared:
             break
         shared = layout
         run.append(obs)
     return run
-
-
-def _offsets(n: int, parts: np.ndarray) -> np.ndarray:
-    """The flat offsets in a (2^n, 2^n) state of rho[j, j ^ f] for each X
-    part f: one row of 2^n per part, j ascending."""
-    rows = np.arange(1 << n, dtype=np.int64)
-    offsets = rows ^ parts[:, None]
-    offsets += rows << n  # in place: the gather holds one offsets array
-    return offsets
 
 
 def _part_rows(rho, n: int, parts: np.ndarray) -> np.ndarray:
@@ -605,14 +592,19 @@ def _part_rows(rho, n: int, parts: np.ndarray) -> np.ndarray:
         return rho.entries(rows, np.bitwise_xor(rows, parts[:, None], dtype=np.int32))[None]
     flat = rho.reshape(-1, 1 << 2 * n)
     out = np.empty((len(flat), len(parts), 1 << n), dtype=flat.dtype)
+    rows = np.arange(1 << n, dtype=np.int64)
     # At most _GATHER_ELEMENTS int64 offsets at once, not one per entry read.
     height = max(1, _GATHER_ELEMENTS >> n)
     for start in range(0, len(parts), height):
         block = slice(start, start + height)
+        # The flat offsets of the block's rows; in place, so one array is held.
+        offsets = rows ^ parts[block, None]
+        offsets += rows << n
         # The offsets are in range, and "clip" lets take write a contiguous
         # block (one state, or one block) directly; a stack's block of parts
         # is strided, so take fills a copy of it and writes that back.
-        np.take(flat, _offsets(n, parts[block]), axis=1, out=out[:, block], mode="clip")
+        np.take(flat, offsets, axis=1, out=out[:, block], mode="clip")
+        del offsets  # the next block's offsets are the only ones held
     return out
 
 
@@ -804,9 +796,10 @@ def expectation(rho: np.ndarray, obs):
     rho = _as_state(rho)
     n = n_qubits_of(rho)
     if isinstance(obs, (PauliString, OperatorExpr)):
-        parts = _read_parts([obs], n)
+        sums = [_as_sum(obs)]
+        parts = _read_parts(sums, n)
         rows = _part_rows(rho, n, parts)
-        return _pauli_expectations(rows, rho.shape[:-2], n, [_as_sum(obs)], parts)[0]
+        return _pauli_expectations(rows, rho.shape[:-2], n, sums, parts)[0]
     dense = _as_state(obs)
     try:
         matched = dense.shape[-2:] == rho.shape[-2:]

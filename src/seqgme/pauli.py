@@ -10,19 +10,21 @@ Products are an xor of the masks plus a popcount phase tracked as an exact
 power of i, so stabilizer expansions never accumulate phase noise; all products
 use `_mask_product`, and all commutation checks `_anticommuting_pair`.
 
-A sum built from stabilizer projectors (a witness) is made from the factored
-form constant·I + Σ_j w_j·Π_{S in class j}(I + S)/2 and expands its terms
-when first read; `states.stabilizer_expectation` evaluates that form in one
-sign lookup per generator, so it never expands them. A sum's masks and
-coefficients are also read as columns (`OperatorExpr.columns`), which a
-built witness takes from its builder without expanding its terms.
+A sum's masks and coefficients are read as columns (`OperatorExpr.columns`),
+the one form that the other modules read: the dense reads,
+`states.syndrome_spectrum` and `states.stabilizer_expectation`'s term
+enumeration. A sum built from stabilizer projectors (a witness) is made from
+the factored form constant·I + Σ_j w_j·Π_{S in class j}(I + S)/2, which
+`states.stabilizer_expectation` evaluates in one sign lookup per generator.
+Its builder makes its columns when they are first read, and its terms, made
+only when read, are the strings of those columns, so both hold the same bits.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -179,8 +181,8 @@ class OperatorExpr:
     sorted by letters, so equal operators compare equal. `factored`
     is the _ProjectorForm the terms expand, when the builder knows it; ==
     and hash ignore it, and every arithmetic result goes without it. A sum
-    made by `_deferred` expands its terms when first read (as == and hash do),
-    and takes its columns from its builder, so reading them expands nothing.
+    made by `_deferred` takes its columns from its builder and makes its
+    terms from them when they are first read (as == and hash do).
     """
 
     n_qubits: int
@@ -189,20 +191,21 @@ class OperatorExpr:
 
     @classmethod
     def _deferred(
-        cls, n_qubits: int, factored: _ProjectorForm, expand: tuple[Callable, Callable], args: tuple
+        cls, n_qubits: int, factored: _ProjectorForm, columns: Callable, args: tuple
     ) -> "OperatorExpr":
-        """The sum whose columns() expand[1](*args) returns and whose
-        canonical terms expand[0](columns(), *args) returns, each called
-        when first read."""
+        """The sum whose columns() columns(*args) returns, called when first
+        read; they must be a canonical sum's. Its terms are made from them."""
         out = object.__new__(cls)
-        out.__dict__.update(n_qubits=n_qubits, factored=factored, _expand=expand, _args=args)
+        out.__dict__.update(n_qubits=n_qubits, factored=factored, _build=columns, _args=args)
         return out
 
     def __getattr__(self, name: str):
         # Reached only for attributes the instance lacks, as a deferred sum's terms.
-        if name != "terms" or "_expand" not in self.__dict__:
+        if name != "terms" or "_build" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        terms = self.__dict__["terms"] = self._expand[0](self.columns(), *self._args)
+        xs, zs, coeffs = self.columns()
+        made = map(PauliString._from_masks, repeat(self.n_qubits), xs, zs, coeffs.tolist())
+        terms = self.__dict__["terms"] = tuple(made)
         return terms
 
     @classmethod
@@ -261,8 +264,8 @@ class OperatorExpr:
         """
         found = self.__dict__.get("_columns")
         if found is None:
-            expand = self.__dict__.get("_expand")
-            found = expand[1](*self._args) if expand else _columns_of(self.terms)
+            build = self.__dict__.get("_build")
+            found = build(*self._args) if build else _columns_of(self.terms)
             self.__dict__["_columns"] = found
         return found
 

@@ -8,7 +8,8 @@ every N and keeps the echelon basis that check builds.
 `stabilizer_expectation` evaluates Pauli sums on
 stabilizer states from that basis without any dense matrix, which is the
 "symbolic" route the dense simulator is cross-checked against (a built
-witness from its factored form at any N, any other sum term by term), and
+witness from its factored form at any N, any other sum term by term from
+its columns), and
 `syndrome_spectrum` gives every eigenvalue of a sum of stabilizer-group
 strings from the same GF(2) factoring.
 """
@@ -215,7 +216,8 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
     that form when each of its generators is +- a group member: one lookup
     per generator, bit for bit the term enumeration (see
     _factored_expectation). Any other sum, and a form with a generator
-    outside the group, has its terms enumerated.
+    outside the group, has its terms enumerated from expr.columns(), so a
+    built witness's strings are never made.
     """
     if isinstance(expr, PauliString):
         expr = OperatorExpr.from_terms(expr.n_qubits, [expr])
@@ -226,11 +228,12 @@ def stabilizer_expectation(expr: OperatorExpr | PauliString, generators: list[Pa
             return value
     real_parts: list[float] = []
     imag_parts: list[float] = []
-    for term in expr.terms:
-        found = basis.factor(term.x_mask, term.z_mask)
+    xs, zs, coeffs = expr.columns()
+    for x, z, coeff in zip(xs, zs, coeffs.tolist()):
+        found = basis.factor(x, z)
         if found is None:
             continue
-        value = term.coeff * found[1]
+        value = coeff * found[1]
         real_parts.append(value.real)
         imag_parts.append(value.imag)
     total_imag = math.fsum(imag_parts)

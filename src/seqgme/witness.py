@@ -13,26 +13,23 @@ with R the other class's product (Gühne and Tóth, Phys. Rep. 474, 1).
 A build makes the factored form, the constant 3 and the two classes of
 generators weighted -2 with λ on S alone (Tóth and Gühne, PRL 94, 060501),
 which `states.stabilizer_expectation` evaluates at any N. Its columns
-(`OperatorExpr.columns`), which the dense reads take, and its terms are made
-when first read, up to DENSE_QUBIT_LIMIT qubits: each (family, N) is expanded
-once into W(0)'s and Ẇ's terms and their columns, and a witness's columns
-are those columns with the slopes times λ: the same mask tuples for every λ,
-so a chain of witnesses makes no Pauli string. Its terms, when read, take
-their coefficients from its columns, so both hold the same bits.
+(`OperatorExpr.columns`), the form every read takes, are made when first
+read, up to DENSE_QUBIT_LIMIT qubits: each (family, N) is expanded once, by
+OperatorExpr algebra, into the columns of W(0) and of W(0) + Ẇ, and a
+witness's columns are the latter with the slopes times λ: the same mask
+tuples for every λ, so a chain of witnesses makes no Pauli string. Its
+terms, made only when read, are the strings of its columns.
 """
 
 from __future__ import annotations
 
 import functools
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import CapacityError, check_sharpness
 from .pauli import DENSE_QUBIT_LIMIT, OperatorExpr, _ProjectorForm, expand_projector_product
 from .states import stabilizer_generators
-
-_MASKS = attrgetter("x_mask", "z_mask")
 
 
 def build_modified_ghz_witness(n: int, sharpness: float) -> OperatorExpr:
@@ -56,14 +53,14 @@ def build_modified_witness(family: str, n: int, sharpness: float) -> OperatorExp
 
 
 def _fill(family: str, n: int, sharpness: float) -> OperatorExpr:
-    """The factored form with λ on S; its terms W(0) + λ·Ẇ are made when read."""
+    """The factored form with λ on S; its columns, W(0) + λ·Ẇ's, are made when read."""
     lam = check_sharpness(sharpness)
     form, unit = _layout(family, n)
     # λ as Ẇ's terms carry it (λ unless 2^-|H|·λ is subnormal), so the form is
     # their exact sum; above DENSE_QUBIT_LIMIT no terms exist, and λ is kept.
     carried = unit * lam / unit if n <= DENSE_QUBIT_LIMIT else lam
     form = _ProjectorForm(form.constant, form.classes, carried)
-    return OperatorExpr._deferred(n, form, _EXPAND, (family, n, lam))
+    return OperatorExpr._deferred(n, form, _columns, (family, n, lam))
 
 
 def _columns(family: str, n: int, lam: float) -> tuple:
@@ -78,24 +75,6 @@ def _columns(family: str, n: int, lam: float) -> tuple:
         return fixed
     coeffs.flags.writeable = False
     return xs, zs, coeffs
-
-
-def _terms(columns: tuple, family: str, n: int, lam: float) -> tuple:
-    """W(0) + λ·Ẇ's canonical terms, with the coefficients of its columns,
-    _columns(family, n, lam), so terms and columns hold the same bits."""
-    fixed, terms, sloped = _expansion(family, n)
-    fixed_columns, _, at = _expansion_columns(family, n)
-    if columns is fixed_columns:
-        return fixed
-    filled = list(terms)
-    for i, coeff in zip(sloped, columns[2][at].tolist()):
-        filled[i] = filled[i].with_coeff(coeff)
-    return tuple(filled)
-
-
-# A built witness's terms, made from its columns, and its columns, each
-# from (family, n, λ).
-_EXPAND = (_terms, _columns)
 
 
 # The last 64 valid (family, n) pairs are kept, as in states._verified_generators.
@@ -118,9 +97,10 @@ def _layout(family: str, n: int) -> tuple[_ProjectorForm, float]:
 
 # Only sizes up to DENSE_QUBIT_LIMIT expand: two families times those sizes.
 @functools.lru_cache(maxsize=None, typed=True)
-def _expansion(family: str, n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
-    """W(0)'s terms, W(0)'s and Ẇ's (which never share a string) in canonical
-    order, and the positions of Ẇ's, whose coefficients are the slopes."""
+def _expansion_columns(family: str, n: int) -> tuple[tuple, tuple, np.ndarray]:
+    """The columns of W(0) and of W(0) + Ẇ (which never share a string), and
+    the positions in the latter of Ẇ's strings, whose coefficients are the
+    slopes."""
     if n > DENSE_QUBIT_LIMIT:
         raise CapacityError(f"witness terms are expanded up to {DENSE_QUBIT_LIMIT} qubits, got {n}")
     (_, (s, *host_gens)), (_, rest_gens) = _layout(family, n)[0].classes
@@ -128,14 +108,7 @@ def _expansion(family: str, n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
     rest = expand_projector_product(rest_gens, n_qubits=n)
     fixed = OperatorExpr.identity(n, 3.0) - host - 2.0 * rest
     slope = -1.0 * (host * OperatorExpr.from_terms(n, [s]))
-    terms = (fixed + slope).terms
-    sloped = set(map(_MASKS, slope.terms))
-    return fixed.terms, terms, tuple(i for i, t in enumerate(terms) if _MASKS(t) in sloped)
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _expansion_columns(family: str, n: int) -> tuple[tuple, tuple, np.ndarray]:
-    """The columns of _expansion's W(0) and of its W(0) + Ẇ, and the positions
-    of Ẇ's terms."""
-    fixed, terms, sloped = _expansion(family, n)
-    return OperatorExpr(n, fixed).columns(), OperatorExpr(n, terms).columns(), np.array(sloped)
+    xs, zs, _ = columns = (fixed + slope).columns()
+    sloped = set(zip(*slope.columns()[:2]))
+    at = [i for i, masks in enumerate(zip(xs, zs)) if masks in sloped]
+    return fixed.columns(), columns, np.array(at)

@@ -1088,15 +1088,20 @@ def test_stacked_pauli_sum_traces_equal_their_per_element_calls(stack, rows_at_o
 def test_an_empty_stack_has_an_empty_array_of_values(shape, real):
     rho = np.zeros(shape) if real else np.zeros(shape, dtype=complex)
     n = densesim.n_qubits_of(rho)
-    dense = to_matrix(OperatorExpr.from_terms(n, [PauliString("Z" * n)]))
-    observables = [PauliString("X" * n), PauliString("Y" * n, -0.5), dense]
+    observables = [PauliString("X" * n), PauliString("Y" * n, -0.5), PauliString("Z" * n)]
+    dense = to_matrix(OperatorExpr.from_terms(n, observables[2:]))
     # As luders_update hands back an empty stack of states.
     assert luders_update(rho, 0.5).shape == shape
-    for obs in observables:
+    for obs in (*observables, dense):
         value = expectation(rho, obs)
         assert value.shape == shape[:-2] and value.dtype == np.float64
-    values = observer_expectations(rho, [0.5, 0.3, 1.0], observables)
-    assert [(value.shape, value.dtype) for value in values] == [(shape[:-2], np.float64)] * 3
+    lambdas = [0.5, 0.3, 1.0]
+    states = observer_states(rho, lambdas)
+    for values in (
+        observer_expectations(rho, lambdas, observables),
+        [expectation(s, o) for s, o in zip(states, [*observables[:2], dense])],
+    ):
+        assert [(value.shape, value.dtype) for value in values] == [(shape[:-2], np.float64)] * 3
 
 
 # Stacks of states: every kernel on a (..., d, d) stack against its call on

@@ -12,7 +12,7 @@ from dense_spectra import to_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqgme import cli, densesim, witness
+from seqgme import cli, densesim
 from seqgme.densesim import (
     channel_closed_form,
     expectation,
@@ -89,16 +89,38 @@ def test_a_stack_with_one_sharpness_per_element_equals_its_elements(n, real):
         rho = rho.astype(complex)
     rng = np.random.default_rng(n)
     schedule = [rng.choice(SHARPNESSES, size=len(labels)) for _ in range(5)]
-    # One Pauli sum per observer for the whole stack, and a dense one.
+    # One Pauli sum per observer for the whole stack; a chain of dense
+    # observables is read on the states observer_states hands out.
     observables = [build_modified_witness("ghz", n, lam) for lam in SHARPNESSES]
-    observables[2] = to_matrix(observables[2])
+    dense = [*observables[:2], to_matrix(observables[2]), *observables[3:]]
     for target in (None, 0, n - 1):
         values = observer_expectations(rho, schedule, observables, target)
         assert bits(values) == bits(state_loop(rho, schedule, observables, target))
         assert bits(values) == bits(replay(rho, schedule, observables, target))
+        dense_values = state_loop(rho, schedule, dense, target)
+        assert bits(dense_values) == bits(replay(rho, schedule, dense, target))
         for i in range(len(labels)):
-            alone = observer_expectations(rho[i], [lams[i] for lams in schedule], observables, target)
+            own = [lams[i] for lams in schedule]
+            alone = observer_expectations(rho[i], own, observables, target)
             assert bits(alone) == bits([value[i] for value in values])
+            alone = state_loop(rho[i], own, dense, target)
+            assert bits(alone) == bits([value[i] for value in dense_values])
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_a_chain_refuses_a_dense_observable_before_any_step(at):
+    family = StateFamily("ghz", 4)
+    rho = family.density_matrix()
+    lambdas = SCHEDULE[:3]
+    matrix = to_matrix(build_modified_witness("ghz", 4, lambdas[at]))
+    stepped = AssertionError("a step ran")
+    for dense in (matrix, np.stack([matrix, matrix]), matrix.tolist()):
+        observables = witnesses(family, lambdas)
+        observables[at] = dense
+        with mock.patch.object(densesim, "_observer_step", side_effect=stepped):
+            for start in (rho, np.stack([rho, rho]), family):
+                with pytest.raises(TypeError, match=f"type {type(dense).__name__} is not a Pauli"):
+                    observer_expectations(start, lambdas, observables)
 
 
 @pytest.mark.parametrize("label", FAMILIES)
@@ -325,7 +347,6 @@ def test_a_chain_of_built_witnesses_makes_no_pauli_string(label, n):
     family = StateFamily(label, n)
     expected = observer_expectations(family, EIGHT, witnesses(family, EIGHT))  # fill the caches
     with (
-        mock.patch.object(witness, "_EXPAND", (never_made, witness._columns)),
         mock.patch.object(PauliString, "_from_masks", side_effect=never_made),
         mock.patch.object(PauliString, "__init__", never_made),
     ):
@@ -349,7 +370,7 @@ def test_a_chain_reads_copied_terms_as_it_reads_built_witnesses(label, n):
 
 def test_the_oracle_expands_no_witness():
     expected = repr(verify_oracle(seed=3))
-    with mock.patch.object(witness, "_EXPAND", (never_made, witness._columns)):
+    with mock.patch.object(PauliString, "_from_masks", side_effect=never_made):
         results = verify_oracle(seed=3)
     assert repr(results) == expected
     assert all(result.passed for result in results)

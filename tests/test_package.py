@@ -48,6 +48,19 @@ def test_every_imported_name_is_used(path):
     assert [name for name in _imported_names(tree) if name not in used] == []
 
 
+def test_only_pauli_reads_the_terms_of_a_sum():
+    # Every other module reads a sum's columns(), which a built witness makes
+    # without making its strings.
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE_DIR.glob("*.py"))
+        if path.name != "pauli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    ]
+    assert readers == []
+
+
 def _private_definitions(tree: ast.Module) -> list[str]:
     """The private names (_x, not __x__) that the module's top-level
     statements define by assignment, def or class."""

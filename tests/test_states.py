@@ -454,6 +454,22 @@ def test_sums_without_a_usable_factored_form_are_enumerated():
             assert stabilizer_expectation(built, other_gens).hex() == expected
 
 
+def test_the_enumeration_of_a_built_witness_makes_no_pauli_string():
+    # On the other family's state the form is unusable, so the terms are
+    # enumerated, from the witness's columns.
+    made = AssertionError("a Pauli string was made")
+    for family, other in (("ghz", "cluster"), ("cluster", "ghz")):
+        for n in range(3, DENSE_QUBIT_LIMIT + 1):
+            other_gens = stabilizer_generators(other, n)
+            build_modified_witness(family, n, 0.3).columns()  # the expansion's own strings
+            for lam in (0.0, 5e-324, 1e-300, 0.3, 1.0):
+                with mock.patch.object(PauliString, "_from_masks", side_effect=made):
+                    built = build_modified_witness(family, n, lam)
+                    value = stabilizer_expectation(built, other_gens)
+                assert "terms" not in vars(built)
+                assert value.hex() == _fresh_expectation(built, other_gens).hex()
+
+
 def test_equal_generator_sets_share_one_validated_basis():
     n = 5
     # Three equal sets, each a fresh list of the same strings.

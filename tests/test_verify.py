@@ -14,7 +14,7 @@ from dense_spectra import (
     to_matrix,
 )
 
-from seqgme import densesim, verify, witness
+from seqgme import densesim, verify
 from seqgme.cli import main
 from seqgme.errors import CapacityError, ValidationError
 from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString, expand_projector_product
@@ -183,13 +183,13 @@ def test_off_group_term_fails_the_psd_and_biseparable_ghz_rows(capsys):
 
 
 def never_made(*args, **kwargs):
-    raise AssertionError("a witness's terms were made")
+    raise AssertionError("a Pauli string was made")
 
 
 def test_the_spectral_suites_expand_no_witness():
     # syndrome_spectrum reads a built witness's columns, never its terms.
     expected = repr(verify_psd(seed=3) + verify_biseparable(seed=3))
-    with mock.patch.object(witness, "_EXPAND", (never_made, witness._columns)):
+    with mock.patch.object(PauliString, "_from_masks", side_effect=never_made):
         results = verify_psd(seed=3) + verify_biseparable(seed=3)
     assert repr(results) == expected
     assert all(result.passed for result in results)

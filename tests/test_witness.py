@@ -143,7 +143,7 @@ def test_built_witness_is_bitwise_the_algebraic_expansion(lam):
 def test_each_family_and_size_is_expanded_once():
     # Two products per (family, n): S's class without S, and the other class,
     # made the first time any of its witnesses' terms are read.
-    witness._expansion.cache_clear()
+    witness._expansion_columns.cache_clear()
     with mock.patch.object(
         witness, "expand_projector_product", wraps=expand_projector_product
     ) as expand:
@@ -187,11 +187,11 @@ COLUMN_SHARPNESSES = (0.0, 5e-324, 1e-320, 1e-300, 1e-30, 0.03, 0.3, 0.7, 1.0, 0
 
 @pytest.mark.parametrize("family", ["ghz", "cluster"])
 def test_a_built_witness_columns_are_its_terms_bit_for_bit(family):
+    made = AssertionError("a Pauli string was made")
     for n in range(3, DENSE_QUBIT_LIMIT + 1):
+        witness._expansion_columns(family, n)  # the expansion's own strings, made once
         for lam in COLUMN_SHARPNESSES:
-            # _deferred keeps the (terms, columns) pair the build passes.
-            expanded = (mock.Mock(side_effect=AssertionError("expanded")), witness._columns)
-            with mock.patch.object(witness, "_EXPAND", expanded):
+            with mock.patch.object(PauliString, "_from_masks", side_effect=made):
                 built = build_modified_witness(family, n, lam)
                 columns = column_bits(built)
             assert "terms" not in vars(built)
@@ -214,7 +214,7 @@ def test_witness_columns_share_their_masks_and_refuse_writes():
 
 
 def test_stabilizer_evaluation_never_expands_a_built_witness():
-    with mock.patch.object(witness, "_expansion", side_effect=AssertionError("expanded")):
+    with mock.patch.object(witness, "_expansion_columns", side_effect=AssertionError("expanded")):
         for family in ("ghz", "cluster"):
             for n in (3, 6, 10, 11):
                 gens = stabilizer_generators(family, n)
