@@ -15,11 +15,9 @@ from .analytic import (
 from .densesim import (
     channel_closed_form,
     expectation,
-    load_density_matrix,
     luders_update,
     observer_expectations,
     observer_states,
-    save_density_matrix,
 )
 from .errors import (
     AlgebraError,
@@ -79,12 +77,10 @@ __all__ = [
     "full_sequence_report",
     "generate_schedule",
     "largest_sharpness_for",
-    "load_density_matrix",
     "luders_update",
     "max_detections",
     "observer_expectations",
     "observer_states",
-    "save_density_matrix",
     "stabilizer_expectation",
     "stabilizer_generators",
     "syndrome_spectrum",

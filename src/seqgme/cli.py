@@ -113,27 +113,25 @@ def cmd_run(state: str, n_qubits: int, lambdas=None, plan=None, mode: str = "bot
     return rows
 
 
-def run_disagreement(rows: list[dict]) -> float:
-    gaps = [
-        abs(row["witness_value_analytic"] - row["witness_value_dense"])
+def _paired_values(rows: list[dict]) -> list[tuple[int, float, float]]:
+    """(k, analytic, dense) of each row that holds both witness values."""
+    return [
+        (row["k"], row["witness_value_analytic"], row["witness_value_dense"])
         for row in rows
-        if row["witness_value_analytic"] is not None
-        and row["witness_value_dense"] is not None
+        if row["witness_value_analytic"] is not None and row["witness_value_dense"] is not None
     ]
-    return max(gaps, default=0.0)
+
+
+def run_disagreement(rows: list[dict]) -> float:
+    return max((abs(analytic - dense) for _, analytic, dense in _paired_values(rows)), default=0.0)
 
 
 def sign_disagreements(rows: list[dict]) -> list[int]:
     """Observers k at which the analytic and dense values have opposite signs."""
     return [
-        row["k"]
-        for row in rows
-        if row["witness_value_analytic"] is not None
-        and row["witness_value_dense"] is not None
-        and (
-            row["witness_value_analytic"] < 0.0 < row["witness_value_dense"]
-            or row["witness_value_dense"] < 0.0 < row["witness_value_analytic"]
-        )
+        k
+        for k, analytic, dense in _paired_values(rows)
+        if analytic < 0.0 < dense or dense < 0.0 < analytic
     ]
 
 

@@ -63,19 +63,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    DimensionError,
-    ValidationError,
-    check_sharpness,
-)
-from .pauli import _PHASES, DENSE_QUBIT_LIMIT, IMAG_TOL, PAULI_MATRICES
+from .errors import DimensionError, ValidationError, check_sharpness
+from .pauli import _PHASES, IMAG_TOL, PAULI_MATRICES
 from .pauli import OperatorExpr, PauliString, _real_coefficients
 from .states import StateFamily
 
@@ -140,13 +134,6 @@ def n_qubits_of(rho: np.ndarray) -> int:
     if dim != 1 << n:
         raise DimensionError(f"dimension {dim} is not a power of two")
     return n
-
-
-def _matrix_qubits(x: np.ndarray) -> int:
-    """n_qubits_of for a function that takes one matrix, not a stack."""
-    if x.ndim != 2:
-        raise DimensionError(f"expected a square matrix, got shape {x.shape}")
-    return n_qubits_of(x)
 
 
 def _named(index: tuple[int, ...], message: str) -> str:
@@ -237,7 +224,10 @@ def _factorises(matrix: np.ndarray) -> bool:
 
 def _checked_target(n: int, target: int | None) -> int:
     """The target qubit, the last one when None, after a type and range
-    check: any integer type is taken, a float is refused, even 1.0."""
+    check: any integer type is taken, a float is refused, even 1.0. A
+    0-qubit state is refused first, before any shift by n - 1."""
+    if n == 0:
+        raise ValueError("a 0-qubit state has no target qubit")
     if target is None:
         return n - 1
     try:
@@ -590,6 +580,10 @@ def _part_rows(rho, n: int, parts: np.ndarray) -> np.ndarray:
         # 32-bit indices: the columns are as many as the rows read.
         rows = np.arange(1 << n, dtype=np.int32)
         return rho.entries(rows, np.bitwise_xor(rows, parts[:, None], dtype=np.int32))[None]
+    # Full states reach this gather only through the public API: expectation
+    # of a Pauli sum, and observer_expectations from a matrix rho1. No verify
+    # suite or CLI command reads a Pauli sum on a full state; they start from
+    # StateFamily entries or read dense observables.
     flat = rho.reshape(-1, 1 << 2 * n)
     out = np.empty((len(flat), len(parts), 1 << n), dtype=flat.dtype)
     rows = np.arange(1 << n, dtype=np.int64)
@@ -813,48 +807,3 @@ def expectation(rho: np.ndarray, obs):
     # Row sums, then a running sum of them: the order of additions of one
     # matrix's einsum("ij,ji->"), whatever the stacks' layout.
     return _real_part(np.cumsum(np.einsum("...ij,...ji->...i", rho, dense), axis=-1)[..., -1])
-
-
-def save_density_matrix(path, rho: np.ndarray) -> None:
-    """Write a density matrix as JSON with an explicit qubit-count header."""
-    rho = _as_state(rho)
-    payload = {
-        "n_qubits": _matrix_qubits(rho),
-        "real": rho.real.tolist(),
-        "imag": rho.imag.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_density_matrix(path) -> np.ndarray:
-    """Read a file written by save_density_matrix; the state must be valid.
-
-    The qubit-count header is checked against DENSE_QUBIT_LIMIT before any
-    array is built. A state whose imaginary parts are all exactly zero comes
-    back as float64, so a saved real state reloads bit for bit in its dtype;
-    any other comes back as complex128.
-    """
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValidationError(f"state file holds a JSON {type(payload).__name__}, not an object")
-    for key in ("n_qubits", "real", "imag"):
-        if key not in payload:
-            raise ValidationError(f"state file has no {key!r} entry")
-    header = payload["n_qubits"]
-    if type(header) is not int or header < 0:
-        raise ValidationError(f"qubit-count header {header!r} is not a count")
-    if header > DENSE_QUBIT_LIMIT:
-        raise CapacityError(f"{header} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    rho = _as_state(payload["real"])
-    imag = _as_state(payload["imag"])
-    if imag.shape != rho.shape:
-        raise ValidationError(f"imag entries of shape {imag.shape} vs real {rho.shape}")
-    if imag.any():
-        rho = rho + 1j * imag
-    n = _matrix_qubits(rho)
-    if n != header:
-        raise ValidationError(f"header says {header} qubits but entries give {n}")
-    validate_density_matrix(rho)
-    return rho

@@ -15,8 +15,6 @@ so it builds no density matrix of a family.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +24,8 @@ from .densesim import (
     _last_observer_values,
     channel_closed_form,
     expectation,
-    load_density_matrix,
     luders_update,
     observer_states,
-    save_density_matrix,
 )
 from .errors import ValidationError
 from .pauli import PAULI_MATRICES, PauliString
@@ -333,7 +329,7 @@ def verify_biseparable(seed: int) -> list[CheckResult]:
 
 
 def verify_oracle(seed: int) -> list[CheckResult]:
-    """Closed forms vs dense simulation, plus state-file round trip.
+    """Closed forms vs dense simulation.
 
     The random schedules are drawn in order. For each qubit count and family,
     one chain runs every schedule drawn at that count as a row from the
@@ -390,15 +386,6 @@ def verify_oracle(seed: int) -> list[CheckResult]:
         if (expected < 0) != (dense < 0) and abs(expected) > 1e-9:
             signs_agree = False
 
-    rho = _random_densities(rng.standard_normal((2, 8, 8)))
-    handle, path = tempfile.mkstemp(suffix=".json")
-    os.close(handle)
-    try:
-        save_density_matrix(path, rho)
-        round_trip_gap = float(np.max(np.abs(load_density_matrix(path) - rho)))
-    finally:
-        os.unlink(path)
-
     return [
         CheckResult(
             "oracle",
@@ -427,12 +414,6 @@ def verify_oracle(seed: int) -> list[CheckResult]:
             worst_mixed < 1e-9 and signs_agree,
             worst_mixed,
             "grid p1 in (0.5, 0.8, 1), alpha in (0.1, 0.25, 0.5), observers 1..4",
-        ),
-        CheckResult(
-            "oracle",
-            "density-matrix JSON export/import round trip",
-            round_trip_gap == 0.0,
-            round_trip_gap,
         ),
     ]
 

@@ -38,7 +38,9 @@ EIGEN_RESIDUAL_TOL = 1e-9
 def eigen_spectrum(op: np.ndarray) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix, residual-checked."""
     op = densesim._as_state(op)
-    densesim._matrix_qubits(op)
+    if op.ndim != 2:
+        raise DimensionError(f"expected a square matrix, got shape {op.shape}")
+    densesim.n_qubits_of(op)
     if densesim._max_asymmetry(op) > densesim.HERMITICITY_TOL:
         raise ValidationError("matrix is not Hermitian")
     values, vectors = np.linalg.eigh(op)

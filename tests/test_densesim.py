@@ -1,6 +1,5 @@
 """Dense simulator: channel forms, decay of correlators, spectra."""
 
-import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -18,14 +17,12 @@ from seqgme.densesim import (
     EIGENVALUE_FLOOR,
     channel_closed_form,
     expectation,
-    load_density_matrix,
     luders_update,
     observer_expectations,
     observer_states,
-    save_density_matrix,
     validate_density_matrix,
 )
-from seqgme.errors import CapacityError, DimensionError, ValidationError
+from seqgme.errors import DimensionError, ValidationError
 from seqgme.pauli import DENSE_QUBIT_LIMIT, OperatorExpr, PauliString
 from seqgme.states import StateFamily
 
@@ -268,69 +265,6 @@ def test_all_bipartitions_counts():
     assert all(0 in part for part in all_bipartitions(5))
 
 
-def test_density_matrix_io_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    rho = random_density(rng, 3)
-    path = tmp_path / "state.json"
-    save_density_matrix(path, rho)
-    loaded = load_density_matrix(path)
-    assert loaded.dtype == np.complex128
-    np.testing.assert_allclose(loaded, rho, atol=1e-15)
-
-
-def test_real_state_reloads_as_float64(tmp_path):
-    rho = StateFamily("cluster", 3).density_matrix()
-    path = tmp_path / "state.json"
-    save_density_matrix(path, rho)
-    loaded = load_density_matrix(path)
-    assert loaded.dtype == np.float64
-    assert np.array_equal(loaded, rho)
-
-
-def test_load_density_matrix_rejects_mismatched_parts(tmp_path):
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps({"n_qubits": 1, "real": [[1, 0], [0, 0]], "imag": [[0]]}))
-    with pytest.raises(ValidationError, match="imag entries of shape"):
-        load_density_matrix(path)
-
-
-def test_load_density_matrix_rejects_non_positive_state(tmp_path):
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps({"n_qubits": 1, "real": [[2, 0], [0, -1]], "imag": [[0, 0], [0, 0]]}))
-    with pytest.raises(ValidationError, match="negative eigenvalue"):
-        load_density_matrix(path)
-
-
-def test_load_density_matrix_checks_header_before_entries(tmp_path):
-    path = tmp_path / "state.json"
-    # The entries are inconsistent with the header; the capacity check comes first.
-    path.write_text(
-        json.dumps({"n_qubits": DENSE_QUBIT_LIMIT + 1, "real": [[1]], "imag": [[0]]})
-    )
-    with pytest.raises(CapacityError):
-        load_density_matrix(path)
-    path.write_text(json.dumps({"n_qubits": "1", "real": [[1]], "imag": [[0]]}))
-    with pytest.raises(ValidationError, match="not a count"):
-        load_density_matrix(path)
-
-
-@pytest.mark.parametrize("key", ["n_qubits", "real", "imag"])
-def test_load_density_matrix_names_a_missing_entry(key, tmp_path):
-    path = tmp_path / "state.json"
-    payload = {"n_qubits": 1, "real": [[1, 0], [0, 0]], "imag": [[0, 0], [0, 0]]}
-    del payload[key]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError, match=f"no '{key}' entry"):
-        load_density_matrix(path)
-
-
-def test_load_density_matrix_refuses_a_top_level_list(tmp_path):
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps([[1, 0], [0, 0]]))
-    with pytest.raises(ValidationError, match="JSON list, not an object"):
-        load_density_matrix(path)
-
-
 def _non_finite_states():
     nan_everywhere = np.full((2, 2), np.nan, dtype=complex)
     nan_entry = np.diag([1.0, 0.0]).astype(complex)
@@ -344,17 +278,11 @@ def _non_finite_states():
 @pytest.mark.parametrize(
     "rho", _non_finite_states(), ids=["nan", "nan-entry", "inf-diag", "inf-offdiag"]
 )
-def test_non_finite_states_are_rejected(rho, tmp_path):
+def test_non_finite_states_are_rejected(rho):
     with pytest.raises(ValidationError):
         validate_density_matrix(rho)
     with pytest.raises(ValidationError):
         luders_update(rho, 0.5)
-    path = tmp_path / "state.json"
-    # json writes NaN and Infinity tokens and reads them back.
-    payload = {"n_qubits": 1, "real": rho.real.tolist(), "imag": rho.imag.tolist()}
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValidationError):
-        load_density_matrix(path)
 
 
 # Property tests of the matrix-free engine against dense, kron-embedded oracles.
@@ -463,13 +391,17 @@ def test_observer_states_reject_bad_input_before_any_step(rho1, lambdas, target,
     step.assert_not_called()
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [0, 1, 3])
 def test_channel_rejects_out_of_range_target(n):
     rho = np.eye(1 << n, dtype=complex) / (1 << n)
-    for target in (-1, n):
-        with pytest.raises(ValueError, match="target qubit"):
+    if n == 0:  # no qubit to target, not even the default last one
+        targets, message = (None, -1, 0), "^a 0-qubit state has no target qubit$"
+    else:
+        targets, message = (-1, n), "target qubit"
+    for target in targets:
+        with pytest.raises(ValueError, match=message):
             luders_update(rho, 0.5, target)
-        with pytest.raises(ValueError, match="target qubit"):
+        with pytest.raises(ValueError, match=message):
             channel_closed_form(rho, 0.5, target)
 
 

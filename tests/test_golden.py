@@ -9,6 +9,7 @@ by 1e-15. Regenerate a file only when a change of output is intended:
 
 import csv
 import io
+import shlex
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,22 @@ def test_cli_output_matches_golden(name, capsys):
                 assert abs(float(actual) - float(expected)) <= FLOAT_TOL, (index, column)
             else:
                 assert actual == expected, (index, column)
+
+
+def _smoke_run_commands() -> dict[str, list[str]]:
+    """The `golden NAME ARGS...` lines of CI's "Verify smoke run" step."""
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    _, _, step = workflow.read_text().partition("- name: Verify smoke run\n")
+    step, _, _ = step.partition("- name:")
+    commands = {}
+    for line in step.splitlines():
+        if line.strip().startswith("golden "):
+            name, *argv = shlex.split(line)[1:]
+            assert name not in commands, f"{name} is run twice"
+            commands[name] = argv
+    return commands
+
+
+def test_ci_and_golden_files_name_the_cases():
+    assert _smoke_run_commands() == CASES
+    assert sorted(path.stem for path in GOLDEN_DIR.glob("*.csv")) == sorted(CASES)

@@ -249,7 +249,8 @@ def test_a_bad_observable_fails_as_in_the_state_loop():
 # a conversion that returned a view would hand the caller's array to the chain.
 def _chain_functions():
     def expectations(rho, lambdas, target):
-        observables = [PauliString("Z" * densesim.n_qubits_of(rho))] * len(lambdas)
+        # One qubit at least: a 0-qubit state is refused before the observables.
+        observables = [PauliString("Z" * max(1, densesim.n_qubits_of(rho)))] * len(lambdas)
         return observer_expectations(rho, lambdas, observables, target)
 
     # channel_closed_form is no chain, but it takes a target as they do.
@@ -288,7 +289,7 @@ def test_a_chain_never_writes_the_callers_state(name, n, real):
 
 
 @pytest.mark.parametrize("name", sorted(_chain_functions()))
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_an_out_of_range_target_is_refused_before_any_shift(name, n):
     chain = _chain_functions()[name]
     rho = np.eye(1 << n) / (1 << n)
@@ -296,15 +297,20 @@ def test_an_out_of_range_target_is_refused_before_any_shift(name, n):
         mock.patch.object(densesim, "_observer_step") as step,
         mock.patch.object(densesim, "_part_rows") as part_rows,
     ):
-        for lambdas, target in itertools.product(([0.5], [0.5, 0.5]), (-1, -n - 1, n, n + 5)):
-            with pytest.raises(ValueError, match=rf"target qubit {target} outside 0\.\.{n - 1}$"):
-                chain(rho, lambdas, target)
-        # A float is no qubit index, even an integral one in range.
-        floats = (0.5, 1.5, 0.0, np.float64(0.0))
-        for lambdas, target in itertools.product(([0.5], [0.5, 0.5]), floats):
-            message = rf"target qubit {re.escape(repr(target))} is not an integer$"
-            with pytest.raises(ValueError, match=message):
-                chain(rho, lambdas, target)
+        if n == 0:  # no qubit to target, not even the default last one
+            for lambdas, target in itertools.product(([0.5], [0.5, 0.5]), (None, -1, 0, 1, 0.5)):
+                with pytest.raises(ValueError, match="^a 0-qubit state has no target qubit$"):
+                    chain(rho, lambdas, target)
+        else:
+            for lambdas, target in itertools.product(([0.5], [0.5, 0.5]), (-1, -n - 1, n, n + 5)):
+                with pytest.raises(ValueError, match=rf"target qubit {target} outside 0\.\.{n - 1}$"):
+                    chain(rho, lambdas, target)
+            # A float is no qubit index, even an integral one in range.
+            floats = (0.5, 1.5, 0.0, np.float64(0.0))
+            for lambdas, target in itertools.product(([0.5], [0.5, 0.5]), floats):
+                message = rf"target qubit {re.escape(repr(target))} is not an integer$"
+                with pytest.raises(ValueError, match=message):
+                    chain(rho, lambdas, target)
     step.assert_not_called()
     part_rows.assert_not_called()
 
