@@ -37,17 +37,17 @@ each entry from itself and its partner across the target's pair: two
 products and one add per real number, whose bits do not depend on which
 other entries the array holds. It is also symmetric under a <-> 3 - a,
 so on part rows both entries of a pair take the same two factors, and the
-products run over whole rows. A step overwrites its state,
-so a chain holds one. luders_update and observer_states run in target-major
-order, where each element is a C-contiguous (4, m) block whose axis 0 is
-the target's (row bit, column bit); they step all 4^(N-1) columns of a copy
-of the state and convert each state they hand out back to the (2^N, 2^N)
-layout. observer_expectations reads its observables first and holds only
-the part rows their sums read, a (count, parts, 2^N) array read once from
-rho1 or, for a StateFamily, from its closed-form entries with no matrix
-built or validated. It reads a block of observers at a time: consecutive
-sums with one term layout, as the built witnesses of one (family, N) have,
-fold their stacked snapshots in one pass with one plan. The verify
+products run over whole rows. A step overwrites its state, so a chain holds
+one. Every step runs on part rows. luders_update and observer_states gather
+a state's rows over every X part f = 0..2^N - 1, which hold each entry
+once, step them, and gather each state they hand out back to the
+(2^N, 2^N) layout (_from_part_rows). observer_expectations reads its
+observables first and holds only the part rows their sums read, a
+(count, parts, 2^N) array read once from rho1 or, for a StateFamily, from
+its closed-form entries with no matrix built or validated. It reads a block
+of observers at a time: consecutive sums with one term layout, as the built
+witnesses of one (family, N) have, fold their stacked snapshots in one pass
+with one plan. The verify
 oracle's chain (_last_observer_values) runs the same rows for a stack of
 (StateFamily, schedule) rows whose schedules differ in length: sorted
 longest first, each step updates in place the prefix of rows that have an
@@ -84,8 +84,8 @@ EIGENVALUE_FLOOR = -1e-10
 # From 2^16 on, a `run` at N = 9 or 10 gave thousands of heap pages back to
 # the kernel and faulted them in again.
 _GATHER_ELEMENTS = 1 << 15
-# Real numbers of a stack that a channel step updates at once (columns, or
-# whole part rows): its partner terms are the in-place step's only temporary.
+# Real numbers of a stack that a channel step updates at once, in whole part
+# rows: its partner terms are the in-place step's only temporary.
 _STEP_BLOCK = 1 << 15
 # Eigenprojectors (I + sigma)/2 and (I - sigma)/2 of the x and z settings,
 # both real, so the channel maps a real state to a real state.
@@ -256,35 +256,6 @@ def _sqrt_effects(sharpness) -> np.ndarray:
     return hi * _ROOTS_HI + lo * _ROOTS_LO + _ROOTS_FIXED
 
 
-def _to_target_major(rho: np.ndarray, n: int, target: int) -> np.ndarray:
-    """A copy of rho, or of each element of a stack, in target-major order.
-
-    The copy is C-contiguous, of shape (count, 4, 4^(n-1)) for a stack of
-    count elements (1 for a single state). Axis 1 is the target qubit's (row
-    bit, column bit); along axis 2 the other qubits' row index, times 2^(n-1),
-    plus their column index. It is a new array even at n = 1, where that order
-    is rho's own, so writing it never writes rho.
-    """
-    dim = rho.shape[-1]
-    blocks = _target_blocks(rho.reshape(-1, dim, dim), n, target)
-    count, a, _, b = blocks.shape[:4]
-    out = np.empty((count, 4, dim * dim // 4), dtype=rho.dtype)
-    # (a, row bit, b, a', column bit, b') -> (row bit, column bit, a, b, a', b')
-    out.reshape(count, 2, 2, a, b, a, b)[...] = blocks.transpose(0, 2, 5, 1, 3, 4, 6)
-    return out
-
-
-def _from_target_major(state: np.ndarray, stack: tuple, n: int, target: int) -> np.ndarray:
-    """The states of _to_target_major's order as a new (*stack, 2^n, 2^n) array."""
-    dim = 1 << n
-    out = np.empty((*stack, dim, dim), dtype=state.dtype)
-    blocks = _target_blocks(out.reshape(-1, dim, dim), n, target)
-    count, a, _, b = blocks.shape[:4]
-    # (row bit, column bit, a, b, a', b') -> (a, row bit, b, a', column bit, b')
-    blocks[...] = state.reshape(count, 2, 2, a, b, a, b).transpose(0, 3, 1, 4, 5, 2, 6)
-    return out
-
-
 def luders_update(rho: np.ndarray, sharpness, target: int | None = None) -> np.ndarray:
     """One sequential observer's unselective update on the target qubit.
 
@@ -292,12 +263,14 @@ def luders_update(rho: np.ndarray, sharpness, target: int | None = None) -> np.n
     sharpness lambda and a sharp two-outcome z measurement; each branch updates
     the state with the square roots of its effects. Default target is the last
     qubit. Trace is preserved. The input must be a valid density matrix, or a
-    stack of them with one sharpness or one per element. The step runs on a
-    target-major copy of rho, and its result comes back as a new array.
+    stack of them with one sharpness or one per element. The step runs on
+    rho's part rows over every X part, the chains' layout, gathered into a
+    new array, and its result comes back as a new array in rho's layout.
     """
     rho, n, (lam,), t = _checked_chain(rho, [sharpness], target)
-    state = _observer_step(_to_target_major(rho, n, t), _superoperator(lam))
-    return _from_target_major(state, rho.shape[:-2], n, t)
+    parts = np.arange(1 << n)
+    state = _observer_step(_part_rows(rho, n, parts), _superoperator(lam), parts, n - 1 - t)
+    return _from_part_rows(state, rho.shape[:-2], n)
 
 
 def _superoperator(sharpness) -> np.ndarray:
@@ -311,7 +284,7 @@ def _superoperator(sharpness) -> np.ndarray:
     return (np.einsum("...kab,...kcd->...acbd", roots, roots) / 2.0).reshape(-1, 4, 4)
 
 
-def _observer_step(state: np.ndarray, superop: np.ndarray, parts=None, low: int = 0) -> np.ndarray:
+def _observer_step(state: np.ndarray, superop: np.ndarray, parts: np.ndarray, low: int) -> np.ndarray:
     """One observer's update of a chain's states, without its checks, in place.
 
     The four maps K rho K^dagger add up to superop, the (1 or count, 4, 4)
@@ -320,65 +293,39 @@ def _observer_step(state: np.ndarray, superop: np.ndarray, parts=None, low: int 
     the diagonal and the antidiagonal are exactly 0.0 (the x roots' cross
     terms cancel), so pair a of the result mixes only pairs a and 3 - a:
     two rounded products and one add per real number, and an entry has the
-    same bits whatever else state holds. With parts None, state is
-    target-major, (count, 4, m), and row a's partner is row 3 - a
-    (_pair_update). Otherwise row p of state, (count, len(parts), 2^n), is
-    rho[j, j ^ parts[p]], j ascending, and entry j's partner is entry
-    j ^ (1 << low), low being the target's bit: the pairs are (0, 3) when
-    parts[p] keeps that bit and (1, 2) when it flips it. The superoperator
-    is symmetric under a <-> 3 - a, bit for bit, so both entries of a pair
-    take the same diagonal and antidiagonal factor, and a part row is
-    stepped by two products over whole rows and one add of each entry's
-    partner product: the same products and add as _pair_update's, without
-    its stride-2 products. The superoperator is real, so the result has the
-    state's dtype. state is overwritten a block of at most _STEP_BLOCK real
-    numbers at a time (columns, or whole part rows), after that block's
-    partner terms are formed, and returned.
+    same bits whatever else state holds. Row p of state, (count,
+    len(parts), 2^n), is rho[j, j ^ parts[p]], j ascending, and entry j's
+    partner is entry j ^ (1 << low), low being the target's bit: the pairs
+    are (0, 3) when parts[p] keeps that bit and (1, 2) when it flips it.
+    The superoperator is symmetric under a <-> 3 - a, bit for bit, so both
+    entries of a pair take the same diagonal and antidiagonal factor, and a
+    part row is stepped by two products over whole rows and one add of each
+    entry's partner product. The superoperator is real, so the result has
+    the state's dtype. state is overwritten a block of whole part rows,
+    at most _STEP_BLOCK real numbers, at a time, after that block's partner
+    terms are formed, and returned.
     """
-    # A complex entry is two reals, each scaled by the same real factor.
-    entries = state.view(np.float64)
-    if parts is None:
-        coeffs = _pair_coefficients(superop)
-        width = max(1, _STEP_BLOCK // (4 * max(1, len(entries))))
-        for start in range(0, entries.shape[-1], width):
-            block = entries[..., start:start + width]
-            _pair_update(block[:, :2], block[:, :1:-1], *coeffs)
-        return state
     pair = (parts >> low) & 1
     diag = superop[:, pair, pair][..., None, None, None]
     anti = superop[:, pair, 3 - pair][..., None, None, None]
     half = state.shape[-1] >> (low + 1)
-    pairs = entries.reshape(*entries.shape[:2], half, 2, entries.shape[-1] // (2 * half))
-    height = max(1, _STEP_BLOCK // max(1, len(entries) * entries.shape[-1]))
+    pairs = state.reshape(*state.shape[:2], half, 2, 1 << low)
+    # The real numbers of one part row of every element.
+    row = len(state) * state.shape[-1] * state.itemsize // 8
+    height = max(1, _STEP_BLOCK // max(1, row))
     for start in range(0, len(parts), height):
         rows = slice(start, start + height)
         block = pairs[:, rows]
+        # A complex entry is two reals, each scaled by the same real factor.
         # At the last target partners are neighbours, and numpy's stride-2
         # products are about twice as slow per entry as these.
-        partner = block * anti[:, rows]
-        block *= diag[:, rows]
+        reals = block.view(np.float64)
+        partner = (reals * anti[:, rows]).view(state.dtype)
+        reals *= diag[:, rows]
+        # A complex add is two real adds, in half the strided steps.
         block[..., 0, :] += partner[..., 1, :]
         block[..., 1, :] += partner[..., 0, :]
     return state
-
-
-def _pair_coefficients(superop: np.ndarray):
-    """The superoperator's diag[a], anti[a], diag[3 - a] and anti[3 - a] for
-    target-major rows a = 0, 1, shaped (count, 2, 1) to broadcast against
-    blocks of their entries."""
-    pair, partner = np.arange(2), np.arange(3, 1, -1)
-    pairs = ((pair, pair), (pair, partner), (partner, partner), (partner, pair))
-    return [superop[:, a, b][..., None] for a, b in pairs]
-
-
-def _pair_update(lo, hi, d_lo, a_lo, d_hi, a_hi) -> None:
-    """lo, hi = d_lo * lo + a_lo * hi, d_hi * hi + a_hi * lo, in place: two
-    rounded products and one add per real number."""
-    from_hi, from_lo = a_lo * hi, a_hi * lo
-    lo *= d_lo
-    lo += from_hi
-    hi *= d_hi
-    hi += from_lo
 
 
 def _checked_chain(rho1, sharpnesses, target):
@@ -398,9 +345,9 @@ def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
     rho1 may be a stack, with each observer's sharpness one number or one per
     element. Every sharpness, the target and rho1 are checked before the first
     state is yielded; rho1 is validated once, since each update maps a density
-    matrix to a density matrix. The chain runs in target-major order, entered
-    once, and each later state is yielded as a new array in rho1's layout. The
-    update after the last observer is never computed.
+    matrix to a density matrix. The chain steps rho1's part rows over every X
+    part, gathered once, and each later state is yielded as a new array in
+    rho1's layout. The update after the last observer is never computed.
     """
     rho, n, lambdas, t = _checked_chain(rho1, sharpnesses, target)
     del rho1  # hold no reference to the caller's array past the first step
@@ -409,11 +356,12 @@ def observer_states(rho1: np.ndarray, sharpnesses, target: int | None = None):
     yield rho
     if len(lambdas) == 1:
         return
-    stack = rho.shape[:-2]
-    state = _to_target_major(rho, n, t)
+    stack, parts = rho.shape[:-2], np.arange(1 << n)
+    state = _part_rows(rho, n, parts)
     del rho
     for lam in lambdas[:-1]:
-        yield _from_target_major(_observer_step(state, _superoperator(lam)), stack, n, t)
+        _observer_step(state, _superoperator(lam), parts, n - 1 - t)
+        yield _from_part_rows(state, stack, n)
 
 
 def observer_expectations(rho1, sharpnesses, observables, target: int | None = None):
@@ -580,10 +528,10 @@ def _part_rows(rho, n: int, parts: np.ndarray) -> np.ndarray:
         # 32-bit indices: the columns are as many as the rows read.
         rows = np.arange(1 << n, dtype=np.int32)
         return rho.entries(rows, np.bitwise_xor(rows, parts[:, None], dtype=np.int32))[None]
-    # Full states reach this gather only through the public API: expectation
-    # of a Pauli sum, and observer_expectations from a matrix rho1. No verify
-    # suite or CLI command reads a Pauli sum on a full state; they start from
-    # StateFamily entries or read dense observables.
+    # Full states reach this gather from expectation of a Pauli sum,
+    # observer_expectations from a matrix rho1, and luders_update and
+    # observer_states, which gather every part: verify's channel and recursion
+    # suites take the last two on every pass.
     flat = rho.reshape(-1, 1 << 2 * n)
     out = np.empty((len(flat), len(parts), 1 << n), dtype=flat.dtype)
     rows = np.arange(1 << n, dtype=np.int64)
@@ -599,6 +547,27 @@ def _part_rows(rho, n: int, parts: np.ndarray) -> np.ndarray:
         # is strided, so take fills a copy of it and writes that back.
         np.take(flat, offsets, axis=1, out=out[:, block], mode="clip")
         del offsets  # the next block's offsets are the only ones held
+    return out
+
+
+def _from_part_rows(state: np.ndarray, stack: tuple, n: int) -> np.ndarray:
+    """The states whose part rows over every X part f = 0..2^n - 1, in order,
+    are state, (count, 2^n, 2^n), as a new (*stack, 2^n, 2^n) array: entry
+    (r, c) is state[r ^ c, r], gathered a block of rows at a time."""
+    dim = 1 << n
+    flat = state.reshape(len(state), dim * dim)
+    out = np.empty((*stack, dim, dim), dtype=state.dtype)
+    rows = np.arange(dim, dtype=np.int64)
+    # At most _GATHER_ELEMENTS int64 offsets at once, as in _part_rows.
+    height = max(1, _GATHER_ELEMENTS >> n)
+    for start in range(0, dim, height):
+        block = slice(start, start + height)
+        offsets = rows[block, None] ^ rows
+        offsets <<= n
+        offsets += rows[block, None]
+        # "clip", as in _part_rows: the default mode buffers out.
+        np.take(flat, offsets, axis=1, out=out.reshape(-1, dim, dim)[:, block], mode="clip")
+        del offsets
     return out
 
 

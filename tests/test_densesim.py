@@ -660,19 +660,20 @@ def whole_matrix_step(rho, lam, target):
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
 
 
-def target_major_step(rho, lam, target):
-    """luders_update's arithmetic without its checks: into target-major
-    order, one step, and back."""
+def part_row_step(rho, lam, target):
+    """luders_update's arithmetic without its checks: into part rows over
+    every X part, one step, and back."""
     n = densesim.n_qubits_of(rho)
+    parts = np.arange(1 << n)
     state = densesim._observer_step(
-        densesim._to_target_major(rho, n, target), densesim._superoperator(lam)
+        densesim._part_rows(rho, n, parts), densesim._superoperator(lam), parts, n - 1 - target
     )
-    return densesim._from_target_major(state, rho.shape[:-2], n, target)
+    return densesim._from_part_rows(state, rho.shape[:-2], n)
 
 
-# tile patches the step's column-block budget: 128 gives blocks of 32 columns,
-# which split the power-of-two column count evenly, and 37 gives blocks of 9,
-# which leave a ragged last block.
+# tile patches the step's budget to that many part rows, each holding as many
+# real numbers as a row of rho: 128 splits the 2^n rows evenly (into 2 to 8
+# blocks from n = 8 on), and 37 leaves a ragged last block at every n.
 @pytest.mark.parametrize("tile", [128, 37])
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -686,7 +687,7 @@ def test_tiled_channel_step_matches_the_whole_matrix_product(tile, n, real):
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     bound = 4 * np.finfo(float).eps * np.max(np.abs(rho))
-    with mock.patch.object(densesim, "_STEP_BLOCK", tile):
+    with mock.patch.object(densesim, "_STEP_BLOCK", tile * rho[0].nbytes // 8):
         for target in range(n):
             step = luders_update(rho, 0.3, target)
             assert step.dtype == rho.dtype
@@ -730,16 +731,17 @@ def test_channel_step_is_bit_identical_to_per_root_arithmetic(n, real):
         rho = rho.real.copy()
     for lam in (0.0, 1e-300, 0.3, 0.999, 1.0):
         for target in range(n):
-            step = target_major_step(rho, lam, target)
+            step = part_row_step(rho, lam, target)
             assert step.dtype == rho.dtype
             assert step.tobytes() == per_root_step(rho, lam, target).tobytes()
 
 
 def test_channel_step_allocates_only_its_output():
-    state = densesim._to_target_major(StateFamily("cluster", 10).density_matrix(), 10, 9)
+    parts = np.arange(1 << 10)
+    state = densesim._part_rows(StateFamily("cluster", 10).density_matrix(), 10, parts)
     tracemalloc.start()
     try:
-        out = densesim._observer_step(state, densesim._superoperator(0.3))
+        out = densesim._observer_step(state, densesim._superoperator(0.3), parts, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -793,33 +795,6 @@ def test_a_stacked_superoperator_is_one_build_per_sharpness(length):
         assert [element.tobytes() for element in stacked] == alone[start:start + length]
 
 
-@pytest.mark.parametrize("n", range(1, DENSE_QUBIT_LIMIT + 1))
-@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-def test_a_step_on_some_columns_equals_those_columns_of_the_full_step(n, real):
-    rng = np.random.default_rng(n)
-    count = 2 if n <= 8 else 1
-    shape = (count, 4, 4 ** (n - 1))
-    state = rng.standard_normal(shape)
-    if not real:
-        state = state + 1j * rng.standard_normal(shape)
-    width = shape[-1]
-    subsets = (
-        [width - 1],
-        np.arange(1, width, 2),
-        # Out of order, with repeats: an entry's bits do not depend on its neighbours.
-        rng.integers(0, width, size=max(1, width // 7)),
-    )
-    for lam in (0.3, rng.choice([0.0, 5e-324, 0.999, 1.0], size=count)):
-        # The step overwrites its argument: give it a copy.
-        superop = densesim._superoperator(lam)
-        full = densesim._observer_step(state.copy(), superop)
-        assert full.dtype == state.dtype
-        for columns in subsets:
-            # A chain's states are C-contiguous, as take makes them.
-            part = densesim._observer_step(np.ascontiguousarray(state[..., columns]), superop)
-            assert part.tobytes() == np.ascontiguousarray(full[..., columns]).tobytes()
-
-
 # block patches the step's budget: None keeps it, and 37 steps one part row
 # at a time.
 @pytest.mark.parametrize("block", [None, 37])
@@ -830,17 +805,45 @@ def test_a_step_on_part_rows_equals_those_rows_of_the_full_step(block, n, real):
     rho = random_density(rng, n)
     if real:
         rho = rho.real.copy()
-    # Some X parts, out of order, with repeats, and both values of each bit.
+    # Some X parts, out of order, with repeats, and both values of each bit:
+    # an entry's bits do not depend on its neighbours.
     parts = rng.integers(0, 1 << n, size=min(1 << n, 9))
     budget = densesim._STEP_BLOCK if block is None else block
-    with mock.patch.object(densesim, "_STEP_BLOCK", budget):
-        for target in range(n):
-            for lam in (0.3, 1.0):
-                state = densesim._part_rows(rho, n, parts)
-                superop = densesim._superoperator(lam)
-                densesim._observer_step(state, superop, parts, n - 1 - target)
-                full = luders_update(rho, lam, target)
-                assert state.tobytes() == densesim._part_rows(full, n, parts).tobytes()
+    for target in range(n):
+        for lam in (0.3, 1.0):
+            # The all-parts step, at the kept budget.
+            full = luders_update(rho, lam, target)
+            state = densesim._part_rows(rho, n, parts)
+            with mock.patch.object(densesim, "_STEP_BLOCK", budget):
+                densesim._observer_step(state, densesim._superoperator(lam), parts, n - 1 - target)
+            assert state.tobytes() == densesim._part_rows(full, n, parts).tobytes()
+
+
+# The gather of the part rows over every X part, s[f, j] -> s[j, j ^ f], has
+# order three: gathered twice, entry (r, c) is s[r ^ c, r], the inverse
+# gather's. So two more gathers are an oracle for _from_part_rows that shares
+# none of its offset arithmetic.
+@pytest.mark.parametrize("n", range(1, DENSE_QUBIT_LIMIT + 1))
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_the_inverse_gather_undoes_the_part_rows_of_every_part(n, real):
+    rng = np.random.default_rng(n)
+    dim = 1 << n
+    parts = np.arange(dim)
+    # A (2, 3) stack up to n = 9: at n = 10 its copies would take 400 MiB.
+    stacks = ((), (0,)) + (((2, 3),) if n < DENSE_QUBIT_LIMIT else ())
+    # Blocks of 3 rows, so that each gather's last block is ragged.
+    with mock.patch.object(densesim, "_GATHER_ELEMENTS", 3 << n):
+        for stack in stacks:
+            rho = rng.standard_normal((*stack, dim, dim))
+            if not real:
+                rho = rho + 1j * rng.standard_normal(rho.shape)
+            rows = densesim._part_rows(rho, n, parts)
+            back = densesim._from_part_rows(rows, stack, n)
+            assert back.shape == rho.shape
+            assert back.dtype == rho.dtype
+            assert back.tobytes() == rho.tobytes()
+            oracle = densesim._part_rows(densesim._part_rows(rows, n, parts), n, parts)
+            assert back.tobytes() == oracle.tobytes()
 
 
 def fold_depth(expr) -> int:

@@ -1,5 +1,5 @@
-"""The dense observer chain in target-major order: observer_expectations
-against the per-state calls it replaces, and the caller's arrays."""
+"""The dense observer chain on part rows: observer_expectations against the
+per-state calls it replaces, and the caller's arrays."""
 
 import itertools
 import re
@@ -245,8 +245,8 @@ def test_a_bad_observable_fails_as_in_the_state_loop():
             chain(rho, [0.5, 0.5], [good, wrong_size])
 
 
-# The caller's arrays. At n = 1 the target-major order is the input's own, so
-# a conversion that returned a view would hand the caller's array to the chain.
+# The caller's arrays. Every chain steps a gathered copy of rho in place, so a
+# gather that returned a view of rho would let a step write the caller's array.
 def _chain_functions():
     def expectations(rho, lambdas, target):
         # One qubit at least: a 0-qubit state is refused before the observables.

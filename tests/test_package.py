@@ -1,6 +1,9 @@
 """The package's public surface, and the hygiene of its source files."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -100,3 +103,56 @@ def test_every_private_module_name_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Every name the module defines anywhere: functions, classes, assigned
+    names and attributes, parameters and import aliases."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.arg):
+            defined.add(node.arg)
+        elif isinstance(node, ast.alias):
+            defined.add(node.asname or node.name)
+    return defined
+
+
+def _prose(source: str, tree: ast.Module) -> list[tuple[int, str]]:
+    """The module's comments and docstrings, each with its line (a
+    docstring's is its owner's)."""
+    prose = [
+        (token.start[0], token.string)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if doc := ast.get_docstring(node, clean=False):
+                prose.append((getattr(node, "lineno", 1), doc))
+    return prose
+
+
+# A private name (_x, not __x__) as a word of its own, module._x among them.
+_PRIVATE_WORD = re.compile(r"\b_[A-Za-z0-9]\w*")
+
+
+def test_comments_name_only_private_names_that_exist():
+    # A comment or docstring that names a helper the code no longer has
+    # describes a path that is gone.
+    sources = {path.name: path.read_text() for path in sorted(SOURCE_DIR.glob("*.py"))}
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = set().union(*map(_defined_names, trees.values()))
+    stale = [
+        f"{module}:{line}:{word}"
+        for module, source in sources.items()
+        for line, text in _prose(source, trees[module])
+        for word in _PRIVATE_WORD.findall(text)
+        if not word.endswith("__") and word not in defined
+    ]
+    assert stale == []
